@@ -295,6 +295,10 @@ class _Partition:
                 continue
             moves = violating.pop(cid)
             elem, dest = moves[self.rng.integers(len(moves))]
+            if dest not in self.clusters:
+                # the cached move names a cluster dropped since it was found
+                self._dirty.add(cid)
+                continue
             self.move(elem, dest)
             self.fix_count(k, budget)
         raise MeshError("star-shapedness repair budget exhausted")

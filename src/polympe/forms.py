@@ -36,7 +36,8 @@ class PenaltyValues:
 
 
 def penalty_coefficients(face: Face, params: PhysicalParams, degree: int = 1) -> PenaltyValues:
-    """Penalty values on one face.
+    """Penalty values on one face, or per point of a stacked face table:
+    only ``face.harmonic_h`` is read, and it may be an array.
 
     eta and gamma_v scale with 1/{h}_H, gamma_p with {h}_H; the
     coefficient-dependent factors are the 2-norms of the elasticity and

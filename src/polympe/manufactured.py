@@ -95,7 +95,6 @@ class ManufacturedCase:
             if isinstance(expr, sym.Matrix):
                 self._fns[key] = [_lam_np(expr[0]), _lam_np(expr[1])]
                 self._fns[key + ",t"] = [_lam_np(expr[0].diff(T)), _lam_np(expr[1].diff(T))]
-                self._fns[key + ",tt"] = [_lam_np(expr[0].diff(T, 2)), _lam_np(expr[1].diff(T, 2))]
                 self._fns[key + ",grad"] = [[_lam_np(expr[i].diff(v)) for v in (X, Y)] for i in (0, 1)]
             else:
                 self._fns[key] = _lam_np(expr)
@@ -113,9 +112,6 @@ class ManufacturedCase:
 
     def exact_dt(self, name: str, pts, t=0.0):
         return self.exact(name + ",t", pts, t)
-
-    def exact_dtt(self, name: str, pts, t=0.0):
-        return self.exact(name + ",tt", pts, t)
 
     def exact_grad(self, name: str, pts, t=0.0):
         g = self._fns[name + ",grad"]

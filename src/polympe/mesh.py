@@ -12,7 +12,7 @@ between concurrent assembly workers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -317,7 +317,6 @@ class MeshQualityReport:
     h_min: float
     h_max: float
     bounded_variation: np.ndarray
-    star_shaped_failures: list[int] = field(default_factory=list)
 
     def summary(self) -> str:
         bv = self.bounded_variation
@@ -329,8 +328,6 @@ class MeshQualityReport:
         ]
         if len(bv):
             lines.append(f"bounded variation h+/h-: min {bv.min():.6g} max {bv.max():.6g}")
-        if self.star_shaped_failures:
-            lines.append(f"star-shapedness flagged on elements {self.star_shaped_failures}")
         return "\n".join(lines)
 
 
@@ -338,15 +335,12 @@ def quality_report(mesh: PolyMesh) -> MeshQualityReport:
     """Compute per-element shape ratios and neighbor mesh-size variation."""
     d = 2
     ratios = np.empty(mesh.n_elements)
-    flagged = []
     for k, elem in enumerate(mesh.elements):
         pts = mesh.vertices[elem]
         lengths = np.hypot(*(np.roll(pts, -1, axis=0) - pts).T)
         tri = mesh.fan_triangle_areas(k)
         r = d * tri / (lengths * mesh.diameters[k])
         ratios[k] = r.min()
-        if tri.min() <= 0:
-            flagged.append(k)
     bv = []
     for key, inc in mesh._edges.items():
         if len(inc) == 2:
@@ -356,7 +350,6 @@ def quality_report(mesh: PolyMesh) -> MeshQualityReport:
         h_min=float(mesh.diameters.min()),
         h_max=float(mesh.diameters.max()),
         bounded_variation=np.array(bv),
-        star_shaped_failures=flagged,
     )
 
 

@@ -8,6 +8,11 @@ interior-fluid plus velocity-Dirichlet faces (the stabilization form S is
 assembled over interior faces only; the norm deliberately measures the wider
 set). Errors against an exact solution are evaluated at quadrature points
 from closed-form exact values and derivatives.
+
+Each term is one contraction over the stacked tabulations of
+:class:`~polympe.spaces.DGSpace`, with each exact field evaluated in one call
+on the stacked points. Error jumps need the exact field on boundary faces
+only: the exact fields are continuous, so their traces cancel on interior faces.
 """
 
 from __future__ import annotations
@@ -22,76 +27,38 @@ from .params import PhysicalParams
 from .spaces import DGSpace
 
 
-def _vals_on(space, field, vec, elem, phi):
-    if space.components(field) == 1:
-        return phi @ vec[space.elem_dofs(field, elem)]
-    return np.stack([phi @ vec[space.elem_dofs(field, elem, c)] for c in range(2)], axis=1)
+def _volume_error(space, field, vec, exact, t, grad=False, exact_name=None):
+    """Weights and (exact - discrete) values (nq, ncomp) or gradients (nq, ncomp,
+    2) on the field's subdomain; the discrete field alone without ``exact``."""
+    tab = space.volume_table(space.field_domain(field))
+    coeffs = space.coeffs(field, vec)
+    v = tab.grads(coeffs) if grad else tab.values(coeffs)
+    if exact is not None:
+        ev = exact.exact_grad if grad else exact.exact
+        v = ev(exact_name or field, tab.points, t).reshape(v.shape) - v
+    return tab.weights, v
 
 
-def _grads_on(space, field, vec, elem, gx, gy):
-    if space.components(field) == 1:
-        d = vec[space.elem_dofs(field, elem)]
-        return np.stack([gx @ d, gy @ d], axis=1)
-    return np.stack(
-        [np.stack([gx @ vec[space.elem_dofs(field, elem, c)],
-                   gy @ vec[space.elem_dofs(field, elem, c)]], axis=1) for c in range(2)],
-        axis=1,
-    )
+def jump_sq(space: DGSpace, faces: FaceSet, fidxs, field: str, vec, penalty,
+            exact=None, t: float = 0.0) -> float:
+    """Sum over the faces ``fidxs`` of penalty * |jump|^2 of a field (or of
+    its error against ``exact``); vector jumps in the symmetric tensor sense
+    ([[v]]:[[v]] = (|j|^2 + (j.n)^2) / 2 with j the trace difference).
 
-
-class FieldError:
-    """Evaluates (exact - discrete) values/gradients, or the plain discrete
-    field when no exact closure is given."""
-
-    def __init__(self, space, field, vec, exact=None, exact_name=None, t=0.0):
-        self.space, self.field, self.vec = space, field, vec
-        self.exact, self.t = exact, t
-        self.exact_name = exact_name or field
-
-    def values(self, elem, pts, phi):
-        v = _vals_on(self.space, self.field, self.vec, elem, phi)
-        if self.exact is None:
-            return v
-        return self.exact.exact(self.exact_name, pts, self.t) - v
-
-    def grads(self, elem, pts, gx, gy):
-        g = _grads_on(self.space, self.field, self.vec, elem, gx, gy)
-        if self.exact is None:
-            return g
-        return self.exact.exact_grad(self.exact_name, pts, self.t) - g
-
-
-def _volume_l2sq(space, fe: FieldError, elems) -> float:
-    acc = 0.0
-    for elem in elems:
-        elem = int(elem)
-        pts, w, phi, _, _ = space.vol(elem)
-        v = fe.values(elem, pts, phi)
-        acc += float(np.sum(w * (v * v if v.ndim == 1 else (v * v).sum(axis=1))))
-    return acc
-
-
-def _jump_sq(space, faces, fidxs, fe: FieldError, weight_of) -> float:
-    """Sum over faces of weight * |jump|^2; vector jumps in the symmetric
-    tensor sense ([[v]]:[[v]] = (|j|^2 + (j.n)^2) / 2 with j the trace
-    difference)."""
-    acc = 0.0
-    vector = space.components(fe.field) == 2
-    for fidx in fidxs:
-        face = faces.faces[fidx]
-        rule = space.face_rule(fidx, face, space.mesh)
-        w, n = rule.weights, face.normal
-        phi_p, _, _ = space.face_trace(fidx, face, face.elem_plus)
-        j = fe.values(face.elem_plus, rule.points, phi_p)
-        if face.elem_minus is not None:
-            phi_m, _, _ = space.face_trace(fidx, face, face.elem_minus)
-            j = j - fe.values(face.elem_minus, rule.points, phi_m)
-        if vector:
-            jj = 0.5 * ((j * j).sum(axis=1) + (j @ n) ** 2)
-        else:
-            jj = j * j
-        acc += weight_of(face) * float(np.sum(w * jj))
-    return acc
+    ``penalty`` maps the stacked face table to per-point weights, e.g.
+    ``lambda f: penalty_coefficients(f, params, m).eta``.
+    """
+    if not fidxs:
+        return 0.0
+    tab = space.face_table(faces, fidxs)
+    j = tab.jump(space.coeffs(field, vec))
+    if exact is not None and tab.boundary.any():
+        # minus the error jump; interior faces carry no exact term
+        j[tab.boundary] -= exact.exact(field, tab.points[tab.boundary], t).reshape(-1, j.shape[1])
+    jj = (j * j).sum(axis=1)
+    if j.shape[1] == 2:
+        jj = 0.5 * (jj + (j * tab.normal).sum(axis=1) ** 2)
+    return float(np.sum(penalty(tab) * tab.weights * jj))
 
 
 def broken_norms(space: DGSpace, faces: FaceSet, params: PhysicalParams, state: dict,
@@ -101,62 +68,43 @@ def broken_norms(space: DGSpace, faces: FaceSet, params: PhysicalParams, state: 
     ``state`` maps field names to field-local DOF vectors. Returns a dict
     with keys ``d``, ``p:<j>``, ``u``, ``p`` holding the squared norms.
     """
-    out = {}
+    def pen(tab):
+        return penalty_coefficients(tab, params, space.m)
 
-    fe = FieldError(space, "d", state["d"], exact, t=t)
-    acc = 0.0
-    for elem in space.el_ids:
-        elem = int(elem)
-        pts, w, _, gx, gy = space.vol(elem)
-        g = fe.grads(elem, pts, gx, gy)
-        eps = 0.5 * (g + g.transpose(0, 2, 1))
-        tr = eps[:, 0, 0] + eps[:, 1, 1]
-        acc += float(np.sum(w * (2 * params.mu_el * (eps * eps).sum(axis=(1, 2))
+    out = {}
+    w, g = _volume_error(space, "d", state["d"], exact, t, grad=True)
+    eps = 0.5 * (g + g.transpose(0, 2, 1))
+    tr = eps[:, 0, 0] + eps[:, 1, 1]
+    out["d"] = float(np.sum(w * (2 * params.mu_el * (eps * eps).sum(axis=(1, 2))
                                  + params.lam * tr * tr)))
-    acc += _jump_sq(space, faces, faces.sipg_faces("d"), fe,
-                    lambda f: penalty_coefficients(f, params, space.m).eta)
-    out["d"] = acc
+    out["d"] += jump_sq(space, faces, faces.sipg_faces("d"), "d", state["d"],
+                        lambda f: pen(f).eta, exact, t)
 
     for j in params.compartments:
-        field = f"p:{j}"
+        name = f"p:{j}"
         kappa = params.k_j[j] / params.mu_j[j]
-        fe = FieldError(space, field, state[field], exact, t=t)
-        acc = 0.0
-        for elem in space.el_ids:
-            elem = int(elem)
-            pts, w, _, gx, gy = space.vol(elem)
-            g = fe.grads(elem, pts, gx, gy)
-            acc += kappa * float(np.sum(w * (g * g).sum(axis=1)))
-        acc += _jump_sq(space, faces, faces.sipg_faces(field), fe,
-                        lambda f: penalty_coefficients(f, params, space.m).zeta[j])
-        out[field] = acc
+        w, g = _volume_error(space, name, state[name], exact, t, grad=True)
+        out[name] = kappa * float(np.sum(w * (g * g).sum(axis=(1, 2))))
+        out[name] += jump_sq(space, faces, faces.sipg_faces(name), name, state[name],
+                             lambda f, j=j: pen(f).zeta[j], exact, t)
 
-    fe = FieldError(space, "u", state["u"], exact, t=t)
-    acc = 0.0
-    for elem in space.f_ids:
-        elem = int(elem)
-        pts, w, _, gx, gy = space.vol(elem)
-        g = fe.grads(elem, pts, gx, gy)
-        eps = 0.5 * (g + g.transpose(0, 2, 1))
-        acc += float(np.sum(w * 2 * params.mu_f * (eps * eps).sum(axis=(1, 2))))
-    acc += _jump_sq(space, faces, faces.interior_f, fe,
-                    lambda f: penalty_coefficients(f, params, space.m).gamma_v)
-    out["u"] = acc
+    w, g = _volume_error(space, "u", state["u"], exact, t, grad=True)
+    eps = 0.5 * (g + g.transpose(0, 2, 1))
+    out["u"] = float(np.sum(w * 2 * params.mu_f * (eps * eps).sum(axis=(1, 2))))
+    out["u"] += jump_sq(space, faces, faces.interior_f, "u", state["u"],
+                        lambda f: pen(f).gamma_v, exact, t)
 
-    fe = FieldError(space, "p", state["p"], exact, t=t)
-    acc = _volume_l2sq(space, fe, space.f_ids)
-    acc += _jump_sq(space, faces, faces.interior_f + faces.dirichlet("u"), fe,
-                    lambda f: penalty_coefficients(f, params, space.m).gamma_p)
-    out["p"] = acc
-
+    out["p"] = weighted_l2sq(space, "p", state["p"], 1.0, exact, t=t)
+    out["p"] += jump_sq(space, faces, faces.interior_f + faces.dirichlet("u"), "p", state["p"],
+                        lambda f: pen(f).gamma_p, exact, t)
     return out
 
 
 def weighted_l2sq(space: DGSpace, field: str, vec, coeff: float,
                   exact=None, exact_name=None, t: float = 0.0) -> float:
     """coeff * ||field (error)||_{L2}^2 over the field's subdomain."""
-    fe = FieldError(space, field, vec, exact, exact_name=exact_name, t=t)
-    return coeff * _volume_l2sq(space, fe, space.field_elements(field))
+    w, v = _volume_error(space, field, vec, exact, t, exact_name=exact_name)
+    return coeff * float(np.sum(w * (v * v).sum(axis=1)))
 
 
 @dataclass
@@ -164,6 +112,8 @@ class EnergyBreakdown:
     instantaneous: dict
     integrand: list
     times: list
+    #: squared broken norms of the final state, as :func:`broken_norms` gives them
+    final: dict
 
     @property
     def integral(self) -> float:
@@ -190,29 +140,29 @@ def energy_norm(states: list, times: list, space: DGSpace, faces: FaceSet,
     """
     if not states:
         raise ValueError("empty trajectory")
-    integrand, ts = [], []
+    integrand = []
     for state, t in zip(states, times):
         bn = broken_norms(space, faces, params, state, exact=exact, t=t)
+        l2 = {j: weighted_l2sq(space, f"p:{j}", state[f"p:{j}"], 1.0, exact, t=t)
+              for j in params.compartments}
         term = bn["u"] + bn["p"]
         for j in params.compartments:
             term += bn[f"p:{j}"]
-            term += weighted_l2sq(space, f"p:{j}", state[f"p:{j}"], params.beta_ext[j],
-                                  exact, t=t)
+            term += params.beta_ext[j] * l2[j]
         integrand.append(term)
-        ts.append(t)
 
+    # bn and l2 now hold the final state's terms
     last, t_last = states[-1], times[-1]
-    bn = broken_norms(space, faces, params, last, exact=exact, t=t_last)
     inst = {"d": bn["d"]}
     if "z" in last:
         # the Newmark velocity is the discrete surrogate of d-dot
-        fe = FieldError(space, "d", last["z"], exact, exact_name="d,t", t=t_last)
-        inst["z"] = params.rho_el * _volume_l2sq(space, fe, space.el_ids)
+        inst["z"] = weighted_l2sq(space, "d", last["z"], params.rho_el, exact,
+                                  exact_name="d,t", t=t_last)
     for j in params.compartments:
-        inst[f"p:{j}"] = weighted_l2sq(space, f"p:{j}", last[f"p:{j}"], params.c_j[j],
-                                       exact, t=t_last)
+        inst[f"p:{j}"] = params.c_j[j] * l2[j]
     inst["u"] = weighted_l2sq(space, "u", last["u"], params.rho_f, exact, t=t_last)
-    return EnergyBreakdown(instantaneous=inst, integrand=integrand, times=ts)
+    return EnergyBreakdown(instantaneous=inst, integrand=integrand,
+                           times=list(times[:len(states)]), final=bn)
 
 
 #: errors at or below this floor are treated as saturated, not rated

@@ -28,19 +28,12 @@ def write_rate_table(rows: list, path) -> None:
 def cell_means(space, state: dict) -> dict:
     """Per-element mean values of every field (vectors component-wise);
     fields of the other subdomain are zero on an element."""
-    mesh = space.mesh
-    n = mesh.n_elements
     out = {}
     for field in space.fields:
-        ncomp = space.components(field)
-        vals = np.zeros((n, ncomp))
-        for elem in space.field_elements(field):
-            elem = int(elem)
-            pts, w, phi, _, _ = space.vol(elem)
-            area = w.sum()
-            for c in range(ncomp):
-                dofs = space.elem_dofs(field, elem, c)
-                vals[elem, c] = float(w @ (phi @ state[field][dofs])) / area
+        weights = space.volume_table(space.field_domain(field)).mean_weights
+        vals = np.zeros((space.mesh.n_elements, space.components(field)))
+        vals[space.field_elements(field)] = np.einsum(
+            "ei,eci->ec", weights, space.coeffs(field, state[field]))
         out[field] = vals
     return out
 

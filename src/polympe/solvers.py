@@ -35,7 +35,3 @@ def factorize(A) -> Factorization:
     except RuntimeError as exc:  # SuperLU reports the failing pivot
         raise SingularMatrixError(str(exc)) from exc
     return Factorization(lu, A.shape[0])
-
-
-def solve(f: Factorization, b: np.ndarray) -> np.ndarray:
-    return f.solve(b)

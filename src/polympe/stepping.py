@@ -59,11 +59,6 @@ class TimeState:
         out.update({f"p:{j}": v for j, v in self.p_j.items()})
         return out
 
-    def copy(self) -> "TimeState":
-        return TimeState(self.t, self.d.copy(), self.z.copy(), self.a.copy(),
-                         {j: v.copy() for j, v in self.p_j.items()},
-                         self.u.copy(), self.p.copy())
-
 
 def _aux_layout(sys: SystemMatrices):
     sizes = sys.space.sizes

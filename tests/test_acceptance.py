@@ -119,17 +119,14 @@ def test_criterion_5_structural_suite(mesh80, unit_params):
 
     jumps = 0.0
     d = l2_project(space, "d", bubble_el)
-    fe = norms.FieldError(space, "d", d)
-    jumps = max(jumps, norms._jump_sq(space, faces, faces.sipg_faces("d"), fe,
-                                      lambda f: penalty_coefficients(f, unit_params, 4).eta))
+    jumps = max(jumps, norms.jump_sq(space, faces, faces.sipg_faces("d"), "d", d,
+                                     lambda f: penalty_coefficients(f, unit_params, 4).eta))
     pe = l2_project(space, "p:E", lambda p: bubble_el(p)[:, 0])
-    fe = norms.FieldError(space, "p:E", pe)
-    jumps = max(jumps, norms._jump_sq(space, faces, faces.sipg_faces("p:E"), fe,
-                                      lambda f: penalty_coefficients(f, unit_params, 4).zeta["E"]))
+    jumps = max(jumps, norms.jump_sq(space, faces, faces.sipg_faces("p:E"), "p:E", pe,
+                                     lambda f: penalty_coefficients(f, unit_params, 4).zeta["E"]))
     u = l2_project(space, "u", bubble_f)
-    fe = norms.FieldError(space, "u", u)
-    jumps = max(jumps, norms._jump_sq(space, faces, faces.sipg_faces("u"), fe,
-                                      lambda f: penalty_coefficients(f, unit_params, 4).gamma_v))
+    jumps = max(jumps, norms.jump_sq(space, faces, faces.sipg_faces("u"), "u", u,
+                                     lambda f: penalty_coefficients(f, unit_params, 4).gamma_v))
     ok &= jumps < 1e-10
     report(5, ok, f"symmetry max {max(rep.symmetry.values()):.1e}, "
                   f"psd min {min(rep.psd_min.values()):.1e}, "

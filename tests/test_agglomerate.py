@@ -122,3 +122,14 @@ def test_boundary_labels_inherited(mesh80):
     # every boundary edge of the coarse mesh carries a label from the fine mesh
     for key in mesh80.boundary_edges():
         assert key in mesh80.boundary_labels
+
+
+def test_brain_scale_seed_with_dropped_move_target():
+    # at this seed the star-shapedness repair draws a cached move whose
+    # destination cluster a count fix has already merged away
+    fine = triangulated_two_domain(48, nx_el=48, nx_f=12, jitter=0.25, seed=3)
+    cfg = AgglomerationConfig(910, 101, seed=3)
+    coarse = agglomerate(fine, cfg)
+    assert coarse.element_domain.count(ELASTIC) == 910
+    assert coarse.element_domain.count(FLUID) == 101
+    assert validate_partition(fine, partition_assignment(fine, cfg)).valid

@@ -152,3 +152,31 @@ def test_cell_means_of_projected_linear_field():
         assert means["p:E"][int(elem), 0] == pytest.approx(cx + 2 * cy, rel=1e-12)
     for elem in space.f_ids:
         assert means["p:E"][int(elem), 0] == 0.0
+
+
+def test_cell_means_match_exact_polygon_averages(mesh80):
+    import numpy as np
+    from polympe.outputs import cell_means
+    from polympe.spaces import build_space, l2_project
+
+    space = build_space(mesh80, 2)
+    state = {f: np.zeros(space.sizes[f]) for f in space.fields}
+    linear = lambda p: np.stack([1 + 2 * p[:, 0] - p[:, 1], 3 * p[:, 1] - 0.5], axis=1)
+    state["d"] = l2_project(space, "d", linear)
+    state["u"] = l2_project(space, "u", linear)
+    state["p"] = l2_project(space, "p", lambda p: linear(p)[:, 0])
+    means = cell_means(space, state)
+    for k, elem in enumerate(mesh80.elements):
+        # the average of a linear field is its value at the area centroid
+        x, y = mesh80.vertices[elem].T
+        cross = x * np.roll(y, -1) - np.roll(x, -1) * y
+        area = 0.5 * cross.sum()
+        centroid = np.array([((x + np.roll(x, -1)) * cross).sum(),
+                             ((y + np.roll(y, -1)) * cross).sum()]) / (6 * area)
+        exact = linear(centroid[None, :])[0]
+        field = "d" if mesh80.element_domain[k] == "elastic" else "u"
+        other = "u" if field == "d" else "d"
+        assert np.abs(means[field][k] - exact).max() < 1e-12
+        assert np.all(means[other][k] == 0.0)
+        if field == "u":
+            assert means["p"][k, 0] == pytest.approx(exact[0], rel=1e-12)

@@ -73,11 +73,32 @@ def test_continuous_interpolant_has_no_jumps(cart4_setup, unit_params):
     _, faces, space = cart4_setup
     st = zero_state(space)
     st["d"] = l2_project(space, "d", lambda p: np.stack([p[:, 0] * p[:, 1], p[:, 1] ** 2], axis=1))
-    fe = norms.FieldError(space, "d", st["d"])
     from polympe.forms import penalty_coefficients
-    jump = norms._jump_sq(space, faces, faces.interior_el, fe,
-                          lambda f: penalty_coefficients(f, unit_params, space.m).eta)
+    jump = norms.jump_sq(space, faces, faces.interior_el, "d", st["d"],
+                         lambda f: penalty_coefficients(f, unit_params, space.m).eta)
     assert jump < 1e-10
+
+
+def test_error_norms_pinned_short_unsteady_run(unsteady):
+    # values of the per-element evaluation these norms replaced; the run
+    # starts from zero data so that only the norms, not a projection, differ
+    from polympe import driver, stepping
+    from polympe.families import VERIFICATION_DIRICHLET, cartesian_two_domain
+    art = driver.setup(cartesian_two_domain(2), 2, unsteady.params, VERIFICATION_DIRICHLET)
+    state0 = stepping.initial_state(art.sys, art.faces, data=unsteady)
+    states, times = stepping.simulate(art.sys, art.faces, stepping.SchemeParams(dt=1e-3),
+                                      unsteady, 3, state0)
+    eb = norms.energy_norm([s.as_dict() for s in states], times, art.space, art.faces,
+                           unsteady.params, exact=unsteady)
+    assert eb.total == pytest.approx(175.2123409075619, rel=1e-12)
+    expected = {"d": 1253.4717419066662, "p:E": 2872.921110641361,
+                "u": 620.0273976394446, "p": 12279597.881257724}
+    bn = norms.broken_norms(art.space, art.faces, unsteady.params, states[-1].as_dict(),
+                            exact=unsteady, t=times[-1])
+    assert bn.keys() == expected.keys()
+    for key, value in expected.items():
+        assert bn[key] == pytest.approx(value, rel=1e-12)
+        assert eb.final[key] == bn[key]
 
 
 def test_energy_norm_zero_trajectory(cart4_setup, unit_params):

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from polympe.solvers import SingularMatrixError, factorize, solve
+from polympe.solvers import SingularMatrixError, factorize
 
 
 def test_identity():
     f = factorize(sp.identity(5, format="csr"))
     b = np.arange(5.0)
-    assert np.allclose(solve(f, b), b)
+    assert np.allclose(f.solve(b), b)
 
 
 def test_permuted_diagonal():
@@ -40,7 +40,7 @@ def test_solve_multiply_roundtrip():
     f = factorize(A)
     for _ in range(5):
         b = rng.standard_normal(60)
-        x = solve(f, b)
+        x = f.solve(b)
         assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
