@@ -327,29 +327,20 @@ def _partition_domain(mesh: PolyMesh, ids: np.ndarray, k: int, rng, cfg) -> list
     raise MeshError(f"agglomeration failed after {cfg.attempts} attempts: {last_error}")
 
 
-def agglomerate(fine: PolyMesh, cfg: AgglomerationConfig) -> PolyMesh:
+def agglomerate(fine: PolyMesh, cfg: AgglomerationConfig, assignment=None) -> PolyMesh:
     """Coarsen a fine triangulation into target polygon counts per domain.
 
     The two subdomains are clustered separately so no coarse element crosses
     the interface; boundary labels are inherited edge-by-edge. The result is
     a valid :class:`PolyMesh` (in particular, usable with the fan-based
-    quadrature).
+    quadrature). ``assignment`` is the clustering to coarsen, as
+    :func:`partition_assignment` gives it for ``cfg``; it is computed when
+    not given.
     """
-    for el in fine.elements:
-        if len(el) != 3:
-            raise MeshError("agglomeration expects a triangle-only fine mesh")
-    rng = np.random.default_rng(cfg.seed)
-    elements, domains = [], []
-    for domain in (ELASTIC, FLUID):
-        ids = fine.element_ids(domain)
-        if len(ids) == 0:
-            if cfg.target(domain) > 0:
-                raise MeshError(f"no fine elements in the {domain} domain")
-            continue
-        clusters = _partition_domain(fine, ids, cfg.target(domain), rng, cfg)
-        for cl in clusters:
-            elements.append(_boundary_loop(fine, cl))
-            domains.append(domain)
+    if assignment is None:
+        assignment = partition_assignment(fine, cfg)
+    elements = [_boundary_loop(fine, cl) for cl in assignment]
+    domains = [fine.element_domain[cl[0]] for cl in assignment]
     labels = {}
     fine_boundary = fine.boundary_edges()
     for elem in elements:
@@ -400,12 +391,19 @@ def validate_partition(fine: PolyMesh, assignment) -> PartitionReport:
 
 
 def partition_assignment(fine: PolyMesh, cfg: AgglomerationConfig) -> list:
-    """The fine-to-coarse assignment (clusters of fine element ids) that
-    :func:`agglomerate` would build, for inspection and validation."""
+    """The fine-to-coarse assignment: clusters of fine element ids, elastic
+    then fluid, that :func:`agglomerate` coarsens. Deterministic for a fixed
+    ``cfg.seed``."""
+    for el in fine.elements:
+        if len(el) != 3:
+            raise MeshError("agglomeration expects a triangle-only fine mesh")
     rng = np.random.default_rng(cfg.seed)
     out = []
     for domain in (ELASTIC, FLUID):
         ids = fine.element_ids(domain)
-        if len(ids):
-            out.extend(_partition_domain(fine, ids, cfg.target(domain), rng, cfg))
+        if len(ids) == 0:
+            if cfg.target(domain) > 0:
+                raise MeshError(f"no fine elements in the {domain} domain")
+            continue
+        out.extend(_partition_domain(fine, ids, cfg.target(domain), rng, cfg))
     return out

@@ -4,7 +4,8 @@ verification oracles, and the agglomeration pipeline.
 All commands read a single JSON config document. Exit codes: 0 on success,
 1 when an acceptance-style check fails (rate out of window, oracle residual
 too large, invalid partition), 2 on input errors (missing files, malformed
-config, invalid meshes or parameters).
+config, unknown keys, invalid meshes or parameters), 3 on numerical failure
+(singular matrix, steady residual too large).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +26,7 @@ from .forms import ZeroData
 from .manufactured import residual_oracle, steady_case, unsteady_case
 from .mesh import MeshError, load_mesh, quality_report, save_mesh
 from .params import PhysicalParams
+from .solvers import NumericalError
 from .system import structural_checks
 
 
@@ -82,6 +85,22 @@ def resolve_params(cfg: dict) -> PhysicalParams:
     return params
 
 
+def resolve_scheme(cfg: dict, default: dict | None = None,
+                   extra=()) -> stepping.SchemeParams:
+    """The time scheme of ``cfg["scheme"]`` (or ``default``); keys other than
+    the :class:`~polympe.stepping.SchemeParams` fields and ``extra`` are
+    input errors."""
+    scfg = dict(cfg.get("scheme", default or {}))
+    known = [f.name for f in fields(stepping.SchemeParams)]
+    unknown = sorted(set(scfg) - set(known) - set(extra))
+    if unknown:
+        raise ConfigError(f"unknown scheme key(s) {unknown}; expected some of "
+                          f"{known + list(extra)}")
+    if "dt" not in scfg:
+        raise ConfigError("scheme needs 'dt'")
+    return stepping.SchemeParams(**{k: v for k, v in scfg.items() if k in known})
+
+
 def resolve_dirichlet(cfg: dict, case: str) -> dict:
     if "dirichlet" in cfg:
         return {lab: set(vs) for lab, vs in cfg["dirichlet"].items()}
@@ -124,7 +143,7 @@ def cmd_convergence(cfg: dict, out: Path, tol_override=None) -> int:
     m_values = conv.get("m_values", [1, 2, 3])
     scheme = None
     if case_id == "unsteady":
-        scheme = stepping.SchemeParams(**cfg.get("scheme", {"dt": 1e-3}))
+        scheme = resolve_scheme(cfg, default={"dt": 1e-3})
     rows = driver.convergence_table(case_id, meshes, m_values, scheme=scheme,
                                     n_steps=int(conv.get("n_steps", 5)))
     outputs.write_rate_table(rows, out / "rates.csv")
@@ -182,8 +201,7 @@ def cmd_solve(cfg: dict, out: Path) -> int:
         else:
             raise ConfigError(f"unknown case {case_id!r}")
         art = driver.setup(mesh, m, params, resolve_dirichlet(cfg, case_id))
-        scheme = stepping.SchemeParams(**{k: v for k, v in cfg.get("scheme", {}).items()
-                                          if k != "n_steps"})
+        scheme = resolve_scheme(cfg, extra=("n_steps",))
         n_steps = int(cfg.get("scheme", {}).get("n_steps", 100))
         case = data if case_id == "unsteady" else None
         state0 = stepping.initial_state(art.sys, art.faces, case=case)
@@ -261,7 +279,7 @@ def cmd_agglomerate(cfg: dict, out: Path) -> int:
     t0 = time.time()
     assignment = partition_assignment(fine, agcfg)
     prep = validate_partition(fine, assignment)
-    coarse = agglomerate(fine, agcfg)
+    coarse = agglomerate(fine, agcfg, assignment)
     qrep = quality_report(coarse)
     mesh_path = out / acfg.get("output", "coarse_mesh.json")
     save_mesh(coarse, mesh_path)
@@ -304,6 +322,9 @@ def main(argv=None) -> int:
     except (ConfigError, MeshError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except NumericalError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

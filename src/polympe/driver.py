@@ -11,7 +11,7 @@ from . import forms, norms, stepping
 from .families import VERIFICATION_DIRICHLET
 from .manufactured import ManufacturedCase, steady_case, unsteady_case
 from .mesh import PolyMesh, build_faces
-from .solvers import factorize
+from .solvers import NumericalError, factorize
 from .spaces import build_space
 from .system import build_steady, build_system
 
@@ -41,7 +41,7 @@ def solve_steady(case: ManufacturedCase, mesh: PolyMesh, m: int,
     x = factorize(steady.matrix).solve(steady.rhs)
     resid = np.linalg.norm(steady.matrix @ x - steady.rhs) / max(np.linalg.norm(steady.rhs), 1e-300)
     if resid > 1e-8:
-        raise RuntimeError(f"steady solve residual {resid:.3e}")
+        raise NumericalError(f"steady solve residual {resid:.3e}")
     return steady.split(x), art
 
 

@@ -45,20 +45,21 @@ def jump_sq(space: DGSpace, faces: FaceSet, fidxs, field: str, vec, penalty,
     its error against ``exact``); vector jumps in the symmetric tensor sense
     ([[v]]:[[v]] = (|j|^2 + (j.n)^2) / 2 with j the trace difference).
 
-    ``penalty`` maps the stacked face table to per-point weights, e.g.
+    ``penalty`` maps the stacked face table to per-face weights, e.g.
     ``lambda f: penalty_coefficients(f, params, m).eta``.
     """
     if not fidxs:
         return 0.0
     tab = space.face_table(faces, fidxs)
-    j = tab.jump(space.coeffs(field, vec))
+    j = tab.jump(space.coeffs(field, vec))  # (F, nq, ncomp)
     if exact is not None and tab.boundary.any():
         # minus the error jump; interior faces carry no exact term
-        j[tab.boundary] -= exact.exact(field, tab.points[tab.boundary], t).reshape(-1, j.shape[1])
-    jj = (j * j).sum(axis=1)
-    if j.shape[1] == 2:
-        jj = 0.5 * (jj + (j * tab.normal).sum(axis=1) ** 2)
-    return float(np.sum(penalty(tab) * tab.weights * jj))
+        b = tab.boundary
+        j[b] -= exact.exact(field, tab.points[b].reshape(-1, 2), t).reshape(-1, *j.shape[1:])
+    jj = (j * j).sum(axis=2)
+    if j.shape[2] == 2:
+        jj = 0.5 * (jj + (j * tab.normal[:, None, :]).sum(axis=2) ** 2)
+    return float(np.sum(penalty(tab)[:, None] * tab.weights * jj))
 
 
 def broken_norms(space: DGSpace, faces: FaceSet, params: PhysicalParams, state: dict,

@@ -7,7 +7,12 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 
-class SingularMatrixError(Exception):
+class NumericalError(Exception):
+    """A solve failed numerically: a singular matrix, or a residual too large
+    to trust the solution."""
+
+
+class SingularMatrixError(NumericalError):
     """Matrix is structurally or numerically singular."""
 
 

@@ -8,8 +8,9 @@ exact to the requested order; face rules are Gauss-Legendre segments.
 
 :class:`DGSpace` owns the coefficient layout and the basis tabulations,
 stacked per subdomain or face set so that one contraction evaluates, projects
-or averages a field at all quadrature points; assembly reads the same
-tabulations per element (``vol``) and per face (``face_trace``).
+or averages a field at all quadrature points, and one batched product per
+group of equal-sized elements (or per face set) assembles a form. There are
+no per-element or per-face accessors.
 """
 
 from __future__ import annotations
@@ -21,13 +22,13 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 from scipy.linalg import cholesky, solve_triangular
 
-from .mesh import ELASTIC, FLUID, Face, PolyMesh
+from .mesh import ELASTIC, FLUID, PolyMesh
 
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    points: np.ndarray  # (n, 2) for volumes, (n, 2) along the segment for faces
-    weights: np.ndarray
+    points: np.ndarray  # (n, 2); (n_faces, n, 2) for a stack of faces
+    weights: np.ndarray  # (n,); (n_faces, n)
 
 
 @lru_cache(maxsize=None)
@@ -69,20 +70,16 @@ def volume_quadrature(element_vertices, order: int) -> QuadratureRule:
     return QuadratureRule(p.reshape(-1, 2), (wr[None, :] * area2[:, None]).ravel())
 
 
-def face_quadrature(face, order: int) -> QuadratureRule:
-    """Gauss rule on a straight face, exact to ``order``; accepts a
-    :class:`Face` plus the owning mesh, or a (2, 2) endpoint array."""
-    if isinstance(face, tuple):
-        mesh, f = face
-        p0, p1 = mesh.vertices[f.v0], mesh.vertices[f.v1]
-    else:
-        seg = np.asarray(face, dtype=float)
-        p0, p1 = seg[0], seg[1]
-    n = max(1, (order + 2) // 2)
-    s, w = _gauss01(n)
-    pts = p0[None, :] + np.outer(s, p1 - p0)
-    length = float(np.hypot(*(p1 - p0)))
-    return QuadratureRule(pts, w * length)
+def face_quadrature(segments, order: int) -> QuadratureRule:
+    """Gauss rule exact to ``order`` on a straight face given by its (2, 2)
+    endpoint array, or on each of a (n_faces, 2, 2) stack of them (points
+    (n_faces, n, 2), weights (n_faces, n))."""
+    seg = np.asarray(segments, dtype=float)
+    p0, d = seg[..., 0, :], seg[..., 1, :] - seg[..., 0, :]
+    s, w = _gauss01(max(1, (order + 2) // 2))
+    pts = p0[..., None, :] + s[:, None] * d[..., None, :]
+    length = np.hypot(d[..., 0], d[..., 1])
+    return QuadratureRule(pts, w * length[..., None])
 
 
 def _graded_exponents(m: int):
@@ -147,29 +144,43 @@ class _ElementBasis:
 @dataclass(frozen=True)
 class VolumeTable:
     """Volume quadrature and basis of one subdomain, stacked element by
-    element: subdomain-local element ``e`` owns the rows ``offsets[e]`` to
-    ``offsets[e + 1]``, and ``elem`` holds the element of each row."""
+    element in groups of elements with equal point counts: each group
+    ``(elems, rows, n)`` owns the contiguous rows ``rows``, ``n`` per element
+    of ``elems``, so that one batched product covers a group. ``elem`` holds
+    the subdomain-local element of each row."""
 
     points: np.ndarray  # (nq, 2)
     weights: np.ndarray  # (nq,)
     basis: np.ndarray  # (3, nq, n_loc): phi, dphi/dx, dphi/dy
     elem: np.ndarray  # (nq,)
-    offsets: np.ndarray  # (n_elem + 1,)
+    groups: tuple  # ((elements (G,), row slice, points per element), ...)
     mean_weights: np.ndarray  # (n_elem, n_loc): phi^T w / |K|
 
     @classmethod
     def stack(cls, rules: list, bases: list, n_loc: int) -> "VolumeTable":
         """Concatenate per-element rules and (3, n, n_loc) basis tabulations."""
         counts = np.array([len(r.weights) for r in rules], dtype=int)
-        offsets = np.concatenate([[0], np.cumsum(counts)]).astype(int)
+        order = np.argsort(counts, kind="stable")
+        sizes, first = np.unique(counts[order], return_index=True)
+        bounds = np.append(first, len(order))
+        ends = np.concatenate([[0], np.cumsum(counts[order])]).astype(int)
+        groups = tuple((order[a:b], slice(ends[a], ends[b]), n)
+                       for n, a, b in zip(sizes, bounds[:-1], bounds[1:]))
         # the zero-size first parts keep the shapes of an empty subdomain
-        w = np.concatenate([np.zeros(0)] + [r.weights for r in rules])
-        basis = np.concatenate([np.zeros((3, 0, n_loc))] + bases, axis=1)
-        return cls(points=np.concatenate([np.zeros((0, 2))] + [r.points for r in rules]),
-                   weights=w, basis=basis, elem=np.repeat(np.arange(len(rules)), counts),
-                   offsets=offsets,
-                   mean_weights=np.add.reduceat(w[:, None] * basis[0], offsets[:-1], axis=0)
-                   / np.add.reduceat(w, offsets[:-1])[:, None])
+        w = np.concatenate([np.zeros(0)] + [rules[e].weights for e in order])
+        basis = np.concatenate([np.zeros((3, 0, n_loc))] + [bases[e] for e in order], axis=1)
+        mean_weights = np.empty((len(rules), n_loc))
+        for elems, rows, n in groups:
+            starts = np.arange(0, len(elems) * n, n)
+            mean_weights[elems] = (np.add.reduceat(w[rows, None] * basis[0, rows], starts, axis=0)
+                                   / np.add.reduceat(w[rows], starts)[:, None])
+        return cls(points=np.concatenate([np.zeros((0, 2))] + [rules[e].points for e in order]),
+                   weights=w, basis=basis, elem=np.repeat(order, counts[order]), groups=groups,
+                   mean_weights=mean_weights)
+
+    @property
+    def n_elem(self) -> int:
+        return len(self.mean_weights)
 
     def values(self, coeffs: np.ndarray) -> np.ndarray:
         """Field values (nq, ncomp) from coefficients (n_elem, ncomp, n_loc)."""
@@ -182,23 +193,30 @@ class VolumeTable:
 
 @dataclass(frozen=True)
 class FaceTable:
-    """Face quadrature of a face set inside one subdomain, stacked face by
-    face, with the basis traces of the plus and minus sides (zero for the
-    minus side of a boundary face). ``harmonic_h`` repeats the harmonic
-    diameter of each face per point, so that
-    :func:`polympe.forms.penalty_coefficients` gives per-point penalties."""
+    """Quadrature of a face set stacked face by face (all faces share one
+    Gauss rule of nq points), with the basis traces of the plus and minus
+    sides (zero for the minus side of a boundary face). ``elem`` holds the
+    local element of each side within its own subdomain (the plus side twice
+    on a boundary face), and ``harmonic_h`` the harmonic diameter of each
+    face, so that :func:`polympe.forms.penalty_coefficients` gives per-face
+    penalties."""
 
-    points: np.ndarray  # (nq, 2)
-    weights: np.ndarray  # (nq,)
-    normal: np.ndarray  # (nq, 2)
-    harmonic_h: np.ndarray  # (nq,)
-    boundary: np.ndarray  # (nq,) bool
-    elem: np.ndarray  # (nq, 2) subdomain-local element of each side
-    phi: np.ndarray  # (nq, 2, n_loc)
+    points: np.ndarray  # (F, nq, 2)
+    weights: np.ndarray  # (F, nq)
+    normal: np.ndarray  # (F, 2)
+    harmonic_h: np.ndarray  # (F,)
+    boundary: np.ndarray  # (F,) bool
+    elem: np.ndarray  # (F, 2)
+    basis: np.ndarray  # (F, 2, 3, nq, n_loc): phi, dphi/dx, dphi/dy of each side
+
+    def take(self, fidxs) -> "FaceTable":
+        """The rows of the faces ``fidxs``."""
+        idx = np.asarray(fidxs, dtype=int)
+        return FaceTable(*(a[idx] for a in vars(self).values()))
 
     def jump(self, coeffs: np.ndarray) -> np.ndarray:
-        """Trace difference plus - minus (nq, ncomp) of a field."""
-        return np.einsum("qsi,qsci,s->qc", self.phi, coeffs[self.elem], [1.0, -1.0])
+        """Trace difference plus - minus (F, nq, ncomp) of a field."""
+        return np.einsum("fsqi,fsci,s->fqc", self.basis[:, :, 0], coeffs[self.elem], [1.0, -1.0])
 
 
 class DGSpace:
@@ -233,20 +251,16 @@ class DGSpace:
         self.offsets = dict(zip(self.fields, ends))
         self.n_dofs = ends[-1]
 
-        self._basis, self._tables, self._vol = {}, {}, {}
+        self._basis, self._tables = {}, {}
         for domain, ids in ((ELASTIC, self.el_ids), (FLUID, self.f_ids)):
             rules = [volume_quadrature(mesh.vertices[mesh.elements[k]], self.vol_order)
                      for k in ids]
             for k, rule in zip(ids, rules):
                 self._basis[int(k)] = _ElementBasis(mesh.bboxes[k], m, rule)
-            tab = self._tables[domain] = VolumeTable.stack(
+            self._tables[domain] = VolumeTable.stack(
                 rules, [np.stack(self._basis[int(k)].eval(r.points)) for k, r in zip(ids, rules)],
                 self.n_loc)
-            for loc, k in enumerate(ids):
-                rows = slice(tab.offsets[loc], tab.offsets[loc + 1])
-                self._vol[int(k)] = (tab.points[rows], tab.weights[rows]) + tuple(tab.basis[:, rows])
-        self._face_rule = {}
-        self._face_eval = {}
+        self._faces = None
 
     # -- layout ----------------------------------------------------------
 
@@ -263,30 +277,14 @@ class DGSpace:
         """View a field-local DOF vector as (n_elem, ncomp, n_loc)."""
         return np.asarray(vec).reshape(-1, self._components[field], self.n_loc)
 
-    def elem_dofs(self, field: str, elem: int, comp: int = 0) -> np.ndarray:
-        """Field-local DOF indices of one component block of one element."""
-        start = (self.local_index[int(elem)] * self._components[field] + comp) * self.n_loc
-        return np.arange(start, start + self.n_loc)
+    def dofs(self, field: str, elems, comp=0) -> np.ndarray:
+        """Field-local DOF indices (..., n_loc) of the component blocks
+        ``comp`` of the subdomain-local elements ``elems`` (broadcast
+        together)."""
+        start = (np.asarray(elems) * self._components[field] + comp) * self.n_loc
+        return start[..., None] + np.arange(self.n_loc)
 
     # -- tabulations ---------------------------------------------------------
-
-    def vol(self, elem: int):
-        """(points, weights, phi, dphix, dphiy) on element ``elem``: its rows
-        of the stacked table of its subdomain."""
-        return self._vol[elem]
-
-    def face_rule(self, fidx: int, face: Face, mesh: PolyMesh) -> QuadratureRule:
-        if fidx not in self._face_rule:
-            self._face_rule[fidx] = face_quadrature((mesh, face), self.face_order)
-        return self._face_rule[fidx]
-
-    def face_trace(self, fidx: int, face: Face, elem: int):
-        """(phi, dphix, dphiy) of element ``elem`` at the face quadrature points."""
-        key = (fidx, elem)
-        if key not in self._face_eval:
-            rule = self.face_rule(fidx, face, self.mesh)
-            self._face_eval[key] = self._basis[elem].eval(rule.points)
-        return self._face_eval[key]
 
     def basis_eval(self, elem: int, pts: np.ndarray):
         return self._basis[elem].eval(np.asarray(pts, dtype=float))
@@ -296,23 +294,43 @@ class DGSpace:
         return self._tables[domain]
 
     def face_table(self, faces, fidxs) -> FaceTable:
-        """Stacked face tabulation of the non-empty face list ``fidxs`` of
-        ``faces``; both sides of every face must lie in one subdomain."""
-        key = tuple(fidxs)
-        if key not in self._tables:
-            cols = []
-            for fidx in key:
-                face = faces.faces[fidx]
-                rule = self.face_rule(fidx, face, self.mesh)
-                n, inner = len(rule.weights), face.elem_minus is not None
-                sides = (face.elem_plus, face.elem_minus if inner else face.elem_plus)
-                phi = np.stack([self.face_trace(fidx, face, k)[0] for k in sides], axis=1)
-                cols.append((rule.points, rule.weights, np.tile(face.normal, (n, 1)),
-                             np.full(n, face.harmonic_h), np.full(n, not inner),
-                             np.tile([self.local_index[k] for k in sides], (n, 1)),
-                             phi * np.array([1.0, inner])[:, None]))
-            self._tables[key] = FaceTable(*map(np.concatenate, zip(*cols)))
-        return self._tables[key]
+        """Stacked face tabulation of the faces ``fidxs`` of ``faces``. Every
+        face set of the mesh lists the same faces (a Dirichlet map only labels
+        them), so the first one tabulates them all."""
+        if self._faces is None:
+            self._faces = self._tabulate_faces(faces.faces)
+        return self._faces.take(fidxs)
+
+    def _tabulate_faces(self, faces: list) -> FaceTable:
+        """The face table of every face of the mesh. Each element evaluates
+        its basis once, on the quadrature points of all its faces."""
+        nf = len(faces)
+        v = self.mesh.vertices
+        rule = face_quadrature(np.stack([v[[f.v0 for f in faces]], v[[f.v1 for f in faces]]],
+                                        axis=1), self.face_order)
+        plus = np.array([f.elem_plus for f in faces], dtype=int)
+        minus = np.array([-1 if f.elem_minus is None else f.elem_minus for f in faces], dtype=int)
+        inner = minus >= 0
+        nq = rule.weights.shape[1]
+        basis = np.zeros((nf, 2, 3, nq, self.n_loc))
+        # every (face, side) an element owns, grouped by element
+        face = np.concatenate([np.arange(nf), np.flatnonzero(inner)])
+        side = np.repeat([0, 1], [nf, inner.sum()])
+        elem = np.concatenate([plus, minus[inner]])
+        order = np.argsort(elem, kind="stable")
+        ks, starts = np.unique(elem[order], return_index=True)
+        for k, sel in zip(ks, np.split(order, starts[1:])):
+            f, s = face[sel], side[sel]
+            tr = np.stack(self._basis[int(k)].eval(rule.points[f].reshape(-1, 2)))
+            basis[f, s] = tr.reshape(3, len(f), nq, self.n_loc).transpose(1, 0, 2, 3)
+        to_local = np.zeros(self.mesh.n_elements, dtype=int)
+        to_local[list(self.local_index)] = list(self.local_index.values())
+        return FaceTable(
+            points=rule.points, weights=rule.weights,
+            normal=np.array([f.normal for f in faces]).reshape(nf, 2),
+            harmonic_h=np.array([f.harmonic_h for f in faces], dtype=float),
+            boundary=~inner, elem=to_local[np.stack([plus, np.where(inner, minus, plus)], axis=1)],
+            basis=basis)
 
 
 def build_space(mesh: PolyMesh, m: int, compartments=("E",)) -> DGSpace:
@@ -333,8 +351,11 @@ def l2_project(space: DGSpace, field: str, fn, t: float | None = None) -> np.nda
     vals = np.asarray(vals, dtype=float).reshape(len(tab.weights), space.components(field))
     # the transpose of VolumeTable.values, applied to w * vals
     wv = tab.weights[:, None] * vals
-    return np.add.reduceat(wv[:, :, None] * tab.basis[0][:, None, :], tab.offsets[:-1],
-                           axis=0).ravel()
+    out = np.empty((tab.n_elem, vals.shape[1], space.n_loc))
+    for elems, rows, n in tab.groups:
+        out[elems] = np.add.reduceat(wv[rows, :, None] * tab.basis[0, rows, None, :],
+                                     np.arange(0, len(elems) * n, n), axis=0)
+    return out.ravel()
 
 
 def eval_field(space: DGSpace, field: str, vec: np.ndarray, elem: int, pts: np.ndarray):

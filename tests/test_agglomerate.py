@@ -73,6 +73,16 @@ def test_determinism():
     assert a.element_domain == b.element_domain
 
 
+def test_agglomerate_coarsens_the_given_assignment():
+    fine = triangulated_two_domain(8, jitter=0.2)
+    cfg = AgglomerationConfig(5, 5, seed=3)
+    given = agglomerate(fine, cfg, partition_assignment(fine, cfg))
+    own = agglomerate(fine, cfg)
+    assert given.element_domain == own.element_domain
+    assert [e.tolist() for e in given.elements] == [e.tolist() for e in own.elements]
+    assert given.boundary_labels == own.boundary_labels
+
+
 def test_partition_assignment_valid():
     fine = triangulated_two_domain(10, jitter=0.2)
     cfg = AgglomerationConfig(6, 6, seed=1)
@@ -129,7 +139,8 @@ def test_brain_scale_seed_with_dropped_move_target():
     # destination cluster a count fix has already merged away
     fine = triangulated_two_domain(48, nx_el=48, nx_f=12, jitter=0.25, seed=3)
     cfg = AgglomerationConfig(910, 101, seed=3)
-    coarse = agglomerate(fine, cfg)
+    assignment = partition_assignment(fine, cfg)
+    coarse = agglomerate(fine, cfg, assignment)
     assert coarse.element_domain.count(ELASTIC) == 910
     assert coarse.element_domain.count(FLUID) == 101
-    assert validate_partition(fine, partition_assignment(fine, cfg)).valid
+    assert validate_partition(fine, assignment).valid

@@ -57,6 +57,30 @@ def test_solve_demo_writes_vtk(tmp_path):
     assert "DATASET POLYDATA" in vtk and "CELL_DATA" in vtk and "VECTORS d" in vtk
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("solve", {"case": "zero", "mesh": {"family": "cartesian", "ny": 2}, "degree": 1,
+               "scheme": {"dt": 0.01, "thetta": 0.5, "n_steps": 2}}),
+    ("convergence", {"case": "unsteady", "scheme": {"dt": 1e-3, "thetta": 0.5},
+                     "convergence": {"m_values": [1], "n_steps": 1,
+                                     "meshes": [{"family": "cartesian", "ny": n}
+                                                for n in (2, 4, 8)]}}),
+])
+def test_unknown_scheme_key_is_input_error(tmp_path, capsys, command, doc):
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "thetta" in err and "Traceback" not in err
+
+
+def test_pure_neumann_steady_is_numerical_failure(tmp_path, capsys):
+    # no Dirichlet data anywhere: the steady operator is singular
+    cfg = write_config(tmp_path, {"case": "steady", "mesh": {"family": "cartesian", "ny": 2},
+                                  "degree": 1, "dirichlet": {}})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "residual" in err and "Traceback" not in err
+
+
 def test_convergence_command_and_determinism(tmp_path):
     doc = {
         "case": "steady",

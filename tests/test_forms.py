@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 import sympy as sym
@@ -302,3 +305,97 @@ def test_sipg_blocks_remain_coercive_at_high_degree(mesh80, unit_params):
     for A in (fl["A"], el["A"]):
         lo = eigsh(A, k=1, which="SA", return_eigenvectors=False, tol=1e-6)[0]
         assert lo > 1.0
+
+
+# -- pinned values of the assembled forms ---------------------------------
+# forms_pins.json holds the values of _bilinear_pins and _load_pins computed
+# with the per-element and per-face assembly loops; record them again only
+# when the forms are meant to change.
+
+PINS = json.loads((Path(__file__).with_name("forms_pins.json")).read_text())
+ACVE = ("A", "C", "V", "E")
+
+
+def _pin_setup(name, mesh80, J):
+    from polympe.families import cartesian_two_domain
+    mesh = cartesian_two_domain(4) if name == "cart4" else mesh80
+    dirichlet = dict(VERIFICATION_DIRICHLET, el={"d"} | {f"p:{j}" for j in J})
+    faces = build_faces(mesh, dirichlet)
+    return faces, build_space(mesh, 2, J)
+
+
+def _pin_params(J):
+    """Unit coefficients, made distinct per compartment."""
+    params = PhysicalParams.unit(J)
+    for i, j in enumerate(J):
+        params.k_j[j], params.alpha_j[j], params.c_j[j] = 1.0 + i, 0.5 - 0.1 * i, 1.0 + 0.5 * i
+        params.beta[j] = {k: 1.0 + i + 0.25 * ik for ik, k in enumerate(J)}
+    params.validate()
+    return params
+
+
+def _xby(B):
+    """x^T B y for random vectors fixed by the block shape."""
+    rng = np.random.default_rng(0)
+    return float(rng.standard_normal(B.shape[0]) @ (B @ rng.standard_normal(B.shape[1])))
+
+
+def _bilinear_pins(sysm):
+    """x^T B y for every block of a SystemMatrices, keyed by block name."""
+    J = sysm.compartments
+    out = {"M_el": sysm.M_el, "A_el": sysm.A_el, "M_f": sysm.M_f, "A_f": sysm.A_f,
+           "B_f": sysm.B_f, "S": sysm.S}
+    for j in J:
+        out.update({f"M_{j}": sysm.M_j[j], f"A_{j}": sysm.A_j[j], f"B_{j}": sysm.B_j[j]})
+        out.update({f"C_{j}{k}": sysm.C[j][k] for k in J})
+    if sysm.J_el is not None:
+        out.update(J_el=sysm.J_el, J_f=sysm.J_f)
+    return {k: _xby(B) for k, B in out.items()}
+
+
+def _load_pins(loads):
+    """x^T F for every load vector, x random and fixed by the length."""
+    vecs = {"el": loads["el"], "f": loads["f"], "p": loads["p"]}
+    vecs.update({f"j{j}": v for j, v in loads["j"].items()})
+    return {k: float(np.random.default_rng(0).standard_normal(len(v)) @ v)
+            for k, v in vecs.items()}
+
+
+def _assert_pinned(got, want):
+    assert sorted(got) == sorted(want)
+    for key, val in want.items():
+        assert abs(got[key] - val) <= 1e-13 * abs(val), (key, got[key], val)
+
+
+@pytest.mark.parametrize("name", ["cart4", "mesh80"])
+@pytest.mark.parametrize("J", [("E",), ACVE], ids=["E", "ACVE"])
+def test_blocks_pinned(mesh80, name, J):
+    from polympe.system import build_system
+    faces, space = _pin_setup(name, mesh80, J)
+    sysm = build_system(space, _pin_params(J), faces)
+    _assert_pinned(_bilinear_pins(sysm), PINS[f"{name}/{''.join(J)}"])
+
+
+@pytest.mark.parametrize("name", ["cart4", "mesh80"])
+@pytest.mark.parametrize("t", [0.0, 0.37])
+def test_loads_pinned(mesh80, unsteady, name, t):
+    faces, space = _pin_setup(name, mesh80, ("E",))
+    loads = forms.assemble_loads(space, unsteady.params, faces, unsteady, t)
+    _assert_pinned(_load_pins(loads), PINS[f"{name}/loads/{t}"])
+
+
+def test_volume_loads_equal_projection(mesh80, unsteady):
+    # with L2-orthonormal bases the volume loads are the projection
+    # coefficients of the sources
+    class VolumeOnly(forms.ZeroData):
+        f_el, f_f = staticmethod(unsteady.f_el), staticmethod(unsteady.f_f)
+        g_j = staticmethod(unsteady.g_j)
+
+    faces, space = _pin_setup("mesh80", mesh80, ("E",))
+    t = 0.37
+    loads = forms.assemble_loads(space, unsteady.params, faces, VolumeOnly(), t)
+    for got, field, fn in ((loads["el"], "d", unsteady.f_el), (loads["f"], "u", unsteady.f_f),
+                           (loads["j"]["E"], "p:E", lambda x, t: unsteady.g_j("E", x, t))):
+        want = l2_project(space, field, fn, t=t)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert not loads["p"].any()

@@ -88,7 +88,9 @@ def test_build_space_rejects_m0():
 def test_gram_identity(mesh80):
     space = build_space(mesh80, 3)
     for k in (0, 17, mesh80.n_elements - 1):
-        pts, w, phi, _, _ = space.vol(k)
+        tab = space.volume_table(mesh80.element_domain[k])
+        rows = tab.elem == space.local_index[k]
+        w, phi = tab.weights[rows], tab.basis[0, rows]
         G = phi.T @ (w[:, None] * phi)
         assert np.abs(G - np.eye(space.n_loc)).max() < 1e-10
 
@@ -130,13 +132,9 @@ def test_projection_h_cubed_decay():
         mesh = cartesian_two_domain(ny)
         space = build_space(mesh, 2)
         v = l2_project(space, "p:E", lambda p: np.sin(np.pi * p[:, 0]))
-        err2 = 0.0
-        for elem in space.el_ids:
-            elem = int(elem)
-            pts, w, phi, _, _ = space.vol(elem)
-            d = phi @ v[space.elem_dofs("p:E", elem)] - np.sin(np.pi * pts[:, 0])
-            err2 += float(np.sum(w * d * d))
-        errs.append(np.sqrt(err2))
+        tab = space.volume_table("elastic")
+        d = tab.values(space.coeffs("p:E", v))[:, 0] - np.sin(np.pi * tab.points[:, 0])
+        errs.append(np.sqrt(float(np.sum(tab.weights * d * d))))
     rate = np.log2(errs[0] / errs[1])
     assert rate == pytest.approx(3.0, abs=0.25)
 
