@@ -14,6 +14,12 @@ Coarse element boundaries keep every fine vertex along straight runs, so
 shared runs match segment-by-segment between neighbors (hanging-node
 friendly) and the coarse interface is geometrically identical to the fine
 one.
+
+Everything read from the fine mesh's edges comes from its edge table
+(:class:`~polympe.mesh.EdgeTable`): the face adjacency of the fine
+elements (its interior rows), the two sides of an outline edge during the
+repair (a ``searchsorted`` lookup on the edge key), and the boundary labels
+the coarse mesh inherits.
 """
 
 from __future__ import annotations
@@ -56,13 +62,13 @@ def _lloyd(points: np.ndarray, k: int, rng, iterations: int) -> np.ndarray:
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        for c in range(k):
-            sel = labels == c
-            if sel.any():
-                centers[c] = points[sel].mean(axis=0)
-            else:
-                # re-seed empty clusters on the farthest point
-                centers[c] = points[d2.min(axis=1).argmax()]
+        counts = np.bincount(labels, minlength=k)
+        sums = np.stack([np.bincount(labels, weights=points[:, i], minlength=k) for i in (0, 1)],
+                        axis=1)
+        full = counts > 0
+        centers[full] = sums[full] / counts[full, None]
+        # re-seed empty clusters on the farthest point
+        centers[~full] = points[d2.min(axis=1).argmax()]
     return labels
 
 
@@ -80,6 +86,23 @@ def _components(members, adj):
                     stack.append(nb)
         comps.append(sorted(comp))
     return comps
+
+
+def _adjacency(mesh: PolyMesh, ids) -> dict:
+    """Face neighbours of each element of ``ids`` among ``ids``, read from
+    the interior rows of the edge table."""
+    ids = np.asarray(ids)
+    inside = np.zeros(mesh.n_elements, dtype=bool)
+    inside[ids] = True
+    pairs = mesh.edges.elem[mesh.edges.interior]
+    pairs = pairs[inside[pairs].all(axis=1)]
+    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    order = np.argsort(src, kind="stable")
+    src = src[order]
+    dst = np.concatenate([pairs[:, 1], pairs[:, 0]])[order].tolist()
+    lo = np.searchsorted(src, ids, side="left").tolist()
+    hi = np.searchsorted(src, ids, side="right").tolist()
+    return {g: set(dst[a:b]) for g, a, b in zip(ids.tolist(), lo, hi)}
 
 
 def _boundary_loop(mesh: PolyMesh, elems) -> list:
@@ -126,17 +149,11 @@ class _Partition:
 
     def __init__(self, mesh: PolyMesh, ids: np.ndarray, rng):
         self.mesh = mesh
-        self.ids = [int(i) for i in ids]
+        self.ids = ids.tolist()
         self.rng = rng
         self.pts = mesh.centroids[ids]
         self.local = {g: i for i, g in enumerate(self.ids)}
-        self.adj = {g: set() for g in self.ids}
-        for key, inc in mesh._edges.items():
-            if len(inc) == 2:
-                a, b = inc[0][0], inc[1][0]
-                if a in self.adj and b in self.adj:
-                    self.adj[a].add(b)
-                    self.adj[b].add(a)
+        self.adj = _adjacency(mesh, ids)
         self.clusters: dict[int, set] = {}
         self.owner: dict[int, int] = {}
         self._next = 0
@@ -224,9 +241,11 @@ class _Partition:
 
         def edge_moves(a, b):
             out = []
-            inc = self.mesh._edges[(min(a, b), max(a, b))]
+            t = self.mesh.edges
+            r = t.find(a, b)
             tri = twin = None
-            for elem, ea, eb in inc:
+            # the missing side (-1) of a boundary edge is in no cluster
+            for elem, (ea, eb) in zip(t.elem[r].tolist(), t.ab[r].tolist()):
                 if self.owner.get(elem) == cid and (ea, eb) == (a, b):
                     tri = elem
                 elif elem in self.owner and self.owner[elem] != cid:
@@ -341,14 +360,11 @@ def agglomerate(fine: PolyMesh, cfg: AgglomerationConfig, assignment=None) -> Po
         assignment = partition_assignment(fine, cfg)
     elements = [_boundary_loop(fine, cl) for cl in assignment]
     domains = [fine.element_domain[cl[0]] for cl in assignment]
-    labels = {}
-    fine_boundary = fine.boundary_edges()
-    for elem in elements:
-        for i in range(len(elem)):
-            key = (min(elem[i], elem[(i + 1) % len(elem)]),
-                   max(elem[i], elem[(i + 1) % len(elem)]))
-            if key in fine_boundary:
-                labels[key] = fine.boundary_labels[key]
+    # coarse edges are fine edges; those on the fine boundary keep its labels
+    t = fine.edges
+    rows = t.find(np.concatenate(elements), np.concatenate([e[1:] + e[:1] for e in elements]))
+    rows = rows[~t.interior[rows]]
+    labels = {key: fine.boundary_labels[key] for key in map(tuple, t.key[rows].tolist())}
     return PolyMesh(fine.vertices, elements, domains, labels)
 
 
@@ -374,12 +390,7 @@ def validate_partition(fine: PolyMesh, assignment) -> PartitionReport:
     covers = all_ids == list(range(fine.n_elements))
     pure = all(len({fine.element_domain[i] for i in cl}) == 1 for cl in assignment)
 
-    adj = {i: set() for i in range(fine.n_elements)}
-    for key, inc in fine._edges.items():
-        if len(inc) == 2:
-            a, b = inc[0][0], inc[1][0]
-            adj[a].add(b)
-            adj[b].add(a)
+    adj = _adjacency(fine, np.arange(fine.n_elements))
     counts = [len(_components(list(cl), adj)) for cl in assignment]
     connected = all(c == 1 for c in counts)
 
@@ -394,9 +405,8 @@ def partition_assignment(fine: PolyMesh, cfg: AgglomerationConfig) -> list:
     """The fine-to-coarse assignment: clusters of fine element ids, elastic
     then fluid, that :func:`agglomerate` coarsens. Deterministic for a fixed
     ``cfg.seed``."""
-    for el in fine.elements:
-        if len(el) != 3:
-            raise MeshError("agglomeration expects a triangle-only fine mesh")
+    if any(loops.shape[1] != 3 for _, loops in fine.groups):
+        raise MeshError("agglomeration expects a triangle-only fine mesh")
     rng = np.random.default_rng(cfg.seed)
     out = []
     for domain in (ELASTIC, FLUID):

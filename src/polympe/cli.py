@@ -5,7 +5,8 @@ All commands read a single JSON config document. Exit codes: 0 on success,
 1 when an acceptance-style check fails (rate out of window, oracle residual
 too large, invalid partition), 2 on input errors (missing files, malformed
 config, unknown keys, invalid meshes or parameters), 3 on numerical failure
-(singular matrix, steady residual too large).
+(singular matrix, steady residual too large, a time step whose state is not
+finite).
 """
 
 from __future__ import annotations
@@ -44,10 +45,47 @@ def _load_config(path) -> dict:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
 
+#: the top-level keys each command reads
+_TOP_KEYS = {
+    "convergence": ("case", "convergence", "scheme", "output_dir"),
+    "solve": ("case", "mesh", "degree", "compartments", "params", "dirichlet", "scheme",
+              "snapshot_stride", "demo_amplitude", "output_dir"),
+    "verify": ("case", "mesh", "degree", "compartments", "params", "dirichlet", "verify",
+               "output_dir"),
+    "agglomerate": ("agglomeration", "output_dir"),
+}
+_FINE_KEYS = ("fine_ny", "fine_nx_el", "fine_nx_f", "jitter", "seed")
+_MESH_KEYS = {
+    "cartesian": ("family", "ny", "nx"),
+    "agglomerated": ("family", "targets") + _FINE_KEYS,
+}
+
+
+def _check_keys(section: str, doc, known) -> None:
+    """Raise :class:`ConfigError` naming any key of ``doc`` not in ``known``."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{section} must be a JSON object, got {doc!r}")
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {section} key(s) {unknown}; expected some of {list(known)}")
+
+
+def _spec_keys(spec, family_keys) -> tuple:
+    """The keys a mesh spec may hold: ``path`` alone for a mesh file, else
+    ``family_keys`` (any, when ``None``)."""
+    if not isinstance(spec, dict):
+        return ()
+    if "path" in spec:
+        return ("path",)
+    return tuple(spec) if family_keys is None else family_keys
+
+
 def resolve_mesh(spec: dict):
+    family = spec.get("family") if isinstance(spec, dict) else None
+    # an unknown family is reported with its whole spec below
+    _check_keys("mesh", spec, _spec_keys(spec, _MESH_KEYS.get(family)))
     if "path" in spec:
         return load_mesh(spec["path"])
-    family = spec.get("family")
     if family == "cartesian":
         return cartesian_two_domain(int(spec["ny"]), spec.get("nx"))
     if family == "agglomerated":
@@ -90,12 +128,9 @@ def resolve_scheme(cfg: dict, default: dict | None = None,
     """The time scheme of ``cfg["scheme"]`` (or ``default``); keys other than
     the :class:`~polympe.stepping.SchemeParams` fields and ``extra`` are
     input errors."""
-    scfg = dict(cfg.get("scheme", default or {}))
+    scfg = cfg.get("scheme", default or {})
     known = [f.name for f in fields(stepping.SchemeParams)]
-    unknown = sorted(set(scfg) - set(known) - set(extra))
-    if unknown:
-        raise ConfigError(f"unknown scheme key(s) {unknown}; expected some of "
-                          f"{known + list(extra)}")
+    _check_keys("scheme", scfg, known + list(extra))
     if "dt" not in scfg:
         raise ConfigError("scheme needs 'dt'")
     return stepping.SchemeParams(**{k: v for k, v in scfg.items() if k in known})
@@ -130,6 +165,8 @@ def _rate_window(cfg: dict, tol_override):
 
 def cmd_convergence(cfg: dict, out: Path, tol_override=None) -> int:
     conv = cfg.get("convergence", {})
+    _check_keys("convergence", conv, ("meshes", "m_values", "spectral", "n_steps", "tol"))
+    _check_keys("convergence tol", conv.get("tol", {}), ("below", "above"))
     case_id = cfg.get("case", "steady")
     if case_id not in ("steady", "unsteady"):
         raise ConfigError("convergence needs case steady or unsteady")
@@ -228,6 +265,7 @@ def cmd_solve(cfg: dict, out: Path) -> int:
 
 def cmd_verify(cfg: dict, out: Path) -> int:
     vcfg = cfg.get("verify", {})
+    _check_keys("verify", vcfg, ("n_points", "oracle_tol", "t"))
     n_points = int(vcfg.get("n_points", 100))
     tol = float(vcfg.get("oracle_tol", 1e-4))
     t0 = time.time()
@@ -263,9 +301,11 @@ def cmd_verify(cfg: dict, out: Path) -> int:
 
 def cmd_agglomerate(cfg: dict, out: Path) -> int:
     acfg = cfg.get("agglomeration", {})
+    _check_keys("agglomeration", acfg, ("fine", "targets", "seed", "output"))
     if "fine" not in acfg:
         raise ConfigError("agglomeration config needs a 'fine' mesh spec")
     fine_spec = acfg["fine"]
+    _check_keys("agglomeration fine", fine_spec, _spec_keys(fine_spec, _FINE_KEYS))
     if "path" in fine_spec:
         fine = load_mesh(fine_spec["path"])
     else:
@@ -310,6 +350,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = _load_config(args.config)
+        _check_keys("top-level", cfg, _TOP_KEYS[args.command])
         out = Path(args.out or cfg.get("output_dir", "out"))
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "convergence":

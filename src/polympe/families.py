@@ -21,20 +21,6 @@ VERIFICATION_DIRICHLET = {"el": {"d", "p:E"}, "wall": {"u"}, "out": set()}
 DEMO_DIRICHLET = {"el": {"d"}, "wall": {"u"}, "out": set()}
 
 
-def _label(x0, y0, x1, y1):
-    xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-    on_left = np.isclose(xm, -1.0)
-    on_right = np.isclose(xm, 1.0)
-    on_horiz = np.isclose(ym, 0.0) or np.isclose(ym, 1.0)
-    if on_right:
-        return "out"
-    if on_left:
-        return "el"
-    if on_horiz:
-        return "el" if xm < 0.0 else "wall"
-    return None
-
-
 def cartesian_two_domain(ny: int, nx: int | None = None) -> PolyMesh:
     """Uniform quadrilateral grid split at x = 0; ``nx`` defaults to ``2 ny``."""
     if ny < 1:
@@ -68,34 +54,31 @@ def triangulated_two_domain(ny: int, nx_el: int | None = None, nx_f: int | None 
     nx_el = ny if nx_el is None else nx_el
     nx_f = ny if nx_f is None else nx_f
 
-    vertices: list[tuple[float, float]] = []
-    index: dict[tuple[float, float], int] = {}
+    # integer grid keys j * ncol + c over the columns of both grids; column
+    # nx_el is the interface, shared by the two subdomains
+    xs = np.concatenate([np.linspace(-1.0, 0.0, nx_el + 1), np.linspace(0.0, 1.0, nx_f + 1)[1:]])
+    ys = np.linspace(0.0, 1.0, ny + 1)
+    ncol = len(xs)
 
-    def vid(x, y):
-        key = (round(float(x), 12), round(float(y), 12))
-        if key not in index:
-            index[key] = len(vertices)
-            vertices.append(key)
-        return index[key]
+    def cells(c0, nx):
+        j, i = np.divmod(np.arange(ny * nx), nx)
+        v00 = j * ncol + c0 + i
+        v10, v01 = v00 + 1, v00 + ncol
+        return np.stack([v00, v10, v10 + ncol, v00, v10 + ncol, v01], axis=1).reshape(-1, 3)
 
-    elements, domains = [], []
-
-    def add_grid(x_lo, x_hi, nx, domain):
-        xs = np.linspace(x_lo, x_hi, nx + 1)
-        ys = np.linspace(0.0, 1.0, ny + 1)
-        for j in range(ny):
-            for i in range(nx):
-                v00 = vid(xs[i], ys[j])
-                v10 = vid(xs[i + 1], ys[j])
-                v11 = vid(xs[i + 1], ys[j + 1])
-                v01 = vid(xs[i], ys[j + 1])
-                elements.append([v00, v10, v11])
-                elements.append([v00, v11, v01])
-                domains.extend([domain, domain])
-
-    add_grid(-1.0, 0.0, nx_el, ELASTIC)
-    add_grid(0.0, 1.0, nx_f, FLUID)
-    verts = np.asarray(vertices, dtype=float)
+    keys = np.concatenate([cells(0, nx_el), cells(nx_el, nx_f)])
+    # vertices numbered in order of first appearance, coordinates rounded
+    # to 12 decimals as Python's round does
+    uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(by_first))
+    elements = rank[inverse].reshape(keys.shape)
+    row, col = np.divmod(uniq[by_first], ncol)
+    round12 = lambda v: np.array([round(x, 12) for x in v.tolist()])
+    verts = np.stack([round12(xs)[col], round12(ys)[row]], axis=1)
+    n_el = 2 * ny * nx_el
+    domains = [ELASTIC] * n_el + [FLUID] * (len(elements) - n_el)
     if jitter > 0.0:
         rng = np.random.default_rng(seed)
         shifts = rng.uniform(-jitter, jitter, verts.shape)
@@ -110,17 +93,20 @@ def triangulated_two_domain(ny: int, nx_el: int | None = None, nx_f: int | None 
 
 
 def _boundary_labels(vertices, elements):
-    counts: dict[tuple[int, int], int] = {}
-    for elem in elements:
-        for i in range(len(elem)):
-            a, b = elem[i], elem[(i + 1) % len(elem)]
-            key = (min(a, b), max(a, b))
-            counts[key] = counts.get(key, 0) + 1
-    labels = {}
-    for (a, b), c in counts.items():
-        if c == 1:
-            lab = _label(*vertices[a], *vertices[b])
-            if lab is None:
-                raise ValueError(f"boundary edge {(a, b)} off the reference geometry")
-            labels[(a, b)] = lab
-    return labels
+    """Labels of the edges of equal-length element loops that belong to one
+    element only, in order of first appearance."""
+    loops = np.asarray(elements)
+    a, b = loops.ravel(), np.roll(loops, -1, axis=1).ravel()
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    _, first, counts = np.unique(lo * len(vertices) + hi, return_index=True, return_counts=True)
+    edge = np.sort(first[counts == 1])
+    lo, hi = lo[edge], hi[edge]
+    xm = 0.5 * (vertices[lo, 0] + vertices[hi, 0])
+    ym = 0.5 * (vertices[lo, 1] + vertices[hi, 1])
+    on_horiz = np.isclose(ym, 0.0) | np.isclose(ym, 1.0)
+    labels = np.select([np.isclose(xm, 1.0), np.isclose(xm, -1.0), on_horiz & (xm < 0.0), on_horiz],
+                       ["out", "el", "el", "wall"], "").tolist()
+    keys = list(zip(lo.tolist(), hi.tolist()))
+    if "" in labels:
+        raise ValueError(f"boundary edge {keys[labels.index('')]} off the reference geometry")
+    return dict(zip(keys, labels))

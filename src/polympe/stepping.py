@@ -21,7 +21,7 @@ import scipy.sparse as sp
 
 from . import forms
 from .mesh import FaceSet
-from .solvers import Factorization, factorize
+from .solvers import Factorization, NumericalError, factorize
 from .spaces import l2_project
 from .system import EXCHANGE, SystemMatrices
 
@@ -237,7 +237,10 @@ def simulate(sys: SystemMatrices, faces: FaceSet, sp_: SchemeParams, data,
     compatible value, so the theta-averaged algebraic constraint starts with
     a zero residual: projected initial velocities are not discretely
     divergence-free, and without this consistent initialization the
-    trapezoidal blend would carry an undamped constraint oscillation."""
+    trapezoidal blend would carry an undamped constraint oscillation.
+
+    Raises :class:`~polympe.solvers.NumericalError` at the first step whose
+    state is not finite."""
     mats = build_stepping_matrices(sys, sp_)
     fact = factorize(mats["A1"])
     A2 = mats["A2"]
@@ -249,6 +252,8 @@ def simulate(sys: SystemMatrices, faces: FaceSet, sp_: SchemeParams, data,
         t_np1 = state0.t + n * sp_.dt
         loads_np1 = forms.assemble_loads(sys.space, sys.params, faces, data, t_np1)
         st = advance(sys, fact, A2, sp_, st, loads_n, loads_np1)
+        if not np.isfinite(pack(sys, st)).all():
+            raise NumericalError(f"non-finite state at step {n} (t = {st.t:.6g})")
         loads_n = loads_np1
         if n % stride == 0 or n == n_steps:
             states.append(st)

@@ -1,10 +1,17 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polympe.agglomerate import (AgglomerationConfig, agglomerate,
                                  partition_assignment, validate_partition)
 from polympe.families import triangulated_two_domain
 from polympe.mesh import ELASTIC, FLUID, MeshError, PolyMesh
+
+#: reproducible property runs: fixed example sequence, no example database
+BOUNDED = settings(derandomize=True, max_examples=6, deadline=None, database=None)
 
 
 def eight_triangle_square():
@@ -144,3 +151,34 @@ def test_brain_scale_seed_with_dropped_move_target():
     assert coarse.element_domain.count(ELASTIC) == 910
     assert coarse.element_domain.count(FLUID) == 101
     assert validate_partition(fine, assignment).valid
+
+
+#: sha256 of the JSON list of [domain, vertex loop] of every coarse element of
+#: the 320-polygon mesh (48-row fine mesh, jitter 0.25, targets (160, 160)),
+#: with the fine mesh and the agglomeration on the same seed
+COARSE_320_SHA256 = {
+    0: "b8597cc9688563b7399c548bd9407e9c26563d106e4e2725710db61eb8de0480",
+    1: "c84ce0c263e540f3a0e7056d67f37897b4946ad55d2fa9b689589227c7ad25e1",
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_coarse_320_element_loops_pinned(poly_family, seed):
+    coarse = poly_family[2] if seed == 0 else agglomerate(
+        triangulated_two_domain(48, jitter=0.25, seed=seed), AgglomerationConfig(160, 160, seed=seed))
+    doc = json.dumps([[d, e.tolist()] for d, e in zip(coarse.element_domain, coarse.elements)])
+    assert hashlib.sha256(doc.encode()).hexdigest() == COARSE_320_SHA256[seed]
+
+
+@BOUNDED
+@given(seed=st.integers(0, 10_000), targets=st.tuples(st.integers(1, 8), st.integers(1, 8)))
+def test_agglomeration_invariants_across_seeds(seed, targets):
+    fine = triangulated_two_domain(8, jitter=0.25, seed=seed)
+    cfg = AgglomerationConfig(*targets, seed=seed)
+    assignment = partition_assignment(fine, cfg)
+    assert validate_partition(fine, assignment).valid
+    coarse = agglomerate(fine, cfg, assignment)
+    assert (coarse.element_domain.count(ELASTIC), coarse.element_domain.count(FLUID)) == targets
+    assert coarse.interface_edges() == fine.interface_edges()
+    assert coarse.boundary_edges() == set(coarse.boundary_labels)
+    assert coarse.areas.sum() == pytest.approx(fine.areas.sum(), rel=1e-12)

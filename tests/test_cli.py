@@ -72,6 +72,64 @@ def test_unknown_scheme_key_is_input_error(tmp_path, capsys, command, doc):
     assert "thetta" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("doc, key", [
+    ({"case": "zero", "degre": 3, "mesh": {"family": "cartesian", "ny": 2},
+      "scheme": {"dt": 0.01, "n_steps": 1}}, "degre"),
+    ({"case": "zero", "mesh": {"family": "cartesian", "ny": 2, "nyy": 9},
+      "scheme": {"dt": 0.01, "n_steps": 1}}, "nyy"),
+    ({"case": "zero", "mesh": {"family": "agglomerated", "targets": [2, 2], "fine_ny": 4,
+                               "jiter": 0.1}, "scheme": {"dt": 0.01, "n_steps": 1}}, "jiter"),
+])
+def test_unknown_solve_key_is_input_error(tmp_path, capsys, doc, key):
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert repr(key) in err and "Traceback" not in err
+    assert not list(out.glob("snapshot_*"))
+
+
+@pytest.mark.parametrize("command, doc, key", [
+    ("convergence", {"case": "steady", "convergence": {"m_values": [1], "meshes": [],
+                                                        "n_step": 1}}, "n_step"),
+    ("convergence", {"case": "steady", "mesh": {"family": "cartesian", "ny": 2},
+                     "convergence": {"m_values": [1], "meshes": []}}, "mesh"),
+    ("verify", {"mesh": {"family": "cartesian", "ny": 2}, "verify": {"npoints": 5}}, "npoints"),
+    ("agglomerate", {"agglomeration": {"fine": {"fine_ny": 4}, "target": [2, 2]}}, "target"),
+    ("agglomerate", {"agglomeration": {"fine": {"fine_ny": 4, "seeed": 1}}}, "seeed"),
+])
+def test_unknown_config_key_is_input_error(tmp_path, capsys, command, doc, key):
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert repr(key) in err and "Traceback" not in err
+
+
+def test_shipped_configs_have_known_top_level_keys():
+    from pathlib import Path
+    from polympe.cli import _TOP_KEYS, _check_keys
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    commands = {"agglomerate_brain_scale": "agglomerate", "demo": "solve", "spectral": "convergence",
+                "verification_steady": "convergence", "verification_unsteady": "convergence",
+                "verify": "verify"}
+    assert sorted(commands) == sorted(p.stem for p in configs.glob("*.json"))
+    for name, command in commands.items():
+        _check_keys("top-level", json.loads((configs / f"{name}.json").read_text()), _TOP_KEYS[command])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_non_finite_forcing_is_numerical_failure(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "case": "demo", "mesh": {"family": "cartesian", "ny": 2}, "degree": 1,
+        "scheme": {"dt": 0.01, "n_steps": 3}, "demo_amplitude": float("inf"),
+    })
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "non-finite state at step 1" in err and "Traceback" not in err
+    assert not list(out.glob("snapshot_*")) and not (out / "manifest.json").exists()
+
+
 def test_pure_neumann_steady_is_numerical_failure(tmp_path, capsys):
     # no Dirichlet data anywhere: the steady operator is singular
     cfg = write_config(tmp_path, {"case": "steady", "mesh": {"family": "cartesian", "ny": 2},

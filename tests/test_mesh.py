@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from polympe.cli import resolve_mesh
 from polympe.families import cartesian_two_domain, triangulated_two_domain, VERIFICATION_DIRICHLET
-from polympe.mesh import (MeshError, PolyMesh, build_faces, harmonic_h, load_mesh,
+from polympe.mesh import (ELASTIC, MeshError, PolyMesh, build_faces, harmonic_h, load_mesh,
                           quality_report, save_mesh)
 
 from conftest import two_square_mesh, unit_square_mesh
@@ -167,3 +170,108 @@ def test_save_load_roundtrip(tmp_path, mesh80):
     assert again.n_elements == mesh80.n_elements
     assert np.allclose(again.vertices, mesh80.vertices)
     assert again.interface_edges() == mesh80.interface_edges()
+
+
+def reference_geometry(mesh):
+    """Areas, centroids, diameters, bboxes and shape ratios, element by element."""
+    out = [np.empty(mesh.n_elements), np.empty((mesh.n_elements, 2)), np.empty(mesh.n_elements),
+           np.empty((mesh.n_elements, 2, 2)), np.empty(mesh.n_elements)]
+    for k, elem in enumerate(mesh.elements):
+        pts = mesh.vertices[elem]
+        x, y = pts[:, 0], pts[:, 1]
+        out[0][k] = 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+        out[1][k] = c = pts.mean(axis=0)
+        d = pts[:, None, :] - pts[None, :, :]
+        out[2][k] = np.sqrt((d ** 2).sum(-1).max())
+        out[3][k] = pts.min(axis=0), pts.max(axis=0)
+        p, q = pts - c, np.roll(pts - c, -1, axis=0)
+        fan = 0.5 * (p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0])
+        lengths = np.hypot(*(np.roll(pts, -1, axis=0) - pts).T)
+        out[4][k] = (2 * fan / (lengths * out[2][k])).min()
+    return out
+
+
+def reference_edges(mesh):
+    """(sorted vertex pair, [(element, a, b) per side in element order]) per edge."""
+    edges = {}
+    for k, elem in enumerate(mesh.elements):
+        for a, b in zip(elem.tolist(), np.roll(elem, -1).tolist()):
+            edges.setdefault((min(a, b), max(a, b)), []).append((k, a, b))
+    return sorted(edges.items())
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_grouped_geometry_and_edge_table_equal_per_element_reference(seed):
+    demo = json.loads((Path(__file__).resolve().parents[1] / "configs" / "demo.json").read_text())
+    spec = dict(demo["mesh"], seed=seed)
+    fine = triangulated_two_domain(spec["fine_ny"], jitter=spec["jitter"], seed=seed)
+    for mesh in (fine, resolve_mesh(spec)):
+        got = [mesh.areas, mesh.centroids, mesh.diameters, mesh.bboxes,
+               quality_report(mesh).shape_ratios]
+        for a, b in zip(got, reference_geometry(mesh)):
+            assert a.tobytes() == b.tobytes()
+        t = mesh.edges
+        table = [(tuple(key), [(k, a, b) for k, (a, b) in zip(elem, ab) if k >= 0])
+                 for key, elem, ab in zip(t.key.tolist(), t.elem.tolist(), t.ab.tolist())]
+        assert table == reference_edges(mesh)
+
+
+# -- property tests of the validation ---------------------------------------
+
+#: reproducible property runs: fixed example sequence, no example database
+BOUNDED = settings(derandomize=True, max_examples=40, deadline=None, database=None)
+
+
+@st.composite
+def star_polygons(draw):
+    """Counterclockwise loops around the origin: angular steps of 1-4 units,
+    radii in [0.6, 1]."""
+    n = draw(st.integers(3, 12))
+    steps = np.array(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
+    radii = np.array(draw(st.lists(st.floats(0.6, 1.0), min_size=n, max_size=n)))
+    theta = 2.0 * np.pi * np.cumsum(steps) / steps.sum()
+    return np.stack([radii * np.cos(theta), radii * np.sin(theta)], axis=1)
+
+
+def shoelace(pts):
+    x, y = pts[:, 0], pts[:, 1]
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def min_fan_ratio(pts):
+    """Smallest fan triangle about the vertex mean, relative to the area."""
+    m = pts.mean(axis=0)
+    e, r = np.roll(pts, -1, axis=0) - pts, m - pts
+    return float((0.5 * (e[:, 0] * r[:, 1] - e[:, 1] * r[:, 0])).min()) / shoelace(pts)
+
+
+def side_by_side(polys, reverse=()):
+    """One mesh of disjoint polygons; loops with an index in ``reverse`` run clockwise."""
+    verts = np.concatenate([p + [3.0 * k, 0.0] for k, p in enumerate(polys)])
+    starts = np.cumsum([0] + [len(p) for p in polys])
+    loops = [list(range(s, s + len(p)))[::-1 if k in reverse else 1]
+             for k, (s, p) in enumerate(zip(starts, polys))]
+    return PolyMesh(verts, loops, [ELASTIC] * len(polys), {})
+
+
+@BOUNDED
+@given(st.lists(star_polygons(), min_size=1, max_size=5), st.data())
+def test_star_shaped_polygons_accepted_reversed_rejected(polys, data):
+    assume(all(min_fan_ratio(p) > 1e-6 for p in polys))
+    mesh = side_by_side(polys)
+    assert mesh.areas == pytest.approx([shoelace(p) for p in polys], rel=1e-12)
+    assert not mesh.edges.interior.any()
+    first = data.draw(st.integers(0, len(polys) - 1))
+    # every element from ``first`` on is clockwise; the lowest is reported
+    with pytest.raises(MeshError, match=f"element {first} is not counterclockwise"):
+        side_by_side(polys, reverse=range(first, len(polys)))
+
+
+@BOUNDED
+@given(star_polygons(), st.integers(0, 11), st.floats(0.05, 0.5))
+def test_non_star_perturbation_rejected(pts, i, t):
+    pts = pts.copy()
+    pts[i % len(pts)] *= -t  # pull one vertex through the centre
+    assume(shoelace(pts) > 1e-6 and min_fan_ratio(pts) < -1e-9)
+    with pytest.raises(MeshError, match="element 0 is not star-shaped"):
+        PolyMesh(pts, [list(range(len(pts)))], [ELASTIC], {})

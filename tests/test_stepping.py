@@ -4,6 +4,7 @@ import pytest
 from polympe import forms, stepping
 from polympe.driver import setup, solve_steady, solve_unsteady
 from polympe.families import VERIFICATION_DIRICHLET, cartesian_two_domain
+from polympe.solvers import NumericalError
 from polympe.spaces import l2_project
 
 
@@ -120,6 +121,24 @@ def test_zero_loads_zero_state_stays_zero(small_sys):
                                       forms.ZeroData(), 3, st0)
     assert np.abs(states[-1].d).max() == 0.0
     assert np.abs(states[-1].p).max() == 0.0
+
+
+class _SourceInfiniteFrom(forms.ZeroData):
+    """Exchange-compartment source that is infinite from time ``t_bad`` on."""
+
+    def __init__(self, t_bad):
+        self.t_bad = t_bad
+
+    def g_j(self, j, pts, t):
+        return np.full(len(pts), np.inf if t >= self.t_bad else 0.0)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_non_finite_state_names_its_step(small_sys):
+    sp = stepping.SchemeParams(dt=0.1)
+    st0 = stepping.initial_state(small_sys.sys, small_sys.faces)
+    with pytest.raises(NumericalError, match="non-finite state at step 3 "):
+        stepping.simulate(small_sys.sys, small_sys.faces, sp, _SourceInfiniteFrom(0.25), 5, st0)
 
 
 def test_simulate_final_time_and_stride(small_sys):
