@@ -8,5 +8,5 @@ from .mesh import PolyMesh, Face, FaceSet, MeshError, load_mesh, save_mesh, buil
 from .norms import broken_norms, convergence_rates, energy_norm
 from .params import PhysicalParams
 from .spaces import DGSpace, QuadratureRule, build_space, volume_quadrature, face_quadrature, l2_project
-from .stepping import SchemeParams, TimeState, build_stepping_matrices, initial_state, advance, simulate
+from .stepping import SchemeParams, TimeState, build_stepping_matrices, initial_state, simulate
 from .system import SystemMatrices, build_global, build_steady, build_system, structural_checks

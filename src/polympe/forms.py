@@ -8,8 +8,9 @@ sets as the pressure gradient terms they discretize; the interface blocks
 couple the elastic-side trace of the exchange-compartment pressure with the
 elastic displacement and fluid velocity normal components.
 
-All assembled blocks are field-local sparse CSR matrices (dense vectors for
-loads); the global placement happens in :mod:`polympe.system`.
+All assembled blocks are field-local sparse CSR matrices, placed globally
+in :mod:`polympe.system`; the loads are one dense vector in the global field
+order of :class:`~polympe.spaces.DGSpace`.
 
 Assembly reads the stacked tabulations of :class:`~polympe.spaces.DGSpace`:
 volume terms take one batched product per group of elements with equal
@@ -377,37 +378,35 @@ def assemble_loads(space: DGSpace, params: PhysicalParams, faces: FaceSet, data,
     weak (SIPG consistency + penalty) lifting of nonhomogeneous Dirichlet
     data, including the coupling liftings that keep the compartment mass
     balance and the fluid divergence row consistent with moving-wall data.
-    Returns ``{"el": F_el, "j": {j: F_j}, "f": F_f, "p": F_p}``.
+    Returns one ``space.n_dofs`` vector in the field order of ``space``.
 
     Face terms are added face by face, then by component and term, so an
     element with several data faces sums them in face order."""
-    F_el = np.zeros(space.sizes["d"])
-    F_j = {j: np.zeros(space.sizes[f"p:{j}"]) for j in params.compartments}
-    F_f = np.zeros(space.sizes["u"])
-    F_p = np.zeros(space.sizes["p"])
+    F = np.zeros(space.n_dofs)
+    sl = space.field_slice
 
     tab = space.volume_table(space.field_domain("d"))
     vol = _volume_loads(tab, np.array(
         [*np.asarray(data.f_el(tab.points, t), dtype=float).T]
         + [data.g_j(j, tab.points, t) for j in params.compartments], dtype=float))
-    F_el += vol[:, :2].ravel()
+    F[sl("d")] += vol[:, :2].ravel()
     for i, j in enumerate(params.compartments):
-        F_j[j] += vol[:, 2 + i].ravel()
+        F[sl(f"p:{j}")] += vol[:, 2 + i].ravel()
     tab = space.volume_table(space.field_domain("u"))
-    F_f += _volume_loads(tab, np.asarray(data.f_f(tab.points, t), dtype=float).T).ravel()
+    F[sl("u")] += _volume_loads(tab, np.asarray(data.f_f(tab.points, t), dtype=float).T).ravel()
 
-    def add(F, tab, field, vals, comps=0):
+    def add(tab, field, vals, comps=0):
         # plus-side blocks vals (F, [component,] [term,] n_loc), in C order
         e = tab.elem[:, 0].reshape((-1,) + (1,) * (vals.ndim - 2))
-        np.add.at(F, np.broadcast_to(space.dofs(field, e, comps), vals.shape), vals)
+        np.add.at(F[sl(field)], np.broadcast_to(space.dofs(field, e, comps), vals.shape), vals)
 
     c = np.arange(2)
     # outlet: int -pbar n_f . v
     if fidxs := faces.outlet():
         tab = space.face_table(faces, fidxs)
         pbar = _face_data(tab, lambda x: data.p_out(x, t))
-        add(F_f, tab, "u", _face_loads(tab.basis[:, 0, 0],
-                                       (tab.weights * -pbar)[:, None] * tab.normal[:, :, None]), c)
+        add(tab, "u", _face_loads(tab.basis[:, 0, 0],
+                                  (tab.weights * -pbar)[:, None] * tab.normal[:, :, None]), c)
 
     # Dirichlet lifting for the displacement
     if fidxs := faces.dirichlet("d"):
@@ -415,7 +414,7 @@ def assemble_loads(space: DGSpace, params: PhysicalParams, faces: FaceSet, data,
         lift, _ = _vector_lift(tab, _face_data(tab, lambda x: data.dirichlet_d(x, t)),
                                params.mu_el, params.lam,
                                penalty_coefficients(tab, params, space.m).eta)
-        add(F_el, tab, "d", lift, c[:, None])
+        add(tab, "d", lift, c[:, None])
 
     # Dirichlet lifting for the compartment pressures, plus the mass-coupling
     # lifting carrying the time derivative of the displacement datum
@@ -432,7 +431,7 @@ def assemble_loads(space: DGSpace, params: PhysicalParams, faces: FaceSet, data,
         gdn = (_face_data(tab, lambda x: data.dirichlet_d_dot(x, t)) @ n[:, :, None])[..., 0]
         terms = (-kappa * _face_loads(dn, wg) + zeta[:, None, None] * _face_loads(phi, wg),
                  -params.alpha_j[j] * _face_loads(phi, (w * gdn)[:, None]))
-        add(F_j[j], tab, f"p:{j}", np.concatenate(terms, axis=1))
+        add(tab, f"p:{j}", np.concatenate(terms, axis=1))
 
     # Dirichlet lifting for the fluid velocity, plus the divergence-row lifting
     if fidxs := faces.dirichlet("u"):
@@ -440,7 +439,7 @@ def assemble_loads(space: DGSpace, params: PhysicalParams, faces: FaceSet, data,
         lift, gn = _vector_lift(tab, _face_data(tab, lambda x: data.dirichlet_u(x, t)),
                                 params.mu_f, 0.0,
                                 penalty_coefficients(tab, params, space.m).gamma_v)
-        add(F_f, tab, "u", lift, c[:, None])
-        add(F_p, tab, "p", -_face_loads(tab.basis[:, 0, 0], (tab.weights * gn)[:, None])[:, 0])
+        add(tab, "u", lift, c[:, None])
+        add(tab, "p", -_face_loads(tab.basis[:, 0, 0], (tab.weights * gn)[:, None])[:, 0])
 
-    return {"el": F_el, "j": F_j, "f": F_f, "p": F_p}
+    return F

@@ -273,6 +273,10 @@ class DGSpace:
     def field_elements(self, field: str) -> np.ndarray:
         return self.f_ids if self.field_domain(field) == FLUID else self.el_ids
 
+    def field_slice(self, field: str) -> slice:
+        """The rows of ``field`` in a global DOF vector."""
+        return slice(self.offsets[field], self.offsets[field] + self.sizes[field])
+
     def coeffs(self, field: str, vec: np.ndarray) -> np.ndarray:
         """View a field-local DOF vector as (n_elem, ncomp, n_loc)."""
         return np.asarray(vec).reshape(-1, self._components[field], self.n_loc)

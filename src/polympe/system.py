@@ -1,13 +1,28 @@
-"""Global block operator: assembly into the coupled layout, structural
-checks, and the steady-state reduction.
+"""Global block operator: the coupling pattern, its placement into a
+stacked layout, structural checks, and the steady-state reduction.
 
-Block placement (rows d, one per compartment, u, p):
+Every operator is built from one coupling pattern, :func:`coupling_blocks`,
+in the field order of :class:`~polympe.spaces.DGSpace` (d, one p:j per
+compartment, u, p). Three scalars set it: ``mass`` multiplies the mass
+matrices on the pressure and fluid diagonals, ``stiff`` every other block of
+those rows, ``disp`` the displacement column of the pressure rows:
 
-* row d:   (dtt M_el + A_el) D + sum_k B_k^T P_k + J_el^T P_E
-* row j:   -(B_j + [j=E] J_el) dt D + (dt M_j + A_j + C_jj) P_j
-           + sum_{k!=j} C_jk P_k - [j=E] J_f U
-* row u:   J_f^T P_E + (dt M_f + A_f) U + B_f^T P
-* row p:   -B_f U + S P
+* row d:   A_el d + sum_k (B_k^T + [k=E] J_el^T) p_k
+* row p:j: disp (B_j + [j=E] J_el) d + (mass M_j + stiff (C_jj + A_j)) p_j
+           + stiff (sum_{k!=j} C_jk p_k - [j=E] J_f u)
+* row u:   (mass M_f + stiff A_f) u + stiff (J_f^T p_E + B_f^T p)
+* row p:   stiff (-B_f u + S p)
+
+    operator  mass   stiff         disp                    besides the pattern
+    --------  -----  ------------  ----------------------  ------------------------
+    G(s)      s      1             -s                      (d, d) = s^2 M_el + A_el
+    steady    0      1             0                       G(0)
+    A1        1/dt   theta         -theta gamma/(beta dt)  M_el at (d, a); z, a rows
+    A2        1/dt   -(1 - theta)  -theta gamma/(beta dt)  no d row; B_j at (p:j, z)
+                                                           and (p:j, a); z, a rows
+
+A1 and A2 are the Newmark--theta pair of :mod:`polympe.stepping`, whose
+layout adds the velocity ``z`` and acceleration ``a`` after ``d``.
 
 The interface blocks enter antisymmetrically (+J_el^T against -J_el dt,
 +J_f^T against -J_f) so their contributions cancel in the energy identity.
@@ -48,14 +63,6 @@ class SystemMatrices:
     @property
     def compartments(self):
         return self.params.compartments
-
-    @property
-    def n_unknowns(self) -> int:
-        return self.space.n_dofs
-
-    def field_slice(self, name: str) -> slice:
-        off = self.space.offsets[name]
-        return slice(off, off + self.space.sizes[name])
 
 
 def build_system(space: DGSpace, params: PhysicalParams, faces: FaceSet,
@@ -99,51 +106,49 @@ def build_system(space: DGSpace, params: PhysicalParams, faces: FaceSet,
     )
 
 
-def build_global(sys: SystemMatrices, s: float = 0.0) -> sp.csr_matrix:
-    """The stacked operator with the time-derivative slots replaced by the
-    scalar ``s`` (``s = 0`` gives the steady operator)."""
-    J = list(sys.compartments)
-    fields = sys.space.fields
-    idx = {f: i for i, f in enumerate(fields)}
-    n = len(fields)
-    blocks = [[None] * n for _ in range(n)]
-
-    blocks[idx["d"]][idx["d"]] = s * s * sys.M_el + sys.A_el
-    for j in J:
-        blocks[idx["d"]][idx[f"p:{j}"]] = sys.B_j[j].T.tocsr()
-    if sys.J_el is not None:
-        pe = idx[f"p:{EXCHANGE}"]
-        blocks[idx["d"]][pe] = blocks[idx["d"]][pe] + sys.J_el.T
-
-    for j in J:
-        r = idx[f"p:{j}"]
+def coupling_blocks(sys: SystemMatrices, mass, stiff, disp, elastic: bool = True) -> dict:
+    """The coupling pattern as ``{(row_field, col_field): block}`` (see the
+    module docstring); ``elastic=False`` leaves out the d row."""
+    blocks = {}
+    for j in sys.compartments:
+        r = f"p:{j}"
         coupl = sys.B_j[j]
         if j == EXCHANGE and sys.J_el is not None:
             coupl = coupl + sys.J_el
-        blocks[r][idx["d"]] = -s * coupl
-        for k in J:
-            blk = sys.C[j][k]
-            if k == j:
-                blk = blk + s * sys.M_j[j] + sys.A_j[j]
-            blocks[r][idx[f"p:{k}"]] = blk
+        if elastic:
+            blocks["d", r] = coupl.T
+        blocks[r, "d"] = disp * coupl
+        blocks.update({(r, f"p:{k}"): stiff * sys.C[j][k] for k in sys.compartments if k != j})
+        blocks[r, r] = mass * sys.M_j[j] + stiff * (sys.C[j][j] + sys.A_j[j])
         if j == EXCHANGE and sys.J_f is not None:
-            blocks[r][idx["u"]] = -sys.J_f
+            blocks[r, "u"] = stiff * -sys.J_f
+            blocks["u", r] = stiff * sys.J_f.T
+    if elastic:
+        blocks["d", "d"] = sys.A_el
+    blocks["u", "u"] = mass * sys.M_f + stiff * sys.A_f
+    blocks["u", "p"] = stiff * sys.B_f.T
+    blocks["p", "u"] = stiff * -sys.B_f
+    blocks["p", "p"] = stiff * sys.S
+    return blocks
 
-    if sys.J_f is not None:
-        blocks[idx["u"]][idx[f"p:{EXCHANGE}"]] = sys.J_f.T.tocsr()
-    blocks[idx["u"]][idx["u"]] = s * sys.M_f + sys.A_f
-    blocks[idx["u"]][idx["p"]] = sys.B_f.T.tocsr()
-    blocks[idx["p"]][idx["u"]] = -sys.B_f
-    blocks[idx["p"]][idx["p"]] = sys.S
 
-    return sp.bmat(blocks, format="csr")
+def place(blocks: dict, sizes: dict) -> sp.csr_matrix:
+    """Stack named blocks in the field order of ``sizes``; a row with no
+    block gets an empty diagonal."""
+    names = list(sizes)
+    grid = [[blocks.get((r, c)) for c in names] for r in names]
+    for i, r in enumerate(names):
+        if all(b is None for b in grid[i]):
+            grid[i][i] = sp.csr_matrix((sizes[r], sizes[r]))
+    return sp.bmat(grid, format="csr")
 
 
-def stack_loads(sys: SystemMatrices, loads) -> np.ndarray:
-    parts = [loads["el"]]
-    parts += [loads["j"][j] for j in sys.compartments]
-    parts += [loads["f"], loads["p"]]
-    return np.concatenate(parts)
+def build_global(sys: SystemMatrices, s: float = 0.0) -> sp.csr_matrix:
+    """The stacked operator with the time-derivative slots replaced by the
+    scalar ``s`` (``s = 0`` gives the steady operator)."""
+    blocks = coupling_blocks(sys, s, 1, -s)
+    blocks["d", "d"] = s * s * sys.M_el + sys.A_el
+    return place(blocks, sys.space.sizes)
 
 
 @dataclass
@@ -153,13 +158,14 @@ class SteadySystem:
     sys: SystemMatrices
 
     def split(self, x: np.ndarray) -> dict:
-        return {f: x[self.sys.field_slice(f)] for f in self.sys.space.fields}
+        return {f: x[self.sys.space.field_slice(f)] for f in self.sys.space.fields}
 
 
-def build_steady(sys: SystemMatrices, loads) -> SteadySystem:
-    """Drop every time-derivative slot and stack the loads; for manufactured
-    data the divergence row carries the wall-datum lifting, otherwise zero."""
-    return SteadySystem(matrix=build_global(sys, s=0.0), rhs=stack_loads(sys, loads), sys=sys)
+def build_steady(sys: SystemMatrices, loads: np.ndarray) -> SteadySystem:
+    """Drop every time-derivative slot; the right-hand side is the load
+    vector of :func:`polympe.forms.assemble_loads`. For manufactured data
+    its divergence rows carry the wall-datum lifting, otherwise zero."""
+    return SteadySystem(matrix=build_global(sys, s=0.0), rhs=loads, sys=sys)
 
 
 @dataclass
@@ -235,7 +241,7 @@ def structural_checks(sys: SystemMatrices, n_samples: int = 200, seed: int = 0,
     G1 = build_global(sys, s=1.0) if global_matrix is None else global_matrix
     G0 = build_global(sys, s=0.0)
     Gt = (G1 - G0).tocsr()
-    sl = sys.field_slice
+    sl = sys.space.field_slice
 
     def blk(G, rname, cname):
         return G[sl(rname), :][:, sl(cname)].tocsr()

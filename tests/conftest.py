@@ -15,6 +15,28 @@ def unit_square_mesh(domain="elastic"):
     )
 
 
+ACVE = ("A", "C", "V", "E")
+
+
+def pin_setup(name, mesh80, J):
+    """Faces and m = 2 space of the pinned-value tests on ``cartesian_two_domain(4)``
+    (``"cart4"``) or the 80-polygon mesh, every pressure Dirichlet."""
+    mesh = cartesian_two_domain(4) if name == "cart4" else mesh80
+    dirichlet = dict(VERIFICATION_DIRICHLET, el={"d"} | {f"p:{j}" for j in J})
+    faces = build_faces(mesh, dirichlet)
+    return faces, build_space(mesh, 2, J)
+
+
+def pin_params(J):
+    """Unit coefficients, made distinct per compartment."""
+    params = PhysicalParams.unit(J)
+    for i, j in enumerate(J):
+        params.k_j[j], params.alpha_j[j], params.c_j[j] = 1.0 + i, 0.5 - 0.1 * i, 1.0 + 0.5 * i
+        params.beta[j] = {k: 1.0 + i + 0.25 * ik for ik, k in enumerate(J)}
+    params.validate()
+    return params
+
+
 def two_square_mesh():
     return PolyMesh(
         [[-1, 0], [0, 0], [1, 0], [1, 1], [0, 1], [-1, 1]],

@@ -12,7 +12,7 @@ from polympe.mesh import Face, build_faces
 from polympe.params import PhysicalParams
 from polympe.spaces import build_space, l2_project
 
-from conftest import two_square_mesh, unit_square_mesh
+from conftest import ACVE, pin_params, pin_setup, two_square_mesh, unit_square_mesh
 
 
 def natural_setup(domain, m=2):
@@ -189,8 +189,10 @@ def test_interface_rows_vanish_off_interface(unit_params):
 def test_zero_data_zero_loads(cart4_setup, unit_params):
     _, faces, space = cart4_setup
     loads = forms.assemble_loads(space, unit_params, faces, forms.ZeroData(), 0.0)
-    assert np.all(loads["el"] == 0) and np.all(loads["f"] == 0)
-    assert np.all(loads["j"]["E"] == 0) and np.all(loads["p"] == 0)
+    assert loads.shape == (space.n_dofs,)
+    sl = space.field_slice
+    assert np.all(loads[sl("d")] == 0) and np.all(loads[sl("u")] == 0)
+    assert np.all(loads[sl("p:E")] == 0) and np.all(loads[sl("p")] == 0)
 
 
 def test_volume_load_pattern(unit_params):
@@ -202,7 +204,7 @@ def test_volume_load_pattern(unit_params):
 
     loads = forms.assemble_loads(space, unit_params, faces, Data(), 0.0)
     v = interp(space, "u", lambda p: np.stack([np.ones(len(p)), np.zeros(len(p))], axis=1))
-    assert v @ loads["f"] == pytest.approx(1.0, rel=1e-12)
+    assert v @ loads[space.field_slice("u")] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_outlet_datum_matches_printed_expression(steady):
@@ -313,25 +315,6 @@ def test_sipg_blocks_remain_coercive_at_high_degree(mesh80, unit_params):
 # when the forms are meant to change.
 
 PINS = json.loads((Path(__file__).with_name("forms_pins.json")).read_text())
-ACVE = ("A", "C", "V", "E")
-
-
-def _pin_setup(name, mesh80, J):
-    from polympe.families import cartesian_two_domain
-    mesh = cartesian_two_domain(4) if name == "cart4" else mesh80
-    dirichlet = dict(VERIFICATION_DIRICHLET, el={"d"} | {f"p:{j}" for j in J})
-    faces = build_faces(mesh, dirichlet)
-    return faces, build_space(mesh, 2, J)
-
-
-def _pin_params(J):
-    """Unit coefficients, made distinct per compartment."""
-    params = PhysicalParams.unit(J)
-    for i, j in enumerate(J):
-        params.k_j[j], params.alpha_j[j], params.c_j[j] = 1.0 + i, 0.5 - 0.1 * i, 1.0 + 0.5 * i
-        params.beta[j] = {k: 1.0 + i + 0.25 * ik for ik, k in enumerate(J)}
-    params.validate()
-    return params
 
 
 def _xby(B):
@@ -353,10 +336,12 @@ def _bilinear_pins(sysm):
     return {k: _xby(B) for k, B in out.items()}
 
 
-def _load_pins(loads):
-    """x^T F for every load vector, x random and fixed by the length."""
-    vecs = {"el": loads["el"], "f": loads["f"], "p": loads["p"]}
-    vecs.update({f"j{j}": v for j, v in loads["j"].items()})
+def _load_pins(space, loads):
+    """x^T F for every field of the load vector, x random and fixed by the
+    length."""
+    vecs = {"el": loads[space.field_slice("d")], "f": loads[space.field_slice("u")],
+            "p": loads[space.field_slice("p")]}
+    vecs.update({f"j{j}": loads[space.field_slice(f"p:{j}")] for j in space.compartments})
     return {k: float(np.random.default_rng(0).standard_normal(len(v)) @ v)
             for k, v in vecs.items()}
 
@@ -371,17 +356,17 @@ def _assert_pinned(got, want):
 @pytest.mark.parametrize("J", [("E",), ACVE], ids=["E", "ACVE"])
 def test_blocks_pinned(mesh80, name, J):
     from polympe.system import build_system
-    faces, space = _pin_setup(name, mesh80, J)
-    sysm = build_system(space, _pin_params(J), faces)
+    faces, space = pin_setup(name, mesh80, J)
+    sysm = build_system(space, pin_params(J), faces)
     _assert_pinned(_bilinear_pins(sysm), PINS[f"{name}/{''.join(J)}"])
 
 
 @pytest.mark.parametrize("name", ["cart4", "mesh80"])
 @pytest.mark.parametrize("t", [0.0, 0.37])
 def test_loads_pinned(mesh80, unsteady, name, t):
-    faces, space = _pin_setup(name, mesh80, ("E",))
+    faces, space = pin_setup(name, mesh80, ("E",))
     loads = forms.assemble_loads(space, unsteady.params, faces, unsteady, t)
-    _assert_pinned(_load_pins(loads), PINS[f"{name}/loads/{t}"])
+    _assert_pinned(_load_pins(space, loads), PINS[f"{name}/loads/{t}"])
 
 
 def test_volume_loads_equal_projection(mesh80, unsteady):
@@ -391,11 +376,11 @@ def test_volume_loads_equal_projection(mesh80, unsteady):
         f_el, f_f = staticmethod(unsteady.f_el), staticmethod(unsteady.f_f)
         g_j = staticmethod(unsteady.g_j)
 
-    faces, space = _pin_setup("mesh80", mesh80, ("E",))
+    faces, space = pin_setup("mesh80", mesh80, ("E",))
     t = 0.37
     loads = forms.assemble_loads(space, unsteady.params, faces, VolumeOnly(), t)
-    for got, field, fn in ((loads["el"], "d", unsteady.f_el), (loads["f"], "u", unsteady.f_f),
-                           (loads["j"]["E"], "p:E", lambda x, t: unsteady.g_j("E", x, t))):
-        want = l2_project(space, field, fn, t=t)
+    for field, fn in (("d", unsteady.f_el), ("u", unsteady.f_f),
+                      ("p:E", lambda x, t: unsteady.g_j("E", x, t))):
+        got, want = loads[space.field_slice(field)], l2_project(space, field, fn, t=t)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-    assert not loads["p"].any()
+    assert not loads[space.field_slice("p")].any()

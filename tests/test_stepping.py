@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,9 @@ from polympe.driver import setup, solve_steady, solve_unsteady
 from polympe.families import VERIFICATION_DIRICHLET, cartesian_two_domain
 from polympe.solvers import NumericalError
 from polympe.spaces import l2_project
+from polympe.system import build_global, build_system
+
+from conftest import ACVE, pin_params, pin_setup
 
 
 @pytest.fixture(scope="module")
@@ -27,8 +33,8 @@ def test_scheme_params_validation():
 
 
 def extract(mat, sys, rname, cname):
-    off, _ = stepping._aux_layout(sys)
-    return mat[off[rname], :][:, off[cname]].toarray()
+    sl = stepping.field_slices(sys.space)
+    return mat[sl[rname], :][:, sl[cname]].toarray()
 
 
 def test_newmark_velocity_row(small_sys):
@@ -37,11 +43,11 @@ def test_newmark_velocity_row(small_sys):
     mats = stepping.build_stepping_matrices(sys, sp)
     n_d = sys.space.sizes["d"]
     I = np.eye(n_d)
-    assert np.allclose(extract(mats["A1"], sys, "Z", "Z"), I)
-    assert np.allclose(extract(mats["A1"], sys, "Z", "A"), -0.5 * 0.1 * I)
-    assert np.allclose(extract(mats["A1"], sys, "Z", "D"), 0.0)
-    assert np.allclose(extract(mats["A1"], sys, "Z", "P:E"), 0.0)
-    assert np.allclose(extract(mats["A2"], sys, "Z", "A"), 0.5 * 0.1 * I)
+    assert np.allclose(extract(mats["A1"], sys, "z", "z"), I)
+    assert np.allclose(extract(mats["A1"], sys, "z", "a"), -0.5 * 0.1 * I)
+    assert np.allclose(extract(mats["A1"], sys, "z", "d"), 0.0)
+    assert np.allclose(extract(mats["A1"], sys, "z", "p:E"), 0.0)
+    assert np.allclose(extract(mats["A2"], sys, "z", "a"), 0.5 * 0.1 * I)
 
 
 def test_acceleration_row_coefficient(small_sys):
@@ -50,8 +56,8 @@ def test_acceleration_row_coefficient(small_sys):
     sp = stepping.SchemeParams(dt=0.05, beta=0.25, gamma=0.5)
     mats = stepping.build_stepping_matrices(sys, sp)
     n_d = sys.space.sizes["d"]
-    assert np.allclose(extract(mats["A2"], sys, "A", "A"), -np.eye(n_d))
-    assert np.allclose(extract(mats["A1"], sys, "A", "D"),
+    assert np.allclose(extract(mats["A2"], sys, "a", "a"), -np.eye(n_d))
+    assert np.allclose(extract(mats["A1"], sys, "a", "d"),
                        -np.eye(n_d) / (0.25 * 0.05 ** 2))
 
 
@@ -60,11 +66,11 @@ def test_implicit_euler_limit(small_sys):
     sp = stepping.SchemeParams(dt=0.1, theta=1.0)
     mats = stepping.build_stepping_matrices(sys, sp)
     # all (1 - theta) blocks of the pressure/fluid rows vanish
-    assert np.allclose(extract(mats["A2"], sys, "U", "P:E"), 0.0)
-    assert np.allclose(extract(mats["A2"], sys, "U", "P"), 0.0)
-    assert np.allclose(extract(mats["A2"], sys, "P", "U"), 0.0)
-    assert np.allclose(extract(mats["A2"], sys, "P", "P"), 0.0)
-    MfdT = extract(mats["A2"], sys, "U", "U")
+    assert np.allclose(extract(mats["A2"], sys, "u", "p:E"), 0.0)
+    assert np.allclose(extract(mats["A2"], sys, "u", "p"), 0.0)
+    assert np.allclose(extract(mats["A2"], sys, "p", "u"), 0.0)
+    assert np.allclose(extract(mats["A2"], sys, "p", "p"), 0.0)
+    MfdT = extract(mats["A2"], sys, "u", "u")
     assert np.allclose(MfdT, sys.M_f.toarray() / 0.1)
 
 
@@ -73,19 +79,13 @@ def test_load_blending_arithmetic_mean(small_sys):
     sp = stepping.SchemeParams(dt=0.1, theta=0.5)
     rng = np.random.default_rng(0)
 
-    def fake_loads():
-        return {"el": rng.standard_normal(sys.space.sizes["d"]),
-                "j": {"E": rng.standard_normal(sys.space.sizes["p:E"])},
-                "f": rng.standard_normal(sys.space.sizes["u"]),
-                "p": rng.standard_normal(sys.space.sizes["p"])}
-
-    ln, lnp1 = fake_loads(), fake_loads()
+    ln, lnp1 = (rng.standard_normal(sys.space.n_dofs) for _ in range(2))
     F = stepping.blend_loads(sys, sp, ln, lnp1)
-    off, _ = stepping._aux_layout(sys)
-    assert np.array_equal(F[off["D"]], lnp1["el"])
-    assert np.array_equal(F[off["Z"]], np.zeros(sys.space.sizes["d"]))
-    assert np.allclose(F[off["P:E"]], 0.5 * (ln["j"]["E"] + lnp1["j"]["E"]), rtol=0, atol=0)
-    assert np.allclose(F[off["U"]], 0.5 * (ln["f"] + lnp1["f"]), rtol=0, atol=0)
+    off, sl = stepping.field_slices(sys.space), sys.space.field_slice
+    assert np.array_equal(F[off["d"]], lnp1[sl("d")])
+    assert np.array_equal(F[off["z"]], np.zeros(sys.space.sizes["d"]))
+    assert np.allclose(F[off["p:E"]], 0.5 * (ln[sl("p:E")] + lnp1[sl("p:E")]), rtol=0, atol=0)
+    assert np.allclose(F[off["u"]], 0.5 * (ln[sl("u")] + lnp1[sl("u")]), rtol=0, atol=0)
 
 
 def test_zero_initial_state(small_sys):
@@ -209,3 +209,47 @@ def test_dissipativity_four_compartments():
     E = [stepping.discrete_energy(art.sys, s) for s in states]
     for a, b in zip(E, E[1:]):
         assert b <= a * (1 + 1e-10)
+
+
+# -- pinned values of the operators ----------------------------------------
+# operator_pins.json holds x^T A y over the rows of each field, for A1 and A2
+# under four scheme sets and for the steady operator G(0), recorded when
+# stepping and system wrote the coupling pattern each on its own; record
+# them again only when the operators are meant to change. The B_j blocks of
+# A2 in the z and a columns vanish at the default beta and gamma, so two
+# scheme sets move them off it (only the last keeps the a column).
+
+OPERATOR_PINS = json.loads(Path(__file__).with_name("operator_pins.json").read_text())
+PIN_SCHEMES = {"dt0.01": dict(dt=0.01),
+               "dt0.001-theta1-beta0.3-gamma0.6": dict(dt=1e-3, theta=1.0, beta=0.3, gamma=0.6),
+               "dt0.05-theta0.7": dict(dt=0.05, theta=0.7),
+               "dt0.02-theta0.6-beta0.4-gamma0.7": dict(dt=0.02, theta=0.6, beta=0.4, gamma=0.7)}
+
+
+def _row_pins(mat, slices):
+    """x^T A y over the rows of each field, x and y random and fixed by the
+    shape of A."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(mat.shape[0])
+    Ay = mat @ rng.standard_normal(mat.shape[1])
+    return {f: float(x[s] @ Ay[s]) for f, s in slices.items()}
+
+
+@pytest.mark.parametrize("name", ["cart4", "mesh80"])
+@pytest.mark.parametrize("J", [("E",), ACVE], ids=["E", "ACVE"])
+def test_operators_pinned(mesh80, name, J):
+    faces, space = pin_setup(name, mesh80, J)
+    sysm = build_system(space, pin_params(J), faces)
+    key = f"{name}/{''.join(J)}"
+    got = {f"{key}/G0": _row_pins(build_global(sysm, 0.0),
+                                  {f: space.field_slice(f) for f in space.fields})}
+    for sid, kw in PIN_SCHEMES.items():
+        mats = stepping.build_stepping_matrices(sysm, stepping.SchemeParams(**kw))
+        for m in ("A1", "A2"):
+            got[f"{key}/{sid}/{m}"] = _row_pins(mats[m], stepping.field_slices(space))
+    want = {k: v for k, v in OPERATOR_PINS.items() if k.startswith(key + "/")}
+    assert sorted(got) == sorted(want)
+    for k, rows in want.items():
+        assert list(got[k]) == list(rows), k
+        for f, val in rows.items():
+            assert abs(got[k][f] - val) <= 1e-13 * abs(val), (k, f, got[k][f], val)

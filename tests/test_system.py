@@ -8,7 +8,7 @@ from polympe.params import PhysicalParams
 from polympe.solvers import factorize
 from polympe.spaces import build_space
 from polympe.system import (build_global, build_steady, build_system,
-                            export_matrix_market, stack_loads, structural_checks)
+                            export_matrix_market, structural_checks)
 
 from conftest import unit_square_mesh
 
@@ -20,7 +20,7 @@ def test_layout_sizes_J_E(mesh80, unit_params):
     assert s["p:E"] == 40 * 6
     assert s["u"] == 2 * 40 * 6
     assert s["p"] == 40 * 6
-    assert art.sys.n_unknowns == sum(s.values())
+    assert art.space.n_dofs == sum(s.values())
 
 
 def test_elastic_only_system_solvable():
@@ -78,7 +78,7 @@ def test_structural_checks_flag_corrupted_sign(cart4_setup, unit_params):
     _, faces, space = cart4_setup
     sysm = build_system(space, unit_params, faces)
     G = build_global(sysm, s=1.0).tolil()
-    sl_e, sl_u = sysm.field_slice("p:E"), sysm.field_slice("u")
+    sl_e, sl_u = space.field_slice("p:E"), space.field_slice("u")
     G[sl_e, sl_u] = -G[sl_e, sl_u]
     rep = structural_checks(sysm, global_matrix=G.tocsr())
     assert rep.pairing["J_f"] > 0.5
@@ -95,7 +95,7 @@ def test_block_consistency(cart4_setup, unit_params):
     y = G @ x
 
     def seg(f):
-        return x[sysm.field_slice(f)]
+        return x[space.field_slice(f)]
 
     d, pE, u, p = seg("d"), seg("p:E"), seg("u"), seg("p")
     rows = {
@@ -107,7 +107,7 @@ def test_block_consistency(cart4_setup, unit_params):
         "p": -sysm.B_f @ u + sysm.S @ p,
     }
     for f, expected in rows.items():
-        assert np.allclose(y[sysm.field_slice(f)], expected, atol=1e-12 * max(1, abs(expected).max()))
+        assert np.allclose(y[space.field_slice(f)], expected, atol=1e-12 * max(1, abs(expected).max()))
 
 
 def test_no_interface_decouples():
@@ -146,12 +146,12 @@ def test_matrix_market_export(tmp_path, cart4_setup, unit_params):
     assert M.shape == (space.n_dofs, space.n_dofs)
 
 
-def test_stack_loads_order(cart4_setup, unit_params):
+def test_steady_rhs_field_order(cart4_setup, unit_params):
     _, faces, space = cart4_setup
     sysm = build_system(space, unit_params, faces)
     loads = forms.assemble_loads(space, unit_params, faces, forms.ZeroData(), 0.0)
-    loads["el"][:] = 1.0
-    loads["p"][:] = 4.0
-    v = stack_loads(sysm, loads)
-    assert np.all(v[sysm.field_slice("d")] == 1.0)
-    assert np.all(v[sysm.field_slice("p")] == 4.0)
+    loads[space.field_slice("d")] = 1.0
+    loads[space.field_slice("p")] = 4.0
+    v = build_steady(sysm, loads).rhs
+    assert np.all(v[space.field_slice("d")] == 1.0)
+    assert np.all(v[space.field_slice("p")] == 4.0)
