@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .agglomerate import AgglomerationConfig, agglomerate, validate_partition
 from .manufactured import ManufacturedCase, residual_oracle, steady_case, unsteady_case
-from .mesh import PolyMesh, Face, FaceSet, MeshError, load_mesh, save_mesh, build_faces, quality_report
+from .mesh import PolyMesh, FaceSet, MeshError, load_mesh, save_mesh, build_faces, quality_report
 from .norms import broken_norms, convergence_rates, energy_norm
 from .params import PhysicalParams
 from .spaces import DGSpace, QuadratureRule, build_space, volume_quadrature, face_quadrature, l2_project

@@ -31,20 +31,22 @@ import numpy as np
 from .mesh import ELASTIC, FLUID, MeshError, PolyMesh
 
 
+#: repair moves per attempt and coarse element (counting at least 10 elements)
+MAX_REPAIR_ITERATIONS = 80
+LLOYD_ITERATIONS = 60  # per clustering initialization
+ATTEMPTS = 10  # seeded initializations per domain
+
+
 @dataclass
 class AgglomerationConfig:
     """Targets are coarse element counts per domain; the seed fixes the
     clustering initialization and every repair decision, making the pipeline
-    deterministic. ``max_repair_iterations`` scales the per-attempt move
-    budget (multiplied by the target count); failed attempts restart from a
-    fresh, still seeded, initialization."""
+    deterministic. A failed attempt restarts from a fresh, still seeded,
+    initialization, up to :data:`ATTEMPTS` times."""
 
     target_elastic: int
     target_fluid: int
     seed: int = 0
-    max_repair_iterations: int = 80
-    lloyd_iterations: int = 60
-    attempts: int = 10
 
     def target(self, domain: str) -> int:
         return self.target_elastic if domain == ELASTIC else self.target_fluid
@@ -323,16 +325,16 @@ class _Partition:
         raise MeshError("star-shapedness repair budget exhausted")
 
 
-def _partition_domain(mesh: PolyMesh, ids: np.ndarray, k: int, rng, cfg) -> list:
+def _partition_domain(mesh: PolyMesh, ids: np.ndarray, k: int, rng) -> list:
     """Clusters of fine element ids, exactly ``k`` of them, each
     face-connected and star-shaped with respect to its centroid."""
     if not 1 <= k <= len(ids):
         raise MeshError(f"target {k} outside [1, {len(ids)}]")
-    budget = cfg.max_repair_iterations * max(k, 10)
+    budget = MAX_REPAIR_ITERATIONS * max(k, 10)
     last_error = None
-    for _ in range(cfg.attempts):
+    for _ in range(ATTEMPTS):
         part = _Partition(mesh, ids, rng)
-        labels = _lloyd(part.pts, k, rng, cfg.lloyd_iterations)
+        labels = _lloyd(part.pts, k, rng, LLOYD_ITERATIONS)
         for c in range(k):
             members = [part.ids[i] for i in np.nonzero(labels == c)[0]]
             for comp in _components(members, part.adj):
@@ -343,7 +345,7 @@ def _partition_domain(mesh: PolyMesh, ids: np.ndarray, k: int, rng, cfg) -> list
             return [sorted(cl) for _, cl in sorted(part.clusters.items())]
         except MeshError as exc:
             last_error = exc
-    raise MeshError(f"agglomeration failed after {cfg.attempts} attempts: {last_error}")
+    raise MeshError(f"agglomeration failed after {ATTEMPTS} attempts: {last_error}")
 
 
 def agglomerate(fine: PolyMesh, cfg: AgglomerationConfig, assignment=None) -> PolyMesh:
@@ -415,5 +417,5 @@ def partition_assignment(fine: PolyMesh, cfg: AgglomerationConfig) -> list:
             if cfg.target(domain) > 0:
                 raise MeshError(f"no fine elements in the {domain} domain")
             continue
-        out.extend(_partition_domain(fine, ids, cfg.target(domain), rng, cfg))
+        out.extend(_partition_domain(fine, ids, cfg.target(domain), rng))
     return out

@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +80,14 @@ def _spec_keys(spec, family_keys) -> tuple:
     return tuple(spec) if family_keys is None else family_keys
 
 
+def _fine_mesh(spec: dict):
+    """The jittered fine triangulation described by the ``_FINE_KEYS`` of a
+    mesh spec (family ``agglomerated``) or of an agglomeration ``fine`` spec."""
+    return triangulated_two_domain(
+        int(spec.get("fine_ny", 24)), spec.get("fine_nx_el"), spec.get("fine_nx_f"),
+        jitter=float(spec.get("jitter", 0.25)), seed=int(spec.get("seed", 0)))
+
+
 def resolve_mesh(spec: dict):
     family = spec.get("family") if isinstance(spec, dict) else None
     # an unknown family is reported with its whole spec below
@@ -90,12 +98,8 @@ def resolve_mesh(spec: dict):
         return cartesian_two_domain(int(spec["ny"]), spec.get("nx"))
     if family == "agglomerated":
         t_el, t_f = spec.get("targets", (40, 40))
-        fine = triangulated_two_domain(
-            int(spec.get("fine_ny", 24)),
-            spec.get("fine_nx_el"), spec.get("fine_nx_f"),
-            jitter=float(spec.get("jitter", 0.25)), seed=int(spec.get("seed", 0)))
-        return agglomerate(fine, AgglomerationConfig(int(t_el), int(t_f),
-                                                     seed=int(spec.get("seed", 0))))
+        cfg = AgglomerationConfig(int(t_el), int(t_f), seed=int(spec.get("seed", 0)))
+        return agglomerate(_fine_mesh(spec), cfg)
     raise ConfigError(f"unknown mesh spec {spec}")
 
 
@@ -252,7 +256,6 @@ def cmd_solve(cfg: dict, out: Path) -> int:
     for i, st in snaps:
         outputs.write_snapshot_csv(space, st, out / f"snapshot_{i:06d}.csv")
         outputs.write_snapshot_vtk(space, st, out / f"snapshot_{i:06d}.vtk")
-    from dataclasses import asdict
     outputs.write_manifest(out / "manifest.json", cfg, {
         "command": "solve", "version": __version__, "elapsed_s": time.time() - t0,
         "snapshots": len(snaps), "n_elements": mesh.n_elements, "n_dofs": space.n_dofs,
@@ -306,14 +309,7 @@ def cmd_agglomerate(cfg: dict, out: Path) -> int:
         raise ConfigError("agglomeration config needs a 'fine' mesh spec")
     fine_spec = acfg["fine"]
     _check_keys("agglomeration fine", fine_spec, _spec_keys(fine_spec, _FINE_KEYS))
-    if "path" in fine_spec:
-        fine = load_mesh(fine_spec["path"])
-    else:
-        fine = triangulated_two_domain(
-            int(fine_spec.get("fine_ny", 24)),
-            fine_spec.get("fine_nx_el"), fine_spec.get("fine_nx_f"),
-            jitter=float(fine_spec.get("jitter", 0.25)),
-            seed=int(fine_spec.get("seed", 0)))
+    fine = load_mesh(fine_spec["path"]) if "path" in fine_spec else _fine_mesh(fine_spec)
     t_el, t_f = acfg.get("targets", (40, 40))
     agcfg = AgglomerationConfig(int(t_el), int(t_f), seed=int(acfg.get("seed", 0)))
     t0 = time.time()

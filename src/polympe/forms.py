@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import Face, FaceSet
+from .mesh import FaceSet
 from .params import PhysicalParams
 from .spaces import DGSpace, FaceTable, VolumeTable
 
@@ -45,9 +45,9 @@ class PenaltyValues:
     gamma_p: float
 
 
-def penalty_coefficients(face: Face, params: PhysicalParams, degree: int = 1) -> PenaltyValues:
-    """Penalty values on one face, or per point of a stacked face table:
-    only ``face.harmonic_h`` is read, and it may be an array.
+def penalty_coefficients(h, params: PhysicalParams, degree: int = 1) -> PenaltyValues:
+    """Penalty values for the harmonic face diameter ``h`` (``harmonic_h``
+    of a face set or face table): a float, or an array for per-face values.
 
     eta and gamma_v scale with 1/{h}_H, gamma_p with {h}_H; the
     coefficient-dependent factors are the 2-norms of the elasticity and
@@ -60,7 +60,6 @@ def penalty_coefficients(face: Face, params: PhysicalParams, degree: int = 1) ->
     elements already at moderate degrees. ``degree = 1`` reproduces the bare
     coefficient scalings.
     """
-    h = face.harmonic_h
     s = max(1, degree) ** 2
     return PenaltyValues(
         eta=s * params.eta_bar * params.elastic_tensor_norm / h,
@@ -241,7 +240,7 @@ def assemble_elastic(space: DGSpace, params: PhysicalParams, faces: FaceSet):
     mu, lam = params.mu_el, params.lam
     A = _csr((n, n), _elastic_volume(space, "d", mu, lam),
              *(_sipg_vector(space, tab, ns, "d", mu, lam,
-                            penalty_coefficients(tab, params, space.m).eta)
+                            penalty_coefficients(tab.harmonic_h, params, space.m).eta)
                for tab, ns in _sided(space, faces, faces.sipg_faces("d"))))
     return {"A": A, "M": _csr((n, n), _vector_mass(space, "d", params.rho_el))}
 
@@ -260,7 +259,8 @@ def assemble_pressure(space: DGSpace, params: PhysicalParams, faces: FaceSet, j:
 
     A = _csr((np_j, np_j), (d, d, kappa * (Kxx + Kyy)),
              *(_sipg_scalar(space, t, ns, field, kappa,
-                            penalty_coefficients(t, params, space.m).zeta[j]) for t, ns in sided))
+                            penalty_coefficients(t.harmonic_h, params, space.m).zeta[j])
+               for t, ns in sided))
     # -int alpha p div w, + int alpha {p I} : [[w]]
     B = _csr((np_j, nd), _divergence_volume(space, field, "d", lambda K: -alpha * K),
              *(_pressure_jump(space, t, ns, field, "d", alpha) for t, ns in sided))
@@ -284,7 +284,8 @@ def assemble_fluid(space: DGSpace, params: PhysicalParams, faces: FaceSet):
     sided = _sided(space, faces, faces.sipg_faces("u"))
     A = _csr((nu, nu), _elastic_volume(space, "u", params.mu_f, 0.0),
              *(_sipg_vector(space, t, ns, "u", params.mu_f, 0.0,
-                            penalty_coefficients(t, params, space.m).gamma_v) for t, ns in sided))
+                            penalty_coefficients(t.harmonic_h, params, space.m).gamma_v)
+               for t, ns in sided))
     # the pressure block uses its own basis (same element, scalar)
     B = _csr((npp, nu), _divergence_volume(space, "p", "u", lambda K: -K),
              *(_pressure_jump(space, t, ns, "p", "u", 1.0) for t, ns in sided))
@@ -293,7 +294,7 @@ def assemble_fluid(space: DGSpace, params: PhysicalParams, faces: FaceSet):
     for tab, ns in _sided(space, faces, faces.interior_f):
         w, phi, _, _ = _trace(tab, ns)
         sa, _, sb, _ = _side_weights(ns)
-        pen = penalty_coefficients(tab, params, space.m).gamma_p
+        pen = penalty_coefficients(tab.harmonic_h, params, space.m).gamma_p
         e = tab.elem[:, :ns]
         parts.append((space.dofs("p", e[:, :, None]), space.dofs("p", e[:, None, :]),
                       (pen[:, None, None] * sa * sb)[..., None, None] * _face_mass(w, phi)))
@@ -402,31 +403,31 @@ def assemble_loads(space: DGSpace, params: PhysicalParams, faces: FaceSet, data,
 
     c = np.arange(2)
     # outlet: int -pbar n_f . v
-    if fidxs := faces.outlet():
+    if len(fidxs := faces.outlet()):
         tab = space.face_table(faces, fidxs)
         pbar = _face_data(tab, lambda x: data.p_out(x, t))
         add(tab, "u", _face_loads(tab.basis[:, 0, 0],
                                   (tab.weights * -pbar)[:, None] * tab.normal[:, :, None]), c)
 
     # Dirichlet lifting for the displacement
-    if fidxs := faces.dirichlet("d"):
+    if len(fidxs := faces.dirichlet("d")):
         tab = space.face_table(faces, fidxs)
         lift, _ = _vector_lift(tab, _face_data(tab, lambda x: data.dirichlet_d(x, t)),
                                params.mu_el, params.lam,
-                               penalty_coefficients(tab, params, space.m).eta)
+                               penalty_coefficients(tab.harmonic_h, params, space.m).eta)
         add(tab, "d", lift, c[:, None])
 
     # Dirichlet lifting for the compartment pressures, plus the mass-coupling
     # lifting carrying the time derivative of the displacement datum
     for j in params.compartments:
-        if not (fidxs := faces.dirichlet(f"p:{j}")):
+        if not len(fidxs := faces.dirichlet(f"p:{j}")):
             continue
         kappa = params.k_j[j] / params.mu_j[j]
         tab = space.face_table(faces, fidxs)
         w, n = tab.weights, tab.normal
         phi, gx, gy = np.moveaxis(tab.basis[:, 0], 1, 0)
         dn = gx * n[:, None, None, 0] + gy * n[:, None, None, 1]
-        zeta = penalty_coefficients(tab, params, space.m).zeta[j]
+        zeta = penalty_coefficients(tab.harmonic_h, params, space.m).zeta[j]
         wg = (w * _face_data(tab, lambda x: data.dirichlet_pj(j, x, t)))[:, None]
         gdn = (_face_data(tab, lambda x: data.dirichlet_d_dot(x, t)) @ n[:, :, None])[..., 0]
         terms = (-kappa * _face_loads(dn, wg) + zeta[:, None, None] * _face_loads(phi, wg),
@@ -434,11 +435,11 @@ def assemble_loads(space: DGSpace, params: PhysicalParams, faces: FaceSet, data,
         add(tab, f"p:{j}", np.concatenate(terms, axis=1))
 
     # Dirichlet lifting for the fluid velocity, plus the divergence-row lifting
-    if fidxs := faces.dirichlet("u"):
+    if len(fidxs := faces.dirichlet("u")):
         tab = space.face_table(faces, fidxs)
         lift, gn = _vector_lift(tab, _face_data(tab, lambda x: data.dirichlet_u(x, t)),
                                 params.mu_f, 0.0,
-                                penalty_coefficients(tab, params, space.m).gamma_v)
+                                penalty_coefficients(tab.harmonic_h, params, space.m).gamma_v)
         add(tab, "u", lift, c[:, None])
         add(tab, "p", -_face_loads(tab.basis[:, 0, 0], (tab.weights * gn)[:, None])[:, 0])
 

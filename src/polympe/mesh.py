@@ -1,4 +1,4 @@
-"""Two-subdomain polygonal meshes with per-variable face classification.
+"""Two-subdomain polygonal meshes and their face table.
 
 A mesh covers an elastic (poroelastic tissue) and a fluid (CSF) subdomain.
 Faces separating elements of different subdomains form the interface set;
@@ -10,7 +10,9 @@ index array per group, so its geometry and its validation are one array
 reduction per group. Its edges form one :class:`EdgeTable`, lexsorted by
 vertex key, with the element and the oriented vertex pair of each side:
 faces, the interface and boundary edge sets, the quality report and the
-agglomeration adjacency are all read from that table.
+agglomeration adjacency are all read from that table. :func:`build_faces`
+turns it into one :class:`FaceSet`, a table of per-face arrays in the same
+order with its index sets, which :mod:`polympe.spaces` tabulates directly.
 
 Meshes and face sets are immutable after construction and safe to share
 between concurrent assembly workers.
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -265,46 +267,9 @@ class PolyMesh:
         return self._edge_keys(~self.edges.interior)
 
 
-@dataclass(frozen=True)
-class Face:
-    """A straight mesh face with geometry and per-variable classification.
-
-    ``elem_plus`` owns the stored orientation: ``normal`` points out of it.
-    On interface faces ``elem_plus`` is always the elastic element, so
-    ``normal`` is the elastic outward normal and the fluid one is its
-    negative. ``elem_minus`` is ``None`` on boundary faces.
-    """
-
-    v0: int
-    v1: int
-    elem_plus: int
-    elem_minus: int | None
-    normal: np.ndarray
-    measure: float
-    h_plus: float
-    h_minus: float | None
-    harmonic_h: float
-    kind: str  # interior-el | interior-f | interface | boundary-el | boundary-f
-    domain: str  # domain of elem_plus
-    label: str | None = None
-    dirichlet_vars: frozenset[str] = frozenset()
-
-    def classification(self, variables: Iterable[str] = ()) -> set[str]:
-        """Classification tags, one per requested variable on boundary faces."""
-        if self.kind in ("interior-el", "interior-f", "interface"):
-            return {self.kind}
-        tags = set()
-        for var in variables:
-            if var in self.dirichlet_vars:
-                pretty = {"d": "dirichlet-d", "u": "dirichlet-u"}.get(var)
-                tags.add(pretty or f"dirichlet-p({var.split(':', 1)[1]})")
-            elif var == "u":
-                tags.add("neumann-out")
-            elif var.startswith("p:"):
-                tags.add(f"neumann-p({var.split(':', 1)[1]})")
-            else:
-                tags.add(f"neumann-{var}")
-        return tags
+#: face kinds by the code :attr:`FaceSet.kind` stores: interior (elastic,
+#: fluid), interface, boundary (elastic, fluid); each names an index set
+KINDS = ("interior-el", "interior-f", "interface", "boundary-el", "boundary-f")
 
 
 def harmonic_h(h_plus, h_minus=None):
@@ -315,37 +280,70 @@ def harmonic_h(h_plus, h_minus=None):
     return 2.0 * h_plus * h_minus / (h_plus + h_minus)
 
 
-class FaceSet:
-    """All faces of a mesh, indexed by category and per-variable Dirichlet sets."""
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
-    def __init__(self, faces: Sequence[Face]):
-        self.faces = list(faces)
-        self.interior_el = [i for i, f in enumerate(faces) if f.kind == "interior-el"]
-        self.interior_f = [i for i, f in enumerate(faces) if f.kind == "interior-f"]
-        self.interface = [i for i, f in enumerate(faces) if f.kind == "interface"]
-        self.boundary_el = [i for i, f in enumerate(faces) if f.kind == "boundary-el"]
-        self.boundary_f = [i for i, f in enumerate(faces) if f.kind == "boundary-f"]
+
+_NO_FACES = _readonly(np.zeros(0, dtype=int))
+
+
+@dataclass(frozen=True, eq=False)
+class FaceSet:
+    """Every face of a mesh as read-only arrays, one row per edge in
+    edge-table (sorted vertex key) order.
+
+    Face ``i`` runs from vertex ``ab[i, 0]`` to ``ab[i, 1]`` along the loop of
+    its plus element ``elem[i, 0]``, and ``normal[i]`` points out of that
+    element; on interface faces it is the elastic one. ``elem[i, 1]`` is the
+    minus element, -1 on boundary faces. ``kind[i]`` indexes :data:`KINDS`,
+    ``label[i]`` is the boundary label (``None`` on interior faces), and
+    ``dirichlet_map`` sends a label to its Dirichlet variables.
+
+    The index sets are int arrays computed once: ``interior_el``,
+    ``interior_f``, ``interface``, ``boundary_el`` and ``boundary_f`` in face
+    order, and :meth:`dirichlet`, :meth:`sipg_faces` and :meth:`outlet`.
+    """
+
+    ab: np.ndarray  # (F, 2)
+    elem: np.ndarray  # (F, 2)
+    normal: np.ndarray  # (F, 2)
+    harmonic_h: np.ndarray  # (F,)
+    kind: np.ndarray  # (F,)
+    label: np.ndarray  # (F,) object
+    dirichlet_map: Mapping[str, frozenset]
+
+    def __post_init__(self):
+        for code, kind in enumerate(KINDS):
+            object.__setattr__(self, kind.replace("-", "_"),
+                               _readonly(np.flatnonzero(self.kind == code)))
+        dirichlet, sipg = {}, {}
+        for var in set().union(*self.dirichlet_map.values()):
+            pool = self.boundary_f if var == "u" else self.boundary_el
+            labels = [lab for lab, vs in self.dirichlet_map.items() if var in vs]
+            dirichlet[var] = _readonly(pool[np.isin(self.label[pool], labels)])
+            sipg[var] = _readonly(np.concatenate([self._interior(var), dirichlet[var]]))
+        outlet = _readonly(np.setdiff1d(self.boundary_f, dirichlet.get("u", _NO_FACES)))
+        for name, value in (("_dirichlet", dirichlet), ("_sipg", sipg), ("_outlet", outlet)):
+            object.__setattr__(self, name, value)
 
     def __len__(self):
-        return len(self.faces)
+        return len(self.kind)
 
-    def dirichlet(self, var: str) -> list[int]:
+    def _interior(self, var: str) -> np.ndarray:
+        return self.interior_f if var == "u" else self.interior_el
+
+    def dirichlet(self, var: str) -> np.ndarray:
         """Boundary faces where ``var`` carries a Dirichlet condition."""
-        pool = self.boundary_f if var == "u" else self.boundary_el
-        return [i for i in pool if var in self.faces[i].dirichlet_vars]
+        return self._dirichlet.get(var, _NO_FACES)
 
-    def sipg_faces(self, var: str) -> list[int]:
-        """Interior plus Dirichlet faces entering the SIPG form of ``var``."""
-        interior = self.interior_f if var == "u" else self.interior_el
-        return interior + self.dirichlet(var)
+    def sipg_faces(self, var: str) -> np.ndarray:
+        """Interior faces, then Dirichlet faces, entering the SIPG form of ``var``."""
+        return self._sipg.get(var, self._interior(var))
 
-    def outlet(self) -> list[int]:
+    def outlet(self) -> np.ndarray:
         """Fluid boundary faces with the natural (outlet stress) condition."""
-        return [i for i in self.boundary_f if "u" not in self.faces[i].dirichlet_vars]
-
-
-#: face kinds by code: interior (elastic, fluid), interface, boundary (elastic, fluid)
-_KINDS = ("interior-el", "interior-f", "interface", "boundary-el", "boundary-f")
+        return self._outlet
 
 
 def build_faces(mesh: PolyMesh, dirichlet_map: Mapping[str, Iterable[str]]) -> FaceSet:
@@ -363,17 +361,15 @@ def build_faces(mesh: PolyMesh, dirichlet_map: Mapping[str, Iterable[str]]) -> F
     fluid = mesh._fluid[t.elem]  # the missing side of a boundary edge is masked below
     # faces are oriented from side 0, interface faces from their elastic side
     side = (inner & fluid[:, 0] & ~fluid[:, 1]).astype(int)
-    kp, km = t.elem[rows, side], t.elem[rows, 1 - side]
-    a, b = t.ab[rows, side, 0], t.ab[rows, side, 1]
+    elem = np.stack([t.elem[rows, side], t.elem[rows, 1 - side]], axis=1)
+    ab = t.ab[rows, side]
     fluid_p = fluid[rows, side].astype(int)
     kind = np.where(inner, np.where(fluid[:, 0] != fluid[:, 1], 2, fluid_p), 3 + fluid_p)
 
-    tv = mesh.vertices[b] - mesh.vertices[a]
-    measure = np.hypot(tv[:, 0], tv[:, 1])
-    normal = np.stack([tv[:, 1], -tv[:, 0]], axis=1) / measure[:, None]
-    normal.setflags(write=False)
-    h_plus, h_minus = mesh.diameters[kp], mesh.diameters[km]
-    harm = np.where(inner, harmonic_h(h_plus, h_minus), h_plus)
+    tv = mesh.vertices[ab[:, 1]] - mesh.vertices[ab[:, 0]]
+    normal = np.stack([tv[:, 1], -tv[:, 0]], axis=1) / np.hypot(tv[:, 0], tv[:, 1])[:, None]
+    h = mesh.diameters[elem]
+    harm = np.where(inner, harmonic_h(h[:, 0], h[:, 1]), h[:, 0])
 
     keys = list(map(tuple, t.key[~inner].tolist()))
     found = [mesh.boundary_labels.get(key) for key in keys]
@@ -381,20 +377,9 @@ def build_faces(mesh: PolyMesh, dirichlet_map: Mapping[str, Iterable[str]]) -> F
         raise MeshError(f"unlabeled boundary edge {keys[found.index(None)]}")
     label = np.full(len(rows), None, dtype=object)
     label[~inner] = found
-    dir_vars = {lab: frozenset(dirichlet_map.get(lab, ())) for lab in set(found)}
-    dir_vars[None] = frozenset()
-
-    faces = [
-        Face(v0=v0, v1=v1, elem_plus=p, elem_minus=m if m >= 0 else None, normal=nrm,
-             measure=ms, h_plus=hp, h_minus=hm if m >= 0 else None, harmonic_h=hh,
-             kind=_KINDS[c], domain=FLUID if fl else ELASTIC,
-             label=lab, dirichlet_vars=dir_vars[lab])
-        for v0, v1, p, m, nrm, ms, hp, hm, hh, c, fl, lab in zip(
-            a.tolist(), b.tolist(), kp.tolist(), km.tolist(), normal, measure.tolist(),
-            h_plus.tolist(), h_minus.tolist(), harm.tolist(), kind.tolist(),
-            fluid_p.tolist(), label.tolist())
-    ]
-    return FaceSet(faces)
+    return FaceSet(ab=_readonly(ab), elem=_readonly(elem), normal=_readonly(normal),
+                   harmonic_h=_readonly(harm), kind=_readonly(kind), label=_readonly(label),
+                   dirichlet_map={lab: frozenset(vs) for lab, vs in dirichlet_map.items()})
 
 
 @dataclass

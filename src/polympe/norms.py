@@ -45,10 +45,10 @@ def jump_sq(space: DGSpace, faces: FaceSet, fidxs, field: str, vec, penalty,
     its error against ``exact``); vector jumps in the symmetric tensor sense
     ([[v]]:[[v]] = (|j|^2 + (j.n)^2) / 2 with j the trace difference).
 
-    ``penalty`` maps the stacked face table to per-face weights, e.g.
-    ``lambda f: penalty_coefficients(f, params, m).eta``.
+    ``penalty`` maps the harmonic diameters (F,) of the faces to per-face
+    weights, e.g. ``lambda h: penalty_coefficients(h, params, m).eta``.
     """
-    if not fidxs:
+    if not len(fidxs):
         return 0.0
     tab = space.face_table(faces, fidxs)
     j = tab.jump(space.coeffs(field, vec))  # (F, nq, ncomp)
@@ -59,7 +59,7 @@ def jump_sq(space: DGSpace, faces: FaceSet, fidxs, field: str, vec, penalty,
     jj = (j * j).sum(axis=2)
     if j.shape[2] == 2:
         jj = 0.5 * (jj + (j * tab.normal[:, None, :]).sum(axis=2) ** 2)
-    return float(np.sum(penalty(tab)[:, None] * tab.weights * jj))
+    return float(np.sum(penalty(tab.harmonic_h)[:, None] * tab.weights * jj))
 
 
 def broken_norms(space: DGSpace, faces: FaceSet, params: PhysicalParams, state: dict,
@@ -69,8 +69,8 @@ def broken_norms(space: DGSpace, faces: FaceSet, params: PhysicalParams, state: 
     ``state`` maps field names to field-local DOF vectors. Returns a dict
     with keys ``d``, ``p:<j>``, ``u``, ``p`` holding the squared norms.
     """
-    def pen(tab):
-        return penalty_coefficients(tab, params, space.m)
+    def pen(h):
+        return penalty_coefficients(h, params, space.m)
 
     out = {}
     w, g = _volume_error(space, "d", state["d"], exact, t, grad=True)
@@ -79,7 +79,7 @@ def broken_norms(space: DGSpace, faces: FaceSet, params: PhysicalParams, state: 
     out["d"] = float(np.sum(w * (2 * params.mu_el * (eps * eps).sum(axis=(1, 2))
                                  + params.lam * tr * tr)))
     out["d"] += jump_sq(space, faces, faces.sipg_faces("d"), "d", state["d"],
-                        lambda f: pen(f).eta, exact, t)
+                        lambda h: pen(h).eta, exact, t)
 
     for j in params.compartments:
         name = f"p:{j}"
@@ -87,17 +87,17 @@ def broken_norms(space: DGSpace, faces: FaceSet, params: PhysicalParams, state: 
         w, g = _volume_error(space, name, state[name], exact, t, grad=True)
         out[name] = kappa * float(np.sum(w * (g * g).sum(axis=(1, 2))))
         out[name] += jump_sq(space, faces, faces.sipg_faces(name), name, state[name],
-                             lambda f, j=j: pen(f).zeta[j], exact, t)
+                             lambda h, j=j: pen(h).zeta[j], exact, t)
 
     w, g = _volume_error(space, "u", state["u"], exact, t, grad=True)
     eps = 0.5 * (g + g.transpose(0, 2, 1))
     out["u"] = float(np.sum(w * 2 * params.mu_f * (eps * eps).sum(axis=(1, 2))))
     out["u"] += jump_sq(space, faces, faces.interior_f, "u", state["u"],
-                        lambda f: pen(f).gamma_v, exact, t)
+                        lambda h: pen(h).gamma_v, exact, t)
 
     out["p"] = weighted_l2sq(space, "p", state["p"], 1.0, exact, t=t)
-    out["p"] += jump_sq(space, faces, faces.interior_f + faces.dirichlet("u"), "p", state["p"],
-                        lambda f: pen(f).gamma_p, exact, t)
+    out["p"] += jump_sq(space, faces, faces.sipg_faces("u"), "p", state["p"],
+                        lambda h: pen(h).gamma_p, exact, t)
     return out
 
 

@@ -9,8 +9,10 @@ exact to the requested order; face rules are Gauss-Legendre segments.
 :class:`DGSpace` owns the coefficient layout and the basis tabulations,
 stacked per subdomain or face set so that one contraction evaluates, projects
 or averages a field at all quadrature points, and one batched product per
-group of equal-sized elements (or per face set) assembles a form. There are
-no per-element or per-face accessors.
+group of equal-sized elements (or per face set) assembles a form. The face
+tabulation reads the endpoint, element, normal and diameter arrays of a
+:class:`~polympe.mesh.FaceSet` directly. There are no per-element or per-face
+accessors.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 from scipy.linalg import cholesky, solve_triangular
 
-from .mesh import ELASTIC, FLUID, PolyMesh
+from .mesh import ELASTIC, FLUID, FaceSet, PolyMesh
 
 
 @dataclass(frozen=True)
@@ -297,23 +299,21 @@ class DGSpace:
         """Stacked volume tabulation of the ``domain`` elements."""
         return self._tables[domain]
 
-    def face_table(self, faces, fidxs) -> FaceTable:
+    def face_table(self, faces: FaceSet, fidxs) -> FaceTable:
         """Stacked face tabulation of the faces ``fidxs`` of ``faces``. Every
         face set of the mesh lists the same faces (a Dirichlet map only labels
         them), so the first one tabulates them all."""
         if self._faces is None:
-            self._faces = self._tabulate_faces(faces.faces)
+            self._faces = self._tabulate_faces(faces)
         return self._faces.take(fidxs)
 
-    def _tabulate_faces(self, faces: list) -> FaceTable:
-        """The face table of every face of the mesh. Each element evaluates
-        its basis once, on the quadrature points of all its faces."""
+    def _tabulate_faces(self, faces: FaceSet) -> FaceTable:
+        """The face table of every face of the mesh, read from the arrays of
+        ``faces``. Each element evaluates its basis once, on the quadrature
+        points of all its faces."""
         nf = len(faces)
-        v = self.mesh.vertices
-        rule = face_quadrature(np.stack([v[[f.v0 for f in faces]], v[[f.v1 for f in faces]]],
-                                        axis=1), self.face_order)
-        plus = np.array([f.elem_plus for f in faces], dtype=int)
-        minus = np.array([-1 if f.elem_minus is None else f.elem_minus for f in faces], dtype=int)
+        rule = face_quadrature(self.mesh.vertices[faces.ab], self.face_order)
+        plus, minus = faces.elem.T
         inner = minus >= 0
         nq = rule.weights.shape[1]
         basis = np.zeros((nf, 2, 3, nq, self.n_loc))
@@ -330,11 +330,9 @@ class DGSpace:
         to_local = np.zeros(self.mesh.n_elements, dtype=int)
         to_local[list(self.local_index)] = list(self.local_index.values())
         return FaceTable(
-            points=rule.points, weights=rule.weights,
-            normal=np.array([f.normal for f in faces]).reshape(nf, 2),
-            harmonic_h=np.array([f.harmonic_h for f in faces], dtype=float),
-            boundary=~inner, elem=to_local[np.stack([plus, np.where(inner, minus, plus)], axis=1)],
-            basis=basis)
+            points=rule.points, weights=rule.weights, normal=faces.normal,
+            harmonic_h=faces.harmonic_h, boundary=~inner,
+            elem=to_local[np.stack([plus, np.where(inner, minus, plus)], axis=1)], basis=basis)
 
 
 def build_space(mesh: PolyMesh, m: int, compartments=("E",)) -> DGSpace:

@@ -162,7 +162,8 @@ def initial_state(sys: SystemMatrices, faces: FaceSet, case=None, dof_values=Non
 def simulate(sys: SystemMatrices, faces: FaceSet, sp_: SchemeParams, data,
              n_steps: int, state0: TimeState, stride: int = 1):
     """March ``n_steps`` uniform steps from ``state0``; returns the recorded
-    states (every ``stride``-th plus first and last) and their times.
+    states (every ``stride``-th plus first and last) and their times. Step
+    ``n`` is at ``state0.t + n * dt``, the time its loads are assembled at.
 
     The initial load of the divergence row is replaced by its discretely
     compatible value, so the theta-averaged algebraic constraint starts with
@@ -178,11 +179,11 @@ def simulate(sys: SystemMatrices, faces: FaceSet, sp_: SchemeParams, data,
     states, times = [state0], [state0.t]
     loads_n = forms.assemble_loads(space, sys.params, faces, data, state0.t)
     loads_n[space.field_slice("p")] = sys.S @ state0.p - sys.B_f @ state0.u
-    x, t = pack(sys, state0), state0.t
+    x = pack(sys, state0)
     for n in range(1, n_steps + 1):
-        loads_np1 = forms.assemble_loads(space, sys.params, faces, data, state0.t + n * sp_.dt)
+        t = state0.t + n * sp_.dt
+        loads_np1 = forms.assemble_loads(space, sys.params, faces, data, t)
         x = fact.solve(A2 @ x + blend_loads(sys, sp_, loads_n, loads_np1))
-        t += sp_.dt
         if not np.isfinite(x).all():
             raise NumericalError(f"non-finite state at step {n} (t = {t:.6g})")
         loads_n = loads_np1

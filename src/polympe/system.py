@@ -175,7 +175,7 @@ class StructuralReport:
     pairing: dict = field(default_factory=dict)
     interface_energy: float = 0.0
     sym_tol: float = 1e-12
-    psd_tol: float = -1e-10
+    psd_tol: float = -1e-12
 
     @property
     def passed(self) -> bool:
@@ -191,7 +191,7 @@ class StructuralReport:
         for name, v in self.symmetry.items():
             lines.append(f"  symmetry {name}: {v:.3e}")
         for name, v in self.psd_min.items():
-            lines.append(f"  psd min(x'Ax/|x|^2) {name}: {v:.3e}")
+            lines.append(f"  psd min eig/max|eig| {name}: {v:.3e}")
         for name, v in self.pairing.items():
             lines.append(f"  pairing {name}: {v:.3e}")
         lines.append(f"  interface energy cancellation: {self.interface_energy:.3e}")
@@ -212,10 +212,12 @@ def _rel_diff(a, b) -> float:
     return (np.abs(d.data).max() / scale) if d.nnz else 0.0
 
 
-def structural_checks(sys: SystemMatrices, n_samples: int = 200, seed: int = 0,
+def structural_checks(sys: SystemMatrices, seed: int = 0,
                       global_matrix=None) -> StructuralReport:
-    """Symmetry, positive-semidefiniteness sampling, transpose pairing of the
-    placed blocks, and the interface energy-cancellation residual.
+    """Symmetry, positive semidefiniteness (each stiffness's smallest over its
+    largest |eigenvalue|, from one dense ``eigvalsh``: verification meshes
+    have a few thousand rows at most), transpose pairing of the placed
+    blocks, and the interface energy-cancellation residual.
 
     ``global_matrix`` may supply an externally assembled stacked operator
     (with unit time-derivative slots) to be checked against the stored
@@ -232,11 +234,8 @@ def structural_checks(sys: SystemMatrices, n_samples: int = 200, seed: int = 0,
     for name, mat in named.items():
         rep.symmetry[name] = _rel_sym(mat)
         if name.startswith("A_") or name == "S":
-            worst = np.inf
-            for _ in range(n_samples):
-                v = rng.standard_normal(mat.shape[0])
-                worst = min(worst, float(v @ (mat @ v)) / float(v @ v))
-            rep.psd_min[name] = worst
+            ev = np.linalg.eigvalsh(mat.toarray()) if mat.shape[0] else np.zeros(1)
+            rep.psd_min[name] = float(ev[0] / (np.abs(ev).max() or 1.0))
 
     G1 = build_global(sys, s=1.0) if global_matrix is None else global_matrix
     G0 = build_global(sys, s=0.0)

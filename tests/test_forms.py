@@ -8,7 +8,7 @@ import sympy as sym
 from polympe import forms
 from polympe.families import VERIFICATION_DIRICHLET
 from polympe.manufactured import ManufacturedCase, X, Y, _strong_sources
-from polympe.mesh import Face, build_faces
+from polympe.mesh import build_faces, harmonic_h
 from polympe.params import PhysicalParams
 from polympe.spaces import build_space, l2_project
 
@@ -27,16 +27,15 @@ def interp(space, field, fn):
 
 # -- penalties -----------------------------------------------------------
 
-def make_face(h_plus, h_minus=None):
-    from polympe.mesh import harmonic_h
-    return Face(v0=0, v1=1, elem_plus=0, elem_minus=None if h_minus is None else 1,
-                normal=np.array([1.0, 0.0]), measure=1.0, h_plus=h_plus, h_minus=h_minus,
-                harmonic_h=harmonic_h(h_plus, h_minus), kind="interior-el", domain="elastic")
+def face_h(h_plus, h_minus=None):
+    """The harmonic diameter ``penalty_coefficients`` reads for a face
+    between elements of diameters ``h_plus`` and ``h_minus``."""
+    return harmonic_h(h_plus, h_minus)
 
 
 def test_penalty_values_elastic():
     params = PhysicalParams.unit()
-    pv = forms.penalty_coefficients(make_face(0.1, 0.1), params)
+    pv = forms.penalty_coefficients(face_h(0.1, 0.1), params)
     # largest eigenvalue of the isotropic elasticity tensor via a Voigt-form
     # eigenvalue oracle: C = [[2mu+lam, lam, 0], [lam, 2mu+lam, 0], [0, 0, 2mu]]
     voigt = np.array([[3.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 2.0]])
@@ -46,7 +45,7 @@ def test_penalty_values_elastic():
 
 def test_penalty_values_darcy_and_fluid():
     params = PhysicalParams.unit()
-    pv = forms.penalty_coefficients(make_face(0.5, 0.5), params)
+    pv = forms.penalty_coefficients(face_h(0.5, 0.5), params)
     assert pv.zeta["E"] == pytest.approx(20.0)
     assert pv.gamma_v == pytest.approx(10.0 / 0.5)
     assert pv.gamma_p == pytest.approx(10.0 * 0.5)
@@ -55,8 +54,8 @@ def test_penalty_values_darcy_and_fluid():
 def test_penalty_degree_scaling():
     # eta, zeta, gamma_v carry the degree^2 factor; gamma_p stays linear in h
     params = PhysicalParams.unit()
-    base = forms.penalty_coefficients(make_face(0.2, 0.2), params, degree=1)
-    high = forms.penalty_coefficients(make_face(0.2, 0.2), params, degree=3)
+    base = forms.penalty_coefficients(face_h(0.2, 0.2), params, degree=1)
+    high = forms.penalty_coefficients(face_h(0.2, 0.2), params, degree=3)
     assert high.eta == pytest.approx(9 * base.eta)
     assert high.zeta["E"] == pytest.approx(9 * base.zeta["E"])
     assert high.gamma_v == pytest.approx(9 * base.gamma_v)
@@ -66,7 +65,7 @@ def test_penalty_degree_scaling():
 def test_penalty_ratio_scaling_check():
     params = PhysicalParams.unit()
     for h in (0.05, 0.3):
-        pv = forms.penalty_coefficients(make_face(h, h), params)
+        pv = forms.penalty_coefficients(face_h(h, h), params)
         assert pv.gamma_p / pv.gamma_v == pytest.approx(
             (params.gamma_p_bar / params.gamma_v_bar) * h ** 2 / params.mu_f)
 

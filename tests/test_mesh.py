@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from polympe.cli import resolve_mesh
-from polympe.families import cartesian_two_domain, triangulated_two_domain, VERIFICATION_DIRICHLET
-from polympe.mesh import (ELASTIC, MeshError, PolyMesh, build_faces, harmonic_h, load_mesh,
+from polympe.families import (DEMO_DIRICHLET, VERIFICATION_DIRICHLET, cartesian_two_domain,
+                              triangulated_two_domain)
+from polympe.mesh import (ELASTIC, KINDS, MeshError, PolyMesh, build_faces, harmonic_h, load_mesh,
                           quality_report, save_mesh)
 
 from conftest import two_square_mesh, unit_square_mesh
@@ -79,21 +81,25 @@ def test_edge_shared_by_three_rejected():
 
 def test_interface_classification():
     faces = build_faces(two_square_mesh(), VERIFICATION_DIRICHLET)
-    f = faces.faces[faces.interface[0]]
-    assert f.kind == "interface"
-    assert f.classification() == {"interface"}
+    i = faces.interface[0]
+    assert KINDS[faces.kind[i]] == "interface"
+    # no boundary condition of any variable applies to an interface face
+    for fidxs in (faces.dirichlet("d"), faces.dirichlet("u"), faces.dirichlet("p:E"),
+                  faces.outlet()):
+        assert i not in fidxs
     # interface normal points out of the elastic element
-    assert np.allclose(f.normal, [1.0, 0.0])
+    assert np.allclose(faces.normal[i], [1.0, 0.0])
 
 
 def test_wall_classification_per_variable():
     faces = build_faces(two_square_mesh(), {"el": {"d"}, "wall": {"d", "u"}, "out": set()})
-    wall = next(faces.faces[i] for i in faces.boundary_f if faces.faces[i].label == "wall")
-    tags = wall.classification(["d", "u", "p:E"])
-    assert "dirichlet-u" in tags and "neumann-p(E)" in tags
-    out = next(faces.faces[i] for i in faces.boundary_f if faces.faces[i].label == "out")
-    assert "neumann-out" in out.classification(["u"])
-    assert faces.outlet() == [faces.faces.index(out)]
+    wall = next(i for i in faces.boundary_f if faces.label[i] == "wall")
+    # Dirichlet for the velocity, natural for the compartment pressure
+    assert wall in faces.dirichlet("u") and wall not in faces.dirichlet("p:E")
+    out = next(i for i in faces.boundary_f if faces.label[i] == "out")
+    # the natural outlet condition for the velocity
+    assert out not in faces.dirichlet("u")
+    assert faces.outlet().tolist() == [out]
 
 
 def test_unlabeled_boundary_edge():
@@ -152,15 +158,51 @@ def test_interface_set_invariant_under_reordering():
 
 
 def test_interior_normals_opposite():
-    # the stored normal is outward from elem_plus; the minus-side normal is
-    # its exact negative by construction, so check outwardness for both
+    # the stored normal is outward from the plus element; the minus-side
+    # normal is its exact negative by construction, so check outwardness for both
     mesh = triangulated_two_domain(3, jitter=0.2)
     faces = build_faces(mesh, VERIFICATION_DIRICHLET)
-    for f in faces.faces:
-        mid = 0.5 * (mesh.vertices[f.v0] + mesh.vertices[f.v1])
-        assert np.dot(f.normal, mid - mesh.centroids[f.elem_plus]) > 0
-        if f.elem_minus is not None:
-            assert np.dot(-f.normal, mid - mesh.centroids[f.elem_minus]) > 0
+    mid = 0.5 * (mesh.vertices[faces.ab[:, 0]] + mesh.vertices[faces.ab[:, 1]])
+    plus, minus = faces.elem.T
+    assert ((faces.normal * (mid - mesh.centroids[plus])).sum(axis=1) > 0).all()
+    inner = minus >= 0
+    assert ((-faces.normal[inner] * (mid[inner] - mesh.centroids[minus[inner]])).sum(axis=1)
+            > 0).all()
+
+
+#: sha256 of every face-table array and index set of the configs/demo.json
+#: coarse mesh, recorded from the per-face objects the table replaced
+FACE_PINS = json.loads((Path(__file__).parent / "face_pins.json").read_text())
+_DIRICHLET_MAPS = {"verification": VERIFICATION_DIRICHLET, "demo": DEMO_DIRICHLET}
+
+
+def _face_table_hashes(faces) -> dict:
+    items = {"endpoints": faces.ab, "elements": faces.elem, "normal": faces.normal,
+             "harmonic_h": faces.harmonic_h, "kind": faces.kind,
+             "label": json.dumps(faces.label.tolist()).encode()}
+    for name in ("interior_el", "interior_f", "interface", "boundary_el", "boundary_f"):
+        items[name] = getattr(faces, name)
+    for var in ("d", "u", "p:E"):
+        items[f"dirichlet({var})"] = faces.dirichlet(var)
+        items[f"sipg_faces({var})"] = faces.sipg_faces(var)
+    items["outlet()"] = faces.outlet()
+
+    def sha(v):
+        if not isinstance(v, bytes):
+            v = np.ascontiguousarray(v, dtype=np.float64 if v.dtype.kind == "f" else np.int64)
+        return hashlib.sha256(v).hexdigest()
+
+    return {k: sha(v) for k, v in items.items()}
+
+
+@pytest.mark.parametrize("case", sorted(FACE_PINS))
+def test_face_table_pinned(case):
+    seed, dmap = case.split("-")
+    spec = json.loads((Path(__file__).parents[1] / "configs" / "demo.json").read_text())["mesh"]
+    mesh = resolve_mesh(dict(spec, seed=int(seed.removeprefix("seed"))))
+    faces = build_faces(mesh, _DIRICHLET_MAPS[dmap])
+    assert len(faces) == len(mesh.edges.code)
+    assert _face_table_hashes(faces) == FACE_PINS[case]
 
 
 def test_save_load_roundtrip(tmp_path, mesh80):

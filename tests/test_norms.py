@@ -75,7 +75,7 @@ def test_continuous_interpolant_has_no_jumps(cart4_setup, unit_params):
     st["d"] = l2_project(space, "d", lambda p: np.stack([p[:, 0] * p[:, 1], p[:, 1] ** 2], axis=1))
     from polympe.forms import penalty_coefficients
     jump = norms.jump_sq(space, faces, faces.interior_el, "d", st["d"],
-                         lambda f: penalty_coefficients(f, unit_params, space.m).eta)
+                         lambda h: penalty_coefficients(h, unit_params, space.m).eta)
     assert jump < 1e-10
 
 

@@ -143,12 +143,19 @@ def test_non_finite_state_names_its_step(small_sys):
 
 def test_simulate_final_time_and_stride(small_sys):
     sp = stepping.SchemeParams(dt=0.25)
-    st0 = stepping.initial_state(small_sys.sys, small_sys.faces)
+    st0 = stepping.initial_state(small_sys.sys, small_sys.faces, t0=0.1)
     states, times = stepping.simulate(small_sys.sys, small_sys.faces, sp,
                                       forms.ZeroData(), 8, st0, stride=3)
-    assert times[-1] == pytest.approx(8 * 0.25)
-    # initial + steps 3, 6 + final 8
+    # initial + steps 3, 6 + final 8, each at the time its loads use
     assert len(states) == 4
+    assert times == [0.1 + n * 0.25 for n in (0, 3, 6, 8)]
+    assert [st.t for st in states] == times
+    # 300 steps of 0.01 end at 3.0, not at the sum of 300 increments
+    st0 = stepping.initial_state(small_sys.sys, small_sys.faces)
+    states, times = stepping.simulate(small_sys.sys, small_sys.faces,
+                                      stepping.SchemeParams(dt=0.01), forms.ZeroData(), 300, st0,
+                                      stride=300)
+    assert times[-1] == states[-1].t == 3.0
 
 
 def test_trajectory_deterministic(unsteady):

@@ -1,8 +1,13 @@
+import json
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 from polympe import forms
+from polympe.cli import resolve_params
 from polympe.driver import setup, solve_steady
-from polympe.families import VERIFICATION_DIRICHLET, cartesian_two_domain
+from polympe.families import DEMO_DIRICHLET, VERIFICATION_DIRICHLET, cartesian_two_domain
 from polympe.mesh import build_faces
 from polympe.params import PhysicalParams
 from polympe.solvers import factorize
@@ -72,6 +77,27 @@ def test_structural_checks_pass(cart4_setup, unit_params):
     assert all(v >= -1e-10 for v in rep.psd_min.values())
     assert all(v < 1e-12 for v in rep.pairing.values())
     assert rep.interface_energy < 1e-12
+
+
+def test_psd_min_is_the_exact_smallest_eigenvalue(cart4_setup, unit_params):
+    _, faces, space = cart4_setup
+    sysm = build_system(space, unit_params, faces)
+    rep = structural_checks(sysm)
+    stiff = {"A_el": sysm.A_el, "A_E": sysm.A_j["E"], "A_f": sysm.A_f, "S": sysm.S}
+    assert set(rep.psd_min) == set(stiff)
+    for name, mat in stiff.items():
+        ev = np.linalg.eigvalsh(mat.toarray())
+        assert rep.psd_min[name] == ev[0] / np.abs(ev).max()
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_structural_checks_pass_brain_preset_demo_mesh(mesh80):
+    # mesh80 is the configs/demo.json mesh; the brain-preset Darcy stiffness
+    # A_E is indefinite there until its penalty scales with k_j / mu_j
+    cfg = json.loads((Path(__file__).parents[1] / "configs" / "demo.json").read_text())
+    art = setup(mesh80, 2, resolve_params(cfg), DEMO_DIRICHLET)
+    rep = structural_checks(art.sys)
+    assert rep.passed, rep.summary()
 
 
 def test_structural_checks_flag_corrupted_sign(cart4_setup, unit_params):
