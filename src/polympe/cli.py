@@ -244,13 +244,12 @@ def cmd_solve(cfg: dict, out: Path) -> int:
         art = driver.setup(mesh, m, params, resolve_dirichlet(cfg, case_id))
         scheme = resolve_scheme(cfg, extra=("n_steps",))
         n_steps = int(cfg.get("scheme", {}).get("n_steps", 100))
-        case = data if case_id == "unsteady" else None
-        state0 = stepping.initial_state(art.sys, art.faces, case=case)
+        values = driver.projected_values(art.space, data) if case_id == "unsteady" else None
         states, times = stepping.simulate(art.sys, art.faces, scheme, data,
-                                          n_steps, state0, stride=stride)
+                                          n_steps, values, stride=stride)
         # one snapshot per recorded step, named by step number; the initial
         # state is not written
-        snaps = [(int(round(st.t / scheme.dt)), st.as_dict()) for st in states[1:]]
+        snaps = [(int(round(t / scheme.dt)), st) for st, t in zip(states[1:], times[1:])]
         space = art.space
 
     for i, st in snaps:

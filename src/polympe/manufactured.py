@@ -88,23 +88,27 @@ class ManufacturedCase:
     exprs: dict
     _fns: dict = field(default_factory=dict, repr=False)
 
-    def __post_init__(self):
-        for key, expr in self.exprs.items():
-            if key.startswith("_"):
-                continue
-            if isinstance(expr, sym.Matrix):
-                self._fns[key] = [_lam_np(expr[0]), _lam_np(expr[1])]
-                self._fns[key + ",t"] = [_lam_np(expr[0].diff(T)), _lam_np(expr[1].diff(T))]
-                self._fns[key + ",grad"] = [[_lam_np(expr[i].diff(v)) for v in (X, Y)] for i in (0, 1)]
-            else:
-                self._fns[key] = _lam_np(expr)
-                self._fns[key + ",t"] = _lam_np(expr.diff(T))
-                self._fns[key + ",grad"] = [_lam_np(expr.diff(v)) for v in (X, Y)]
+    def _fn(self, key: str):
+        """The callable of ``key`` (a field, ``<field>,t`` or ``<field>,grad``),
+        lambdified on first read: a run reads few of them."""
+        if key not in self._fns:
+            name, _, part = key.partition(",")
+            if name.startswith("_") or part not in ("", "t", "grad"):
+                raise KeyError(key)
+            expr = self.exprs[name]
+
+            def lam(e):
+                if part == "grad":
+                    return [_lam_np(e.diff(v)) for v in (X, Y)]
+                return _lam_np(e.diff(T) if part else e)
+
+            self._fns[key] = [lam(expr[0]), lam(expr[1])] if isinstance(expr, sym.Matrix) else lam(expr)
+        return self._fns[key]
 
     # -- exact-field evaluation -------------------------------------------
 
     def exact(self, name: str, pts, t=0.0):
-        f = self._fns[name]
+        f = self._fn(name)
         xs, ys = np.asarray(pts)[:, 0], np.asarray(pts)[:, 1]
         if isinstance(f, list):
             return np.stack([f[0](xs, ys, t), f[1](xs, ys, t)], axis=1)
@@ -114,7 +118,7 @@ class ManufacturedCase:
         return self.exact(name + ",t", pts, t)
 
     def exact_grad(self, name: str, pts, t=0.0):
-        g = self._fns[name + ",grad"]
+        g = self._fn(name + ",grad")
         xs, ys = np.asarray(pts)[:, 0], np.asarray(pts)[:, 1]
         if isinstance(g[0], list):
             return np.stack(

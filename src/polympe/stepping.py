@@ -3,8 +3,11 @@ for the pressure and fluid rows.
 
 The stepping vector is the field layout of :class:`~polympe.spaces.DGSpace`
 with the Newmark velocity ``z`` and acceleration ``a`` inserted after ``d``:
-x = (d, z, a, p:A..p:E, u, p). One step solves A1 x^{n+1} = A2 x^n + F^{n+1};
-both matrices are constant, so A1 is factorized once per run. Both are the
+x = (d, z, a, p:A..p:E, u, p). A state is the dict ``{field: vector}`` in
+that order (:func:`layout`); :func:`simulate` records the field views of each
+solved vector (:func:`polympe.system.split`). One step solves
+A1 x^{n+1} = A2 x^n + F^{n+1}; both matrices are constant, so A1 is
+factorized once per run. Both are the
 coupling pattern of :func:`polympe.system.coupling_blocks` (see the table
 there) plus the Newmark z and a rows. The displacement column of the
 pressure rows uses the Newmark increment with coefficient
@@ -25,8 +28,8 @@ import scipy.sparse as sp
 from . import forms
 from .mesh import FaceSet
 from .solvers import NumericalError, factorize
-from .spaces import DGSpace, l2_project
-from .system import EXCHANGE, SystemMatrices, coupling_blocks, place
+from .spaces import DGSpace
+from .system import EXCHANGE, SystemMatrices, coupling_blocks, place, split
 
 
 @dataclass
@@ -47,46 +50,12 @@ class SchemeParams:
             raise ValueError("theta must lie in [1/2, 1]")
 
 
-@dataclass
-class TimeState:
-    t: float
-    d: np.ndarray
-    z: np.ndarray
-    a: np.ndarray
-    p_j: dict
-    u: np.ndarray
-    p: np.ndarray
-
-    def as_dict(self) -> dict:
-        out = {"d": self.d, "z": self.z, "u": self.u, "p": self.p}
-        out.update({f"p:{j}": v for j, v in self.p_j.items()})
-        return out
-
-
 def layout(space: DGSpace) -> dict:
     """Field sizes of the stepping vector, in order: ``space.sizes`` with
     ``z`` and ``a`` after ``d``."""
     sizes = dict(space.sizes)
     n_d = sizes.pop("d")
     return {"d": n_d, "z": n_d, "a": n_d, **sizes}
-
-
-def field_slices(space: DGSpace) -> dict:
-    """The rows of each field in the stepping vector."""
-    sizes = layout(space)
-    ends = np.cumsum([0, *sizes.values()]).tolist()
-    return {f: slice(a, b) for f, a, b in zip(sizes, ends, ends[1:])}
-
-
-def pack(sys: SystemMatrices, st: TimeState) -> np.ndarray:
-    vals = dict(st.as_dict(), a=st.a)
-    return np.concatenate([vals[f] for f in layout(sys.space)])
-
-
-def unpack(sys: SystemMatrices, x: np.ndarray, t: float) -> TimeState:
-    v = {f: x[s].copy() for f, s in field_slices(sys.space).items()}
-    return TimeState(t=t, d=v["d"], z=v["z"], a=v["a"],
-                     p_j={j: v[f"p:{j}"] for j in sys.compartments}, u=v["u"], p=v["p"])
 
 
 def build_stepping_matrices(sys: SystemMatrices, sp_: SchemeParams):
@@ -126,44 +95,30 @@ def blend_loads(sys: SystemMatrices, sp_: SchemeParams, loads_n, loads_np1) -> n
                            th * loads_np1[n_d:] + (1 - th) * loads_n[n_d:]])
 
 
-def initial_state(sys: SystemMatrices, faces: FaceSet, case=None, dof_values=None,
-                  t0: float = 0.0, data=None) -> TimeState:
-    """Projected (or supplied, or zero) initial data with the acceleration
-    recovered from the momentum residual at t0. ``data`` overrides the load
-    source used for that residual when initial values are supplied directly."""
-    space = sys.space
-    zero = lambda f: np.zeros(space.sizes[f])
-    if case is not None:
-        d0 = l2_project(space, "d", lambda pts, t: case.exact("d", pts, t), t=t0)
-        z0 = l2_project(space, "d", lambda pts, t: case.exact_dt("d", pts, t), t=t0)
-        p_j0 = {j: l2_project(space, f"p:{j}", lambda pts, t, j=j: case.exact(f"p:{j}", pts, t), t=t0)
-                for j in sys.compartments}
-        u0 = l2_project(space, "u", lambda pts, t: case.exact("u", pts, t), t=t0)
-        p0 = l2_project(space, "p", lambda pts, t: case.exact("p", pts, t), t=t0)
-        loads = forms.assemble_loads(space, sys.params, faces, case, t0)
-    else:
-        vals = dof_values or {}
-        d0 = vals.get("d", zero("d"))
-        z0 = vals.get("z", zero("d"))
-        p_j0 = {j: vals.get(f"p:{j}", zero(f"p:{j}")) for j in sys.compartments}
-        u0 = vals.get("u", zero("u"))
-        p0 = vals.get("p", zero("p"))
-        loads = forms.assemble_loads(space, sys.params, faces, data or forms.ZeroData(), t0)
-
-    r = loads[space.field_slice("d")] - sys.A_el @ d0
+def initial_state(sys: SystemMatrices, faces: FaceSet, data, values=None,
+                  t0: float = 0.0) -> dict:
+    """The state at ``t0`` in :func:`layout` order: ``values`` (a dict of
+    field vectors; missing fields are zero) with the acceleration ``a``
+    recovered from the momentum residual under the loads of ``data``."""
+    space, values = sys.space, values or {}
+    st = {f: values.get(f, np.zeros(n)) for f, n in layout(space).items()}
+    loads = forms.assemble_loads(space, sys.params, faces, data, t0)
+    r = loads[space.field_slice("d")] - sys.A_el @ st["d"]
     for j in sys.compartments:
-        r -= sys.B_j[j].T @ p_j0[j]
+        r -= sys.B_j[j].T @ st[f"p:{j}"]
     if sys.J_el is not None:
-        r -= sys.J_el.T @ p_j0[EXCHANGE]
-    a0 = factorize(sys.M_el).solve(r)
-    return TimeState(t=t0, d=d0, z=z0, a=a0, p_j=p_j0, u=u0, p=p0)
+        r -= sys.J_el.T @ st[f"p:{EXCHANGE}"]
+    st["a"] = factorize(sys.M_el).solve(r)
+    return st
 
 
 def simulate(sys: SystemMatrices, faces: FaceSet, sp_: SchemeParams, data,
-             n_steps: int, state0: TimeState, stride: int = 1):
-    """March ``n_steps`` uniform steps from ``state0``; returns the recorded
-    states (every ``stride``-th plus first and last) and their times. Step
-    ``n`` is at ``state0.t + n * dt``, the time its loads are assembled at.
+             n_steps: int, values=None, t0: float = 0.0, stride: int = 1):
+    """March ``n_steps`` uniform steps from :func:`initial_state` (``values``
+    at ``t0``); returns the recorded states (every ``stride``-th plus first
+    and last), each a dict of field views in :func:`layout` order, and their
+    times. Step ``n`` is at ``t0 + n * dt``, the time its loads are assembled
+    at.
 
     The initial load of the divergence row is replaced by its discretely
     compatible value, so the theta-averaged algebraic constraint starts with
@@ -173,30 +128,33 @@ def simulate(sys: SystemMatrices, faces: FaceSet, sp_: SchemeParams, data,
 
     Raises :class:`~polympe.solvers.NumericalError` at the first step whose
     state is not finite."""
+    state0 = initial_state(sys, faces, data, values, t0)
     mats = build_stepping_matrices(sys, sp_)
     fact = factorize(mats["A1"])
-    A2, space = mats["A2"], sys.space
-    states, times = [state0], [state0.t]
-    loads_n = forms.assemble_loads(space, sys.params, faces, data, state0.t)
-    loads_n[space.field_slice("p")] = sys.S @ state0.p - sys.B_f @ state0.u
-    x = pack(sys, state0)
+    A2, space, sizes = mats["A2"], sys.space, layout(sys.space)
+    states, times = [state0], [t0]
+    loads_n = forms.assemble_loads(space, sys.params, faces, data, t0)
+    loads_n[space.field_slice("p")] = sys.S @ state0["p"] - sys.B_f @ state0["u"]
+    x = np.concatenate(list(state0.values()))
     for n in range(1, n_steps + 1):
-        t = state0.t + n * sp_.dt
+        t = t0 + n * sp_.dt
         loads_np1 = forms.assemble_loads(space, sys.params, faces, data, t)
+        # each solve returns a fresh vector, so a recorded state may view it
         x = fact.solve(A2 @ x + blend_loads(sys, sp_, loads_n, loads_np1))
         if not np.isfinite(x).all():
             raise NumericalError(f"non-finite state at step {n} (t = {t:.6g})")
         loads_n = loads_np1
         if n % stride == 0 or n == n_steps:
-            states.append(unpack(sys, x, t))
+            states.append(split(x, sizes))
             times.append(t)
     return states, times
 
 
-def discrete_energy(sys: SystemMatrices, st: TimeState) -> float:
+def discrete_energy(sys: SystemMatrices, st: dict) -> float:
     """Kinetic + elastic + storage + fluid kinetic energy of a state."""
-    e = float(st.z @ (sys.M_el @ st.z)) + float(st.d @ (sys.A_el @ st.d))
+    e = float(st["z"] @ (sys.M_el @ st["z"])) + float(st["d"] @ (sys.A_el @ st["d"]))
     for j in sys.compartments:
-        e += float(st.p_j[j] @ (sys.M_j[j] @ st.p_j[j]))
-    e += float(st.u @ (sys.M_f @ st.u))
+        p_j = st[f"p:{j}"]
+        e += float(p_j @ (sys.M_j[j] @ p_j))
+    e += float(st["u"] @ (sys.M_f @ st["u"]))
     return e

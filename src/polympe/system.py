@@ -1,5 +1,6 @@
 """Global block operator: the coupling pattern, its placement into a
-stacked layout, structural checks, and the steady-state reduction.
+stacked layout and the cutting of a stacked vector into field views,
+structural checks, and the steady-state reduction.
 
 Every operator is built from one coupling pattern, :func:`coupling_blocks`,
 in the field order of :class:`~polympe.spaces.DGSpace` (d, one p:j per
@@ -65,34 +66,15 @@ class SystemMatrices:
         return self.params.compartments
 
 
-def build_system(space: DGSpace, params: PhysicalParams, faces: FaceSet,
-                 elastic=None, pressures=None, fluid=None, interface=None) -> SystemMatrices:
-    """Assemble (or accept pre-assembled) blocks and wire them into the
-    coupled layout. Raises on block dimension mismatches."""
+def build_system(space: DGSpace, params: PhysicalParams, faces: FaceSet) -> SystemMatrices:
+    """Assemble every block and wire them into the coupled layout."""
     if tuple(params.compartments) != tuple(space.compartments):
         raise ValueError("params and space disagree on the compartment set")
-    elastic = elastic or forms.assemble_elastic(space, params, faces)
-    pressures = pressures or {
-        j: forms.assemble_pressure(space, params, faces, j) for j in params.compartments
-    }
-    fluid = fluid or forms.assemble_fluid(space, params, faces)
+    elastic = forms.assemble_elastic(space, params, faces)
+    pressures = {j: forms.assemble_pressure(space, params, faces, j) for j in params.compartments}
+    fluid = forms.assemble_fluid(space, params, faces)
     has_exchange = EXCHANGE in params.compartments
-    if interface is None and has_exchange:
-        interface = forms.assemble_interface(space, params, faces, EXCHANGE)
-
-    sizes = space.sizes
-    def _check(mat, nr, nc, name):
-        if mat.shape != (nr, nc):
-            raise ValueError(f"block {name} has shape {mat.shape}, expected {(nr, nc)}")
-
-    _check(elastic["A"], sizes["d"], sizes["d"], "A_el")
-    for j in params.compartments:
-        _check(pressures[j]["B"], sizes[f"p:{j}"], sizes["d"], f"B_{j}")
-    _check(fluid["B"], sizes["p"], sizes["u"], "B_f")
-    if has_exchange:
-        _check(interface["J_el"], sizes[f"p:{EXCHANGE}"], sizes["d"], "J_el")
-        _check(interface["J_f"], sizes[f"p:{EXCHANGE}"], sizes["u"], "J_f")
-
+    interface = forms.assemble_interface(space, params, faces, EXCHANGE) if has_exchange else {}
     return SystemMatrices(
         space=space, params=params,
         M_el=elastic["M"], A_el=elastic["A"],
@@ -101,8 +83,7 @@ def build_system(space: DGSpace, params: PhysicalParams, faces: FaceSet,
         B_j={j: pressures[j]["B"] for j in params.compartments},
         C={j: pressures[j]["C"] for j in params.compartments},
         M_f=fluid["M"], A_f=fluid["A"], B_f=fluid["B"], S=fluid["S"],
-        J_el=interface["J_el"] if has_exchange else None,
-        J_f=interface["J_f"] if has_exchange else None,
+        J_el=interface.get("J_el"), J_f=interface.get("J_f"),
     )
 
 
@@ -143,6 +124,18 @@ def place(blocks: dict, sizes: dict) -> sp.csr_matrix:
     return sp.bmat(grid, format="csr")
 
 
+def field_slices(sizes: dict) -> dict:
+    """The rows of each field in the vector that stacks the fields of
+    ``sizes`` in its order."""
+    ends = np.cumsum([0, *sizes.values()]).tolist()
+    return {f: slice(a, b) for f, a, b in zip(sizes, ends, ends[1:])}
+
+
+def split(x: np.ndarray, sizes: dict) -> dict:
+    """The field views ``{field: rows}`` of the stacked vector ``x``."""
+    return {f: x[s] for f, s in field_slices(sizes).items()}
+
+
 def build_global(sys: SystemMatrices, s: float = 0.0) -> sp.csr_matrix:
     """The stacked operator with the time-derivative slots replaced by the
     scalar ``s`` (``s = 0`` gives the steady operator)."""
@@ -155,17 +148,14 @@ def build_global(sys: SystemMatrices, s: float = 0.0) -> sp.csr_matrix:
 class SteadySystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    sys: SystemMatrices
-
-    def split(self, x: np.ndarray) -> dict:
-        return {f: x[self.sys.space.field_slice(f)] for f in self.sys.space.fields}
 
 
 def build_steady(sys: SystemMatrices, loads: np.ndarray) -> SteadySystem:
     """Drop every time-derivative slot; the right-hand side is the load
     vector of :func:`polympe.forms.assemble_loads`. For manufactured data
-    its divergence rows carry the wall-datum lifting, otherwise zero."""
-    return SteadySystem(matrix=build_global(sys, s=0.0), rhs=loads, sys=sys)
+    its divergence rows carry the wall-datum lifting, otherwise zero. Cut
+    the solution into fields with ``split(x, sys.space.sizes)``."""
+    return SteadySystem(matrix=build_global(sys, s=0.0), rhs=loads)
 
 
 @dataclass

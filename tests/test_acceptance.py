@@ -141,9 +141,8 @@ def test_criterion_6_energy_dissipativity(unit_params):
     vals = {f: rng.standard_normal(art.space.sizes[f]) for f in ("d", "u", "p")}
     vals["z"] = rng.standard_normal(art.space.sizes["d"])
     vals["p:E"] = rng.standard_normal(art.space.sizes["p:E"])
-    state0 = stepping.initial_state(art.sys, art.faces, dof_values=vals)
     sp = stepping.SchemeParams(dt=1e-2, beta=0.25, gamma=0.5, theta=0.5)
-    states, _ = stepping.simulate(art.sys, art.faces, sp, forms.ZeroData(), 100, state0)
+    states, _ = stepping.simulate(art.sys, art.faces, sp, forms.ZeroData(), 100, vals)
     E = [stepping.discrete_energy(art.sys, s) for s in states]
     ratios = [E[i + 1] / E[i] for i in range(len(E) - 1)]
     ok = all(r <= 1.0 + 1e-10 for r in ratios)
@@ -155,7 +154,7 @@ def test_criterion_7_agglomeration_pipeline():
     cfg = AgglomerationConfig(910, 101, seed=0)
     assignment = partition_assignment(fine, cfg)
     rep = validate_partition(fine, assignment)
-    coarse = agglomerate(fine, cfg)
+    coarse = agglomerate(fine, cfg, assignment)
     counts = {d: coarse.element_domain.count(d) for d in (ELASTIC, FLUID)}
     ok = counts[ELASTIC] == 910 and counts[FLUID] == 101
     ok &= rep.domain_pure and rep.connected and rep.covers_all

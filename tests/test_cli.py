@@ -36,7 +36,8 @@ def test_solve_zero_case(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
     snaps = sorted(out.glob("snapshot_*.csv"))
     assert len(snaps) == 2  # steps 2 and 4; the initial state is not written
-    rows = list(csv.DictReader(open(snaps[-1])))
+    with open(snaps[-1]) as fh:
+        rows = list(csv.DictReader(fh))
     assert all(float(r["p_E"]) == 0.0 for r in rows)
     assert (out / "manifest.json").exists()
 
@@ -155,7 +156,8 @@ def test_convergence_command_and_determinism(tmp_path):
     assert main(["convergence", "--config", cfg, "--out", str(out2), "--tol", "0.5"]) == 0
     b1 = (out1 / "rates.csv").read_bytes()
     assert b1 == (out2 / "rates.csv").read_bytes()
-    rows = list(csv.DictReader(open(out1 / "rates.csv")))
+    with open(out1 / "rates.csv") as fh:
+        rows = list(csv.DictReader(fh))
     assert list(rows[0]) == RATE_COLUMNS
     assert len(rows) == 3
 

@@ -85,15 +85,14 @@ def test_error_norms_pinned_short_unsteady_run(unsteady):
     from polympe import driver, stepping
     from polympe.families import VERIFICATION_DIRICHLET, cartesian_two_domain
     art = driver.setup(cartesian_two_domain(2), 2, unsteady.params, VERIFICATION_DIRICHLET)
-    state0 = stepping.initial_state(art.sys, art.faces, data=unsteady)
     states, times = stepping.simulate(art.sys, art.faces, stepping.SchemeParams(dt=1e-3),
-                                      unsteady, 3, state0)
-    eb = norms.energy_norm([s.as_dict() for s in states], times, art.space, art.faces,
+                                      unsteady, 3)
+    eb = norms.energy_norm(states, times, art.space, art.faces,
                            unsteady.params, exact=unsteady)
     assert eb.total == pytest.approx(175.2123409075619, rel=1e-12)
     expected = {"d": 1253.4717419066662, "p:E": 2872.921110641361,
                 "u": 620.0273976394446, "p": 12279597.881257724}
-    bn = norms.broken_norms(art.space, art.faces, unsteady.params, states[-1].as_dict(),
+    bn = norms.broken_norms(art.space, art.faces, unsteady.params, states[-1],
                             exact=unsteady, t=times[-1])
     assert bn.keys() == expected.keys()
     for key, value in expected.items():
