@@ -46,14 +46,14 @@ def solve_steady(case: ManufacturedCase, mesh: PolyMesh, m: int,
     return split(x, art.space.sizes), art
 
 
-def projected_values(space, case: ManufacturedCase, t0: float = 0.0) -> dict:
-    """The L2 projections of a case's exact fields at ``t0``, with the
+def projected_values(space, case: ManufacturedCase) -> dict:
+    """The L2 projections of a case's exact fields at t = 0, with the
     Newmark velocity ``z`` projected from the time derivative of ``d``: the
-    initial values of a manufactured march."""
-    vals = {"d": l2_project(space, "d", partial(case.exact, "d"), t=t0),
-            "z": l2_project(space, "d", partial(case.exact_dt, "d"), t=t0)}
+    initial values of a manufactured march from t = 0."""
+    vals = {"d": l2_project(space, "d", partial(case.exact, "d"), t=0.0),
+            "z": l2_project(space, "d", partial(case.exact_dt, "d"), t=0.0)}
     for f in space.fields[1:]:
-        vals[f] = l2_project(space, f, partial(case.exact, f), t=t0)
+        vals[f] = l2_project(space, f, partial(case.exact, f), t=0.0)
     return vals
 
 

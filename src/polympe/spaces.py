@@ -221,6 +221,13 @@ class FaceTable:
         return np.einsum("fsqi,fsci,s->fqc", self.basis[:, :, 0], coeffs[self.elem], [1.0, -1.0])
 
 
+def field_slices(sizes: dict) -> dict:
+    """The rows of each field in the vector that stacks the fields of
+    ``sizes`` in its order."""
+    ends = np.cumsum([0, *sizes.values()]).tolist()
+    return {f: slice(a, b) for f, a, b in zip(sizes, ends, ends[1:])}
+
+
 class DGSpace:
     """Discontinuous piecewise-polynomial spaces for all model fields.
 
@@ -249,9 +256,8 @@ class DGSpace:
         self._components = {f: (2 if f in ("d", "u") else 1) for f in self.fields}
         self.sizes = {f: self._components[f] * len(self.field_elements(f)) * self.n_loc
                       for f in self.fields}
-        ends = np.cumsum([0] + list(self.sizes.values())).tolist()
-        self.offsets = dict(zip(self.fields, ends))
-        self.n_dofs = ends[-1]
+        self._slices = field_slices(self.sizes)
+        self.n_dofs = self._slices[self.fields[-1]].stop
 
         self._basis, self._tables = {}, {}
         for domain, ids in ((ELASTIC, self.el_ids), (FLUID, self.f_ids)):
@@ -277,7 +283,7 @@ class DGSpace:
 
     def field_slice(self, field: str) -> slice:
         """The rows of ``field`` in a global DOF vector."""
-        return slice(self.offsets[field], self.offsets[field] + self.sizes[field])
+        return self._slices[field]
 
     def coeffs(self, field: str, vec: np.ndarray) -> np.ndarray:
         """View a field-local DOF vector as (n_elem, ncomp, n_loc)."""

@@ -39,7 +39,7 @@ import scipy.sparse as sp
 from . import forms
 from .mesh import FaceSet
 from .params import PhysicalParams
-from .spaces import DGSpace
+from .spaces import DGSpace, field_slices
 
 EXCHANGE = "E"
 
@@ -122,13 +122,6 @@ def place(blocks: dict, sizes: dict) -> sp.csr_matrix:
         if all(b is None for b in grid[i]):
             grid[i][i] = sp.csr_matrix((sizes[r], sizes[r]))
     return sp.bmat(grid, format="csr")
-
-
-def field_slices(sizes: dict) -> dict:
-    """The rows of each field in the vector that stacks the fields of
-    ``sizes`` in its order."""
-    ends = np.cumsum([0, *sizes.values()]).tolist()
-    return {f: slice(a, b) for f, a, b in zip(sizes, ends, ends[1:])}
 
 
 def split(x: np.ndarray, sizes: dict) -> dict:
