@@ -229,8 +229,7 @@ def cmd_solve(cfg: dict, out: Path) -> int:
         case = steady_case()
         state, art = driver.solve_steady(case, mesh, m,
                                          resolve_dirichlet(cfg, case_id))
-        snaps = [(0, state)]
-        space = art.space
+        snaps, resolved_scheme = [(0, state)], None
     else:
         if case_id == "unsteady":
             data = unsteady_case()
@@ -250,16 +249,17 @@ def cmd_solve(cfg: dict, out: Path) -> int:
         # one snapshot per recorded step, named by step number; the initial
         # state is not written
         snaps = [(int(round(t / scheme.dt)), st) for st, t in zip(states[1:], times[1:])]
-        space = art.space
+        resolved_scheme = dict(asdict(scheme), n_steps=n_steps)
 
+    space = art.space
     for i, st in snaps:
         outputs.write_snapshot_csv(space, st, out / f"snapshot_{i:06d}.csv")
         outputs.write_snapshot_vtk(space, st, out / f"snapshot_{i:06d}.vtk")
     outputs.write_manifest(out / "manifest.json", cfg, {
         "command": "solve", "version": __version__, "elapsed_s": time.time() - t0,
         "snapshots": len(snaps), "n_elements": mesh.n_elements, "n_dofs": space.n_dofs,
-        "resolved_params": asdict(params),
-        "resolved_scheme": cfg.get("scheme", {}),
+        "resolved_params": asdict(art.sys.params),
+        "resolved_scheme": resolved_scheme,
     })
     print(f"wrote {len(snaps)} snapshots to {out}")
     return 0

@@ -6,13 +6,14 @@ Cholesky factorization of the quadrature Gram matrix. Volume quadrature on a
 polygon composes collapsed Gauss rules over the centroid-fan triangles and is
 exact to the requested order; face rules are Gauss-Legendre segments.
 
-:class:`DGSpace` owns the coefficient layout and the basis tabulations,
-stacked per subdomain or face set so that one contraction evaluates, projects
-or averages a field at all quadrature points, and one batched product per
-group of equal-sized elements (or per face set) assembles a form. The face
-tabulation reads the endpoint, element, normal and diameter arrays of a
+:class:`DGSpace` owns the coefficient layout, the bases as per-element arrays
+and their tabulations, stacked per subdomain or face set so that one
+contraction evaluates, projects or averages a field at all quadrature points,
+and one batched product per group of equal-sized elements (or per face set)
+assembles a form. Each vertex-count group of the mesh fills both stacks with
+one :meth:`DGSpace.tabulate` call; the face tabulation reads the arrays of a
 :class:`~polympe.mesh.FaceSet` directly. There are no per-element or per-face
-accessors.
+objects or accessors.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from .mesh import ELASTIC, FLUID, FaceSet, PolyMesh
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    points: np.ndarray  # (n, 2); (n_faces, n, 2) for a stack of faces
-    weights: np.ndarray  # (n,); (n_faces, n)
+    points: np.ndarray  # (n, 2); (G, n, 2) for a stack of elements or faces
+    weights: np.ndarray  # (n,); (G, n)
 
 
 @lru_cache(maxsize=None)
@@ -59,17 +60,20 @@ def _triangle_rule(order: int):
 
 
 def volume_quadrature(element_vertices, order: int) -> QuadratureRule:
-    """Quadrature over a star-shaped polygon via its centroid fan."""
+    """Quadrature over a star-shaped polygon via its centroid fan, given by
+    its (n, 2) vertex loop or by each of a (G, n, 2) stack of them (points
+    (..., n * nr, 2) and weights (..., n * nr), ``nr`` per fan triangle)."""
     if order < 1:
         raise ValueError("order must be >= 1")
     pts = np.asarray(element_vertices, dtype=float)
-    c = pts.mean(axis=0)
+    c = pts.mean(axis=-2, keepdims=True)
     xr, yr, wr = _triangle_rule(order)
     # one block of rule points per fan triangle (c, v_i, v_{i+1})
-    e0, e1 = pts - c, np.roll(pts, -1, axis=0) - c
-    area2 = e0[:, 0] * e1[:, 1] - e0[:, 1] * e1[:, 0]
-    p = c + xr[None, :, None] * e0[:, None, :] + yr[None, :, None] * e1[:, None, :]
-    return QuadratureRule(p.reshape(-1, 2), (wr[None, :] * area2[:, None]).ravel())
+    e0, e1 = pts - c, np.roll(pts, -1, axis=-2) - c
+    area2 = e0[..., 0] * e1[..., 1] - e0[..., 1] * e1[..., 0]
+    p = c[..., None, :] + xr[:, None] * e0[..., None, :] + yr[:, None] * e1[..., None, :]
+    lead = pts.shape[:-2]
+    return QuadratureRule(p.reshape(*lead, -1, 2), (wr * area2[..., None]).reshape(*lead, -1))
 
 
 def face_quadrature(segments, order: int) -> QuadratureRule:
@@ -85,7 +89,8 @@ def face_quadrature(segments, order: int) -> QuadratureRule:
 
 
 def _graded_exponents(m: int):
-    return [(d - b, b) for d in range(m + 1) for b in range(d + 1)]
+    """The x and y Legendre degrees of each seed, graded by total degree."""
+    return np.array([(d - b, b) for d in range(m + 1) for b in range(d + 1)]).T
 
 
 @lru_cache(maxsize=None)
@@ -96,57 +101,19 @@ def _leg_coeffs(n: int):
 
 
 def _legendre_table(xi: np.ndarray, m: int):
-    """Values and derivatives of P_0..P_m at mapped coordinates."""
-    vals = np.empty((len(xi), m + 1))
-    ders = np.empty((len(xi), m + 1))
-    for n in range(m + 1):
-        c, dc = _leg_coeffs(n)
-        vals[:, n] = npleg.legval(xi, c)
-        ders[:, n] = npleg.legval(xi, dc) if n > 0 else 0.0
+    """Values and derivatives of P_0..P_m at mapped coordinates, each on a
+    new last axis."""
+    vals = np.stack([npleg.legval(xi, _leg_coeffs(n)[0]) for n in range(m + 1)], axis=-1)
+    ders = np.stack([np.zeros_like(xi)] + [npleg.legval(xi, _leg_coeffs(n)[1])
+                                           for n in range(1, m + 1)], axis=-1)
     return vals, ders
-
-
-class _ElementBasis:
-    """Per-element orthonormalized modal basis on the bounding box."""
-
-    __slots__ = ("center", "half", "coeff", "exps", "m")
-
-    def __init__(self, bbox, m, quad: QuadratureRule):
-        lo, hi = bbox
-        self.half = 0.5 * (hi - lo)
-        if self.half.min() <= 0.0:
-            raise ValueError("degenerate bounding box")
-        self.center = 0.5 * (hi + lo)
-        self.m = m
-        self.exps = _graded_exponents(m)
-        seed = self._seeds(quad.points)[0]
-        gram = seed.T @ (quad.weights[:, None] * seed)
-        L = cholesky(gram, lower=True)
-        n = len(self.exps)
-        self.coeff = solve_triangular(L, np.eye(n), lower=True)
-
-    def _map(self, pts):
-        return (pts - self.center) / self.half
-
-    def _seeds(self, pts):
-        """Seed polynomial values and gradients at physical points."""
-        xi = self._map(pts)
-        lx, dlx = _legendre_table(xi[:, 0], self.m)
-        ly, dly = _legendre_table(xi[:, 1], self.m)
-        v = np.stack([lx[:, a] * ly[:, b] for a, b in self.exps], axis=1)
-        gx = np.stack([dlx[:, a] * ly[:, b] for a, b in self.exps], axis=1) / self.half[0]
-        gy = np.stack([lx[:, a] * dly[:, b] for a, b in self.exps], axis=1) / self.half[1]
-        return v, gx, gy
-
-    def eval(self, pts):
-        """Basis values and gradients at physical points -> (phi, dphix, dphiy)."""
-        return tuple(s @ self.coeff.T for s in self._seeds(pts))
 
 
 @dataclass(frozen=True)
 class VolumeTable:
     """Volume quadrature and basis of one subdomain, stacked element by
-    element in groups of elements with equal point counts: each group
+    element in the vertex-count groups of the mesh (an n-gon has n fan
+    triangles, so a group's elements have equal point counts): each group
     ``(elems, rows, n)`` owns the contiguous rows ``rows``, ``n`` per element
     of ``elems``, so that one batched product covers a group. ``elem`` holds
     the subdomain-local element of each row."""
@@ -157,28 +124,6 @@ class VolumeTable:
     elem: np.ndarray  # (nq,)
     groups: tuple  # ((elements (G,), row slice, points per element), ...)
     mean_weights: np.ndarray  # (n_elem, n_loc): phi^T w / |K|
-
-    @classmethod
-    def stack(cls, rules: list, bases: list, n_loc: int) -> "VolumeTable":
-        """Concatenate per-element rules and (3, n, n_loc) basis tabulations."""
-        counts = np.array([len(r.weights) for r in rules], dtype=int)
-        order = np.argsort(counts, kind="stable")
-        sizes, first = np.unique(counts[order], return_index=True)
-        bounds = np.append(first, len(order))
-        ends = np.concatenate([[0], np.cumsum(counts[order])]).astype(int)
-        groups = tuple((order[a:b], slice(ends[a], ends[b]), n)
-                       for n, a, b in zip(sizes, bounds[:-1], bounds[1:]))
-        # the zero-size first parts keep the shapes of an empty subdomain
-        w = np.concatenate([np.zeros(0)] + [rules[e].weights for e in order])
-        basis = np.concatenate([np.zeros((3, 0, n_loc))] + [bases[e] for e in order], axis=1)
-        mean_weights = np.empty((len(rules), n_loc))
-        for elems, rows, n in groups:
-            starts = np.arange(0, len(elems) * n, n)
-            mean_weights[elems] = (np.add.reduceat(w[rows, None] * basis[0, rows], starts, axis=0)
-                                   / np.add.reduceat(w[rows], starts)[:, None])
-        return cls(points=np.concatenate([np.zeros((0, 2))] + [rules[e].points for e in order]),
-                   weights=w, basis=basis, elem=np.repeat(order, counts[order]), groups=groups,
-                   mean_weights=mean_weights)
 
     @property
     def n_elem(self) -> int:
@@ -235,6 +180,10 @@ class DGSpace:
     elastic elements), one scalar pressure per compartment (elastic), fluid
     velocity ``u`` (2 components), fluid pressure ``p``. Within a field the
     layout is element-major, then component-major, then modal index.
+
+    The basis of mesh element ``k`` is the Legendre seeds on its bounding box
+    (``center[k]``, ``half[k]``) recombined by ``coeff[k]``, the inverse
+    Cholesky factor of their Gram matrix; ``local[k]`` is its subdomain index.
     """
 
     def __init__(self, mesh: PolyMesh, m: int, compartments=("E",)):
@@ -249,8 +198,9 @@ class DGSpace:
 
         self.el_ids = mesh.element_ids(ELASTIC)
         self.f_ids = mesh.element_ids(FLUID)
-        self.local_index = {int(k): loc for ids in (self.el_ids, self.f_ids)
-                            for loc, k in enumerate(ids)}
+        self.local = np.empty(mesh.n_elements, dtype=int)
+        for ids in (self.el_ids, self.f_ids):
+            self.local[ids] = np.arange(len(ids))
 
         self.fields = ["d"] + [f"p:{j}" for j in self.compartments] + ["u", "p"]
         self._components = {f: (2 if f in ("d", "u") else 1) for f in self.fields}
@@ -259,15 +209,25 @@ class DGSpace:
         self._slices = field_slices(self.sizes)
         self.n_dofs = self._slices[self.fields[-1]].stop
 
-        self._basis, self._tables = {}, {}
-        for domain, ids in ((ELASTIC, self.el_ids), (FLUID, self.f_ids)):
-            rules = [volume_quadrature(mesh.vertices[mesh.elements[k]], self.vol_order)
-                     for k in ids]
-            for k, rule in zip(ids, rules):
-                self._basis[int(k)] = _ElementBasis(mesh.bboxes[k], m, rule)
-            self._tables[domain] = VolumeTable.stack(
-                rules, [np.stack(self._basis[int(k)].eval(r.points)) for k, r in zip(ids, rules)],
-                self.n_loc)
+        lo, hi = mesh.bboxes[:, 0], mesh.bboxes[:, 1]
+        self.half = 0.5 * (hi - lo)
+        flat = (self.half <= 0.0).any(axis=1)
+        if flat.any():
+            raise ValueError(f"degenerate bounding box of element {int(np.argmax(flat))}")
+        self.center = 0.5 * (hi + lo)
+        rules = [volume_quadrature(mesh.vertices[loops], self.vol_order)
+                 for _, loops in mesh.groups]
+        gram = np.empty((mesh.n_elements, self.n_loc, self.n_loc))
+        for (elems, _), rule in zip(mesh.groups, rules):
+            seed = self._seeds(elems, rule.points)[0]
+            gram[elems] = seed.swapaxes(1, 2) @ (rule.weights[..., None] * seed)
+        # scipy factorizes and inverts the stack matrix by matrix, and
+        # refuses an empty stack (a mesh without elements)
+        self.coeff = solve_triangular(cholesky(gram, lower=True), np.eye(self.n_loc),
+                                      lower=True) if len(gram) else gram
+        tabs = [self.tabulate(elems, rule.points) for (elems, _), rule in zip(mesh.groups, rules)]
+        self._tables = {domain: self._volume_table(ids, rules, tabs)
+                        for domain, ids in ((ELASTIC, self.el_ids), (FLUID, self.f_ids))}
         self._faces = None
 
     # -- layout ----------------------------------------------------------
@@ -298,8 +258,50 @@ class DGSpace:
 
     # -- tabulations ---------------------------------------------------------
 
-    def basis_eval(self, elem: int, pts: np.ndarray):
-        return self._basis[elem].eval(np.asarray(pts, dtype=float))
+    def _seeds(self, elems: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        """Seed values and gradients (3, G, n, n_loc) of the elements
+        ``elems`` (G,) at the physical points ``pts`` (G, n, 2)."""
+        half = self.half[elems, None]
+        xi = (pts - self.center[elems, None]) / half
+        lx, dlx = _legendre_table(xi[..., 0], self.m)
+        ly, dly = _legendre_table(xi[..., 1], self.m)
+        # np.take keeps the seeds C-ordered (x[..., a] would not), so each
+        # BLAS product on them rounds as on one contiguous element array
+        a, b = _graded_exponents(self.m)
+        lx, dlx = np.take(lx, a, axis=-1), np.take(dlx, a, axis=-1)
+        ly, dly = np.take(ly, b, axis=-1), np.take(dly, b, axis=-1)
+        return np.stack([lx * ly, dlx * ly / half[..., :1], lx * dly / half[..., 1:]])
+
+    def tabulate(self, elems, pts) -> np.ndarray:
+        """Basis values and gradients (3, G, n, n_loc) (phi, dphi/dx,
+        dphi/dy) of the mesh elements ``elems`` (G,), each at its own row of
+        physical points ``pts`` (G, n, 2)."""
+        elems = np.asarray(elems, dtype=int)
+        return self._seeds(elems, np.asarray(pts, dtype=float)) @ self.coeff[elems].swapaxes(1, 2)
+
+    def _volume_table(self, ids: np.ndarray, rules: list, tabs: list) -> VolumeTable:
+        """The volume table of the subdomain elements ``ids`` from the rules
+        and tabulations of the vertex-count groups of the mesh."""
+        # the zero-size first parts keep the shapes of an empty subdomain
+        points, w, basis = [np.zeros((0, 2))], [np.zeros(0)], [np.zeros((3, 0, self.n_loc))]
+        groups, start, mean_weights = [], 0, np.empty((len(ids), self.n_loc))
+        for (elems, _), rule, tab in zip(self.mesh.groups, rules, tabs):
+            sel = np.isin(elems, ids)
+            loc, n = self.local[elems[sel]], rule.weights.shape[1]
+            if len(loc):
+                groups.append((loc, slice(start, start + len(loc) * n), n))
+                start += len(loc) * n
+                points.append(rule.points[sel].reshape(-1, 2))
+                w.append(rule.weights[sel].ravel())
+                basis.append(tab[:, sel].reshape(3, -1, self.n_loc))
+                starts = np.arange(0, len(loc) * n, n)
+                mean_weights[loc] = (np.add.reduceat(w[-1][:, None] * basis[-1][0], starts, axis=0)
+                                     / np.add.reduceat(w[-1], starts)[:, None])
+        return VolumeTable(points=np.concatenate(points), weights=np.concatenate(w),
+                           basis=np.concatenate(basis, axis=1), groups=tuple(groups),
+                           elem=np.concatenate([np.zeros(0, dtype=int)]
+                                               + [np.repeat(loc, n) for loc, _, n in groups]),
+                           mean_weights=mean_weights)
 
     def volume_table(self, domain: str) -> VolumeTable:
         """Stacked volume tabulation of the ``domain`` elements."""
@@ -315,8 +317,9 @@ class DGSpace:
 
     def _tabulate_faces(self, faces: FaceSet) -> FaceTable:
         """The face table of every face of the mesh, read from the arrays of
-        ``faces``. Each element evaluates its basis once, on the quadrature
-        points of all its faces."""
+        ``faces``. An n-gon owns exactly n (face, side) pairs, so each
+        vertex-count group tabulates its basis once, on the quadrature points
+        of all its faces."""
         nf = len(faces)
         rule = face_quadrature(self.mesh.vertices[faces.ab], self.face_order)
         plus, minus = faces.elem.T
@@ -328,17 +331,18 @@ class DGSpace:
         side = np.repeat([0, 1], [nf, inner.sum()])
         elem = np.concatenate([plus, minus[inner]])
         order = np.argsort(elem, kind="stable")
-        ks, starts = np.unique(elem[order], return_index=True)
-        for k, sel in zip(ks, np.split(order, starts[1:])):
-            f, s = face[sel], side[sel]
-            tr = np.stack(self._basis[int(k)].eval(rule.points[f].reshape(-1, 2)))
-            basis[f, s] = tr.reshape(3, len(f), nq, self.n_loc).transpose(1, 0, 2, 3)
-        to_local = np.zeros(self.mesh.n_elements, dtype=int)
-        to_local[list(self.local_index)] = list(self.local_index.values())
+        counts = np.bincount(elem, minlength=self.mesh.n_elements)
+        first = np.cumsum(counts) - counts
+        for elems, loops in self.mesh.groups:
+            n = loops.shape[1]
+            own = order[first[elems, None] + np.arange(n)]  # (G, n)
+            f, s = face[own], side[own]
+            tr = self.tabulate(elems, rule.points[f].reshape(len(elems), n * nq, 2))
+            basis[f, s] = tr.reshape(3, len(elems), n, nq, self.n_loc).transpose(1, 2, 0, 3, 4)
         return FaceTable(
             points=rule.points, weights=rule.weights, normal=faces.normal,
             harmonic_h=faces.harmonic_h, boundary=~inner,
-            elem=to_local[np.stack([plus, np.where(inner, minus, plus)], axis=1)], basis=basis)
+            elem=self.local[np.stack([plus, np.where(inner, minus, plus)], axis=1)], basis=basis)
 
 
 def build_space(mesh: PolyMesh, m: int, compartments=("E",)) -> DGSpace:
@@ -364,10 +368,3 @@ def l2_project(space: DGSpace, field: str, fn, t: float | None = None) -> np.nda
         out[elems] = np.add.reduceat(wv[rows, :, None] * tab.basis[0, rows, None, :],
                                      np.arange(0, len(elems) * n, n), axis=0)
     return out.ravel()
-
-
-def eval_field(space: DGSpace, field: str, vec: np.ndarray, elem: int, pts: np.ndarray):
-    """Evaluate a field-local DOF vector on one element at given points."""
-    phi, _, _ = space.basis_eval(int(elem), pts)
-    vals = phi @ space.coeffs(field, vec)[space.local_index[int(elem)]].T
-    return vals[:, 0] if space.components(field) == 1 else vals

@@ -95,14 +95,16 @@ def blend_loads(sys: SystemMatrices, sp_: SchemeParams, loads_n, loads_np1) -> n
                            th * loads_np1[n_d:] + (1 - th) * loads_n[n_d:]])
 
 
-def initial_state(sys: SystemMatrices, faces: FaceSet, data, values=None,
-                  t0: float = 0.0) -> dict:
-    """The state at ``t0`` in :func:`layout` order: ``values`` (a dict of
-    field vectors; missing fields are zero) with the acceleration ``a``
-    recovered from the momentum residual under the loads of ``data``."""
-    space, values = sys.space, values or {}
-    st = {f: values.get(f, np.zeros(n)) for f, n in layout(space).items()}
-    loads = forms.assemble_loads(space, sys.params, faces, data, t0)
+def initial_state(sys: SystemMatrices, loads: np.ndarray, values=None) -> dict:
+    """The initial state in :func:`layout` order: ``values`` (a dict of layout
+    fields but ``a``; missing fields are zero) with the acceleration ``a``
+    recovered from the momentum residual under ``loads``, the load vector of
+    :func:`polympe.forms.assemble_loads` at the initial time."""
+    space, values, sizes = sys.space, values or {}, layout(sys.space)
+    bad = sorted(f for f in values if f not in sizes or f == "a")
+    if bad:
+        raise ValueError(f"initial values for {bad}: only the fields of {list(sizes)} but 'a'")
+    st = {f: values.get(f, np.zeros(n)) for f, n in sizes.items()}
     r = loads[space.field_slice("d")] - sys.A_el @ st["d"]
     for j in sys.compartments:
         r -= sys.B_j[j].T @ st[f"p:{j}"]
@@ -115,10 +117,10 @@ def initial_state(sys: SystemMatrices, faces: FaceSet, data, values=None,
 def simulate(sys: SystemMatrices, faces: FaceSet, sp_: SchemeParams, data,
              n_steps: int, values=None, t0: float = 0.0, stride: int = 1):
     """March ``n_steps`` uniform steps from :func:`initial_state` (``values``
-    at ``t0``); returns the recorded states (every ``stride``-th plus first
-    and last), each a dict of field views in :func:`layout` order, and their
-    times. Step ``n`` is at ``t0 + n * dt``, the time its loads are assembled
-    at.
+    under the loads of ``data`` at ``t0``); returns the recorded states
+    (every ``stride``-th plus first and last), each a dict of field views in
+    :func:`layout` order, and their times. Step ``n`` is at ``t0 + n * dt``,
+    the time its loads are assembled at.
 
     The initial load of the divergence row is replaced by its discretely
     compatible value, so the theta-averaged algebraic constraint starts with
@@ -128,12 +130,12 @@ def simulate(sys: SystemMatrices, faces: FaceSet, sp_: SchemeParams, data,
 
     Raises :class:`~polympe.solvers.NumericalError` at the first step whose
     state is not finite."""
-    state0 = initial_state(sys, faces, data, values, t0)
+    loads_n = forms.assemble_loads(sys.space, sys.params, faces, data, t0)
+    state0 = initial_state(sys, loads_n, values)
     mats = build_stepping_matrices(sys, sp_)
     fact = factorize(mats["A1"])
     A2, space, sizes = mats["A2"], sys.space, layout(sys.space)
     states, times = [state0], [t0]
-    loads_n = forms.assemble_loads(space, sys.params, faces, data, t0)
     loads_n[space.field_slice("p")] = sys.S @ state0["p"] - sys.B_f @ state0["u"]
     x = np.concatenate(list(state0.values()))
     for n in range(1, n_steps + 1):

@@ -58,6 +58,28 @@ def test_solve_demo_writes_vtk(tmp_path):
     assert "DATASET POLYDATA" in vtk and "CELL_DATA" in vtk and "VECTORS d" in vtk
 
 
+def test_solve_manifest_records_the_case_params(tmp_path):
+    # the steady case solves with its own parameters, whatever the preset
+    from polympe.manufactured import steady_case
+    cfg = write_config(tmp_path, {"case": "steady", "mesh": {"family": "cartesian", "ny": 2},
+                                  "degree": 1, "params": {"preset": "brain"}})
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["resolved_params"]["mu_el"] == steady_case().params.mu_el == 1.0
+    assert manifest["resolved_scheme"] is None
+
+
+def test_solve_manifest_records_the_full_scheme(tmp_path):
+    cfg = write_config(tmp_path, {"case": "zero", "mesh": {"family": "cartesian", "ny": 2},
+                                  "degree": 1, "scheme": {"dt": 0.01, "n_steps": 2}})
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["resolved_scheme"] == {"dt": 0.01, "beta": 0.25, "gamma": 0.5,
+                                           "theta": 0.5, "n_steps": 2}
+
+
 @pytest.mark.parametrize("command, doc", [
     ("solve", {"case": "zero", "mesh": {"family": "cartesian", "ny": 2}, "degree": 1,
                "scheme": {"dt": 0.01, "thetta": 0.5, "n_steps": 2}}),

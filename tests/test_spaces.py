@@ -1,11 +1,14 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from polympe.families import cartesian_two_domain
-from polympe.spaces import (build_space, eval_field, face_quadrature, l2_project,
-                            volume_quadrature)
+from polympe.mesh import PolyMesh
+from polympe.spaces import build_space, face_quadrature, l2_project, volume_quadrature
 
-from conftest import unit_square_mesh
+from conftest import pin_setup, unit_square_mesh
 
 
 def shoelace_monomial(vertices, a, b):
@@ -34,6 +37,15 @@ def test_volume_quadrature_x2y2():
     rule = volume_quadrature([[0, 0], [1, 0], [1, 1], [0, 1]], 4)
     val = (rule.points[:, 0] ** 2 * rule.points[:, 1] ** 2 * rule.weights).sum()
     assert val == pytest.approx(1.0 / 9.0, rel=1e-14)
+
+
+def test_volume_quadrature_stack_equals_loops():
+    loops = np.array([[[0, 0], [1, 0], [1, 1], [0, 1]], [[1, 0], [3, 0.5], [2, 2], [1, 1]]])
+    stack = volume_quadrature(loops, 3)
+    for g, loop in enumerate(loops):
+        rule = volume_quadrature(loop, 3)
+        assert np.array_equal(stack.points[g], rule.points)
+        assert np.array_equal(stack.weights[g], rule.weights)
 
 
 def test_volume_quadrature_l_shape():
@@ -80,6 +92,12 @@ def test_build_space_dimensions(mesh80):
     assert total == space80.n_dofs == (2 + 1) * 40 * 6 + (2 + 1) * 40 * 6
 
 
+def test_space_of_a_mesh_without_elements():
+    space = build_space(PolyMesh([[0, 0], [1, 0]], [], []), 2)
+    assert space.n_dofs == 0
+    assert space.volume_table("elastic").basis.shape == (3, 0, space.n_loc)
+
+
 def test_build_space_rejects_m0():
     with pytest.raises(ValueError):
         build_space(unit_square_mesh(), 0)
@@ -87,26 +105,35 @@ def test_build_space_rejects_m0():
 
 def test_gram_identity(mesh80):
     space = build_space(mesh80, 3)
-    for k in (0, 17, mesh80.n_elements - 1):
-        tab = space.volume_table(mesh80.element_domain[k])
-        rows = tab.elem == space.local_index[k]
-        w, phi = tab.weights[rows], tab.basis[0, rows]
-        G = phi.T @ (w[:, None] * phi)
-        assert np.abs(G - np.eye(space.n_loc)).max() < 1e-10
+    seen = 0
+    for domain in ("elastic", "fluid"):
+        tab = space.volume_table(domain)
+        for elems, rows, n in tab.groups:
+            w = tab.weights[rows].reshape(len(elems), n)
+            phi = tab.basis[0, rows].reshape(len(elems), n, space.n_loc)
+            G = phi.swapaxes(1, 2) @ (w[..., None] * phi)
+            assert np.abs(G - np.eye(space.n_loc)).max() < 1e-10
+            seen += len(elems)
+    assert seen == mesh80.n_elements
+
+
+def field_values(space, field, vec, k, pts):
+    """Values (n, ncomp) of a field-local DOF vector on mesh element ``k`` at
+    the points ``pts`` (n, 2)."""
+    phi = space.tabulate([k], np.asarray(pts, dtype=float)[None])[0, 0]
+    return phi @ space.coeffs(field, vec)[space.local[k]].T
 
 
 def test_basis_gradient_matches_finite_differences():
     space = build_space(unit_square_mesh(), 3)
     pts = np.array([[0.3, 0.4], [0.8, 0.2], [0.5, 0.9]])
     h = 1e-6
-    phi, gx, gy = space.basis_eval(0, pts)
-    phix_p, _, _ = space.basis_eval(0, pts + [h, 0])
-    phix_m, _, _ = space.basis_eval(0, pts - [h, 0])
-    phiy_p, _, _ = space.basis_eval(0, pts + [0, h])
-    phiy_m, _, _ = space.basis_eval(0, pts - [0, h])
+    phi, gx, gy = space.tabulate([0], pts[None])[:, 0]
+    shifted = [space.tabulate([0], (pts + d)[None])[0, 0]
+               for d in ([h, 0], [-h, 0], [0, h], [0, -h])]
     scale = np.abs(gx).max()
-    assert np.abs((phix_p - phix_m) / (2 * h) - gx).max() / scale < 1e-6
-    assert np.abs((phiy_p - phiy_m) / (2 * h) - gy).max() / scale < 1e-6
+    assert np.abs((shifted[0] - shifted[1]) / (2 * h) - gx).max() / scale < 1e-6
+    assert np.abs((shifted[2] - shifted[3]) / (2 * h) - gy).max() / scale < 1e-6
 
 
 def test_project_zero_and_linear():
@@ -115,14 +142,14 @@ def test_project_zero_and_linear():
     assert np.all(z == 0)
     v = l2_project(space, "p:E", lambda p: p[:, 0] + p[:, 1])
     pts = np.random.default_rng(0).uniform(0, 1, (10, 2))
-    vals = eval_field(space, "p:E", v, 0, pts)
+    vals = field_values(space, "p:E", v, 0, pts)[:, 0]
     assert np.abs(vals - (pts[:, 0] + pts[:, 1])).max() < 1e-10
 
 
 def test_projection_idempotent():
     space = build_space(unit_square_mesh(), 2)
     v = l2_project(space, "p:E", lambda p: np.sin(p[:, 0]) * p[:, 1])
-    again = l2_project(space, "p:E", lambda p: eval_field(space, "p:E", v, 0, p))
+    again = l2_project(space, "p:E", lambda p: field_values(space, "p:E", v, 0, p))
     assert np.abs(v - again).max() < 1e-12
 
 
@@ -144,13 +171,49 @@ def test_vector_projection_shape(cart4_setup):
     v = l2_project(space, "d", lambda p: np.stack([p[:, 0], -p[:, 1]], axis=1))
     k = int(space.el_ids[0])
     pts = np.array([[-0.4, 0.2]])
-    vals = eval_field(space, "d", v, k, pts)
+    vals = field_values(space, "d", v, k, pts)
     assert vals.shape == (1, 2)
     assert np.allclose(vals, [[-0.4, -0.2]], atol=1e-11)
 
 
 def test_degenerate_bounding_box_rejected():
-    from polympe.spaces import _ElementBasis, volume_quadrature
-    rule = volume_quadrature([[0, 0], [1, 0], [0, 1]], 4)
+    mesh = unit_square_mesh()
+    mesh.bboxes[0, 1, 0] = mesh.bboxes[0, 0, 0]  # no width in x
     with pytest.raises(ValueError, match="degenerate"):
-        _ElementBasis(np.array([[0.0, 0.0], [0.0, 1.0]]), 2, rule)
+        build_space(mesh, 2)
+
+
+# space_pins.json holds the probes of _table_pins computed with one basis
+# object per element; record them again only when the tables are meant to
+# change.
+
+SPACE_PINS = json.loads(Path(__file__).with_name("space_pins.json").read_text())
+
+
+def _probe(a):
+    """x . a for a random x fixed by the size of ``a``."""
+    a = np.asarray(a, dtype=float).ravel()
+    return float(np.random.default_rng(0).standard_normal(a.size) @ a)
+
+
+def _table_pins(faces, space):
+    """Probes of every array of both volume tables and of the full face table."""
+    out = {}
+    for domain in ("elastic", "fluid"):
+        tab = space.volume_table(domain)
+        for name in ("points", "weights", "basis", "elem", "mean_weights"):
+            out[f"{domain}/{name}"] = _probe(getattr(tab, name))
+        out[f"{domain}/groups"] = _probe(np.concatenate(
+            [np.concatenate([elems, [rows.start, rows.stop, n]]) for elems, rows, n in tab.groups]))
+    ftab = space.face_table(faces, np.arange(len(faces)))
+    for name, arr in vars(ftab).items():
+        out[f"faces/{name}"] = _probe(arr)
+    return out
+
+
+@pytest.mark.parametrize("name", ["cart4", "mesh80"])
+def test_tables_pinned(mesh80, name):
+    got, want = _table_pins(*pin_setup(name, mesh80, ("E",))), SPACE_PINS[name]
+    assert sorted(got) == sorted(want)
+    for key, val in want.items():
+        assert abs(got[key] - val) <= 1e-13 * abs(val), (key, got[key], val)

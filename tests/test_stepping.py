@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -101,7 +102,8 @@ def test_zero_initial_state(small_sys):
 
 def test_initial_state_projections(small_sys, unsteady):
     art = setup(cartesian_two_domain(2), 1, unsteady.params, VERIFICATION_DIRICHLET)
-    st = stepping.initial_state(art.sys, art.faces, unsteady, projected_values(art.space, unsteady))
+    loads = forms.assemble_loads(art.space, art.sys.params, art.faces, unsteady, 0.0)
+    st = stepping.initial_state(art.sys, loads, projected_values(art.space, unsteady))
     d_ref = l2_project(art.space, "d", lambda p, t: unsteady.exact("d", p, t), t=0.0)
     assert np.allclose(st["d"], d_ref)
     z_ref = l2_project(art.space, "d", lambda p, t: unsteady.exact_dt("d", p, t), t=0.0)
@@ -112,10 +114,18 @@ def test_initial_acceleration_vanishes_on_discrete_steady(steady, cart4_setup):
     mesh, _, _ = cart4_setup
     state, art = solve_steady(steady, mesh, 2)
     vals = dict(state)
-    st = stepping.initial_state(art.sys, art.faces, steady, vals)
+    loads = forms.assemble_loads(art.space, art.sys.params, art.faces, steady, 0.0)
+    st = stepping.initial_state(art.sys, loads, vals)
     # the discrete steady solution satisfies the momentum row exactly
     scale = np.abs(state["d"]).max()
     assert np.abs(st["a"]).max() < 1e-9 * max(scale, 1.0)
+
+
+@pytest.mark.parametrize("field", ["pE", "a"])
+def test_initial_state_rejects_unknown_and_derived_values(small_sys, field):
+    loads = np.zeros(small_sys.space.n_dofs)
+    with pytest.raises(ValueError, match=re.escape(f"['{field}']")):
+        stepping.initial_state(small_sys.sys, loads, {field: np.zeros(small_sys.space.sizes["d"])})
 
 
 def test_zero_loads_zero_state_stays_zero(small_sys):
