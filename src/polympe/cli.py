@@ -45,11 +45,16 @@ def _load_config(path) -> dict:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
 
+#: the top-level keys a solve config reads, per case: each case reads those
+#: of the one before it and its own
+_SOLVE_KEYS = {"steady": ("case", "mesh", "degree", "dirichlet", "output_dir")}
+_SOLVE_KEYS["unsteady"] = _SOLVE_KEYS["steady"] + ("scheme", "snapshot_stride")
+_SOLVE_KEYS["zero"] = _SOLVE_KEYS["unsteady"] + ("params", "compartments")
+_SOLVE_KEYS["demo"] = _SOLVE_KEYS["zero"] + ("demo_amplitude",)
 #: the top-level keys each command reads
 _TOP_KEYS = {
     "convergence": ("case", "convergence", "scheme", "output_dir"),
-    "solve": ("case", "mesh", "degree", "compartments", "params", "dirichlet", "scheme",
-              "snapshot_stride", "demo_amplitude", "output_dir"),
+    "solve": tuple(dict.fromkeys(k for keys in _SOLVE_KEYS.values() for k in keys)),
     "verify": ("case", "mesh", "degree", "compartments", "params", "dirichlet", "verify",
                "output_dir"),
     "agglomerate": ("agglomeration", "output_dir"),
@@ -154,10 +159,10 @@ class DemoData(ZeroData):
         self.amplitude = amplitude
         self.compartment = compartment
 
-    def g_j(self, j, pts, t):
-        if j == self.compartment:
+    def exact(self, key: str, pts, t=0.0):
+        if key == f"g:{self.compartment}":
             return np.full(len(pts), self.amplitude * np.pi * np.sin(2.0 * np.pi * t))
-        return np.zeros(len(pts))
+        return super().exact(key, pts, t)
 
 
 def _rate_window(cfg: dict, tol_override):
@@ -219,33 +224,30 @@ def cmd_convergence(cfg: dict, out: Path, tol_override=None) -> int:
 
 def cmd_solve(cfg: dict, out: Path) -> int:
     case_id = cfg.get("case", "demo")
-    params = resolve_params(cfg)
+    if case_id not in _SOLVE_KEYS:
+        raise ConfigError(f"unknown case {case_id!r}; expected one of {list(_SOLVE_KEYS)}")
+    _check_keys(f"{case_id}-case solve", cfg, _SOLVE_KEYS[case_id])
+    if case_id in ("steady", "unsteady"):
+        data = steady_case() if case_id == "steady" else unsteady_case()
+        params = data.params
+    else:
+        data = DemoData(float(cfg.get("demo_amplitude", 2e-3))) if case_id == "demo" else ZeroData()
+        params = resolve_params(cfg)
+    if case_id != "steady":
+        scheme = resolve_scheme(cfg, extra=("n_steps",))
+        n_steps = int(cfg["scheme"].get("n_steps", 100))
     mesh = resolve_mesh(cfg.get("mesh", {"family": "cartesian", "ny": 4}))
     m = int(cfg.get("degree", 2))
-    stride = int(cfg.get("snapshot_stride", 1))
     t0 = time.time()
 
     if case_id == "steady":
-        case = steady_case()
-        state, art = driver.solve_steady(case, mesh, m,
-                                         resolve_dirichlet(cfg, case_id))
+        state, art = driver.solve_steady(data, mesh, m, resolve_dirichlet(cfg, case_id))
         snaps, resolved_scheme = [(0, state)], None
     else:
-        if case_id == "unsteady":
-            data = unsteady_case()
-            params = data.params
-        elif case_id == "demo":
-            data = DemoData(amplitude=float(cfg.get("demo_amplitude", 2e-3)))
-        elif case_id == "zero":
-            data = ZeroData()
-        else:
-            raise ConfigError(f"unknown case {case_id!r}")
         art = driver.setup(mesh, m, params, resolve_dirichlet(cfg, case_id))
-        scheme = resolve_scheme(cfg, extra=("n_steps",))
-        n_steps = int(cfg.get("scheme", {}).get("n_steps", 100))
         values = driver.projected_values(art.space, data) if case_id == "unsteady" else None
-        states, times = stepping.simulate(art.sys, art.faces, scheme, data,
-                                          n_steps, values, stride=stride)
+        states, times = stepping.simulate(art.sys, art.faces, scheme, data, n_steps, values,
+                                          stride=int(cfg.get("snapshot_stride", 1)))
         # one snapshot per recorded step, named by step number; the initial
         # state is not written
         snaps = [(int(round(t / scheme.dt)), st) for st, t in zip(states[1:], times[1:])]

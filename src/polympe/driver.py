@@ -50,10 +50,10 @@ def projected_values(space, case: ManufacturedCase) -> dict:
     """The L2 projections of a case's exact fields at t = 0, with the
     Newmark velocity ``z`` projected from the time derivative of ``d``: the
     initial values of a manufactured march from t = 0."""
-    vals = {"d": l2_project(space, "d", partial(case.exact, "d"), t=0.0),
-            "z": l2_project(space, "d", partial(case.exact_dt, "d"), t=0.0)}
+    vals = {"d": l2_project(space, "d", partial(case.exact, "d")),
+            "z": l2_project(space, "d", partial(case.exact, "d,t"))}
     for f in space.fields[1:]:
-        vals[f] = l2_project(space, f, partial(case.exact, f), t=0.0)
+        vals[f] = l2_project(space, f, partial(case.exact, f))
     return vals
 
 

@@ -250,7 +250,7 @@ def assemble_pressure(space: DGSpace, params: PhysicalParams, faces: FaceSet, j:
     the pressure block, columns on ``d``), and inter-compartment C blocks."""
     np_j, nd = space.sizes[f"p:{j}"], space.sizes["d"]
     field = f"p:{j}"
-    kappa = params.k_j[j] / params.mu_j[j]
+    kappa = params.kappa(j)
     alpha = params.alpha_j[j]
     tab = space.volume_table(space.field_domain(field))
     Kxx, Kyy, Ms = _volume_products(tab, (1, 1), (2, 2), (0, 0))
@@ -323,34 +323,14 @@ def assemble_interface(space: DGSpace, params: PhysicalParams, faces: FaceSet, j
 class ZeroData:
     """All sources, boundary data, and traces identically zero."""
 
-    def f_el(self, pts, t):
-        return np.zeros_like(pts)
-
-    def g_j(self, j, pts, t):
-        return np.zeros(len(pts))
-
-    def f_f(self, pts, t):
-        return np.zeros_like(pts)
-
-    def p_out(self, pts, t):
-        return np.zeros(len(pts))
-
-    def dirichlet_d(self, pts, t):
-        return np.zeros_like(pts)
-
-    def dirichlet_d_dot(self, pts, t):
-        return np.zeros_like(pts)
-
-    def dirichlet_u(self, pts, t):
-        return np.zeros_like(pts)
-
-    def dirichlet_pj(self, j, pts, t):
-        return np.zeros(len(pts))
+    def exact(self, key: str, pts, t=0.0):
+        vector = key.partition(",")[0] in ("f_el", "f_f", "d", "u")
+        return np.zeros((len(pts), 2) if vector else len(pts))
 
 
-def _face_data(tab: FaceTable, fn) -> np.ndarray:
-    """A pointwise datum ``fn(points)`` at the face points, shaped (F, nq, ...)."""
-    v = np.asarray(fn(tab.points.reshape(-1, 2)), dtype=float)
+def _face_data(tab: FaceTable, data, key: str, t: float) -> np.ndarray:
+    """The datum ``key`` of ``data`` at the face points, shaped (F, nq, ...)."""
+    v = np.asarray(data.exact(key, tab.points.reshape(-1, 2), t), dtype=float)
     return v.reshape(tab.weights.shape + v.shape[1:])
 
 
@@ -381,6 +361,13 @@ def assemble_loads(space: DGSpace, params: PhysicalParams, faces: FaceSet, data,
     balance and the fluid divergence row consistent with moving-wall data.
     Returns one ``space.n_dofs`` vector in the field order of ``space``.
 
+    ``data`` gives every datum as ``data.exact(key, pts, t)`` at points
+    (n, 2), keyed as the ``exprs`` of
+    :class:`~polympe.manufactured.ManufacturedCase`: the sources ``f_el``,
+    ``g:<j>`` and ``f_f``, the outlet stress ``p_out``, and the Dirichlet
+    traces ``d``, ``d,t`` (its time derivative), ``u`` and ``p:<j>``;
+    vector keys give (n, 2) values, scalar ones (n,).
+
     Face terms are added face by face, then by component and term, so an
     element with several data faces sums them in face order."""
     F = np.zeros(space.n_dofs)
@@ -388,13 +375,14 @@ def assemble_loads(space: DGSpace, params: PhysicalParams, faces: FaceSet, data,
 
     tab = space.volume_table(space.field_domain("d"))
     vol = _volume_loads(tab, np.array(
-        [*np.asarray(data.f_el(tab.points, t), dtype=float).T]
-        + [data.g_j(j, tab.points, t) for j in params.compartments], dtype=float))
+        [*np.asarray(data.exact("f_el", tab.points, t), dtype=float).T]
+        + [data.exact(f"g:{j}", tab.points, t) for j in params.compartments], dtype=float))
     F[sl("d")] += vol[:, :2].ravel()
     for i, j in enumerate(params.compartments):
         F[sl(f"p:{j}")] += vol[:, 2 + i].ravel()
     tab = space.volume_table(space.field_domain("u"))
-    F[sl("u")] += _volume_loads(tab, np.asarray(data.f_f(tab.points, t), dtype=float).T).ravel()
+    f_f = np.asarray(data.exact("f_f", tab.points, t), dtype=float)
+    F[sl("u")] += _volume_loads(tab, f_f.T).ravel()
 
     def add(tab, field, vals, comps=0):
         # plus-side blocks vals (F, [component,] [term,] n_loc), in C order
@@ -405,14 +393,14 @@ def assemble_loads(space: DGSpace, params: PhysicalParams, faces: FaceSet, data,
     # outlet: int -pbar n_f . v
     if len(fidxs := faces.outlet()):
         tab = space.face_table(faces, fidxs)
-        pbar = _face_data(tab, lambda x: data.p_out(x, t))
+        pbar = _face_data(tab, data, "p_out", t)
         add(tab, "u", _face_loads(tab.basis[:, 0, 0],
                                   (tab.weights * -pbar)[:, None] * tab.normal[:, :, None]), c)
 
     # Dirichlet lifting for the displacement
     if len(fidxs := faces.dirichlet("d")):
         tab = space.face_table(faces, fidxs)
-        lift, _ = _vector_lift(tab, _face_data(tab, lambda x: data.dirichlet_d(x, t)),
+        lift, _ = _vector_lift(tab, _face_data(tab, data, "d", t),
                                params.mu_el, params.lam,
                                penalty_coefficients(tab.harmonic_h, params, space.m).eta)
         add(tab, "d", lift, c[:, None])
@@ -422,14 +410,14 @@ def assemble_loads(space: DGSpace, params: PhysicalParams, faces: FaceSet, data,
     for j in params.compartments:
         if not len(fidxs := faces.dirichlet(f"p:{j}")):
             continue
-        kappa = params.k_j[j] / params.mu_j[j]
+        kappa = params.kappa(j)
         tab = space.face_table(faces, fidxs)
         w, n = tab.weights, tab.normal
         phi, gx, gy = np.moveaxis(tab.basis[:, 0], 1, 0)
         dn = gx * n[:, None, None, 0] + gy * n[:, None, None, 1]
         zeta = penalty_coefficients(tab.harmonic_h, params, space.m).zeta[j]
-        wg = (w * _face_data(tab, lambda x: data.dirichlet_pj(j, x, t)))[:, None]
-        gdn = (_face_data(tab, lambda x: data.dirichlet_d_dot(x, t)) @ n[:, :, None])[..., 0]
+        wg = (w * _face_data(tab, data, f"p:{j}", t))[:, None]
+        gdn = (_face_data(tab, data, "d,t", t) @ n[:, :, None])[..., 0]
         terms = (-kappa * _face_loads(dn, wg) + zeta[:, None, None] * _face_loads(phi, wg),
                  -params.alpha_j[j] * _face_loads(phi, (w * gdn)[:, None]))
         add(tab, f"p:{j}", np.concatenate(terms, axis=1))
@@ -437,7 +425,7 @@ def assemble_loads(space: DGSpace, params: PhysicalParams, faces: FaceSet, data,
     # Dirichlet lifting for the fluid velocity, plus the divergence-row lifting
     if len(fidxs := faces.dirichlet("u")):
         tab = space.face_table(faces, fidxs)
-        lift, gn = _vector_lift(tab, _face_data(tab, lambda x: data.dirichlet_u(x, t)),
+        lift, gn = _vector_lift(tab, _face_data(tab, data, "u", t),
                                 params.mu_f, 0.0,
                                 penalty_coefficients(tab.harmonic_h, params, space.m).gamma_v)
         add(tab, "u", lift, c[:, None])

@@ -75,12 +75,11 @@ def _lam_np(expr):
 
 @dataclass
 class ManufacturedCase:
-    """Exact fields, derivatives, sources, and boundary data as callables.
+    """Exact fields, derivatives, sources, and boundary data, all read by
+    :meth:`exact` under their ``exprs`` keys.
 
-    Scalar evaluators return (n,) arrays, vector ones (n, 2), gradients
-    (n, 2) for scalars and (n, 2, 2) (rows: components, cols: x/y) for
-    vectors. Also implements the load-data interface used by
-    :func:`polympe.forms.assemble_loads`.
+    Scalar keys give (n,) arrays, vector ones (n, 2), gradients (n, 2) for
+    scalars and (n, 2, 2) (rows: components, cols: x/y) for vectors.
     """
 
     name: str
@@ -105,52 +104,19 @@ class ManufacturedCase:
             self._fns[key] = [lam(expr[0]), lam(expr[1])] if isinstance(expr, sym.Matrix) else lam(expr)
         return self._fns[key]
 
-    # -- exact-field evaluation -------------------------------------------
+    def exact(self, key: str, pts, t=0.0):
+        """``key`` at the points ``pts`` (n, 2) and time ``t``: an ``exprs``
+        name, optionally suffixed ``,t`` (time derivative) or ``,grad``.
 
-    def exact(self, name: str, pts, t=0.0):
-        f = self._fn(name)
+        This is the load-data interface of
+        :func:`polympe.forms.assemble_loads`."""
         xs, ys = np.asarray(pts)[:, 0], np.asarray(pts)[:, 1]
-        if isinstance(f, list):
-            return np.stack([f[0](xs, ys, t), f[1](xs, ys, t)], axis=1)
-        return f(xs, ys, t)
 
-    def exact_dt(self, name: str, pts, t=0.0):
-        return self.exact(name + ",t", pts, t)
+        def ev(f):
+            # nested lists: vector components outside, x/y derivatives inside
+            return np.stack([ev(g) for g in f], axis=1) if isinstance(f, list) else f(xs, ys, t)
 
-    def exact_grad(self, name: str, pts, t=0.0):
-        g = self._fn(name + ",grad")
-        xs, ys = np.asarray(pts)[:, 0], np.asarray(pts)[:, 1]
-        if isinstance(g[0], list):
-            return np.stack(
-                [np.stack([g[i][j](xs, ys, t) for j in (0, 1)], axis=1) for i in (0, 1)], axis=1
-            )
-        return np.stack([g[0](xs, ys, t), g[1](xs, ys, t)], axis=1)
-
-    # -- load-data interface ------------------------------------------------
-
-    def f_el(self, pts, t):
-        return self.exact("f_el", pts, t)
-
-    def g_j(self, j, pts, t):
-        return self.exact(f"g:{j}", pts, t)
-
-    def f_f(self, pts, t):
-        return self.exact("f_f", pts, t)
-
-    def p_out(self, pts, t):
-        return self.exact("p_out", pts, t)
-
-    def dirichlet_d(self, pts, t):
-        return self.exact("d", pts, t)
-
-    def dirichlet_d_dot(self, pts, t):
-        return self.exact_dt("d", pts, t)
-
-    def dirichlet_u(self, pts, t):
-        return self.exact("u", pts, t)
-
-    def dirichlet_pj(self, j, pts, t):
-        return self.exact(f"p:{j}", pts, t)
+        return ev(self._fn(key))
 
     def corrupted(self, source: str) -> "ManufacturedCase":
         """Copy with one source expression sign-flipped (negative control)."""

@@ -34,8 +34,8 @@ def _volume_error(space, field, vec, exact, t, grad=False, exact_name=None):
     coeffs = space.coeffs(field, vec)
     v = tab.grads(coeffs) if grad else tab.values(coeffs)
     if exact is not None:
-        ev = exact.exact_grad if grad else exact.exact
-        v = ev(exact_name or field, tab.points, t).reshape(v.shape) - v
+        key = (exact_name or field) + (",grad" if grad else "")
+        v = exact.exact(key, tab.points, t).reshape(v.shape) - v
     return tab.weights, v
 
 
@@ -83,7 +83,7 @@ def broken_norms(space: DGSpace, faces: FaceSet, params: PhysicalParams, state: 
 
     for j in params.compartments:
         name = f"p:{j}"
-        kappa = params.k_j[j] / params.mu_j[j]
+        kappa = params.kappa(j)
         w, g = _volume_error(space, name, state[name], exact, t, grad=True)
         out[name] = kappa * float(np.sum(w * (g * g).sum(axis=(1, 2))))
         out[name] += jump_sq(space, faces, faces.sipg_faces(name), name, state[name],

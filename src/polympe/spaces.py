@@ -350,17 +350,17 @@ def build_space(mesh: PolyMesh, m: int, compartments=("E",)) -> DGSpace:
     return DGSpace(mesh, m, compartments)
 
 
-def l2_project(space: DGSpace, field: str, fn, t: float | None = None) -> np.ndarray:
+def l2_project(space: DGSpace, field: str, fn) -> np.ndarray:
     """Element-wise L2 projection of a pointwise function onto one field block.
 
     ``fn`` maps an (n, 2) array of points to values of shape (n,) for scalar
-    fields or (n, 2) for vector fields; a trailing ``t`` argument is passed
-    when given. It is called once, on the stacked quadrature points of the
-    field's subdomain. Returns the field-local DOF vector.
+    fields or (n, 2) for vector fields. It is called once, on the stacked
+    quadrature points of the field's subdomain. Returns the field-local DOF
+    vector.
     """
     tab = space.volume_table(space.field_domain(field))
-    vals = fn(tab.points) if t is None else fn(tab.points, t)
-    vals = np.asarray(vals, dtype=float).reshape(len(tab.weights), space.components(field))
+    vals = np.asarray(fn(tab.points), dtype=float)
+    vals = vals.reshape(len(tab.weights), space.components(field))
     # the transpose of VolumeTable.values, applied to w * vals
     wv = tab.weights[:, None] * vals
     out = np.empty((tab.n_elem, vals.shape[1], space.n_loc))

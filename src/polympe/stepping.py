@@ -128,8 +128,12 @@ def simulate(sys: SystemMatrices, faces: FaceSet, sp_: SchemeParams, data,
     divergence-free, and without this consistent initialization the
     trapezoidal blend would carry an undamped constraint oscillation.
 
-    Raises :class:`~polympe.solvers.NumericalError` at the first step whose
+    Raises :class:`ValueError` unless ``n_steps >= 0`` and ``stride >= 1``,
+    and :class:`~polympe.solvers.NumericalError` at the first step whose
     state is not finite."""
+    if n_steps < 0 or stride < 1:
+        raise ValueError(f"need n_steps >= 0 and stride >= 1, got n_steps = {n_steps}, "
+                         f"stride = {stride}")
     loads_n = forms.assemble_loads(sys.space, sys.params, faces, data, t0)
     state0 = initial_state(sys, loads_n, values)
     mats = build_stepping_matrices(sys, sp_)

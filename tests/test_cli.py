@@ -58,13 +58,15 @@ def test_solve_demo_writes_vtk(tmp_path):
     assert "DATASET POLYDATA" in vtk and "CELL_DATA" in vtk and "VECTORS d" in vtk
 
 
-def test_solve_manifest_records_the_case_params(tmp_path):
-    # the steady case solves with its own parameters, whatever the preset
+def test_solve_manifest_records_the_case_params(tmp_path, capsys):
+    # the steady case solves with its own parameters and reads no preset
     from polympe.manufactured import steady_case
-    cfg = write_config(tmp_path, {"case": "steady", "mesh": {"family": "cartesian", "ny": 2},
-                                  "degree": 1, "params": {"preset": "brain"}})
+    doc = {"case": "steady", "mesh": {"family": "cartesian", "ny": 2}, "degree": 1}
+    cfg = write_config(tmp_path, dict(doc, params={"preset": "brain"}))
     out = tmp_path / "out"
-    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert "'params'" in capsys.readouterr().err
+    assert main(["solve", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["resolved_params"]["mu_el"] == steady_case().params.mu_el == 1.0
     assert manifest["resolved_scheme"] is None
@@ -102,6 +104,12 @@ def test_unknown_scheme_key_is_input_error(tmp_path, capsys, command, doc):
       "scheme": {"dt": 0.01, "n_steps": 1}}, "nyy"),
     ({"case": "zero", "mesh": {"family": "agglomerated", "targets": [2, 2], "fine_ny": 4,
                                "jiter": 0.1}, "scheme": {"dt": 0.01, "n_steps": 1}}, "jiter"),
+    # keys another case reads
+    *[(dict({"case": case, "mesh": {"family": "cartesian", "ny": 2}}, **{key: val}), key)
+      for case, key, val in [("steady", "demo_amplitude", 1e-3), ("steady", "scheme", {"dt": 0.01}),
+                             ("steady", "compartments", ["A", "E"]), ("steady", "snapshot_stride", 2),
+                             ("unsteady", "params", {"preset": "brain"}),
+                             ("zero", "demo_amplitude", 1e-3)]],
 ])
 def test_unknown_solve_key_is_input_error(tmp_path, capsys, doc, key):
     cfg = write_config(tmp_path, doc)
@@ -129,15 +137,35 @@ def test_unknown_config_key_is_input_error(tmp_path, capsys, command, doc, key):
 
 
 def test_shipped_configs_have_known_top_level_keys():
+    # each config passes the checks its command makes before building a mesh
     from pathlib import Path
-    from polympe.cli import _TOP_KEYS, _check_keys
+    from polympe.cli import _SOLVE_KEYS, _TOP_KEYS, _check_keys, resolve_params, resolve_scheme
     configs = Path(__file__).resolve().parents[1] / "configs"
     commands = {"agglomerate_brain_scale": "agglomerate", "demo": "solve", "spectral": "convergence",
                 "verification_steady": "convergence", "verification_unsteady": "convergence",
                 "verify": "verify"}
     assert sorted(commands) == sorted(p.stem for p in configs.glob("*.json"))
     for name, command in commands.items():
-        _check_keys("top-level", json.loads((configs / f"{name}.json").read_text()), _TOP_KEYS[command])
+        cfg = json.loads((configs / f"{name}.json").read_text())
+        _check_keys("top-level", cfg, _TOP_KEYS[command])
+        if command == "solve":
+            _check_keys("solve", cfg, _SOLVE_KEYS[cfg["case"]])
+        if command in ("solve", "verify"):
+            resolve_params(cfg)
+        if "scheme" in cfg:
+            resolve_scheme(cfg, extra=("n_steps",) if command == "solve" else ())
+
+
+@pytest.mark.parametrize("doc", [{"snapshot_stride": 0, "scheme": {"dt": 0.01, "n_steps": 2}},
+                                 {"scheme": {"dt": 0.01, "n_steps": -4}}])
+def test_bad_step_counts_are_input_errors(tmp_path, capsys, doc):
+    cfg = write_config(tmp_path, dict({"case": "zero", "mesh": {"family": "cartesian", "ny": 2},
+                                       "degree": 1}, **doc))
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "n_steps >= 0 and stride >= 1" in err and "Traceback" not in err
+    assert not list(out.glob("snapshot_*")) and not (out / "manifest.json").exists()
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")

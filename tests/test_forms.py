@@ -6,7 +6,7 @@ import pytest
 import sympy as sym
 
 from polympe import forms
-from polympe.families import VERIFICATION_DIRICHLET
+from polympe.families import DEMO_DIRICHLET, VERIFICATION_DIRICHLET
 from polympe.manufactured import ManufacturedCase, X, Y, _strong_sources
 from polympe.mesh import build_faces, harmonic_h
 from polympe.params import PhysicalParams
@@ -198,8 +198,10 @@ def test_volume_load_pattern(unit_params):
     _, faces, space = natural_setup("fluid")
 
     class Data(forms.ZeroData):
-        def f_f(self, pts, t):
-            return np.stack([np.ones(len(pts)), np.zeros(len(pts))], axis=1)
+        def exact(self, key, pts, t=0.0):
+            if key == "f_f":
+                return np.stack([np.ones(len(pts)), np.zeros(len(pts))], axis=1)
+            return super().exact(key, pts, t)
 
     loads = forms.assemble_loads(space, unit_params, faces, Data(), 0.0)
     v = interp(space, "u", lambda p: np.stack([np.ones(len(p)), np.zeros(len(p))], axis=1))
@@ -211,9 +213,34 @@ def test_outlet_datum_matches_printed_expression(steady):
     # (cos(pi y) + 6 pi^2 mu K_E/mu_E sin(pi y)) n_f for the steady case
     ys = np.linspace(0.05, 0.95, 7)
     pts = np.column_stack([np.ones_like(ys), ys])
-    pbar = steady.p_out(pts, 0.0)
+    pbar = steady.exact("p_out", pts, 0.0)
     expected = -(np.cos(np.pi * ys) + 6 * np.pi ** 2 * np.sin(np.pi * ys))
     assert np.allclose(pbar, expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("dirichlet", ["verification", "demo"])
+def test_load_keys_are_case_keys(cart4_setup, unit_params, steady, dirichlet):
+    # every datum assemble_loads reads is a key of the manufactured cases,
+    # and ZeroData answers it in the case's shape
+    mesh, _, space = cart4_setup
+    faces = build_faces(mesh, VERIFICATION_DIRICHLET if dirichlet == "verification"
+                        else DEMO_DIRICHLET)
+
+    keys = []
+
+    class Recorder(forms.ZeroData):
+        def exact(self, key, pts, t=0.0):
+            keys.append(key)
+            return super().exact(key, pts, t)
+
+    forms.assemble_loads(space, unit_params, faces, Recorder(), 0.0)
+    want = {"f_el", "g:E", "f_f", "p_out", "d", "u", "p:E", "d,t"}
+    if dirichlet == "demo":
+        want -= {"p:E", "d,t"}  # the pressure has no Dirichlet faces there
+    assert set(keys) == want
+    pts = np.array([[-0.5, 0.25], [0.5, 0.75], [0.1, 0.9]])
+    for key in keys:
+        assert forms.ZeroData().exact(key, pts).shape == steady.exact(key, pts, 0.0).shape
 
 
 def test_interface_patch_linear():
@@ -271,6 +298,13 @@ def test_params_validation_errors():
         PhysicalParams(beta_ext={"E": -0.5})
     with pytest.raises(ValueError, match="zeta"):
         PhysicalParams(zeta_bar={"E": 0.0})
+
+
+def test_darcy_coefficient():
+    params = PhysicalParams.brain(("A", "E"))
+    params.k_j["A"] = 3.0e-11
+    assert params.kappa("A") == 3.0e-11 / params.mu_j["A"]
+    assert params.kappa("E") == params.k_j["E"] / params.mu_j["E"]
 
 
 def test_params_presets():
@@ -372,14 +406,16 @@ def test_volume_loads_equal_projection(mesh80, unsteady):
     # with L2-orthonormal bases the volume loads are the projection
     # coefficients of the sources
     class VolumeOnly(forms.ZeroData):
-        f_el, f_f = staticmethod(unsteady.f_el), staticmethod(unsteady.f_f)
-        g_j = staticmethod(unsteady.g_j)
+        def exact(self, key, pts, t=0.0):
+            if key in ("f_el", "f_f", "g:E"):
+                return unsteady.exact(key, pts, t)
+            return super().exact(key, pts, t)
 
     faces, space = pin_setup("mesh80", mesh80, ("E",))
     t = 0.37
     loads = forms.assemble_loads(space, unsteady.params, faces, VolumeOnly(), t)
-    for field, fn in (("d", unsteady.f_el), ("u", unsteady.f_f),
-                      ("p:E", lambda x, t: unsteady.g_j("E", x, t))):
-        got, want = loads[space.field_slice(field)], l2_project(space, field, fn, t=t)
+    for field, key in (("d", "f_el"), ("u", "f_f"), ("p:E", "g:E")):
+        got = loads[space.field_slice(field)]
+        want = l2_project(space, field, lambda x: unsteady.exact(key, x, t))
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     assert not loads[space.field_slice("p")].any()

@@ -24,8 +24,14 @@ def test_divergence_free_closed_form(steady, unsteady):
     rng = np.random.default_rng(4)
     for case, t in ((steady, 0.0), (unsteady, 0.41)):
         pts = sample_points(rng, 20, "fluid")
-        g = case.exact_grad("u", pts, t)
+        g = case.exact("u,grad", pts, t)
         assert np.abs(g[:, 0, 0] + g[:, 1, 1]).max() < 1e-12
+
+
+@pytest.mark.parametrize("key", ["u,tt", "_g_el", "q", "p:E,grad,t"])
+def test_unknown_key_is_key_error(unsteady, key):
+    with pytest.raises(KeyError):
+        unsteady.exact(key, np.zeros((1, 2)), 0.0)
 
 
 def test_time_factors(unsteady):

@@ -104,9 +104,9 @@ def test_initial_state_projections(small_sys, unsteady):
     art = setup(cartesian_two_domain(2), 1, unsteady.params, VERIFICATION_DIRICHLET)
     loads = forms.assemble_loads(art.space, art.sys.params, art.faces, unsteady, 0.0)
     st = stepping.initial_state(art.sys, loads, projected_values(art.space, unsteady))
-    d_ref = l2_project(art.space, "d", lambda p, t: unsteady.exact("d", p, t), t=0.0)
+    d_ref = l2_project(art.space, "d", lambda p: unsteady.exact("d", p, 0.0))
     assert np.allclose(st["d"], d_ref)
-    z_ref = l2_project(art.space, "d", lambda p, t: unsteady.exact_dt("d", p, t), t=0.0)
+    z_ref = l2_project(art.space, "d", lambda p: unsteady.exact("d,t", p, 0.0))
     assert np.allclose(st["z"], z_ref)
 
 
@@ -142,8 +142,10 @@ class _SourceInfiniteFrom(forms.ZeroData):
     def __init__(self, t_bad):
         self.t_bad = t_bad
 
-    def g_j(self, j, pts, t):
-        return np.full(len(pts), np.inf if t >= self.t_bad else 0.0)
+    def exact(self, key, pts, t=0.0):
+        if key == "g:E":
+            return np.full(len(pts), np.inf if t >= self.t_bad else 0.0)
+        return super().exact(key, pts, t)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -151,6 +153,13 @@ def test_non_finite_state_names_its_step(small_sys):
     sp = stepping.SchemeParams(dt=0.1)
     with pytest.raises(NumericalError, match="non-finite state at step 3 "):
         stepping.simulate(small_sys.sys, small_sys.faces, sp, _SourceInfiniteFrom(0.25), 5)
+
+
+@pytest.mark.parametrize("n_steps, stride", [(-4, 1), (3, 0), (3, -2)])
+def test_simulate_rejects_bad_step_counts(small_sys, n_steps, stride):
+    with pytest.raises(ValueError, match="n_steps >= 0 and stride >= 1"):
+        stepping.simulate(small_sys.sys, small_sys.faces, stepping.SchemeParams(dt=0.1),
+                          forms.ZeroData(), n_steps, stride=stride)
 
 
 def test_simulate_final_time_and_stride(small_sys):
