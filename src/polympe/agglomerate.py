@@ -17,9 +17,9 @@ one.
 
 Everything read from the fine mesh's edges comes from its edge table
 (:class:`~polympe.mesh.EdgeTable`): the face adjacency of the fine
-elements (its interior rows), the two sides of an outline edge during the
-repair (a ``searchsorted`` lookup on the edge key), and the boundary labels
-the coarse mesh inherits.
+elements (its interior rows), the element across each edge of each fine
+triangle (one lookup for all of them, from which every cluster outline is
+read), and the boundary labels the coarse mesh inherits.
 """
 
 from __future__ import annotations
@@ -58,8 +58,12 @@ def _lloyd(points: np.ndarray, k: int, rng, iterations: int) -> np.ndarray:
     centers = points[rng.choice(n, size=k, replace=False)].copy()
     labels = np.zeros(n, dtype=int)
     sq = (points ** 2).sum(axis=1)
+    d2 = np.empty((n, k))  # squared distances, point by centre
     for _ in range(iterations):
-        d2 = sq[:, None] - 2.0 * (points @ centers.T) + (centers ** 2).sum(axis=1)[None, :]
+        np.matmul(points, centers.T, out=d2)
+        d2 *= 2.0
+        np.subtract(sq[:, None], d2, out=d2)
+        d2 += (centers ** 2).sum(axis=1)[None, :]
         new_labels = d2.argmin(axis=1)
         if np.array_equal(new_labels, labels):
             break
@@ -107,36 +111,61 @@ def _adjacency(mesh: PolyMesh, ids) -> dict:
     return {g: set(dst[a:b]) for g, a, b in zip(ids.tolist(), lo, hi)}
 
 
-def _boundary_loop(mesh: PolyMesh, elems) -> list:
-    """Oriented outer vertex loop of a union of fine elements, retaining
-    every fine vertex on the boundary. Raises for unions whose boundary is
-    not a single simple loop (holes, pinched vertices, splits)."""
-    seen = {}
-    for k in elems:
-        el = mesh.elements[k]
-        for i in range(len(el)):
-            a, b = int(el[i]), int(el[(i + 1) % len(el)])
-            if (b, a) in seen:
-                del seen[(b, a)]
-            else:
-                seen[(a, b)] = True
-    succ = {}
-    for a, b in seen:
-        if a in succ:
+class _Outlines:
+    """The directed edges ``a[k, i] -> b[k, i]`` of every fine triangle
+    ``k`` and the element ``nb[k, i]`` across each (-1 on the mesh
+    boundary), read once from the edge table.
+
+    A cluster is the set of triangles that an owner array (:meth:`owners`)
+    maps to its id; its outline is the triangles' edges whose neighbour has
+    another owner."""
+
+    def __init__(self, mesh: PolyMesh):
+        if any(loops.shape[1] != 3 for _, loops in mesh.groups):
+            raise MeshError("agglomeration expects a triangle-only fine mesh")
+        self.a = np.empty((mesh.n_elements, 3), dtype=int)
+        for elems, loops in mesh.groups:
+            self.a[elems] = loops
+        self.b = np.roll(self.a, -1, axis=1)
+        side = mesh.edges.elem[mesh.edges.find(self.a, self.b)]
+        mine = side[..., 0] == np.arange(mesh.n_elements)[:, None]
+        self.nb = np.where(mine, side[..., 1], side[..., 0])
+
+    def owners(self) -> np.ndarray:
+        """An owner array with no element in any cluster (-1). It has one
+        slot more than there are elements, which stays -1, so that the
+        missing side -1 of a boundary edge reads as no cluster."""
+        return np.full(len(self.a) + 1, -1)
+
+    def loop(self, elems, owner: np.ndarray, cid: int):
+        """Oriented outer vertex loop of cluster ``cid``, whose triangles
+        ``elems`` are exactly those ``owner`` maps to ``cid``, retaining
+        every fine vertex on the boundary; with, per loop edge, the triangle
+        inside and the element across (-1 for none). Raises for clusters
+        whose boundary is not a single simple loop (holes, pinched vertices,
+        splits)."""
+        e = np.fromiter(elems, dtype=int, count=len(elems))
+        rows, cols = np.nonzero(owner[self.nb[e]] != cid)
+        inner = e[rows]
+        a = self.a[inner, cols].tolist()
+        b = self.b[inner, cols].tolist()
+        succ = dict(zip(a, range(len(a))))  # start vertex -> outline edge
+        if len(succ) < len(a):
             raise MeshError("cluster boundary is not a single loop")
-        succ[a] = b
-    if not succ:
-        raise MeshError("empty cluster")
-    start = min(succ)
-    loop, cur = [start], succ[start]
-    while cur != start:
-        loop.append(cur)
-        cur = succ[cur]
-        if len(loop) > len(succ):
-            raise MeshError("cluster boundary has multiple loops")
-    if len(loop) != len(succ):
-        raise MeshError("cluster boundary has multiple loops (hole or split)")
-    return loop
+        if not succ:
+            raise MeshError("empty cluster")
+        start = min(succ)
+        walk = [succ[start]]
+        cur = b[walk[0]]
+        while cur != start:
+            walk.append(succ[cur])
+            cur = b[walk[-1]]
+            if len(walk) > len(succ):
+                raise MeshError("cluster boundary has multiple loops")
+        if len(walk) != len(succ):
+            raise MeshError("cluster boundary has multiple loops (hole or split)")
+        inner, cols = inner[walk], cols[walk]
+        return [a[j] for j in walk], inner.tolist(), self.nb[inner, cols].tolist()
 
 
 #: fan triangles at or below this fraction of the cluster area count as
@@ -149,15 +178,16 @@ class _Partition:
     incremental star-shapedness bookkeeping. Elements are indexed by their
     global fine-mesh ids."""
 
-    def __init__(self, mesh: PolyMesh, ids: np.ndarray, rng):
+    def __init__(self, mesh: PolyMesh, outlines: _Outlines, ids: np.ndarray, rng):
         self.mesh = mesh
+        self.outlines = outlines
         self.ids = ids.tolist()
         self.rng = rng
         self.pts = mesh.centroids[ids]
         self.local = {g: i for i, g in enumerate(self.ids)}
         self.adj = _adjacency(mesh, ids)
         self.clusters: dict[int, set] = {}
-        self.owner: dict[int, int] = {}
+        self.owner = outlines.owners()
         self._next = 0
         self._dirty: set[int] = set()
 
@@ -167,8 +197,7 @@ class _Partition:
         cid = self._next
         self._next += 1
         self.clusters[cid] = set(elems)
-        for e in elems:
-            self.owner[e] = cid
+        self.owner[list(elems)] = cid
         self._dirty.add(cid)
         return cid
 
@@ -178,7 +207,7 @@ class _Partition:
         return elems
 
     def move(self, elem: int, dest: int):
-        src = self.owner[elem]
+        src = int(self.owner[elem])
         self.clusters[src].discard(elem)
         self.clusters[dest].add(elem)
         self.owner[elem] = dest
@@ -192,16 +221,14 @@ class _Partition:
                 comps.sort(key=len)
                 self.clusters[src] = set(comps[-1])
                 for comp in comps[:-1]:
-                    cid = self.add_cluster(comp)
-                    for e in comp:
-                        self.owner[e] = cid
+                    self.add_cluster(comp)
 
     def merge_into_neighbor(self, cid: int):
         elems = self.clusters[cid]
         touching = {}
         for e in elems:
             for nb in self.adj[e]:
-                o = self.owner[nb]
+                o = int(self.owner[nb])
                 if o != cid:
                     touching[o] = touching.get(o, 0) + 1
         if not touching:
@@ -209,8 +236,7 @@ class _Partition:
         best = max(sorted(touching), key=lambda c: touching[c])
         self.drop_cluster(cid)
         self.clusters[best].update(elems)
-        for e in elems:
-            self.owner[e] = best
+        self.owner[list(elems)] = best
         self._dirty.add(best)
 
     def split_largest(self):
@@ -241,45 +267,39 @@ class _Partition:
         cluster's outline; empty iff the cluster is star-shaped."""
         elems = self.clusters[cid]
 
-        def edge_moves(a, b):
+        def edge_moves(tri, twin):
+            # no move to the cluster itself or to no cluster (owner -1): the
+            # missing side (-1) of a boundary edge or the other subdomain
+            dest = int(self.owner[twin])
+            if dest < 0 or dest == cid:
+                return []
             out = []
-            t = self.mesh.edges
-            r = t.find(a, b)
-            tri = twin = None
-            # the missing side (-1) of a boundary edge is in no cluster
-            for elem, (ea, eb) in zip(t.elem[r].tolist(), t.ab[r].tolist()):
-                if self.owner.get(elem) == cid and (ea, eb) == (a, b):
-                    tri = elem
-                elif elem in self.owner and self.owner[elem] != cid:
-                    twin = elem
-            if tri is None or twin is None:
-                return out
             if len(elems) > 1:
-                out.append((tri, self.owner[twin]))
-            if len(self.clusters[self.owner[twin]]) > 1:
+                out.append((tri, dest))
+            if len(self.clusters[dest]) > 1:
                 out.append((twin, cid))
             return out
 
-        moves, n_viol = [], 0
         try:
-            loop = _boundary_loop(self.mesh, elems)
+            loop, inner, across = self.outlines.loop(elems, self.owner, cid)
         except MeshError:
-            for e in elems:
-                el = self.mesh.elements[e]
-                for i in range(3):
-                    moves.extend(edge_moves(int(el[i]), int(el[(i + 1) % 3])))
+            moves = []
+            members = list(elems)
+            for e, row in zip(members, self.outlines.nb[members].tolist()):
+                for twin in row:
+                    moves.extend(edge_moves(e, twin))
             if not moves:
                 raise
             return moves
         pts = self.mesh.vertices[loop]
         p = pts - pts.mean(axis=0)
-        q = np.roll(p, -1, axis=0)
+        q = np.concatenate((p[1:], p[:1]))
         area2 = p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
-        total = area2.sum()
-        for i in np.nonzero(area2 <= _STAR_RTOL * total)[0]:
-            n_viol += 1
-            moves.extend(edge_moves(loop[i], loop[(i + 1) % len(loop)]))
-        if n_viol and not moves:
+        moves = []
+        violations = np.flatnonzero(area2 <= _STAR_RTOL * area2.sum()).tolist()
+        for i in violations:
+            moves.extend(edge_moves(inner[i], across[i]))
+        if violations and not moves:
             raise MeshError("star-shapedness violation without a movable edge")
         return moves
 
@@ -325,7 +345,8 @@ class _Partition:
         raise MeshError("star-shapedness repair budget exhausted")
 
 
-def _partition_domain(mesh: PolyMesh, ids: np.ndarray, k: int, rng) -> list:
+def _partition_domain(mesh: PolyMesh, outlines: _Outlines, ids: np.ndarray, k: int,
+                      rng) -> list:
     """Clusters of fine element ids, exactly ``k`` of them, each
     face-connected and star-shaped with respect to its centroid."""
     if not 1 <= k <= len(ids):
@@ -333,7 +354,7 @@ def _partition_domain(mesh: PolyMesh, ids: np.ndarray, k: int, rng) -> list:
     budget = MAX_REPAIR_ITERATIONS * max(k, 10)
     last_error = None
     for _ in range(ATTEMPTS):
-        part = _Partition(mesh, ids, rng)
+        part = _Partition(mesh, outlines, ids, rng)
         labels = _lloyd(part.pts, k, rng, LLOYD_ITERATIONS)
         for c in range(k):
             members = [part.ids[i] for i in np.nonzero(labels == c)[0]]
@@ -355,12 +376,16 @@ def agglomerate(fine: PolyMesh, cfg: AgglomerationConfig, assignment=None) -> Po
     the interface; boundary labels are inherited edge-by-edge. The result is
     a valid :class:`PolyMesh` (in particular, usable with the fan-based
     quadrature). ``assignment`` is the clustering to coarsen, as
-    :func:`partition_assignment` gives it for ``cfg``; it is computed when
-    not given.
+    :func:`partition_assignment` gives it for ``cfg``: disjoint clusters of
+    the triangles of ``fine``. It is computed when not given.
     """
     if assignment is None:
         assignment = partition_assignment(fine, cfg)
-    elements = [_boundary_loop(fine, cl) for cl in assignment]
+    outlines = _Outlines(fine)
+    owner = outlines.owners()
+    for cid, cl in enumerate(assignment):
+        owner[cl] = cid
+    elements = [outlines.loop(cl, owner, cid)[0] for cid, cl in enumerate(assignment)]
     domains = [fine.element_domain[cl[0]] for cl in assignment]
     # coarse edges are fine edges; those on the fine boundary keep its labels
     t = fine.edges
@@ -407,8 +432,7 @@ def partition_assignment(fine: PolyMesh, cfg: AgglomerationConfig) -> list:
     """The fine-to-coarse assignment: clusters of fine element ids, elastic
     then fluid, that :func:`agglomerate` coarsens. Deterministic for a fixed
     ``cfg.seed``."""
-    if any(loops.shape[1] != 3 for _, loops in fine.groups):
-        raise MeshError("agglomeration expects a triangle-only fine mesh")
+    outlines = _Outlines(fine)
     rng = np.random.default_rng(cfg.seed)
     out = []
     for domain in (ELASTIC, FLUID):
@@ -417,5 +441,5 @@ def partition_assignment(fine: PolyMesh, cfg: AgglomerationConfig) -> list:
             if cfg.target(domain) > 0:
                 raise MeshError(f"no fine elements in the {domain} domain")
             continue
-        out.extend(_partition_domain(fine, ids, cfg.target(domain), rng))
+        out.extend(_partition_domain(fine, outlines, ids, cfg.target(domain), rng))
     return out

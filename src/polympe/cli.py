@@ -236,6 +236,8 @@ def cmd_solve(cfg: dict, out: Path) -> int:
     if case_id != "steady":
         scheme = resolve_scheme(cfg, extra=("n_steps",))
         n_steps = int(cfg["scheme"].get("n_steps", 100))
+        stride = int(cfg.get("snapshot_stride", 1))
+        stepping.check_step_counts(n_steps, stride)
     mesh = resolve_mesh(cfg.get("mesh", {"family": "cartesian", "ny": 4}))
     m = int(cfg.get("degree", 2))
     t0 = time.time()
@@ -247,16 +249,17 @@ def cmd_solve(cfg: dict, out: Path) -> int:
         art = driver.setup(mesh, m, params, resolve_dirichlet(cfg, case_id))
         values = driver.projected_values(art.space, data) if case_id == "unsteady" else None
         states, times = stepping.simulate(art.sys, art.faces, scheme, data, n_steps, values,
-                                          stride=int(cfg.get("snapshot_stride", 1)))
+                                          stride=stride)
         # one snapshot per recorded step, named by step number; the initial
         # state is not written
         snaps = [(int(round(t / scheme.dt)), st) for st, t in zip(states[1:], times[1:])]
         resolved_scheme = dict(asdict(scheme), n_steps=n_steps)
 
     space = art.space
+    geometry = outputs.vtk_geometry(mesh)
     for i, st in snaps:
         outputs.write_snapshot_csv(space, st, out / f"snapshot_{i:06d}.csv")
-        outputs.write_snapshot_vtk(space, st, out / f"snapshot_{i:06d}.vtk")
+        outputs.write_snapshot_vtk(space, st, out / f"snapshot_{i:06d}.vtk", geometry)
     outputs.write_manifest(out / "manifest.json", cfg, {
         "command": "solve", "version": __version__, "elapsed_s": time.time() - t0,
         "snapshots": len(snaps), "n_elements": mesh.n_elements, "n_dofs": space.n_dofs,

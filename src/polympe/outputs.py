@@ -40,47 +40,48 @@ def cell_means(space, state: dict) -> dict:
 
 def write_snapshot_csv(space, state: dict, path) -> None:
     mesh = space.mesh
-    means = cell_means(space, state)
     cols = ["element", "domain", "cx", "cy"]
     for field in space.fields:
         base = field.replace(":", "_")
         cols += [f"{base}_x", f"{base}_y"] if space.components(field) == 2 else [base]
+    means = cell_means(space, state)
+    values = np.hstack([mesh.centroids] + [means[field] for field in space.fields])
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(cols)
-        for k in range(mesh.n_elements):
-            row = [k, mesh.element_domain[k],
-                   f"{mesh.centroids[k][0]:.16e}", f"{mesh.centroids[k][1]:.16e}"]
-            for field in space.fields:
-                row += [f"{v:.16e}" for v in means[field][k]]
-            w.writerow(row)
+        w.writerows([k, domain] + [f"{v:.16e}" for v in row]
+                    for k, (domain, row) in enumerate(zip(mesh.element_domain, values.tolist())))
 
 
-def write_snapshot_vtk(space, state: dict, path, title="polympe snapshot") -> None:
-    mesh = space.mesh
-    means = cell_means(space, state)
-    lines = ["# vtk DataFile Version 3.0", title, "ASCII", "DATASET POLYDATA",
+def vtk_geometry(mesh) -> str:
+    """Header, points and polygons of a legacy ASCII VTK snapshot of
+    ``mesh``: the part of every snapshot that the fields do not change,
+    formatted once per run for :func:`write_snapshot_vtk`."""
+    lines = ["# vtk DataFile Version 3.0", "polympe snapshot", "ASCII", "DATASET POLYDATA",
              f"POINTS {len(mesh.vertices)} double"]
-    for v in mesh.vertices:
-        lines.append(f"{v[0]:.16e} {v[1]:.16e} 0.0")
+    lines += [f"{x:.16e} {y:.16e} 0.0" for x, y in mesh.vertices.tolist()]
     total = sum(len(e) + 1 for e in mesh.elements)
     lines.append(f"POLYGONS {mesh.n_elements} {total}")
-    for e in mesh.elements:
-        lines.append(" ".join([str(len(e))] + [str(int(i)) for i in e]))
-    lines.append(f"CELL_DATA {mesh.n_elements}")
+    lines += [" ".join(map(str, [len(e)] + e.tolist())) for e in mesh.elements]
+    return "\n".join(lines) + "\n"
+
+
+def write_snapshot_vtk(space, state: dict, path, geometry: str) -> None:
+    """A snapshot of the cell means of ``state``, after ``geometry``, the
+    :func:`vtk_geometry` of ``space.mesh``."""
+    means = cell_means(space, state)
+    lines = [f"CELL_DATA {space.mesh.n_elements}"]
     for field in space.fields:
         base = field.replace(":", "_")
-        vals = means[field]
+        vals = means[field].tolist()
         if space.components(field) == 2:
             lines.append(f"VECTORS {base} double")
-            for v in vals:
-                lines.append(f"{v[0]:.16e} {v[1]:.16e} 0.0")
+            lines += [f"{x:.16e} {y:.16e} 0.0" for x, y in vals]
         else:
             lines.append(f"SCALARS {base} double 1")
             lines.append("LOOKUP_TABLE default")
-            for v in vals:
-                lines.append(f"{v[0]:.16e}")
-    Path(path).write_text("\n".join(lines) + "\n")
+            lines += [f"{v:.16e}" for v, in vals]
+    Path(path).write_text(geometry + "\n".join(lines) + "\n")
 
 
 def write_manifest(path, config: dict, extra: dict) -> None:

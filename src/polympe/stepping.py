@@ -114,6 +114,13 @@ def initial_state(sys: SystemMatrices, loads: np.ndarray, values=None) -> dict:
     return st
 
 
+def check_step_counts(n_steps: int, stride: int) -> None:
+    """Raise :class:`ValueError` unless ``n_steps >= 0`` and ``stride >= 1``."""
+    if n_steps < 0 or stride < 1:
+        raise ValueError(f"need n_steps >= 0 and stride >= 1, got n_steps = {n_steps}, "
+                         f"stride = {stride}")
+
+
 def simulate(sys: SystemMatrices, faces: FaceSet, sp_: SchemeParams, data,
              n_steps: int, values=None, t0: float = 0.0, stride: int = 1):
     """March ``n_steps`` uniform steps from :func:`initial_state` (``values``
@@ -128,12 +135,10 @@ def simulate(sys: SystemMatrices, faces: FaceSet, sp_: SchemeParams, data,
     divergence-free, and without this consistent initialization the
     trapezoidal blend would carry an undamped constraint oscillation.
 
-    Raises :class:`ValueError` unless ``n_steps >= 0`` and ``stride >= 1``,
-    and :class:`~polympe.solvers.NumericalError` at the first step whose
-    state is not finite."""
-    if n_steps < 0 or stride < 1:
-        raise ValueError(f"need n_steps >= 0 and stride >= 1, got n_steps = {n_steps}, "
-                         f"stride = {stride}")
+    Raises :class:`ValueError` unless ``n_steps >= 0`` and ``stride >= 1``
+    (:func:`check_step_counts`), and :class:`~polympe.solvers.NumericalError`
+    at the first step whose state is not finite."""
+    check_step_counts(n_steps, stride)
     loads_n = forms.assemble_loads(sys.space, sys.params, faces, data, t0)
     state0 = initial_state(sys, loads_n, values)
     mats = build_stepping_matrices(sys, sp_)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polympe.agglomerate import (AgglomerationConfig, agglomerate,
+from polympe.agglomerate import (AgglomerationConfig, _Outlines, agglomerate,
                                  partition_assignment, validate_partition)
 from polympe.families import triangulated_two_domain
 from polympe.mesh import ELASTIC, FLUID, MeshError, PolyMesh
@@ -168,6 +168,135 @@ def test_coarse_320_element_loops_pinned(poly_family, seed):
         triangulated_two_domain(48, jitter=0.25, seed=seed), AgglomerationConfig(160, 160, seed=seed))
     doc = json.dumps([[d, e.tolist()] for d, e in zip(coarse.element_domain, coarse.elements)])
     assert hashlib.sha256(doc.encode()).hexdigest() == COARSE_320_SHA256[seed]
+
+
+#: sha256 of the JSON fine-to-coarse assignment, by mesh (of
+#: PARTITION_MESHES) and seed, with the fine mesh and the agglomeration on the
+#: same seed; brain scale at seed 3 takes the dropped-move path
+PARTITION_SHA256 = {
+    ("20", 0): "bbaed1e87f233a5bf01605d41e82f96b4c9acd84b992edda0a2bea11e06157d1",
+    ("20", 1): "6d61e5cc1b43652d02f9165961e9c017617a2200c4e608f9dd9a3f5f6bd6ec4b",
+    ("80", 0): "ae058cad6bba85778821ce927fd61e266fa65e668ee10299188de1fbefcc396a",
+    ("80", 1): "66cbc669c6bee6bba033e951b66901acdd25baed55018b8197368400704c4215",
+    ("brain", 0): "d240e6c7536021e322e4a2d79c22da1077a5181ecb100ac14f8c49ba202f3877",
+    ("brain", 3): "28e9998ae2d695f7f3c3fc26b99df38f7118d756bc1bbd9e5032094df97d4425",
+}
+#: fine triangulation (rows, elastic columns, fluid columns) and targets
+PARTITION_MESHES = {"20": ((12, None, None), (10, 10)), "80": ((24, None, None), (40, 40)),
+                    "brain": ((48, 48, 12), (910, 101))}
+
+
+@pytest.mark.parametrize("mesh, seed", sorted(PARTITION_SHA256),
+                         ids=[f"{m}-seed{s}" for m, s in sorted(PARTITION_SHA256)])
+def test_partition_assignment_pinned(mesh, seed):
+    (ny, nx_el, nx_f), targets = PARTITION_MESHES[mesh]
+    fine = triangulated_two_domain(ny, nx_el, nx_f, jitter=0.25, seed=seed)
+    assignment = partition_assignment(fine, AgglomerationConfig(*targets, seed=seed))
+    doc = json.dumps(assignment)
+    assert hashlib.sha256(doc.encode()).hexdigest() == PARTITION_SHA256[mesh, seed]
+
+
+def reference_boundary_loop(mesh: PolyMesh, elems) -> list:
+    """Oriented outer vertex loop of a union of fine elements, retaining
+    every fine vertex on the boundary, from a dict of the directed edges
+    whose reverse is not in the union. Raises for unions whose boundary is
+    not a single simple loop (holes, pinched vertices, splits)."""
+    seen = {}
+    for k in elems:
+        el = mesh.elements[k]
+        for i in range(len(el)):
+            a, b = int(el[i]), int(el[(i + 1) % len(el)])
+            if (b, a) in seen:
+                del seen[(b, a)]
+            else:
+                seen[(a, b)] = True
+    succ = {}
+    for a, b in seen:
+        if a in succ:
+            raise MeshError("cluster boundary is not a single loop")
+        succ[a] = b
+    if not succ:
+        raise MeshError("empty cluster")
+    start = min(succ)
+    loop, cur = [start], succ[start]
+    while cur != start:
+        loop.append(cur)
+        cur = succ[cur]
+        if len(loop) > len(succ):
+            raise MeshError("cluster boundary has multiple loops")
+    if len(loop) != len(succ):
+        raise MeshError("cluster boundary has multiple loops (hole or split)")
+    return loop
+
+
+def outline_or_error(mesh: PolyMesh, table: _Outlines, elems):
+    """The loop of ``elems`` as its only cluster, or the MeshError message;
+    checks the triangle inside and the element across each loop edge."""
+    owner = table.owners()
+    owner[list(elems)] = 0
+    try:
+        loop, inner, across = table.loop(elems, owner, 0)
+    except MeshError as exc:
+        return str(exc)
+    t = mesh.edges
+    for i, (a, b) in enumerate(zip(loop, loop[1:] + loop[:1])):
+        sides = t.elem[t.find(a, b)].tolist()
+        assert inner[i] in elems
+        assert sides == sorted([inner[i], across[i]], key=lambda e: (e < 0, e))
+    return loop
+
+
+def reference_or_error(mesh: PolyMesh, elems):
+    try:
+        return reference_boundary_loop(mesh, elems)
+    except MeshError as exc:
+        return str(exc)
+
+
+def test_outline_matches_reference_on_320_partition():
+    fine = triangulated_two_domain(48, jitter=0.25)
+    table = _Outlines(fine)
+    for cl in partition_assignment(fine, AgglomerationConfig(160, 160, seed=0)):
+        loop = outline_or_error(fine, table, set(cl))
+        assert isinstance(loop, list) and loop == reference_boundary_loop(fine, cl)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_outline_matches_reference_on_random_unions(seed):
+    # face-connected unions grown at random: simple loops, holes and pinches
+    fine = triangulated_two_domain(8, jitter=0.25, seed=seed)
+    table = _Outlines(fine)
+    pairs = fine.edges.elem[fine.edges.interior].tolist()
+    adj = {k: set() for k in range(fine.n_elements)}
+    for a, b in pairs:
+        adj[a].add(b)
+        adj[b].add(a)
+    rng = np.random.default_rng(seed)
+    outcomes = set()
+    for _ in range(150):
+        union = {int(rng.integers(fine.n_elements))}
+        for _ in range(int(rng.integers(0, 40))):
+            union.add(int(rng.choice(sorted(set().union(*(adj[e] for e in union)) - union))))
+        got = outline_or_error(fine, table, union)
+        assert got == reference_or_error(fine, union)
+        outcomes.add(type(got))
+    assert outcomes == {list, str}
+
+
+def test_outline_raises_where_the_reference_does():
+    square = eight_triangle_square()
+    fine = triangulated_two_domain(8, jitter=0.25)
+    # a ring: every triangle sharing a vertex with an interior one, but that one
+    inner = next(k for k in range(fine.n_elements)
+                 if not np.isin(fine.elements[k], fine.edges.key[~fine.edges.interior]).any())
+    ring = {k for k in range(fine.n_elements)
+            if k != inner and np.isin(fine.elements[k], fine.elements[inner]).any()}
+    for mesh, elems, message in [
+            (fine, ring, "cluster boundary has multiple loops (hole or split)"),
+            (square, {0, 7}, "cluster boundary is not a single loop"),  # pinched at the centre
+            (square, set(), "empty cluster")]:
+        assert reference_or_error(mesh, elems) == message
+        assert outline_or_error(mesh, _Outlines(mesh), elems) == message
 
 
 @BOUNDED

@@ -1,8 +1,10 @@
 import csv
+import hashlib
 import json
 
 import pytest
 
+from polympe import cli
 from polympe.cli import main
 from polympe.mesh import load_mesh
 from polympe.outputs import RATE_COLUMNS
@@ -56,6 +58,34 @@ def test_solve_demo_writes_vtk(tmp_path):
     vtk = (out / "snapshot_000005.vtk").read_text()
     assert vtk.startswith("# vtk DataFile Version 3.0")
     assert "DATASET POLYDATA" in vtk and "CELL_DATA" in vtk and "VECTORS d" in vtk
+
+
+#: sha256 of each snapshot file of a 4-step demo solve on the 20-polygon
+#: agglomerate at m = 1, snapshot stride 2
+DEMO_SNAPSHOT_SHA256 = {
+    "snapshot_000002.csv": "aa2d4e9430a89ac66697162501d7f7c0472394cef56242538ff62f1745380482",
+    "snapshot_000002.vtk": "9469eb5b03805b93f92da6572513ce8473d19c432c08ac4a6cc7bb7ac324874f",
+    "snapshot_000004.csv": "48191d522c9c17fd29de49d533121161c2e0e9e3667d4bd2f325769276ca70d7",
+    "snapshot_000004.vtk": "26a76c7982d44c0250c86e77b9bd5605ae2c8b439d16d9d807f2bf4cd415c058",
+}
+
+
+def test_demo_snapshot_bytes_pinned(tmp_path):
+    cfg = write_config(tmp_path, {
+        "case": "demo",
+        "mesh": {"family": "agglomerated", "targets": [10, 10], "fine_ny": 12, "jitter": 0.25,
+                 "seed": 0},
+        "degree": 1,
+        "compartments": ["E"],
+        "params": {"preset": "brain", "alpha_j": {"E": 0.49}, "beta_ext": {"E": 0.0}},
+        "scheme": {"dt": 0.01, "n_steps": 4},
+        "snapshot_stride": 2,
+        "demo_amplitude": 0.002,
+    })
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.glob("snapshot_*")} == DEMO_SNAPSHOT_SHA256
 
 
 def test_solve_manifest_records_the_case_params(tmp_path, capsys):
@@ -158,10 +188,15 @@ def test_shipped_configs_have_known_top_level_keys():
 
 @pytest.mark.parametrize("doc", [{"snapshot_stride": 0, "scheme": {"dt": 0.01, "n_steps": 2}},
                                  {"scheme": {"dt": 0.01, "n_steps": -4}}])
-def test_bad_step_counts_are_input_errors(tmp_path, capsys, doc):
+def test_bad_step_counts_are_input_errors(tmp_path, capsys, monkeypatch, doc):
     cfg = write_config(tmp_path, dict({"case": "zero", "mesh": {"family": "cartesian", "ny": 2},
                                        "degree": 1}, **doc))
     out = tmp_path / "o"
+
+    def no_mesh(spec):
+        raise AssertionError("a bad step count must be reported before the mesh is built")
+
+    monkeypatch.setattr(cli, "resolve_mesh", no_mesh)
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "n_steps >= 0 and stride >= 1" in err and "Traceback" not in err
