@@ -107,13 +107,21 @@ def _volume_products(tab: VolumeTable, *pairs) -> np.ndarray:
 
 def _volume_loads(tab: VolumeTable, vals: np.ndarray) -> np.ndarray:
     """phi^T (w * v) per element for each row v of the point values ``vals``
-    (k, nq); (n_elem, k, n_loc)."""
-    out = np.empty((tab.n_elem, len(vals), tab.basis.shape[2]))
-    # contiguous point rows, as the per-element products read them
-    wv = np.ascontiguousarray(vals) * tab.weights
+    (k, nq); (n_elem, k, n_loc). A row that is zero at every point gives
+    zero blocks and no products (NaN and inf count as nonzero)."""
+    # contiguous point rows, as the per-element products read them (and as
+    # the zero test scans them fast); each (row, element) product is its own
+    # gemv, so a kept row rounds the same whichever rows are dropped
+    vals = np.ascontiguousarray(vals)
+    keep = np.flatnonzero(vals.any(axis=1))
+    out = np.zeros((tab.n_elem, len(vals), tab.basis.shape[2]))
+    if not len(keep):
+        return out
+    wv = vals[keep] * tab.weights
     for elems, rows, n in tab.groups:
         phiT = tab.basis[0, rows].reshape(-1, n, out.shape[2]).swapaxes(1, 2)
-        out[elems] = (phiT @ wv[:, rows].reshape(len(vals), -1, n, 1))[..., 0].swapaxes(0, 1)
+        prod = phiT @ wv[:, rows].reshape(len(keep), -1, n, 1)
+        out[np.ix_(elems, keep)] = prod[..., 0].swapaxes(0, 1)
     return out
 
 
@@ -368,6 +376,12 @@ def assemble_loads(space: DGSpace, params: PhysicalParams, faces: FaceSet, data,
     traces ``d``, ``d,t`` (its time derivative), ``u`` and ``p:<j>``;
     vector keys give (n, 2) values, scalar ones (n,).
 
+    Each datum is evaluated once. A term whose datum is zero at every one
+    of its points is skipped (a source row, the outlet stress, each
+    Dirichlet lifting, and the ``p:<j>`` and ``d,t`` parts of the pressure
+    lifting on their own): it would only add signed zeros, so the vector is
+    the same bit for bit. NaN and inf count as nonzero.
+
     Face terms are added face by face, then by component and term, so an
     element with several data faces sums them in face order."""
     F = np.zeros(space.n_dofs)
@@ -394,41 +408,49 @@ def assemble_loads(space: DGSpace, params: PhysicalParams, faces: FaceSet, data,
     if len(fidxs := faces.outlet()):
         tab = space.face_table(faces, fidxs)
         pbar = _face_data(tab, data, "p_out", t)
-        add(tab, "u", _face_loads(tab.basis[:, 0, 0],
-                                  (tab.weights * -pbar)[:, None] * tab.normal[:, :, None]), c)
+        if pbar.any():
+            add(tab, "u", _face_loads(tab.basis[:, 0, 0],
+                                      (tab.weights * -pbar)[:, None] * tab.normal[:, :, None]), c)
 
     # Dirichlet lifting for the displacement
     if len(fidxs := faces.dirichlet("d")):
         tab = space.face_table(faces, fidxs)
-        lift, _ = _vector_lift(tab, _face_data(tab, data, "d", t),
-                               params.mu_el, params.lam,
-                               penalty_coefficients(tab.harmonic_h, params, space.m).eta)
-        add(tab, "d", lift, c[:, None])
+        g = _face_data(tab, data, "d", t)
+        if g.any():
+            lift, _ = _vector_lift(tab, g, params.mu_el, params.lam,
+                                   penalty_coefficients(tab.harmonic_h, params, space.m).eta)
+            add(tab, "d", lift, c[:, None])
 
     # Dirichlet lifting for the compartment pressures, plus the mass-coupling
     # lifting carrying the time derivative of the displacement datum
     for j in params.compartments:
         if not len(fidxs := faces.dirichlet(f"p:{j}")):
             continue
-        kappa = params.kappa(j)
         tab = space.face_table(faces, fidxs)
         w, n = tab.weights, tab.normal
+        g, gd = _face_data(tab, data, f"p:{j}", t), _face_data(tab, data, "d,t", t)
         phi, gx, gy = np.moveaxis(tab.basis[:, 0], 1, 0)
-        dn = gx * n[:, None, None, 0] + gy * n[:, None, None, 1]
-        zeta = penalty_coefficients(tab.harmonic_h, params, space.m).zeta[j]
-        wg = (w * _face_data(tab, data, f"p:{j}", t))[:, None]
-        gdn = (_face_data(tab, data, "d,t", t) @ n[:, :, None])[..., 0]
-        terms = (-kappa * _face_loads(dn, wg) + zeta[:, None, None] * _face_loads(phi, wg),
-                 -params.alpha_j[j] * _face_loads(phi, (w * gdn)[:, None]))
-        add(tab, f"p:{j}", np.concatenate(terms, axis=1))
+        terms = []
+        if g.any():
+            dn = gx * n[:, None, None, 0] + gy * n[:, None, None, 1]
+            zeta = penalty_coefficients(tab.harmonic_h, params, space.m).zeta[j]
+            wg = (w * g)[:, None]
+            terms.append(-params.kappa(j) * _face_loads(dn, wg)
+                         + zeta[:, None, None] * _face_loads(phi, wg))
+        if gd.any():
+            gdn = (gd @ n[:, :, None])[..., 0]
+            terms.append(-params.alpha_j[j] * _face_loads(phi, (w * gdn)[:, None]))
+        if terms:
+            add(tab, f"p:{j}", np.concatenate(terms, axis=1))
 
     # Dirichlet lifting for the fluid velocity, plus the divergence-row lifting
     if len(fidxs := faces.dirichlet("u")):
         tab = space.face_table(faces, fidxs)
-        lift, gn = _vector_lift(tab, _face_data(tab, data, "u", t),
-                                params.mu_f, 0.0,
-                                penalty_coefficients(tab.harmonic_h, params, space.m).gamma_v)
-        add(tab, "u", lift, c[:, None])
-        add(tab, "p", -_face_loads(tab.basis[:, 0, 0], (tab.weights * gn)[:, None])[:, 0])
+        g = _face_data(tab, data, "u", t)
+        if g.any():
+            lift, gn = _vector_lift(tab, g, params.mu_f, 0.0,
+                                    penalty_coefficients(tab.harmonic_h, params, space.m).gamma_v)
+            add(tab, "u", lift, c[:, None])
+            add(tab, "p", -_face_loads(tab.basis[:, 0, 0], (tab.weights * gn)[:, None])[:, 0])
 
     return F

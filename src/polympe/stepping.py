@@ -9,13 +9,16 @@ solved vector (:func:`polympe.system.split`). One step solves
 A1 x^{n+1} = A2 x^n + F^{n+1}; both matrices are constant, so A1 is
 factorized once per run. Both are the
 coupling pattern of :func:`polympe.system.coupling_blocks` (see the table
-there) plus the Newmark z and a rows. The displacement column of the
-pressure rows uses the Newmark increment with coefficient
-theta*gamma/(beta*dt) on both the elastic-pressure coupling and the
-interface block; the velocity and acceleration columns carry the
-elastic-pressure coupling alone (for the reference parameters beta=1/4,
-gamma=1/2, theta=1/2 their coefficients vanish, which makes the two
-groupings identical there).
+there) plus the Newmark z and a rows. The pressure rows see the
+displacement through the theta-blended Newmark velocity: the d, z and a
+columns of a p:j row all carry its displacement coupling B_j + [j=E] J_el
+(:func:`polympe.system.displacement_coupling`), with coefficients
+theta*gamma/(beta*dt) on the increment in A1 and A2, and
+1 - theta*gamma/beta and theta*dt*(1 - gamma/(2*beta)) on z and a in A2.
+
+The last two vanish at the reference parameters beta=1/4, gamma=1/2,
+theta=1/2. A2 keeps no stored zeros, so its product in the time loop skips
+them; A1 keeps its whole pattern, which sets the column ordering of its LU.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from . import forms
 from .mesh import FaceSet
 from .solvers import NumericalError, factorize
 from .spaces import DGSpace
-from .system import EXCHANGE, SystemMatrices, coupling_blocks, place, split
+from .system import (EXCHANGE, SystemMatrices, coupling_blocks, displacement_coupling, place,
+                     split)
 
 
 @dataclass
@@ -70,8 +74,9 @@ def build_stepping_matrices(sys: SystemMatrices, sp_: SchemeParams):
     A1["d", "a"] = sys.M_el
     A2 = coupling_blocks(sys, 1.0 / dt, -(1.0 - theta), disp, elastic=False)
     for j in sys.compartments:
-        A2[f"p:{j}", "z"] = (1.0 - theta * gamma / beta) * sys.B_j[j]
-        A2[f"p:{j}", "a"] = theta * dt * (1.0 - gamma / (2.0 * beta)) * sys.B_j[j]
+        coupl = displacement_coupling(sys, j)
+        A2[f"p:{j}", "z"] = (1.0 - theta * gamma / beta) * coupl
+        A2[f"p:{j}", "a"] = theta * dt * (1.0 - gamma / (2.0 * beta)) * coupl
 
     # Newmark velocity and acceleration updates
     c_acc = 1.0 / (beta * dt * dt)
@@ -82,7 +87,9 @@ def build_stepping_matrices(sys: SystemMatrices, sp_: SchemeParams):
                ("a", "a"): ((2.0 * beta - 1.0) / (2.0 * beta)) * I_d})
 
     sizes = layout(sys.space)
-    return {"A1": place(A1, sizes), "A2": place(A2, sizes)}
+    A2 = place(A2, sizes)
+    A2.eliminate_zeros()
+    return {"A1": place(A1, sizes), "A2": A2}
 
 
 def blend_loads(sys: SystemMatrices, sp_: SchemeParams, loads_n, loads_np1) -> np.ndarray:

@@ -19,8 +19,9 @@ those rows, ``disp`` the displacement column of the pressure rows:
     G(s)      s      1             -s                      (d, d) = s^2 M_el + A_el
     steady    0      1             0                       G(0)
     A1        1/dt   theta         -theta gamma/(beta dt)  M_el at (d, a); z, a rows
-    A2        1/dt   -(1 - theta)  -theta gamma/(beta dt)  no d row; B_j at (p:j, z)
-                                                           and (p:j, a); z, a rows
+    A2        1/dt   -(1 - theta)  -theta gamma/(beta dt)  no d row; B_j + [j=E] J_el
+                                                           at (p:j, z) and (p:j, a);
+                                                           z, a rows
 
 A1 and A2 are the Newmark--theta pair of :mod:`polympe.stepping`, whose
 layout adds the velocity ``z`` and acceleration ``a`` after ``d``.
@@ -87,15 +88,21 @@ def build_system(space: DGSpace, params: PhysicalParams, faces: FaceSet) -> Syst
     )
 
 
+def displacement_coupling(sys: SystemMatrices, j: str) -> sp.csr_matrix:
+    """The operator of the displacement column of the p:j row,
+    B_j + [j=E] J_el."""
+    if j == EXCHANGE and sys.J_el is not None:
+        return sys.B_j[j] + sys.J_el
+    return sys.B_j[j]
+
+
 def coupling_blocks(sys: SystemMatrices, mass, stiff, disp, elastic: bool = True) -> dict:
     """The coupling pattern as ``{(row_field, col_field): block}`` (see the
     module docstring); ``elastic=False`` leaves out the d row."""
     blocks = {}
     for j in sys.compartments:
         r = f"p:{j}"
-        coupl = sys.B_j[j]
-        if j == EXCHANGE and sys.J_el is not None:
-            coupl = coupl + sys.J_el
+        coupl = displacement_coupling(sys, j)
         if elastic:
             blocks["d", r] = coupl.T
         blocks[r, "d"] = disp * coupl

@@ -1,7 +1,11 @@
+import hashlib
+
+import numpy as np
 import pytest
 
 from polympe.agglomerate import AgglomerationConfig, agglomerate
 from polympe.families import VERIFICATION_DIRICHLET, cartesian_two_domain, triangulated_two_domain
+from polympe.forms import ZeroData
 from polympe.manufactured import steady_case, unsteady_case
 from polympe.mesh import PolyMesh, build_faces
 from polympe.params import PhysicalParams
@@ -16,6 +20,27 @@ def unit_square_mesh(domain="elastic"):
 
 
 ACVE = ("A", "C", "V", "E")
+
+
+def sha256_hex(data) -> str:
+    """sha256 of ``data``: bytes as they are, an array as its C-ordered bytes."""
+    if not isinstance(data, bytes):
+        data = np.ascontiguousarray(data).tobytes()
+    return hashlib.sha256(data).hexdigest()
+
+
+class OnePointData(ZeroData):
+    """Zero data except ``key``, which is ``value`` (in each component) at
+    the first point it is evaluated at."""
+
+    def __init__(self, key, value):
+        self.key, self.value = key, value
+
+    def exact(self, key, pts, t=0.0):
+        v = super().exact(key, pts, t)
+        if key == self.key:
+            v[0] = self.value
+        return v
 
 
 def pin_setup(name, mesh80, J):

@@ -1,5 +1,4 @@
 import csv
-import hashlib
 import json
 
 import pytest
@@ -8,6 +7,8 @@ from polympe import cli
 from polympe.cli import main
 from polympe.mesh import load_mesh
 from polympe.outputs import RATE_COLUMNS
+
+from conftest import sha256_hex
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -84,7 +85,7 @@ def test_demo_snapshot_bytes_pinned(tmp_path):
     })
     out = tmp_path / "out"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
-    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+    assert {p.name: sha256_hex(p.read_bytes())
             for p in out.glob("snapshot_*")} == DEMO_SNAPSHOT_SHA256
 
 

@@ -6,13 +6,15 @@ import pytest
 import sympy as sym
 
 from polympe import forms
+from polympe.cli import DemoData, resolve_params
 from polympe.families import DEMO_DIRICHLET, VERIFICATION_DIRICHLET
 from polympe.manufactured import ManufacturedCase, X, Y, _strong_sources
 from polympe.mesh import build_faces, harmonic_h
 from polympe.params import PhysicalParams
 from polympe.spaces import build_space, l2_project
 
-from conftest import ACVE, pin_params, pin_setup, two_square_mesh, unit_square_mesh
+from conftest import (ACVE, OnePointData, pin_params, pin_setup, sha256_hex, two_square_mesh,
+                      unit_square_mesh)
 
 
 def natural_setup(domain, m=2):
@@ -419,3 +421,43 @@ def test_volume_loads_equal_projection(mesh80, unsteady):
         want = l2_project(space, field, lambda x: unsteady.exact(key, x, t))
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     assert not loads[space.field_slice("p")].any()
+
+
+# -- exact load bytes ------------------------------------------------------
+# sha256 of assemble_loads on the 80-polygon pin setup (m = 2, p:E
+# Dirichlet), recorded when every term was assembled whatever its datum:
+# skipping a term whose datum is zero everywhere must leave every bit.
+
+LOAD_SHA256 = {
+    "demo/0.0": "2ddbd07ddfda5d4f9b1c44c8ff16f7e38027d275af6bf57f317b136060d695a9",
+    "demo/0.01": "7ca55165b9d3303dd8dd1662dfb55ad4f1610e20f500c52b74865c886cf7e311",
+    "demo/0.25": "e94532cacde54b96aa66e6c6bee60cdd3c7f63534a21ca8b4a8ab90a5e496007",
+    "demo/0.37": "1a0f7e7563ac33b9dd9f76c0020516fc2124239a374039ed8004010389925ef6",
+    "unsteady/0.37": "0dc36fa33886a620b318c55c8fc115f5b1480696fe386f9626ce2853948c807d",
+    "steady/0.0": "d4fe750a072e905e18ba4f87459e1b78cf86e1df14b2f54d01d61bfe7d0dbaca",
+}
+DEMO_CONFIG = json.loads((Path(__file__).parents[1] / "configs" / "demo.json").read_text())
+
+
+@pytest.mark.parametrize("key", list(LOAD_SHA256))
+def test_load_bytes_pinned(mesh80, steady, unsteady, key):
+    name, t = key.split("/")
+    data = {"demo": DemoData(), "unsteady": unsteady, "steady": steady}[name]
+    params = resolve_params(DEMO_CONFIG) if name == "demo" else data.params
+    faces, space = pin_setup("mesh80", mesh80, ("E",))
+    loads = forms.assemble_loads(space, params, faces, data, float(t))
+    assert sha256_hex(loads) == LOAD_SHA256[key]
+
+
+@pytest.mark.parametrize("key, field", [
+    ("f_el", "d"), ("g:E", "p:E"), ("f_f", "u"), ("p_out", "u"),
+    ("d", "d"), ("p:E", "p:E"), ("d,t", "p:E"), ("u", "u")])
+def test_datum_nonzero_at_one_point_reaches_loads(mesh80, key, field):
+    # a datum that is zero at all but one point of one face set still loads
+    # its own rows, and no rows but those its terms touch (the velocity
+    # datum also lifts the divergence row)
+    faces, space = pin_setup("mesh80", mesh80, ("E",))
+    loads = forms.assemble_loads(space, PhysicalParams.unit(), faces, OnePointData(key, 1.0), 0.0)
+    reached = {f for f in space.fields if loads[space.field_slice(f)].any()}
+    assert field in reached
+    assert reached <= {field, "p"} if key == "u" else reached == {field}

@@ -8,12 +8,13 @@ import pytest
 from polympe import forms, stepping
 from polympe.cli import DemoData
 from polympe.driver import projected_values, setup, solve_steady, solve_unsteady
-from polympe.families import VERIFICATION_DIRICHLET, cartesian_two_domain
+from polympe.families import DEMO_DIRICHLET, VERIFICATION_DIRICHLET, cartesian_two_domain
+from polympe.params import PhysicalParams
 from polympe.solvers import NumericalError
 from polympe.spaces import field_slices, l2_project
 from polympe.system import build_global, build_system
 
-from conftest import ACVE, pin_params, pin_setup
+from conftest import ACVE, OnePointData, pin_params, pin_setup, sha256_hex
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +156,14 @@ def test_non_finite_state_names_its_step(small_sys):
         stepping.simulate(small_sys.sys, small_sys.faces, sp, _SourceInfiniteFrom(0.25), 5)
 
 
+@pytest.mark.parametrize("key", ["f_el", "g:E", "p_out", "d", "p:E", "d,t", "u"])
+def test_nan_datum_at_one_point_is_numerical_error(small_sys, key):
+    # NaN is not zero: the term that reads it is assembled and the march fails
+    sp = stepping.SchemeParams(dt=0.1)
+    with pytest.raises(NumericalError, match="non-finite state at step 1 "):
+        stepping.simulate(small_sys.sys, small_sys.faces, sp, OnePointData(key, np.nan), 3)
+
+
 @pytest.mark.parametrize("n_steps, stride", [(-4, 1), (3, 0), (3, -2)])
 def test_simulate_rejects_bad_step_counts(small_sys, n_steps, stride):
     with pytest.raises(ValueError, match="n_steps >= 0 and stride >= 1"):
@@ -238,9 +247,11 @@ def test_dissipativity_four_compartments():
 # operator_pins.json holds x^T A y over the rows of each field, for A1 and A2
 # under four scheme sets and for the steady operator G(0), recorded when
 # stepping and system wrote the coupling pattern each on its own; record
-# them again only when the operators are meant to change. The B_j blocks of
-# A2 in the z and a columns vanish at the default beta and gamma, so two
-# scheme sets move them off it (only the last keeps the a column).
+# them again only when the operators are meant to change. The B_j + J_el
+# blocks of A2 in the z and a columns vanish at the default beta and gamma,
+# so two scheme sets move them off it (only the last keeps the a column);
+# the A2 p:E rows of the three non-default sets were recorded again when
+# J_el joined B_E there.
 
 OPERATOR_PINS = json.loads(Path(__file__).with_name("operator_pins.json").read_text())
 PIN_SCHEMES = {"dt0.01": dict(dt=0.01),
@@ -304,3 +315,56 @@ def test_trajectory_pinned(mesh80, name, J):
         for f, val in pins.items():
             got = float(probe[f] @ st[f])
             assert abs(got - val) <= 1e-13 * abs(val), (step, f, got, val)
+
+
+# -- exact stepping arithmetic ---------------------------------------------
+# sha256 of A2 @ probe and A1's stored-entry count at dt0.01 on the
+# 80-polygon pin setups, recorded when A2 still stored the zero Newmark
+# coefficients: dropping them must leave every bit of the matvec, and A1
+# keeps its pattern, which sets the LU column ordering.
+
+A2_PROBE_SHA256 = {
+    "E": "daf7c84e0228f49a9f902ba7639407faafde138bbc9e486fc1e837fa7b37479f",
+    "ACVE": "d7a71100012ffd4d39d83c8c08a9324d48272df7cda635b9330f78862016d210",
+}
+A1_NNZ = {"E": 147308, "ACVE": 286646}
+
+
+@pytest.mark.parametrize("J", [("E",), ACVE], ids=["E", "ACVE"])
+def test_stepping_matrices_bytes_pinned(mesh80, J):
+    faces, space = pin_setup("mesh80", mesh80, J)
+    sysm = build_system(space, pin_params(J), faces)
+    mats = stepping.build_stepping_matrices(sysm, stepping.SchemeParams(**PIN_SCHEMES["dt0.01"]))
+    probe = np.random.default_rng(0).standard_normal(mats["A2"].shape[1])
+    assert sha256_hex(mats["A2"] @ probe) == A2_PROBE_SHA256["".join(J)]
+    assert mats["A1"].nnz == A1_NNZ["".join(J)]
+
+
+@pytest.mark.parametrize("sid", list(PIN_SCHEMES))
+def test_a2_stores_no_zeros(small_sys, sid):
+    A2 = stepping.build_stepping_matrices(small_sys.sys, stepping.SchemeParams(**PIN_SCHEMES[sid]))
+    assert A2["A2"].data.all()
+
+
+# -- consistency of the theta-method ---------------------------------------
+
+@pytest.mark.parametrize("theta", [0.7, 1.0])
+def test_theta_scheme_first_order_against_trapezoid(theta):
+    # for theta > 1/2 the scheme is first order, so its gap to the
+    # second-order theta = 1/2 march halves with dt; a coupling block left
+    # out of the blended velocity makes it converge to another solution
+    art = setup(cartesian_two_domain(2), 1, PhysicalParams.unit(), DEMO_DIRICHLET)
+    T = 0.2
+
+    def final(th, dt):
+        n = int(round(T / dt))
+        states, _ = stepping.simulate(art.sys, art.faces, stepping.SchemeParams(dt=dt, theta=th),
+                                      DemoData(1.0), n, stride=n)
+        return np.concatenate(list(states[-1].values()))
+
+    gaps = []
+    for dt in (0.01, 0.005, 0.0025):
+        ref = final(0.5, dt)
+        gaps.append(np.linalg.norm(final(theta, dt) - ref) / np.linalg.norm(ref))
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert coarse / fine == pytest.approx(2.0, abs=0.15), gaps
