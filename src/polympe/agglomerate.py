@@ -214,7 +214,9 @@ class _Partition:
         self._dirty.update((src, dest))
         if not self.clusters[src]:
             self.drop_cluster(src)
-        else:
+        elif sum(nb in self.clusters[src] for nb in self.adj[elem]) != 1:
+            # every cluster is connected before a move, so a triangle with
+            # exactly one source-side neighbour cannot disconnect its source
             comps = _components(self.clusters[src], self.adj)
             if len(comps) > 1:
                 # keep the largest piece under the old id, split the rest off

@@ -64,15 +64,6 @@ def _steady_fields(alpha):
     return d, pE, u, p
 
 
-def _lam_np(expr):
-    f = sym.lambdify((X, Y, T), expr, "numpy")
-
-    def call(xs, ys, t):
-        return np.broadcast_to(np.asarray(f(xs, ys, t), dtype=float), xs.shape).copy()
-
-    return call
-
-
 @dataclass
 class ManufacturedCase:
     """Exact fields, derivatives, sources, and boundary data, all read by
@@ -88,20 +79,22 @@ class ManufacturedCase:
     _fns: dict = field(default_factory=dict, repr=False)
 
     def _fn(self, key: str):
-        """The callable of ``key`` (a field, ``<field>,t`` or ``<field>,grad``),
-        lambdified on first read: a run reads few of them."""
+        """The program of ``key`` (a field, ``<field>,t`` or ``<field>,grad``)
+        and the shape of its value at one point. One CSE-compiled program
+        returns every component of the key, so they share their common
+        factors; it is lambdified on first read, as a run reads few keys."""
         if key not in self._fns:
             name, _, part = key.partition(",")
             if name.startswith("_") or part not in ("", "t", "grad"):
                 raise KeyError(key)
             expr = self.exprs[name]
-
-            def lam(e):
-                if part == "grad":
-                    return [_lam_np(e.diff(v)) for v in (X, Y)]
-                return _lam_np(e.diff(T) if part else e)
-
-            self._fns[key] = [lam(expr[0]), lam(expr[1])] if isinstance(expr, sym.Matrix) else lam(expr)
+            comps, shape = (list(expr), (2,)) if isinstance(expr, sym.Matrix) else ([expr], ())
+            if part == "grad":
+                # vector gradients: rows components, columns x/y
+                comps, shape = [c.diff(v) for c in comps for v in (X, Y)], shape + (2,)
+            elif part:
+                comps = [c.diff(T) for c in comps]
+            self._fns[key] = sym.lambdify((X, Y, T), comps, "numpy", cse=True), shape
         return self._fns[key]
 
     def exact(self, key: str, pts, t=0.0):
@@ -110,13 +103,13 @@ class ManufacturedCase:
 
         This is the load-data interface of
         :func:`polympe.forms.assemble_loads`."""
-        xs, ys = np.asarray(pts)[:, 0], np.asarray(pts)[:, 1]
-
-        def ev(f):
-            # nested lists: vector components outside, x/y derivatives inside
-            return np.stack([ev(g) for g in f], axis=1) if isinstance(f, list) else f(xs, ys, t)
-
-        return ev(self._fn(key))
+        fn, shape = self._fn(key)
+        pts = np.asarray(pts)
+        out = np.empty((len(pts), int(np.prod(shape))))
+        # a constant component comes back as a scalar and broadcasts
+        for i, v in enumerate(fn(pts[:, 0], pts[:, 1], t)):
+            out[:, i] = v
+        return out.reshape(len(pts), *shape)
 
     def corrupted(self, source: str) -> "ManufacturedCase":
         """Copy with one source expression sign-flipped (negative control)."""

@@ -9,9 +9,10 @@ assembled over interior faces only; the norm deliberately measures the wider
 set). Errors against an exact solution are evaluated at quadrature points
 from closed-form exact values and derivatives.
 
-Each term is one contraction over the stacked tabulations of
-:class:`~polympe.spaces.DGSpace`, with each exact field evaluated in one call
-on the stacked points. Error jumps need the exact field on boundary faces
+Each term reads the stacked tabulations of :class:`~polympe.spaces.DGSpace`
+through its table evaluators (one batched product per element group, or per
+face set for a jump), with each exact field evaluated in one call on the
+stacked points. Error jumps need the exact field on boundary faces
 only: the exact fields are continuous, so their traces cancel on interior faces.
 """
 

@@ -7,11 +7,11 @@ polygon composes collapsed Gauss rules over the centroid-fan triangles and is
 exact to the requested order; face rules are Gauss-Legendre segments.
 
 :class:`DGSpace` owns the coefficient layout, the bases as per-element arrays
-and their tabulations, stacked per subdomain or face set so that one
-contraction evaluates, projects or averages a field at all quadrature points,
-and one batched product per group of equal-sized elements (or per face set)
-assembles a form. Each vertex-count group of the mesh fills both stacks with
-one :meth:`DGSpace.tabulate` call; the face tabulation reads the arrays of a
+and their tabulations, stacked per subdomain or face set so that one batched
+product per group of equal-sized elements (or per face set) evaluates,
+projects or averages a field at all quadrature points, or assembles a form.
+Each vertex-count group of the mesh fills both stacks with one
+:meth:`DGSpace.tabulate` call; the face tabulation reads the arrays of a
 :class:`~polympe.mesh.FaceSet` directly. There are no per-element or per-face
 objects or accessors.
 """
@@ -25,7 +25,7 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 from scipy.linalg import cholesky, solve_triangular
 
-from .mesh import ELASTIC, FLUID, FaceSet, PolyMesh
+from .mesh import ELASTIC, FLUID, FaceSet, PolyMesh, _readonly
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,11 @@ class VolumeTable:
     triangles, so a group's elements have equal point counts): each group
     ``(elems, rows, n)`` owns the contiguous rows ``rows``, ``n`` per element
     of ``elems``, so that one batched product covers a group. ``elem`` holds
-    the subdomain-local element of each row."""
+    the subdomain-local element of each row.
+
+    :meth:`values` and :meth:`grads` evaluate a field with one batched
+    product per group: the group's tabulations (G, n, n_loc) against its
+    coefficients (G, n_loc, ncomp)."""
 
     points: np.ndarray  # (nq, 2)
     weights: np.ndarray  # (nq,)
@@ -131,11 +135,21 @@ class VolumeTable:
 
     def values(self, coeffs: np.ndarray) -> np.ndarray:
         """Field values (nq, ncomp) from coefficients (n_elem, ncomp, n_loc)."""
-        return np.einsum("qi,qci->qc", self.basis[0], coeffs[self.elem])
+        return self._at_points(self.basis[:1], coeffs)[..., 0]
 
     def grads(self, coeffs: np.ndarray) -> np.ndarray:
         """Field gradients (nq, ncomp, 2), rows components, columns x/y."""
-        return np.einsum("xqi,qci->qcx", self.basis[1:], coeffs[self.elem])
+        return self._at_points(self.basis[1:], coeffs)
+
+    def _at_points(self, basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+        """The tabulations ``basis`` (k, nq, n_loc) of a field at every
+        point, (nq, ncomp, k): one batched product per group."""
+        k, ncomp = len(basis), coeffs.shape[1]
+        out = np.empty((len(self.weights), ncomp, k))
+        for elems, rows, n in self.groups:
+            prod = basis[:, rows].reshape(k, -1, n, basis.shape[2]) @ coeffs[elems].swapaxes(1, 2)
+            out[rows] = np.moveaxis(prod, 0, -1).reshape(-1, ncomp, k)
+        return out
 
 
 @dataclass(frozen=True)
@@ -146,7 +160,11 @@ class FaceTable:
     local element of each side within its own subdomain (the plus side twice
     on a boundary face), and ``harmonic_h`` the harmonic diameter of each
     face, so that :func:`polympe.forms.penalty_coefficients` gives per-face
-    penalties."""
+    penalties.
+
+    The tables :meth:`DGSpace.face_table` hands out may be shared between
+    callers, so their arrays are read-only. :meth:`jump` is one batched product over both
+    sides."""
 
     points: np.ndarray  # (F, nq, 2)
     weights: np.ndarray  # (F, nq)
@@ -157,13 +175,15 @@ class FaceTable:
     basis: np.ndarray  # (F, 2, 3, nq, n_loc): phi, dphi/dx, dphi/dy of each side
 
     def take(self, fidxs) -> "FaceTable":
-        """The rows of the faces ``fidxs``."""
+        """The rows of the faces ``fidxs``, as read-only arrays."""
         idx = np.asarray(fidxs, dtype=int)
-        return FaceTable(*(a[idx] for a in vars(self).values()))
+        return FaceTable(*(_readonly(a[idx]) for a in vars(self).values()))
 
     def jump(self, coeffs: np.ndarray) -> np.ndarray:
-        """Trace difference plus - minus (F, nq, ncomp) of a field."""
-        return np.einsum("fsqi,fsci,s->fqc", self.basis[:, :, 0], coeffs[self.elem], [1.0, -1.0])
+        """Trace difference plus - minus (F, nq, ncomp) of a field: one
+        batched product over both sides."""
+        prod = self.basis[:, :, 0] @ coeffs[self.elem].swapaxes(2, 3)  # (F, 2, nq, ncomp)
+        return prod[:, 0] - prod[:, 1]
 
 
 def field_slices(sizes: dict) -> dict:
@@ -229,6 +249,7 @@ class DGSpace:
         self._tables = {domain: self._volume_table(ids, rules, tabs)
                         for domain, ids in ((ELASTIC, self.el_ids), (FLUID, self.f_ids))}
         self._faces = None
+        self._face_tables = {}
 
     # -- layout ----------------------------------------------------------
 
@@ -310,10 +331,23 @@ class DGSpace:
     def face_table(self, faces: FaceSet, fidxs) -> FaceTable:
         """Stacked face tabulation of the faces ``fidxs`` of ``faces``. Every
         face set of the mesh lists the same faces (a Dirichlet map only labels
-        them), so the first one tabulates them all."""
-        if self._faces is None:
-            self._faces = self._tabulate_faces(faces)
-        return self._faces.take(fidxs)
+        them), so the first one tabulates them all.
+
+        The table of an index set asked for a second time (the loads at
+        every step, the norms at every state) is kept, read-only, and
+        returned on every later call. A set asked for once, as assembly asks
+        for each of its sets, is not kept, so it holds no memory once its
+        reader is done."""
+        idx = np.asarray(fidxs, dtype=int)
+        key = idx.tobytes()
+        tab = self._face_tables.get(key)
+        if tab is None:
+            if self._faces is None:
+                self._faces = self._tabulate_faces(faces)
+            tab = self._faces.take(idx)
+            # a set seen once maps to None until its second request
+            self._face_tables[key] = tab if key in self._face_tables else None
+        return tab
 
     def _tabulate_faces(self, faces: FaceSet) -> FaceTable:
         """The face table of every face of the mesh, read from the arrays of

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 
 import numpy as np
@@ -10,6 +11,8 @@ from polympe.agglomerate import (AgglomerationConfig, _Outlines, agglomerate,
 from polympe.families import triangulated_two_domain
 from polympe.mesh import ELASTIC, FLUID, MeshError, PolyMesh
 
+#: the module itself: the package exports its ``agglomerate`` function
+agglomerate_module = importlib.import_module("polympe.agglomerate")
 #: reproducible property runs: fixed example sequence, no example database
 BOUNDED = settings(derandomize=True, max_examples=6, deadline=None, database=None)
 
@@ -194,6 +197,36 @@ def test_partition_assignment_pinned(mesh, seed):
     assignment = partition_assignment(fine, AgglomerationConfig(*targets, seed=seed))
     doc = json.dumps(assignment)
     assert hashlib.sha256(doc.encode()).hexdigest() == PARTITION_SHA256[mesh, seed]
+
+
+@pytest.mark.parametrize("mesh, seed", [("20", 0), ("20", 1), ("80", 0), ("80", 1)])
+def test_move_skips_components_only_where_the_source_stays_connected(monkeypatch, mesh, seed):
+    # a moved triangle with exactly one source-side neighbour cannot split its
+    # source cluster: on every such move, _Partition.move must not call
+    # _components, and _components must find the source in one piece
+    real_components, real_move = agglomerate_module._components, agglomerate_module._Partition.move
+    calls, shortcuts = [], []
+
+    def components(members, adj):
+        calls.append(len(members))
+        return real_components(members, adj)
+
+    def move(part, elem, dest):
+        src = int(part.owner[elem])
+        shortcut = sum(nb in part.clusters[src] for nb in part.adj[elem]) == 1
+        before = len(calls)
+        real_move(part, elem, dest)
+        if shortcut:
+            shortcuts.append(elem)
+            assert len(calls) == before
+            assert len(real_components(part.clusters[src], part.adj)) == 1
+
+    monkeypatch.setattr(agglomerate_module, "_components", components)
+    monkeypatch.setattr(agglomerate_module._Partition, "move", move)
+    (ny, nx_el, nx_f), targets = PARTITION_MESHES[mesh]
+    fine = triangulated_two_domain(ny, nx_el, nx_f, jitter=0.25, seed=seed)
+    partition_assignment(fine, AgglomerationConfig(*targets, seed=seed))
+    assert shortcuts
 
 
 def reference_boundary_loop(mesh: PolyMesh, elems) -> list:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import sympy as sym
 
-from polympe.manufactured import residual_oracle
+from polympe.manufactured import T, X, Y, residual_oracle
 
 
 def sample_points(rng, n, domain):
@@ -98,3 +98,37 @@ def test_report_summary(steady):
     rep = residual_oracle(steady, n_points=10)
     text = rep.summary()
     assert "max" in text and "incompressibility" in text
+
+
+def reference_exact(case, key, pts, t):
+    """``case.exact(key, pts, t)`` the way it was first written: one plain
+    ``lambdify`` per component and derivative, broadcast and stacked."""
+    name, _, part = key.partition(",")
+    expr = case.exprs[name]
+
+    def lam(e):
+        f = sym.lambdify((X, Y, T), e, "numpy")
+        return np.broadcast_to(np.asarray(f(pts[:, 0], pts[:, 1], t), dtype=float), len(pts))
+
+    def ev(e):
+        if part == "grad":
+            return np.stack([lam(e.diff(v)) for v in (X, Y)], axis=1)
+        return lam(e.diff(T) if part else e)
+
+    return np.stack([ev(e) for e in expr], axis=1) if isinstance(expr, sym.Matrix) else ev(expr)
+
+
+@pytest.mark.parametrize("which", ["steady", "unsteady", "corrupted"])
+def test_exact_matches_per_component_reference(steady, unsteady, which):
+    case = {"steady": steady, "unsteady": unsteady, "corrupted": unsteady.corrupted("f_el")}[which]
+    pts = np.random.default_rng(7).uniform([-1.0, 0.0], [1.0, 1.0], (300, 2))
+    keys = [name + part for name in case.exprs if not name.startswith("_")
+            for part in ("", ",t", ",grad")]
+    for key in keys:
+        for t in (0.0, 0.37, 1.3):
+            got, want = case.exact(key, pts, t), reference_exact(case, key, pts, t)
+            assert got.shape == want.shape and got.dtype == np.float64, key
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), (key, t)
+            # a fresh array each call, which callers may write to
+            again = case.exact(key, pts, t)
+            assert got.flags.writeable and not np.shares_memory(got, again), key

@@ -4,8 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polympe.families import cartesian_two_domain
-from polympe.mesh import PolyMesh
+from polympe.families import VERIFICATION_DIRICHLET, cartesian_two_domain
+from polympe.mesh import PolyMesh, build_faces
 from polympe.spaces import build_space, face_quadrature, l2_project, volume_quadrature
 
 from conftest import pin_setup, unit_square_mesh
@@ -217,3 +217,51 @@ def test_tables_pinned(mesh80, name):
     assert sorted(got) == sorted(want)
     for key, val in want.items():
         assert abs(got[key] - val) <= 1e-13 * abs(val), (key, got[key], val)
+
+
+# -- table evaluators against their definitions ----------------------------
+
+
+def reference_values(tab, coeffs):
+    return np.einsum("qi,qci->qc", tab.basis[0], coeffs[tab.elem])
+
+
+def reference_grads(tab, coeffs):
+    return np.einsum("xqi,qci->qcx", tab.basis[1:], coeffs[tab.elem])
+
+
+def reference_jump(tab, coeffs):
+    return np.einsum("fsqi,fsci,s->fqc", tab.basis[:, :, 0], coeffs[tab.elem], [1.0, -1.0])
+
+
+@pytest.mark.parametrize("name, m", [(name, m) for name in ("cart4", "mesh80") for m in (1, 2, 3)]
+                         + [("empty", 2)])
+def test_table_evaluators_match_their_definitions(mesh80, name, m):
+    mesh = {"cart4": cartesian_two_domain(4), "mesh80": mesh80,
+            "empty": PolyMesh([[0, 0], [1, 0]], [], [])}[name]
+    faces = build_faces(mesh, {} if name == "empty" else VERIFICATION_DIRICHLET)
+    space = build_space(mesh, m)
+    rng = np.random.default_rng(m)
+    for field in space.fields:
+        coeffs = space.coeffs(field, rng.standard_normal(space.sizes[field]))
+        tab = space.volume_table(space.field_domain(field))
+        # the face set each field's norm measures its jumps on
+        ftab = space.face_table(faces, faces.sipg_faces("u" if field == "p" else field))
+        for got, want in ((tab.values(coeffs), reference_values(tab, coeffs)),
+                          (tab.grads(coeffs), reference_grads(tab, coeffs)),
+                          (ftab.jump(coeffs), reference_jump(ftab, coeffs))):
+            assert got.shape == want.shape, field
+            assert np.abs(got - want).max(initial=0.0) <= 1e-14 * np.abs(want).max(initial=0.0), field
+
+
+def test_face_table_is_kept_from_its_second_request_and_read_only():
+    mesh = cartesian_two_domain(2)
+    faces, space = build_faces(mesh, VERIFICATION_DIRICHLET), build_space(mesh, 1)
+    first = space.face_table(faces, faces.interior_el)
+    tab = space.face_table(faces, list(faces.interior_el))
+    assert tab is not first
+    assert space.face_table(faces, faces.interior_el.copy()) is tab
+    assert space.face_table(faces, faces.interior_f) is not tab
+    for arr in (*vars(first).values(), *vars(tab).values()):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
