@@ -1,12 +1,13 @@
-"""Command-line drivers: convergence harness, time-dependent solves,
-verification oracles, and the agglomeration pipeline.
+"""Command line: the convergence harness, solves, verification oracles and
+the agglomeration pipeline. Each command parses its JSON config, runs its
+solves through :mod:`polympe.driver` and writes its outputs, and returns
+its exit code and manifest fields; :func:`main` writes the manifest.
 
-All commands read a single JSON config document. Exit codes: 0 on success,
-1 when an acceptance-style check fails (rate out of window, oracle residual
-too large, invalid partition), 2 on input errors (missing files, malformed
-config, unknown keys, invalid meshes or parameters), 3 on numerical failure
-(singular matrix, steady residual too large, a time step whose state is not
-finite).
+Exit codes: 0 on success, 1 when an acceptance-style check fails (rate out
+of window, oracle residual too large, invalid partition), 2 on input errors
+(missing files, malformed config, unknown keys, values of the wrong type,
+invalid meshes or parameters), 3 on numerical failure (singular matrix,
+steady residual too large, a time step whose state is not finite).
 """
 
 from __future__ import annotations
@@ -66,11 +67,12 @@ _MESH_KEYS = {
 }
 
 
-def _check_keys(section: str, doc, known) -> None:
-    """Raise :class:`ConfigError` naming any key of ``doc`` not in ``known``."""
+def _check_keys(section: str, doc, known=None) -> None:
+    """Raise :class:`ConfigError` unless ``doc`` is an object whose keys are
+    in ``known`` (any, when ``None``)."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{section} must be a JSON object, got {doc!r}")
-    unknown = sorted(set(doc) - set(known))
+    unknown = sorted(set(doc) - set(doc if known is None else known))
     if unknown:
         raise ConfigError(f"unknown {section} key(s) {unknown}; expected some of {list(known)}")
 
@@ -108,26 +110,56 @@ def resolve_mesh(spec: dict):
     raise ConfigError(f"unknown mesh spec {spec}")
 
 
+def _names(name: str, val) -> list:
+    """``val`` if it is a list of strings, else a :class:`ConfigError`."""
+    if not (isinstance(val, list) and all(isinstance(v, str) for v in val)):
+        raise ConfigError(f"{name} must be a list of names, got {val!r}")
+    return val
+
+
+def _real(name: str, val) -> float:
+    """``val`` as a float, or a :class:`ConfigError` naming ``name``."""
+    try:
+        return float(val)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, got {val!r}") from None
+
+
+def _merge(name: str, current: dict, val, compartments) -> None:
+    """Overwrite the entries of the per-compartment parameter ``current``
+    that ``val`` names, entry by entry (``beta`` is a mapping of mappings)."""
+    _check_keys(f"parameter {name}", val, compartments)
+    for j, v in val.items():
+        if isinstance(current[j], dict):
+            _merge(f"{name}[{j}]", current[j], v, compartments)
+        else:
+            current[j] = _real(f"parameter {name}[{j}]", v)
+
+
+#: the parameters a config may set (``compartments`` is a top-level key)
+_PARAM_KEYS = tuple(f.name for f in fields(PhysicalParams) if f.name != "compartments")
+
+
 def resolve_params(cfg: dict) -> PhysicalParams:
+    compartments = tuple(_names("compartments", cfg.get("compartments", ["E"])))
+    _check_keys("params", cfg.get("params", {}))
     pcfg = dict(cfg.get("params", {}))
-    compartments = tuple(cfg.get("compartments", ["E"]))
     preset = pcfg.pop("preset", "unit")
     if preset == "unit":
-        params = PhysicalParams.unit(compartments, alpha=pcfg.pop("alpha", 0.5))
+        alpha = _real("parameter alpha", pcfg.pop("alpha", 0.5))
+        params = PhysicalParams.unit(compartments, alpha=alpha)
     elif preset == "brain":
         params = PhysicalParams.brain(compartments)
     else:
         raise ConfigError(f"unknown params preset {preset!r}")
     for key, val in pcfg.items():
-        if not hasattr(params, key):
+        if key not in _PARAM_KEYS:
             raise ConfigError(f"unknown parameter {key!r}")
         current = getattr(params, key)
-        if isinstance(current, dict) and not isinstance(val, dict):
-            raise ConfigError(f"parameter {key!r} must map compartments to values")
         if isinstance(current, dict):
-            current.update(val)
+            _merge(key, current, val, compartments)
         else:
-            setattr(params, key, float(val))
+            setattr(params, key, _real(f"parameter {key}", val))
     params.validate()
     return params
 
@@ -142,12 +174,15 @@ def resolve_scheme(cfg: dict, default: dict | None = None,
     _check_keys("scheme", scfg, known + list(extra))
     if "dt" not in scfg:
         raise ConfigError("scheme needs 'dt'")
-    return stepping.SchemeParams(**{k: v for k, v in scfg.items() if k in known})
+    return stepping.SchemeParams(**{k: _real(f"scheme {k}", v)
+                                    for k, v in scfg.items() if k in known})
 
 
 def resolve_dirichlet(cfg: dict, case: str) -> dict:
     if "dirichlet" in cfg:
-        return {lab: set(vs) for lab, vs in cfg["dirichlet"].items()}
+        doc = cfg["dirichlet"]
+        _check_keys("dirichlet", doc)
+        return {lab: set(_names(f"dirichlet {lab!r}", vs)) for lab, vs in doc.items()}
     return dict(VERIFICATION_DIRICHLET) if case in ("steady", "unsteady") else dict(DEMO_DIRICHLET)
 
 
@@ -172,7 +207,7 @@ def _rate_window(cfg: dict, tol_override):
     return float(tol.get("below", 0.2)), float(tol.get("above", 0.3))
 
 
-def cmd_convergence(cfg: dict, out: Path, tol_override=None) -> int:
+def cmd_convergence(cfg: dict, out: Path, tol_override=None) -> tuple[int, dict]:
     conv = cfg.get("convergence", {})
     _check_keys("convergence", conv, ("meshes", "m_values", "spectral", "n_steps", "tol"))
     _check_keys("convergence tol", conv.get("tol", {}), ("below", "above"))
@@ -184,7 +219,6 @@ def cmd_convergence(cfg: dict, out: Path, tol_override=None) -> int:
     if not mesh_specs or (len(mesh_specs) < 3 and not spectral):
         raise ConfigError("convergence needs a mesh family with >= 3 refinements "
                           "(or a single mesh with 'spectral': true)")
-    t0 = time.time()
     meshes = [resolve_mesh(s) for s in mesh_specs]
     m_values = conv.get("m_values", [1, 2, 3])
     scheme = None
@@ -208,21 +242,19 @@ def cmd_convergence(cfg: dict, out: Path, tol_override=None) -> int:
             rate = finest["rate_energy"]
             if not (m - below <= rate <= m + above):
                 failures.append((m, rate))
-    outputs.write_manifest(out / "manifest.json", cfg, {
-        "command": "convergence", "version": __version__,
-        "elapsed_s": time.time() - t0, "spectral": spectral,
-        "observed_rates": {str(m): [r["rate_energy"] for r in rows if r["m"] == m][1:]
-                           for m in m_values},
-        "failures": [{"m": m, "value": r} for m, r in failures],
-    })
     for m, r in failures:
         kind = "spectral trend" if spectral else "rate"
         print(f"{kind} check failed at m={m}: {r:.4g}", file=sys.stderr)
     print(f"wrote {out / 'rates.csv'}")
-    return 1 if failures else 0
+    return 1 if failures else 0, {
+        "spectral": spectral,
+        "observed_rates": {str(m): [r["rate_energy"] for r in rows if r["m"] == m][1:]
+                           for m in m_values},
+        "failures": [{"m": m, "value": r} for m, r in failures],
+    }
 
 
-def cmd_solve(cfg: dict, out: Path) -> int:
+def cmd_solve(cfg: dict, out: Path) -> tuple[int, dict]:
     case_id = cfg.get("case", "demo")
     if case_id not in _SOLVE_KEYS:
         raise ConfigError(f"unknown case {case_id!r}; expected one of {list(_SOLVE_KEYS)}")
@@ -231,25 +263,24 @@ def cmd_solve(cfg: dict, out: Path) -> int:
         data = steady_case() if case_id == "steady" else unsteady_case()
         params = data.params
     else:
-        data = DemoData(float(cfg.get("demo_amplitude", 2e-3))) if case_id == "demo" else ZeroData()
+        amplitude = _real("demo_amplitude", cfg.get("demo_amplitude", 2e-3))
+        data = DemoData(amplitude) if case_id == "demo" else ZeroData()
         params = resolve_params(cfg)
     if case_id != "steady":
         scheme = resolve_scheme(cfg, extra=("n_steps",))
         n_steps = int(cfg["scheme"].get("n_steps", 100))
         stride = int(cfg.get("snapshot_stride", 1))
         stepping.check_step_counts(n_steps, stride)
+    dirichlet = resolve_dirichlet(cfg, case_id)
     mesh = resolve_mesh(cfg.get("mesh", {"family": "cartesian", "ny": 4}))
     m = int(cfg.get("degree", 2))
-    t0 = time.time()
 
     if case_id == "steady":
-        state, art = driver.solve_steady(data, mesh, m, resolve_dirichlet(cfg, case_id))
+        state, art = driver.solve_steady(data, mesh, m, dirichlet)
         snaps, resolved_scheme = [(0, state)], None
     else:
-        art = driver.setup(mesh, m, params, resolve_dirichlet(cfg, case_id))
-        values = driver.projected_values(art.space, data) if case_id == "unsteady" else None
-        states, times = stepping.simulate(art.sys, art.faces, scheme, data, n_steps, values,
-                                          stride=stride)
+        states, times, art = driver.solve_unsteady(data, params, mesh, m, scheme, n_steps,
+                                                   dirichlet, stride=stride)
         # one snapshot per recorded step, named by step number; the initial
         # state is not written
         snaps = [(int(round(t / scheme.dt)), st) for st, t in zip(states[1:], times[1:])]
@@ -260,22 +291,16 @@ def cmd_solve(cfg: dict, out: Path) -> int:
     for i, st in snaps:
         outputs.write_snapshot_csv(space, st, out / f"snapshot_{i:06d}.csv")
         outputs.write_snapshot_vtk(space, st, out / f"snapshot_{i:06d}.vtk", geometry)
-    outputs.write_manifest(out / "manifest.json", cfg, {
-        "command": "solve", "version": __version__, "elapsed_s": time.time() - t0,
-        "snapshots": len(snaps), "n_elements": mesh.n_elements, "n_dofs": space.n_dofs,
-        "resolved_params": asdict(art.sys.params),
-        "resolved_scheme": resolved_scheme,
-    })
     print(f"wrote {len(snaps)} snapshots to {out}")
-    return 0
+    return 0, {"snapshots": len(snaps), "n_elements": mesh.n_elements, "n_dofs": space.n_dofs,
+               "resolved_params": asdict(art.sys.params), "resolved_scheme": resolved_scheme}
 
 
-def cmd_verify(cfg: dict, out: Path) -> int:
+def cmd_verify(cfg: dict, out: Path) -> tuple[int, dict]:
     vcfg = cfg.get("verify", {})
     _check_keys("verify", vcfg, ("n_points", "oracle_tol", "t"))
     n_points = int(vcfg.get("n_points", 100))
     tol = float(vcfg.get("oracle_tol", 1e-4))
-    t0 = time.time()
     ok = True
     report_lines = []
 
@@ -298,15 +323,11 @@ def cmd_verify(cfg: dict, out: Path) -> int:
 
     text = "\n".join(report_lines)
     (out / "verify.txt").write_text(text + "\n")
-    outputs.write_manifest(out / "manifest.json", cfg, {
-        "command": "verify", "version": __version__, "elapsed_s": time.time() - t0,
-        "passed": bool(ok),
-    })
     print(text)
-    return 0 if ok else 1
+    return 0 if ok else 1, {"passed": bool(ok)}
 
 
-def cmd_agglomerate(cfg: dict, out: Path) -> int:
+def cmd_agglomerate(cfg: dict, out: Path) -> tuple[int, dict]:
     acfg = cfg.get("agglomeration", {})
     _check_keys("agglomeration", acfg, ("fine", "targets", "seed", "output"))
     if "fine" not in acfg:
@@ -316,7 +337,6 @@ def cmd_agglomerate(cfg: dict, out: Path) -> int:
     fine = load_mesh(fine_spec["path"]) if "path" in fine_spec else _fine_mesh(fine_spec)
     t_el, t_f = acfg.get("targets", (40, 40))
     agcfg = AgglomerationConfig(int(t_el), int(t_f), seed=int(acfg.get("seed", 0)))
-    t0 = time.time()
     assignment = partition_assignment(fine, agcfg)
     prep = validate_partition(fine, assignment)
     coarse = agglomerate(fine, agcfg, assignment)
@@ -324,16 +344,11 @@ def cmd_agglomerate(cfg: dict, out: Path) -> int:
     mesh_path = out / acfg.get("output", "coarse_mesh.json")
     save_mesh(coarse, mesh_path)
     (out / "quality.txt").write_text(qrep.summary() + "\n")
-    outputs.write_manifest(out / "manifest.json", cfg, {
-        "command": "agglomerate", "version": __version__,
-        "elapsed_s": time.time() - t0,
-        "coarse_elements": coarse.n_elements,
-        "partition_valid": prep.valid,
-        "area_error": prep.area_error,
-    })
     print(f"wrote {mesh_path} ({coarse.n_elements} elements); "
           f"partition valid: {prep.valid}")
-    return 0 if prep.valid else 1
+    return 0 if prep.valid else 1, {"coarse_elements": coarse.n_elements,
+                                    "partition_valid": prep.valid,
+                                    "area_error": prep.area_error}
 
 
 def main(argv=None) -> int:
@@ -347,19 +362,21 @@ def main(argv=None) -> int:
     parser.add_argument("--tol", type=float, default=None,
                         help="symmetric rate tolerance for convergence checks")
     args = parser.parse_args(argv)
+    command = {"convergence": lambda cfg, out: cmd_convergence(cfg, out, args.tol),
+               "solve": cmd_solve, "verify": cmd_verify,
+               "agglomerate": cmd_agglomerate}[args.command]
 
+    t0 = time.perf_counter()
     try:
         cfg = _load_config(args.config)
         _check_keys("top-level", cfg, _TOP_KEYS[args.command])
         out = Path(args.out or cfg.get("output_dir", "out"))
         out.mkdir(parents=True, exist_ok=True)
-        if args.command == "convergence":
-            return cmd_convergence(cfg, out, args.tol)
-        if args.command == "solve":
-            return cmd_solve(cfg, out)
-        if args.command == "verify":
-            return cmd_verify(cfg, out)
-        return cmd_agglomerate(cfg, out)
+        code, extra = command(cfg, out)
+        outputs.write_manifest(out / "manifest.json", cfg, {
+            "command": args.command, "version": __version__,
+            "elapsed_s": time.perf_counter() - t0, **extra})
+        return code
     except (ConfigError, MeshError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

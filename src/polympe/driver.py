@@ -1,5 +1,5 @@
-"""High-level runs shared by the CLI and the verification tests: steady and
-unsteady manufactured solves, error tables, and convergence sweeps."""
+"""High-level runs shared by the CLI and the verification tests: the steady
+solve, the one time march, error tables, and convergence sweeps."""
 
 from __future__ import annotations
 
@@ -14,12 +14,11 @@ from .manufactured import ManufacturedCase, steady_case, unsteady_case
 from .mesh import PolyMesh, build_faces
 from .solvers import NumericalError, factorize
 from .spaces import build_space, l2_project
-from .system import build_steady, build_system, split
+from .system import build_global, build_system, split
 
 
 @dataclass
 class RunArtifacts:
-    mesh: PolyMesh
     space: object
     faces: object
     sys: object
@@ -29,18 +28,19 @@ def setup(mesh: PolyMesh, m: int, params, dirichlet_map) -> RunArtifacts:
     faces = build_faces(mesh, dirichlet_map)
     space = build_space(mesh, m, params.compartments)
     sysm = build_system(space, params, faces)
-    return RunArtifacts(mesh=mesh, space=space, faces=faces, sys=sysm)
+    return RunArtifacts(space=space, faces=faces, sys=sysm)
 
 
 def solve_steady(case: ManufacturedCase, mesh: PolyMesh, m: int,
                  dirichlet_map=VERIFICATION_DIRICHLET):
-    """Solve the steady reduction for a manufactured case; returns the state
-    dict and the run artifacts."""
+    """Solve the steady reduction, the stacked operator with every
+    time-derivative slot dropped, against the loads of ``case`` at t = 0;
+    returns the state dict and the run artifacts."""
     art = setup(mesh, m, case.params, dirichlet_map)
     loads = forms.assemble_loads(art.space, case.params, art.faces, case, 0.0)
-    steady = build_steady(art.sys, loads)
-    x = factorize(steady.matrix).solve(steady.rhs)
-    resid = np.linalg.norm(steady.matrix @ x - steady.rhs) / max(np.linalg.norm(steady.rhs), 1e-300)
+    matrix = build_global(art.sys)
+    x = factorize(matrix).solve(loads)
+    resid = np.linalg.norm(matrix @ x - loads) / max(np.linalg.norm(loads), 1e-300)
     if resid > 1e-8:
         raise NumericalError(f"steady solve residual {resid:.3e}")
     return split(x, art.space.sizes), art
@@ -57,35 +57,28 @@ def projected_values(space, case: ManufacturedCase) -> dict:
     return vals
 
 
-def solve_unsteady(case: ManufacturedCase, mesh: PolyMesh, m: int,
-                   scheme: stepping.SchemeParams, n_steps: int,
-                   dirichlet_map=VERIFICATION_DIRICHLET):
-    """March a manufactured case from projected initial data; returns the
-    recorded states/times and the run artifacts."""
-    art = setup(mesh, m, case.params, dirichlet_map)
-    states, times = stepping.simulate(art.sys, art.faces, scheme, case, n_steps,
-                                      projected_values(art.space, case))
+def solve_unsteady(data, params, mesh: PolyMesh, m: int, scheme: stepping.SchemeParams,
+                   n_steps: int, dirichlet_map=VERIFICATION_DIRICHLET, stride: int = 1):
+    """March ``n_steps`` steps under the loads of ``data`` from t = 0: a
+    :class:`~polympe.manufactured.ManufacturedCase` from its
+    :func:`projected_values`, any other data from rest. Returns the states
+    and times recorded every ``stride`` steps (see
+    :func:`polympe.stepping.simulate`) and the run artifacts."""
+    art = setup(mesh, m, params, dirichlet_map)
+    values = projected_values(art.space, data) if isinstance(data, ManufacturedCase) else None
+    states, times = stepping.simulate(art.sys, art.faces, scheme, data, n_steps, values,
+                                      stride=stride)
     return states, times, art
 
 
-def steady_error_row(case: ManufacturedCase, mesh: PolyMesh, m: int) -> dict:
-    state, art = solve_steady(case, mesh, m)
-    eb = norms.energy_norm([state], [0.0], art.space, art.faces, case.params, exact=case)
-    return _row(mesh, m, eb, art)
-
-
-def unsteady_error_row(case: ManufacturedCase, mesh: PolyMesh, m: int,
-                       scheme: stepping.SchemeParams, n_steps: int) -> dict:
-    states, times, art = solve_unsteady(case, mesh, m, scheme, n_steps)
+def error_row(case: ManufacturedCase, states, times, art: RunArtifacts) -> dict:
+    """The energy error of a solve of ``case`` over its recorded states, and
+    the broken errors of each field at the last one."""
     eb = norms.energy_norm(states, times, art.space, art.faces, case.params, exact=case)
-    return _row(mesh, m, eb, art)
-
-
-def _row(mesh, m, eb, art) -> dict:
     bn = eb.final
     return {
-        "m": m,
-        "h": float(mesh.diameters.max()),
+        "m": art.space.m,
+        "h": float(art.space.mesh.diameters.max()),
         "n_elements_el": len(art.space.el_ids),
         "n_elements_f": len(art.space.f_ids),
         "err_energy": eb.total,
@@ -100,14 +93,20 @@ def convergence_table(case_id: str, meshes: list, m_values, scheme=None, n_steps
     """Error rows plus observed energy rates for a mesh sequence; ``case_id``
     is ``"steady"`` or ``"unsteady"``."""
     case = steady_case() if case_id == "steady" else unsteady_case()
+
+    def solve(mesh, m):
+        # called inside error_row's arguments, so that one mesh's states and
+        # system are freed before the next mesh is solved
+        if case_id == "steady":
+            state, art = solve_steady(case, mesh, m)
+            return [state], [0.0], art
+        return solve_unsteady(case, case.params, mesh, m, scheme, n_steps)
+
     rows = []
     for m in m_values:
         errs, hs = [], []
         for mesh in meshes:
-            if case_id == "steady":
-                row = steady_error_row(case, mesh, m)
-            else:
-                row = unsteady_error_row(case, mesh, m, scheme, n_steps)
+            row = error_row(case, *solve(mesh, m))
             row["rate_energy"] = float("nan")
             rows.append(row)
             errs.append(row["err_energy"])

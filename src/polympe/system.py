@@ -1,6 +1,6 @@
 """Global block operator: the coupling pattern, its placement into a
-stacked layout and the cutting of a stacked vector into field views,
-structural checks, and the steady-state reduction.
+stacked layout and the cutting of a stacked vector into field views, and
+structural checks.
 
 Every operator is built from one coupling pattern, :func:`coupling_blocks`,
 in the field order of :class:`~polympe.spaces.DGSpace` (d, one p:j per
@@ -145,20 +145,6 @@ def build_global(sys: SystemMatrices, s: float = 0.0) -> sp.csr_matrix:
 
 
 @dataclass
-class SteadySystem:
-    matrix: sp.csr_matrix
-    rhs: np.ndarray
-
-
-def build_steady(sys: SystemMatrices, loads: np.ndarray) -> SteadySystem:
-    """Drop every time-derivative slot; the right-hand side is the load
-    vector of :func:`polympe.forms.assemble_loads`. For manufactured data
-    its divergence rows carry the wall-datum lifting, otherwise zero. Cut
-    the solution into fields with ``split(x, sys.space.sizes)``."""
-    return SteadySystem(matrix=build_global(sys, s=0.0), rhs=loads)
-
-
-@dataclass
 class StructuralReport:
     symmetry: dict = field(default_factory=dict)
     psd_min: dict = field(default_factory=dict)
@@ -261,9 +247,3 @@ def structural_checks(sys: SystemMatrices, seed: int = 0,
 
     return rep
 
-
-def export_matrix_market(sys: SystemMatrices, path, s: float = 0.0) -> None:
-    """Write the stacked operator in Matrix Market coordinate format."""
-    from scipy.io import mmwrite
-
-    mmwrite(str(path), build_global(sys, s=s))

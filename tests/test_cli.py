@@ -89,6 +89,40 @@ def test_demo_snapshot_bytes_pinned(tmp_path):
             for p in out.glob("snapshot_*")} == DEMO_SNAPSHOT_SHA256
 
 
+#: sha256 of each snapshot file of `polympe solve` for the steady, unsteady
+#: and zero cases on ``cartesian_two_domain(2)`` at m = 1 (the unsteady and
+#: zero cases: 4 steps of 0.01, snapshot stride 2)
+CASE_SNAPSHOT_SHA256 = {
+    "steady": {
+        "snapshot_000000.csv": "1e615e3e675c96eb37c9a8b3ad7db04b539c301ebe252bdd64e591ac20ddf580",
+        "snapshot_000000.vtk": "4caf8fa9813da3624f3ad6a3e7d26fc32c08e90cb15e2cb313e674f8fb1db89a",
+    },
+    "unsteady": {
+        "snapshot_000002.csv": "4f8792898bdf795b6ac19e1d08523c252b233c5023ff4324d4f02a61b51bec9e",
+        "snapshot_000002.vtk": "22e1fb97280343b95b8c576a87a00b369dd432ae70e3dff236093c053c0a9821",
+        "snapshot_000004.csv": "4a8c14e8933c4fea1ec84cc12846900a1522682ad613df6901eeceec994ef6f5",
+        "snapshot_000004.vtk": "6a5615d7ff6d65a89dcbc30881aae98f2d23c5854d445f6712df0374f1426b63",
+    },
+    "zero": {
+        "snapshot_000002.csv": "31b007a35c3870af150f4fe4d970e53c14a21f84ad8ea777d989a9372d474053",
+        "snapshot_000002.vtk": "c5686f99bedaae4a474cf0a2301f7bd82783ae0b6b2683c7c9457835a95174cf",
+        "snapshot_000004.csv": "31b007a35c3870af150f4fe4d970e53c14a21f84ad8ea777d989a9372d474053",
+        "snapshot_000004.vtk": "c5686f99bedaae4a474cf0a2301f7bd82783ae0b6b2683c7c9457835a95174cf",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASE_SNAPSHOT_SHA256))
+def test_case_snapshot_bytes_pinned(tmp_path, case):
+    doc = {"case": case, "mesh": {"family": "cartesian", "ny": 2}, "degree": 1}
+    if case != "steady":
+        doc.update(scheme={"dt": 0.01, "n_steps": 4}, snapshot_stride=2)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    assert {p.name: sha256_hex(p.read_bytes())
+            for p in out.glob("snapshot_*")} == CASE_SNAPSHOT_SHA256[case]
+
+
 def test_solve_manifest_records_the_case_params(tmp_path, capsys):
     # the steady case solves with its own parameters and reads no preset
     from polympe.manufactured import steady_case
@@ -185,6 +219,62 @@ def test_shipped_configs_have_known_top_level_keys():
             resolve_params(cfg)
         if "scheme" in cfg:
             resolve_scheme(cfg, extra=("n_steps",) if command == "solve" else ())
+
+
+@pytest.mark.parametrize("doc, name", [
+    ({"scheme": {"dt": "x", "n_steps": 2}}, "scheme dt"),
+    ({"scheme": {"dt": 0.01, "theta": "a", "n_steps": 2}}, "scheme theta"),
+    ({"params": {"mu_j": {"E": "abc"}}, "scheme": {"dt": 0.01, "n_steps": 2}}, "mu_j[E]"),
+    ({"dirichlet": {"el": 5}, "scheme": {"dt": 0.01, "n_steps": 2}}, "dirichlet 'el'"),
+])
+def test_wrong_typed_config_value_is_input_error(tmp_path, capsys, doc, name):
+    cfg = write_config(tmp_path, dict({"case": "zero", "mesh": {"family": "cartesian", "ny": 2},
+                                       "degree": 1}, **doc))
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+    assert not list(out.glob("*"))
+
+
+@pytest.mark.parametrize("doc, match", [
+    ({"params": {"mu_j": {"X": 2.0}}}, "'X'"),
+    ({"compartments": ["A", "E"], "params": {"beta": {"E": {"X": 2.0}}}}, "'X'"),
+    ({"compartments": "AE"}, "compartments must be a list"),
+])
+def test_bad_per_compartment_value_is_config_error(doc, match):
+    with pytest.raises(cli.ConfigError, match=match):
+        cli.resolve_params(doc)
+
+
+def test_beta_override_merges_entry_by_entry():
+    params = cli.resolve_params({"compartments": ["A", "E"],
+                                 "params": {"beta": {"E": {"A": 2.0}}}})
+    assert params.beta == {"A": {"A": 1.0, "E": 1.0}, "E": {"A": 2.0, "E": 1.0}}
+
+
+_SMALL_MESHES = [{"family": "cartesian", "ny": n} for n in (2, 4, 8)]
+
+
+@pytest.mark.parametrize("command, doc, keys", [
+    ("convergence", {"case": "steady", "convergence": {"m_values": [1], "meshes": _SMALL_MESHES}},
+     {"spectral", "observed_rates", "failures"}),
+    ("solve", {"case": "zero", "mesh": {"family": "cartesian", "ny": 2}, "degree": 1,
+               "scheme": {"dt": 0.01, "n_steps": 2}},
+     {"snapshots", "n_elements", "n_dofs", "resolved_params", "resolved_scheme"}),
+    ("verify", {"mesh": {"family": "cartesian", "ny": 2}, "degree": 1,
+                "verify": {"n_points": 5}}, {"passed"}),
+    ("agglomerate", {"agglomeration": {"fine": {"fine_ny": 4}, "targets": [2, 2]}},
+     {"coarse_elements", "partition_valid", "area_error"}),
+])
+def test_manifest_fields(tmp_path, command, doc, keys):
+    from polympe import __version__
+    out = tmp_path / "o"
+    main([command, "--config", write_config(tmp_path, doc), "--out", str(out), "--tol", "0.5"])
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest) == {"config", "command", "version", "elapsed_s"} | keys
+    assert manifest["command"] == command and manifest["version"] == __version__
+    assert manifest["config"] == doc and manifest["elapsed_s"] > 0.0
 
 
 @pytest.mark.parametrize("doc", [{"snapshot_stride": 0, "scheme": {"dt": 0.01, "n_steps": 2}},

@@ -111,6 +111,52 @@ def test_initial_state_projections(small_sys, unsteady):
     assert np.allclose(st["z"], z_ref)
 
 
+class ExactLoads(forms.ZeroData):
+    """The data of a manufactured case under a type that is not one."""
+
+    def __init__(self, case):
+        self.case = case
+
+    def exact(self, key, pts, t=0.0):
+        return self.case.exact(key, pts, t)
+
+
+@pytest.mark.parametrize("kind", ["manufactured", "zero", "exact_loads"])
+def test_solve_unsteady_initial_values(unsteady, kind):
+    # a manufactured case starts from its projections, other data from rest
+    data = {"manufactured": unsteady, "zero": forms.ZeroData(),
+            "exact_loads": ExactLoads(unsteady)}[kind]
+    states, times, art = solve_unsteady(data, unsteady.params, cartesian_two_domain(2), 1,
+                                        stepping.SchemeParams(dt=0.01), 0)
+    assert times == [0.0]
+    want = projected_values(art.space, unsteady) if kind == "manufactured" else {}
+    assert set(want) <= set(states[0]) - {"a"}
+    for f, v in states[0].items():
+        if f != "a":
+            assert np.array_equal(v, want.get(f, np.zeros_like(v))), f
+
+
+@pytest.mark.parametrize("case_id", ["steady", "unsteady"])
+def test_convergence_table_frees_each_solve_before_the_next(monkeypatch, case_id):
+    # a mesh's system and states must not stay alive through the next
+    # mesh's solve, or the sweep's peak memory holds two meshes at once
+    import weakref
+    from polympe import driver
+    made, real_setup = [], driver.setup
+
+    def tracked_setup(*args):
+        assert all(ref() is None for ref in made), "an earlier solve is still alive"
+        art = real_setup(*args)
+        made.append(weakref.ref(art))
+        return art
+
+    monkeypatch.setattr(driver, "setup", tracked_setup)
+    meshes = [cartesian_two_domain(n) for n in (2, 3, 4)]
+    driver.convergence_table(case_id, meshes, [1], scheme=stepping.SchemeParams(dt=1e-3),
+                             n_steps=1)
+    assert len(made) == 3
+
+
 def test_initial_acceleration_vanishes_on_discrete_steady(steady, cart4_setup):
     mesh, _, _ = cart4_setup
     state, art = solve_steady(steady, mesh, 2)
@@ -188,8 +234,8 @@ def test_simulate_final_time_and_stride(small_sys):
 def test_trajectory_deterministic(unsteady):
     results = []
     for _ in range(2):
-        states, times, _ = solve_unsteady(unsteady, cartesian_two_domain(2), 1,
-                                          stepping.SchemeParams(dt=1e-3), 3)
+        states, times, _ = solve_unsteady(unsteady, unsteady.params, cartesian_two_domain(2),
+                                          1, stepping.SchemeParams(dt=1e-3), 3)
         results.append(states[-1])
     a, b = results
     assert np.array_equal(a["d"], b["d"]) and np.array_equal(a["p"], b["p"])
@@ -202,7 +248,7 @@ def test_newmark_velocity_second_order_in_dt(unsteady):
     T = 0.032
     z = {}
     for dt in (T / 4, T / 8, T / 16):
-        states, times, art = solve_unsteady(unsteady, mesh, 2,
+        states, times, art = solve_unsteady(unsteady, unsteady.params, mesh, 2,
                                             stepping.SchemeParams(dt=dt), int(round(T / dt)))
         z[dt] = states[-1]["z"]
     e1 = np.linalg.norm(z[T / 4] - z[T / 8])

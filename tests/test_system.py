@@ -12,8 +12,7 @@ from polympe.mesh import build_faces
 from polympe.params import PhysicalParams
 from polympe.solvers import factorize
 from polympe.spaces import build_space
-from polympe.system import (build_global, build_steady, build_system,
-                            export_matrix_market, structural_checks)
+from polympe.system import build_global, build_system, structural_checks
 
 from conftest import unit_square_mesh
 
@@ -45,9 +44,9 @@ def test_elastic_only_system_solvable():
             return super().exact(key, pts, t)
 
     loads = forms.assemble_loads(space, params, faces, Data(), 0.0)
-    steady = build_steady(sysm, loads)
-    x = factorize(steady.matrix).solve(steady.rhs)
-    r = np.linalg.norm(steady.matrix @ x - steady.rhs) / np.linalg.norm(steady.rhs)
+    matrix = build_global(sysm)
+    x = factorize(matrix).solve(loads)
+    r = np.linalg.norm(matrix @ x - loads) / np.linalg.norm(loads)
     assert r < 1e-10
 
 
@@ -152,8 +151,7 @@ def test_steady_zero_loads_zero_solution(cart4_setup, unit_params):
     _, faces, space = cart4_setup
     sysm = build_system(space, unit_params, faces)
     loads = forms.assemble_loads(space, unit_params, faces, forms.ZeroData(), 0.0)
-    steady = build_steady(sysm, loads)
-    x = factorize(steady.matrix).solve(steady.rhs)
+    x = factorize(build_global(sysm)).solve(loads)
     assert np.abs(x).max() < 1e-12
 
 
@@ -163,23 +161,3 @@ def test_steady_split_fields(steady, cart4_setup):
     assert set(state) == {"d", "p:E", "u", "p"}
     assert state["d"].shape == (art.space.sizes["d"],)
 
-
-def test_matrix_market_export(tmp_path, cart4_setup, unit_params):
-    _, faces, space = cart4_setup
-    sysm = build_system(space, unit_params, faces)
-    path = tmp_path / "steady.mtx"
-    export_matrix_market(sysm, path)
-    import scipy.io
-    M = scipy.io.mmread(str(path))
-    assert M.shape == (space.n_dofs, space.n_dofs)
-
-
-def test_steady_rhs_field_order(cart4_setup, unit_params):
-    _, faces, space = cart4_setup
-    sysm = build_system(space, unit_params, faces)
-    loads = forms.assemble_loads(space, unit_params, faces, forms.ZeroData(), 0.0)
-    loads[space.field_slice("d")] = 1.0
-    loads[space.field_slice("p")] = 4.0
-    v = build_steady(sysm, loads).rhs
-    assert np.all(v[space.field_slice("d")] == 1.0)
-    assert np.all(v[space.field_slice("p")] == 4.0)
