@@ -91,8 +91,9 @@ def _fine_mesh(spec: dict):
     """The jittered fine triangulation described by the ``_FINE_KEYS`` of a
     mesh spec (family ``agglomerated``) or of an agglomeration ``fine`` spec."""
     return triangulated_two_domain(
-        int(spec.get("fine_ny", 24)), spec.get("fine_nx_el"), spec.get("fine_nx_f"),
-        jitter=float(spec.get("jitter", 0.25)), seed=int(spec.get("seed", 0)))
+        _int("fine_ny", spec.get("fine_ny", 24)), _int("fine_nx_el", spec.get("fine_nx_el"), True),
+        _int("fine_nx_f", spec.get("fine_nx_f"), True),
+        jitter=_real("jitter", spec.get("jitter", 0.25)), seed=_int("seed", spec.get("seed", 0)))
 
 
 def resolve_mesh(spec: dict):
@@ -102,11 +103,9 @@ def resolve_mesh(spec: dict):
     if "path" in spec:
         return load_mesh(spec["path"])
     if family == "cartesian":
-        return cartesian_two_domain(int(spec["ny"]), spec.get("nx"))
+        return cartesian_two_domain(_int("ny", spec["ny"]), _int("nx", spec.get("nx"), True))
     if family == "agglomerated":
-        t_el, t_f = spec.get("targets", (40, 40))
-        cfg = AgglomerationConfig(int(t_el), int(t_f), seed=int(spec.get("seed", 0)))
-        return agglomerate(_fine_mesh(spec), cfg)
+        return agglomerate(_fine_mesh(spec), _agglomeration(spec))
     raise ConfigError(f"unknown mesh spec {spec}")
 
 
@@ -118,11 +117,36 @@ def _names(name: str, val) -> list:
 
 
 def _real(name: str, val) -> float:
-    """``val`` as a float, or a :class:`ConfigError` naming ``name``."""
-    try:
-        return float(val)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a number, got {val!r}") from None
+    """``val`` as a float if it is a JSON number, else a :class:`ConfigError`
+    naming ``name``."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {val!r}")
+    return float(val)
+
+
+def _int(name: str, val, optional: bool = False):
+    """``val`` if it is a JSON integer (or ``None``, when ``optional``), else
+    a :class:`ConfigError` naming ``name``."""
+    if optional and val is None:
+        return None
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise ConfigError(f"{name} must be an integer, got {val!r}")
+    return val
+
+
+def _ints(name: str, val, n=None) -> list:
+    """``val`` as a list of exactly ``n`` integers (of at least one, when
+    ``n`` is ``None``), else a :class:`ConfigError` naming ``name``."""
+    if not isinstance(val, (list, tuple)) or (len(val) != n if n else not val):
+        raise ConfigError(f"{name} must be a list of {n or 'one or more'} integers, "
+                          f"got {val!r}")
+    return [_int(name, v) for v in val]
+
+
+def _agglomeration(spec: dict) -> AgglomerationConfig:
+    """The ``targets`` and ``seed`` of a mesh or agglomeration spec."""
+    t_el, t_f = _ints("targets", spec.get("targets", [40, 40]), 2)
+    return AgglomerationConfig(t_el, t_f, seed=_int("seed", spec.get("seed", 0)))
 
 
 def _merge(name: str, current: dict, val, compartments) -> None:
@@ -142,6 +166,8 @@ _PARAM_KEYS = tuple(f.name for f in fields(PhysicalParams) if f.name != "compart
 
 def resolve_params(cfg: dict) -> PhysicalParams:
     compartments = tuple(_names("compartments", cfg.get("compartments", ["E"])))
+    if len(set(compartments)) != len(compartments):
+        raise ConfigError(f"compartments must be distinct, got {list(compartments)}")
     _check_keys("params", cfg.get("params", {}))
     pcfg = dict(cfg.get("params", {}))
     preset = pcfg.pop("preset", "unit")
@@ -200,13 +226,6 @@ class DemoData(ZeroData):
         return super().exact(key, pts, t)
 
 
-def _rate_window(cfg: dict, tol_override):
-    tol = cfg.get("convergence", {}).get("tol", {})
-    if tol_override is not None:
-        return float(tol_override), float(tol_override)
-    return float(tol.get("below", 0.2)), float(tol.get("above", 0.3))
-
-
 def cmd_convergence(cfg: dict, out: Path, tol_override=None) -> tuple[int, dict]:
     conv = cfg.get("convergence", {})
     _check_keys("convergence", conv, ("meshes", "m_values", "spectral", "n_steps", "tol"))
@@ -215,31 +234,37 @@ def cmd_convergence(cfg: dict, out: Path, tol_override=None) -> tuple[int, dict]
     if case_id not in ("steady", "unsteady"):
         raise ConfigError("convergence needs case steady or unsteady")
     mesh_specs = conv.get("meshes")
-    spectral = bool(conv.get("spectral", False))
-    if not mesh_specs or (len(mesh_specs) < 3 and not spectral):
-        raise ConfigError("convergence needs a mesh family with >= 3 refinements "
+    spectral = conv.get("spectral", False)
+    if not isinstance(spectral, bool):
+        raise ConfigError(f"convergence spectral must be true or false, got {spectral!r}")
+    if not isinstance(mesh_specs, list) or len(mesh_specs) < (1 if spectral else 3):
+        raise ConfigError("convergence meshes must be a mesh family with >= 3 refinements "
                           "(or a single mesh with 'spectral': true)")
+    m_values = _ints("convergence m_values", conv.get("m_values", [1, 2, 3]))
+    n_steps = _int("convergence n_steps", conv.get("n_steps", 5))
+    tol = conv.get("tol", {})
+    below, above = ((tol_override, tol_override) if tol_override is not None else
+                    (_real("convergence tol below", tol.get("below", 0.2)),
+                     _real("convergence tol above", tol.get("above", 0.3))))
+    scheme = resolve_scheme(cfg, default={"dt": 1e-3}) if case_id == "unsteady" else None
     meshes = [resolve_mesh(s) for s in mesh_specs]
-    m_values = conv.get("m_values", [1, 2, 3])
-    scheme = None
-    if case_id == "unsteady":
-        scheme = resolve_scheme(cfg, default={"dt": 1e-3})
-    rows = driver.convergence_table(case_id, meshes, m_values, scheme=scheme,
-                                    n_steps=int(conv.get("n_steps", 5)))
+    rows = driver.convergence_table(case_id, meshes, m_values, scheme=scheme, n_steps=n_steps)
     outputs.write_rate_table(rows, out / "rates.csv")
 
+    # the rows of each degree, coarsest mesh first
+    per_m = {}
+    for row in rows:
+        per_m.setdefault(row["m"], []).append(row)
     failures = []
     if spectral:
         # fixed-mesh sweep over m: the error must decrease monotonically
-        errs = [[r for r in rows if r["m"] == m][-1]["err_energy"] for m in m_values]
+        errs = [per_m[m][-1]["err_energy"] for m in m_values]
         for (m1, e1), (m2, e2) in zip(zip(m_values, errs), zip(m_values[1:], errs[1:])):
             if not e2 < e1:
                 failures.append((m2, e2 / e1))
     else:
-        below, above = _rate_window(cfg, tol_override)
         for m in m_values:
-            finest = [r for r in rows if r["m"] == m][-1]
-            rate = finest["rate_energy"]
+            rate = per_m[m][-1]["rate_energy"]
             if not (m - below <= rate <= m + above):
                 failures.append((m, rate))
     for m, r in failures:
@@ -248,8 +273,7 @@ def cmd_convergence(cfg: dict, out: Path, tol_override=None) -> tuple[int, dict]
     print(f"wrote {out / 'rates.csv'}")
     return 1 if failures else 0, {
         "spectral": spectral,
-        "observed_rates": {str(m): [r["rate_energy"] for r in rows if r["m"] == m][1:]
-                           for m in m_values},
+        "observed_rates": {str(m): [r["rate_energy"] for r in per_m[m][1:]] for m in m_values},
         "failures": [{"m": m, "value": r} for m, r in failures],
     }
 
@@ -268,43 +292,46 @@ def cmd_solve(cfg: dict, out: Path) -> tuple[int, dict]:
         params = resolve_params(cfg)
     if case_id != "steady":
         scheme = resolve_scheme(cfg, extra=("n_steps",))
-        n_steps = int(cfg["scheme"].get("n_steps", 100))
-        stride = int(cfg.get("snapshot_stride", 1))
+        n_steps = _int("scheme n_steps", cfg["scheme"].get("n_steps", 100))
+        stride = _int("snapshot_stride", cfg.get("snapshot_stride", 1))
         stepping.check_step_counts(n_steps, stride)
     dirichlet = resolve_dirichlet(cfg, case_id)
+    m = _int("degree", cfg.get("degree", 2))
     mesh = resolve_mesh(cfg.get("mesh", {"family": "cartesian", "ny": 4}))
-    m = int(cfg.get("degree", 2))
 
     if case_id == "steady":
-        state, art = driver.solve_steady(data, mesh, m, dirichlet)
+        state, sysm = driver.solve_steady(data, mesh, m, dirichlet)
         snaps, resolved_scheme = [(0, state)], None
     else:
-        states, times, art = driver.solve_unsteady(data, params, mesh, m, scheme, n_steps,
-                                                   dirichlet, stride=stride)
+        states, times, sysm = driver.solve_unsteady(data, params, mesh, m, scheme, n_steps,
+                                                    dirichlet, stride=stride)
         # one snapshot per recorded step, named by step number; the initial
         # state is not written
         snaps = [(int(round(t / scheme.dt)), st) for st, t in zip(states[1:], times[1:])]
         resolved_scheme = dict(asdict(scheme), n_steps=n_steps)
 
-    space = art.space
+    space = sysm.space
     geometry = outputs.vtk_geometry(mesh)
     for i, st in snaps:
-        outputs.write_snapshot_csv(space, st, out / f"snapshot_{i:06d}.csv")
-        outputs.write_snapshot_vtk(space, st, out / f"snapshot_{i:06d}.vtk", geometry)
+        means = outputs.cell_means(space, st)
+        outputs.write_snapshot_csv(space, means, out / f"snapshot_{i:06d}.csv")
+        outputs.write_snapshot_vtk(space, means, out / f"snapshot_{i:06d}.vtk", geometry)
     print(f"wrote {len(snaps)} snapshots to {out}")
     return 0, {"snapshots": len(snaps), "n_elements": mesh.n_elements, "n_dofs": space.n_dofs,
-               "resolved_params": asdict(art.sys.params), "resolved_scheme": resolved_scheme}
+               "resolved_params": asdict(sysm.params), "resolved_scheme": resolved_scheme}
 
 
 def cmd_verify(cfg: dict, out: Path) -> tuple[int, dict]:
     vcfg = cfg.get("verify", {})
     _check_keys("verify", vcfg, ("n_points", "oracle_tol", "t"))
-    n_points = int(vcfg.get("n_points", 100))
-    tol = float(vcfg.get("oracle_tol", 1e-4))
+    n_points = _int("verify n_points", vcfg.get("n_points", 100))
+    tol = _real("verify oracle_tol", vcfg.get("oracle_tol", 1e-4))
+    t_unsteady = _real("verify t", vcfg.get("t", 0.37))
+    m = _int("degree", cfg.get("degree", 2))
     ok = True
     report_lines = []
 
-    for case, t in ((steady_case(), 0.0), (unsteady_case(), float(vcfg.get("t", 0.37)))):
+    for case, t in ((steady_case(), 0.0), (unsteady_case(), t_unsteady)):
         rep = residual_oracle(case, n_points=n_points, t=t)
         report_lines.append(f"[{case.name}] max residual {rep.max_residual:.3e} (tol {tol:g})")
         report_lines.append(rep.summary())
@@ -315,9 +342,8 @@ def cmd_verify(cfg: dict, out: Path) -> tuple[int, dict]:
 
     params = resolve_params(cfg)
     mesh = resolve_mesh(cfg.get("mesh", {"family": "cartesian", "ny": 4}))
-    art = driver.setup(mesh, int(cfg.get("degree", 2)), params,
-                       resolve_dirichlet(cfg, cfg.get("case", "steady")))
-    srep = structural_checks(art.sys)
+    srep = structural_checks(driver.setup(mesh, m, params,
+                                          resolve_dirichlet(cfg, cfg.get("case", "steady"))))
     report_lines.append(srep.summary())
     ok &= srep.passed
 
@@ -335,8 +361,7 @@ def cmd_agglomerate(cfg: dict, out: Path) -> tuple[int, dict]:
     fine_spec = acfg["fine"]
     _check_keys("agglomeration fine", fine_spec, _spec_keys(fine_spec, _FINE_KEYS))
     fine = load_mesh(fine_spec["path"]) if "path" in fine_spec else _fine_mesh(fine_spec)
-    t_el, t_f = acfg.get("targets", (40, 40))
-    agcfg = AgglomerationConfig(int(t_el), int(t_f), seed=int(acfg.get("seed", 0)))
+    agcfg = _agglomeration(acfg)
     assignment = partition_assignment(fine, agcfg)
     prep = validate_partition(fine, assignment)
     coarse = agglomerate(fine, agcfg, assignment)

@@ -9,20 +9,14 @@ from pathlib import Path
 
 import numpy as np
 
-RATE_COLUMNS = ["m", "h", "n_elements_el", "n_elements_f",
-                "err_energy", "err_d", "err_pE", "err_u", "err_p", "rate_energy"]
-
-
 def write_rate_table(rows: list, path) -> None:
+    """The rows of :func:`polympe.driver.convergence_table` as CSV, in the
+    columns of the first row."""
     with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=RATE_COLUMNS)
+        w = csv.DictWriter(fh, fieldnames=list(rows[0]))
         w.writeheader()
-        for row in rows:
-            out = dict(row)
-            for k, v in out.items():
-                if isinstance(v, float):
-                    out[k] = f"{v:.16e}" if k != "rate_energy" else f"{v:.6f}"
-            w.writerow(out)
+        w.writerows({k: (f"{v:.16e}" if k != "rate_energy" else f"{v:.6f}")
+                     if isinstance(v, float) else v for k, v in row.items()} for row in rows)
 
 
 def cell_means(space, state: dict) -> dict:
@@ -38,13 +32,13 @@ def cell_means(space, state: dict) -> dict:
     return out
 
 
-def write_snapshot_csv(space, state: dict, path) -> None:
+def write_snapshot_csv(space, means: dict, path) -> None:
+    """A snapshot of ``means``, the :func:`cell_means` of a state."""
     mesh = space.mesh
     cols = ["element", "domain", "cx", "cy"]
     for field in space.fields:
         base = field.replace(":", "_")
         cols += [f"{base}_x", f"{base}_y"] if space.components(field) == 2 else [base]
-    means = cell_means(space, state)
     values = np.hstack([mesh.centroids] + [means[field] for field in space.fields])
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -66,10 +60,9 @@ def vtk_geometry(mesh) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_snapshot_vtk(space, state: dict, path, geometry: str) -> None:
-    """A snapshot of the cell means of ``state``, after ``geometry``, the
-    :func:`vtk_geometry` of ``space.mesh``."""
-    means = cell_means(space, state)
+def write_snapshot_vtk(space, means: dict, path, geometry: str) -> None:
+    """A snapshot of ``means``, the :func:`cell_means` of a state, after
+    ``geometry``, the :func:`vtk_geometry` of ``space.mesh``."""
     lines = [f"CELL_DATA {space.mesh.n_elements}"]
     for field in space.fields:
         base = field.replace(":", "_")

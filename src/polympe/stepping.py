@@ -29,7 +29,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import forms
-from .mesh import FaceSet
 from .solvers import NumericalError, factorize
 from .spaces import DGSpace
 from .system import (EXCHANGE, SystemMatrices, coupling_blocks, displacement_coupling, place,
@@ -128,8 +127,8 @@ def check_step_counts(n_steps: int, stride: int) -> None:
                          f"stride = {stride}")
 
 
-def simulate(sys: SystemMatrices, faces: FaceSet, sp_: SchemeParams, data,
-             n_steps: int, values=None, t0: float = 0.0, stride: int = 1):
+def simulate(sys: SystemMatrices, sp_: SchemeParams, data, n_steps: int, values=None,
+             t0: float = 0.0, stride: int = 1):
     """March ``n_steps`` uniform steps from :func:`initial_state` (``values``
     under the loads of ``data`` at ``t0``); returns the recorded states
     (every ``stride``-th plus first and last), each a dict of field views in
@@ -146,7 +145,7 @@ def simulate(sys: SystemMatrices, faces: FaceSet, sp_: SchemeParams, data,
     (:func:`check_step_counts`), and :class:`~polympe.solvers.NumericalError`
     at the first step whose state is not finite."""
     check_step_counts(n_steps, stride)
-    loads_n = forms.assemble_loads(sys.space, sys.params, faces, data, t0)
+    loads_n = forms.assemble_loads(sys.space, sys.params, sys.faces, data, t0)
     state0 = initial_state(sys, loads_n, values)
     mats = build_stepping_matrices(sys, sp_)
     fact = factorize(mats["A1"])
@@ -156,7 +155,7 @@ def simulate(sys: SystemMatrices, faces: FaceSet, sp_: SchemeParams, data,
     x = np.concatenate(list(state0.values()))
     for n in range(1, n_steps + 1):
         t = t0 + n * sp_.dt
-        loads_np1 = forms.assemble_loads(space, sys.params, faces, data, t)
+        loads_np1 = forms.assemble_loads(space, sys.params, sys.faces, data, t)
         # each solve returns a fresh vector, so a recorded state may view it
         x = fact.solve(A2 @ x + blend_loads(sys, sp_, loads_n, loads_np1))
         if not np.isfinite(x).all():

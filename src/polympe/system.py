@@ -47,8 +47,11 @@ EXCHANGE = "E"
 
 @dataclass
 class SystemMatrices:
+    """The blocks of one problem, with the space, parameters and faces
+    they are assembled from."""
     space: DGSpace
     params: PhysicalParams
+    faces: FaceSet
     M_el: sp.csr_matrix
     A_el: sp.csr_matrix
     M_j: dict
@@ -77,7 +80,7 @@ def build_system(space: DGSpace, params: PhysicalParams, faces: FaceSet) -> Syst
     has_exchange = EXCHANGE in params.compartments
     interface = forms.assemble_interface(space, params, faces, EXCHANGE) if has_exchange else {}
     return SystemMatrices(
-        space=space, params=params,
+        space=space, params=params, faces=faces,
         M_el=elastic["M"], A_el=elastic["A"],
         M_j={j: pressures[j]["M"] for j in params.compartments},
         A_j={j: pressures[j]["A"] for j in params.compartments},

@@ -63,8 +63,8 @@ def test_criterion_1_steady_convergence(poly_family):
 def test_criterion_2_spectral_trend(mesh80, steady):
     errs = []
     for m in (1, 2, 3, 4, 5):
-        state, art = solve_steady(steady, mesh80, m)
-        eb = norms.energy_norm([state], [0.0], art.space, art.faces, steady.params, exact=steady)
+        state, sysm = solve_steady(steady, mesh80, m)
+        eb = norms.energy_norm([state], [0.0], sysm.space, sysm.faces, steady.params, exact=steady)
         errs.append(eb.total)
     decreasing = all(a > b for a, b in zip(errs, errs[1:]))
     reduction = errs[0] / errs[-1]
@@ -97,8 +97,8 @@ def test_criterion_4_manufactured_oracle(steady, unsteady):
 
 
 def test_criterion_5_structural_suite(mesh80, unit_params):
-    art = setup(mesh80, 2, unit_params, VERIFICATION_DIRICHLET)
-    rep = structural_checks(art.sys)
+    sysm = setup(mesh80, 2, unit_params, VERIFICATION_DIRICHLET)
+    rep = structural_checks(sysm)
     ok = all(v < 1e-12 for v in rep.symmetry.values())
     ok &= all(v >= -1e-10 for v in rep.psd_min.values())
     ok &= all(v < 1e-12 for v in rep.pairing.values())
@@ -106,8 +106,8 @@ def test_criterion_5_structural_suite(mesh80, unit_params):
 
     # continuous degree <= m interpolants with homogeneous Dirichlet traces:
     # every jump-penalty contribution annihilates
-    art4 = setup(cartesian_two_domain(2), 4, unit_params, VERIFICATION_DIRICHLET)
-    space, faces = art4.space, art4.faces
+    sys4 = setup(cartesian_two_domain(2), 4, unit_params, VERIFICATION_DIRICHLET)
+    space, faces = sys4.space, sys4.faces
 
     def bubble_el(p):
         b = p[:, 0] * (p[:, 0] + 1) * p[:, 1] * (p[:, 1] - 1)
@@ -136,14 +136,14 @@ def test_criterion_5_structural_suite(mesh80, unit_params):
 
 
 def test_criterion_6_energy_dissipativity(unit_params):
-    art = setup(cartesian_two_domain(4), 2, unit_params, VERIFICATION_DIRICHLET)
+    sysm = setup(cartesian_two_domain(4), 2, unit_params, VERIFICATION_DIRICHLET)
     rng = np.random.default_rng(7)
-    vals = {f: rng.standard_normal(art.space.sizes[f]) for f in ("d", "u", "p")}
-    vals["z"] = rng.standard_normal(art.space.sizes["d"])
-    vals["p:E"] = rng.standard_normal(art.space.sizes["p:E"])
+    vals = {f: rng.standard_normal(sysm.space.sizes[f]) for f in ("d", "u", "p")}
+    vals["z"] = rng.standard_normal(sysm.space.sizes["d"])
+    vals["p:E"] = rng.standard_normal(sysm.space.sizes["p:E"])
     sp = stepping.SchemeParams(dt=1e-2, beta=0.25, gamma=0.5, theta=0.5)
-    states, _ = stepping.simulate(art.sys, art.faces, sp, forms.ZeroData(), 100, vals)
-    E = [stepping.discrete_energy(art.sys, s) for s in states]
+    states, _ = stepping.simulate(sysm, sp, forms.ZeroData(), 100, vals)
+    E = [stepping.discrete_energy(sysm, s) for s in states]
     ratios = [E[i + 1] / E[i] for i in range(len(E) - 1)]
     ok = all(r <= 1.0 + 1e-10 for r in ratios)
     report(6, ok, f"100 steps, max per-step energy ratio {max(ratios):.12f}")

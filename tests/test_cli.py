@@ -6,7 +6,6 @@ import pytest
 from polympe import cli
 from polympe.cli import main
 from polympe.mesh import load_mesh
-from polympe.outputs import RATE_COLUMNS
 
 from conftest import sha256_hex
 
@@ -237,10 +236,66 @@ def test_wrong_typed_config_value_is_input_error(tmp_path, capsys, doc, name):
     assert not list(out.glob("*"))
 
 
+_SMALL_MESHES = [{"family": "cartesian", "ny": n} for n in (2, 4, 8)]
+_ZERO_SOLVE = {"case": "zero", "mesh": {"family": "cartesian", "ny": 2}, "degree": 1,
+               "scheme": {"dt": 0.01, "n_steps": 2}}
+_AGGLOMERATED = {"family": "agglomerated", "targets": [2, 2], "fine_ny": 4}
+_SWEEP = {"case": "steady", "convergence": {"m_values": [1], "meshes": _SMALL_MESHES}}
+
+
+def _with(doc, section, **changes):
+    """``doc`` with the entries ``changes`` set in its ``section`` (the
+    top level when ``section`` is ``None``)."""
+    doc = json.loads(json.dumps(doc))
+    (doc if section is None else doc[section]).update(changes)
+    return doc
+
+
+@pytest.mark.parametrize("command, doc, name", [
+    ("solve", _with(_ZERO_SOLVE, None, degree=None), "degree"),
+    ("solve", _with(_ZERO_SOLVE, None, degree=1.7), "degree"),
+    ("solve", _with(_ZERO_SOLVE, "scheme", n_steps=[1]), "scheme n_steps"),
+    ("solve", _with(_ZERO_SOLVE, None, snapshot_stride=True), "snapshot_stride"),
+    ("solve", _with(_ZERO_SOLVE, "mesh", ny=None), "ny"),
+    ("solve", _with(_ZERO_SOLVE, "mesh", nx="4"), "nx"),
+    ("solve", _with(_ZERO_SOLVE, None, mesh=dict(_AGGLOMERATED, targets=5)), "targets"),
+    ("solve", _with(_ZERO_SOLVE, None, mesh=dict(_AGGLOMERATED, targets=[2, 2, 2])),
+     "targets"),
+    ("solve", _with(_ZERO_SOLVE, None, mesh=dict(_AGGLOMERATED, seed=1.5)), "seed"),
+    ("solve", _with(_ZERO_SOLVE, None, mesh=dict(_AGGLOMERATED, fine_ny=4.0)), "fine_ny"),
+    ("solve", _with(_ZERO_SOLVE, None, mesh=dict(_AGGLOMERATED, fine_nx_f="4")), "fine_nx_f"),
+    ("solve", _with(_ZERO_SOLVE, None, mesh=dict(_AGGLOMERATED, jitter="0.1")), "jitter"),
+    ("solve", _with(_ZERO_SOLVE, None, case="demo", demo_amplitude=True), "demo_amplitude"),
+    ("solve", _with(_ZERO_SOLVE, "scheme", dt="0.01"), "scheme dt"),
+    ("convergence", _with(_SWEEP, "convergence", spectral="no",
+                          meshes=_SMALL_MESHES[:1]), "spectral"),
+    ("convergence", _with(_SWEEP, "convergence", meshes=5), "meshes"),
+    ("convergence", _with(_SWEEP, "convergence", m_values=[]), "m_values"),
+    ("convergence", _with(_SWEEP, "convergence", m_values=[True]), "m_values"),
+    ("convergence", _with(_SWEEP, "convergence", n_steps=2.0), "n_steps"),
+    ("convergence", _with(_SWEEP, "convergence", tol={"below": True}), "tol below"),
+    ("verify", {"mesh": {"family": "cartesian", "ny": 2}, "degree": 1,
+                "verify": {"n_points": "5"}}, "n_points"),
+    ("verify", {"mesh": {"family": "cartesian", "ny": 2}, "degree": 1,
+                "verify": {"n_points": 5, "oracle_tol": False}}, "oracle_tol"),
+    ("agglomerate", {"agglomeration": {"fine": {"fine_ny": 4}, "targets": [2, 2.5]}},
+     "targets"),
+])
+def test_wrong_typed_number_or_flag_is_input_error(tmp_path, capsys, command, doc, name):
+    # integers must be JSON integers, numbers JSON numbers and flags JSON
+    # booleans: none of them is converted from another type
+    out = tmp_path / "o"
+    assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+    assert not list(out.glob("*"))
+
+
 @pytest.mark.parametrize("doc, match", [
     ({"params": {"mu_j": {"X": 2.0}}}, "'X'"),
     ({"compartments": ["A", "E"], "params": {"beta": {"E": {"X": 2.0}}}}, "'X'"),
     ({"compartments": "AE"}, "compartments must be a list"),
+    ({"compartments": ["E", "E"]}, "compartments must be distinct"),
 ])
 def test_bad_per_compartment_value_is_config_error(doc, match):
     with pytest.raises(cli.ConfigError, match=match):
@@ -251,9 +306,6 @@ def test_beta_override_merges_entry_by_entry():
     params = cli.resolve_params({"compartments": ["A", "E"],
                                  "params": {"beta": {"E": {"A": 2.0}}}})
     assert params.beta == {"A": {"A": 1.0, "E": 1.0}, "E": {"A": 2.0, "E": 1.0}}
-
-
-_SMALL_MESHES = [{"family": "cartesian", "ny": n} for n in (2, 4, 8)]
 
 
 @pytest.mark.parametrize("command, doc, keys", [
@@ -316,6 +368,14 @@ def test_pure_neumann_steady_is_numerical_failure(tmp_path, capsys):
     assert "residual" in err and "Traceback" not in err
 
 
+#: the columns of a rate table for the single-compartment model (J = {E})
+RATE_TABLE_COLUMNS = ["m", "h", "n_elements_el", "n_elements_f", "err_energy",
+                      "err_d", "err_pE", "err_u", "err_p", "rate_energy"]
+#: sha256 of the rates.csv of the sweep below, recorded when the columns
+#: were a fixed list in the writer
+RATES_CSV_SHA256 = "3960fffa5ea65f2974ab1acd0e607d1e0b7a91a261ca9af29ce9c6858873ec96"
+
+
 def test_convergence_command_and_determinism(tmp_path):
     doc = {
         "case": "steady",
@@ -332,9 +392,10 @@ def test_convergence_command_and_determinism(tmp_path):
     assert main(["convergence", "--config", cfg, "--out", str(out2), "--tol", "0.5"]) == 0
     b1 = (out1 / "rates.csv").read_bytes()
     assert b1 == (out2 / "rates.csv").read_bytes()
+    assert sha256_hex(b1) == RATES_CSV_SHA256
     with open(out1 / "rates.csv") as fh:
         rows = list(csv.DictReader(fh))
-    assert list(rows[0]) == RATE_COLUMNS
+    assert list(rows[0]) == RATE_TABLE_COLUMNS
     assert len(rows) == 3
 
 

@@ -262,8 +262,8 @@ def test_interface_patch_linear():
     case = ManufacturedCase("patch1", PhysicalParams.unit(alpha=0.5),
                             {"d": d, "p:E": pE, "u": u, "p": p,
                              "f_el": f_el, "g:E": g_E, "f_f": f_f, "p_out": p_out})
-    state, art = solve_steady(case, cartesian_two_domain(2), 1)
-    bn = norms.broken_norms(art.space, art.faces, case.params, state, exact=case, t=0.0)
+    state, sysm = solve_steady(case, cartesian_two_domain(2), 1)
+    bn = norms.broken_norms(sysm.space, sysm.faces, case.params, state, exact=case, t=0.0)
     for key, val in bn.items():
         assert np.sqrt(val) < 1e-10, key
 
@@ -283,8 +283,8 @@ def test_interface_patch_cubic(mesh80):
     case = ManufacturedCase("patch3", PhysicalParams.unit(alpha=0.5),
                             {"d": d, "p:E": pE, "u": u, "p": p,
                              "f_el": f_el, "g:E": g_E, "f_f": f_f, "p_out": p_out})
-    state, art = solve_steady(case, mesh80, 3)
-    bn = norms.broken_norms(art.space, art.faces, case.params, state, exact=case, t=0.0)
+    state, sysm = solve_steady(case, mesh80, 3)
+    bn = norms.broken_norms(sysm.space, sysm.faces, case.params, state, exact=case, t=0.0)
     for key, val in bn.items():
         assert np.sqrt(val) < 1e-8, key
 

@@ -84,15 +84,14 @@ def test_error_norms_pinned_short_unsteady_run(unsteady):
     # starts from zero data so that only the norms, not a projection, differ
     from polympe import driver, stepping
     from polympe.families import VERIFICATION_DIRICHLET, cartesian_two_domain
-    art = driver.setup(cartesian_two_domain(2), 2, unsteady.params, VERIFICATION_DIRICHLET)
-    states, times = stepping.simulate(art.sys, art.faces, stepping.SchemeParams(dt=1e-3),
-                                      unsteady, 3)
-    eb = norms.energy_norm(states, times, art.space, art.faces,
+    sysm = driver.setup(cartesian_two_domain(2), 2, unsteady.params, VERIFICATION_DIRICHLET)
+    states, times = stepping.simulate(sysm, stepping.SchemeParams(dt=1e-3), unsteady, 3)
+    eb = norms.energy_norm(states, times, sysm.space, sysm.faces,
                            unsteady.params, exact=unsteady)
     assert eb.total == pytest.approx(175.2123409075619, rel=1e-12)
     expected = {"d": 1253.4717419066662, "p:E": 2872.921110641361,
                 "u": 620.0273976394446, "p": 12279597.881257724}
-    bn = norms.broken_norms(art.space, art.faces, unsteady.params, states[-1],
+    bn = norms.broken_norms(sysm.space, sysm.faces, unsteady.params, states[-1],
                             exact=unsteady, t=times[-1])
     assert bn.keys() == expected.keys()
     for key, value in expected.items():

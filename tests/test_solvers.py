@@ -50,8 +50,8 @@ def test_steady_system_residual(steady, mesh80):
     from polympe.families import VERIFICATION_DIRICHLET
     from polympe.system import build_global
 
-    art = setup(mesh80, 2, steady.params, VERIFICATION_DIRICHLET)
-    loads = forms.assemble_loads(art.space, steady.params, art.faces, steady, 0.0)
-    matrix = build_global(art.sys)
+    sysm = setup(mesh80, 2, steady.params, VERIFICATION_DIRICHLET)
+    loads = forms.assemble_loads(sysm.space, steady.params, sysm.faces, steady, 0.0)
+    matrix = build_global(sysm)
     x = factorize(matrix).solve(loads)
     assert np.linalg.norm(matrix @ x - loads) <= 1e-10 * np.linalg.norm(loads)

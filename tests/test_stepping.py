@@ -19,8 +19,7 @@ from conftest import ACVE, OnePointData, pin_params, pin_setup, sha256_hex
 
 @pytest.fixture(scope="module")
 def small_sys(unit_params):
-    art = setup(cartesian_two_domain(2), 1, unit_params, VERIFICATION_DIRICHLET)
-    return art
+    return setup(cartesian_two_domain(2), 1, unit_params, VERIFICATION_DIRICHLET)
 
 
 def test_scheme_params_validation():
@@ -41,7 +40,7 @@ def extract(mat, sys, rname, cname):
 
 
 def test_newmark_velocity_row(small_sys):
-    sys = small_sys.sys
+    sys = small_sys
     sp = stepping.SchemeParams(dt=0.1, beta=0.25, gamma=0.5)
     mats = stepping.build_stepping_matrices(sys, sp)
     n_d = sys.space.sizes["d"]
@@ -55,7 +54,7 @@ def test_newmark_velocity_row(small_sys):
 
 def test_acceleration_row_coefficient(small_sys):
     # (2 beta - 1) / (2 beta) = -1 at beta = 1/4
-    sys = small_sys.sys
+    sys = small_sys
     sp = stepping.SchemeParams(dt=0.05, beta=0.25, gamma=0.5)
     mats = stepping.build_stepping_matrices(sys, sp)
     n_d = sys.space.sizes["d"]
@@ -65,7 +64,7 @@ def test_acceleration_row_coefficient(small_sys):
 
 
 def test_implicit_euler_limit(small_sys):
-    sys = small_sys.sys
+    sys = small_sys
     sp = stepping.SchemeParams(dt=0.1, theta=1.0)
     mats = stepping.build_stepping_matrices(sys, sp)
     # all (1 - theta) blocks of the pressure/fluid rows vanish
@@ -78,7 +77,7 @@ def test_implicit_euler_limit(small_sys):
 
 
 def test_load_blending_arithmetic_mean(small_sys):
-    sys = small_sys.sys
+    sys = small_sys
     sp = stepping.SchemeParams(dt=0.1, theta=0.5)
     rng = np.random.default_rng(0)
 
@@ -92,8 +91,8 @@ def test_load_blending_arithmetic_mean(small_sys):
 
 
 def test_zero_initial_state(small_sys):
-    states, times = stepping.simulate(small_sys.sys, small_sys.faces,
-                                      stepping.SchemeParams(dt=0.1), forms.ZeroData(), 0)
+    states, times = stepping.simulate(small_sys, stepping.SchemeParams(dt=0.1),
+                                      forms.ZeroData(), 0)
     assert times == [0.0]
     st = states[0]
     assert list(st) == list(stepping.layout(small_sys.space))
@@ -102,12 +101,12 @@ def test_zero_initial_state(small_sys):
 
 
 def test_initial_state_projections(small_sys, unsteady):
-    art = setup(cartesian_two_domain(2), 1, unsteady.params, VERIFICATION_DIRICHLET)
-    loads = forms.assemble_loads(art.space, art.sys.params, art.faces, unsteady, 0.0)
-    st = stepping.initial_state(art.sys, loads, projected_values(art.space, unsteady))
-    d_ref = l2_project(art.space, "d", lambda p: unsteady.exact("d", p, 0.0))
+    sysm = setup(cartesian_two_domain(2), 1, unsteady.params, VERIFICATION_DIRICHLET)
+    loads = forms.assemble_loads(sysm.space, sysm.params, sysm.faces, unsteady, 0.0)
+    st = stepping.initial_state(sysm, loads, projected_values(sysm.space, unsteady))
+    d_ref = l2_project(sysm.space, "d", lambda p: unsteady.exact("d", p, 0.0))
     assert np.allclose(st["d"], d_ref)
-    z_ref = l2_project(art.space, "d", lambda p: unsteady.exact("d,t", p, 0.0))
+    z_ref = l2_project(sysm.space, "d", lambda p: unsteady.exact("d,t", p, 0.0))
     assert np.allclose(st["z"], z_ref)
 
 
@@ -126,10 +125,10 @@ def test_solve_unsteady_initial_values(unsteady, kind):
     # a manufactured case starts from its projections, other data from rest
     data = {"manufactured": unsteady, "zero": forms.ZeroData(),
             "exact_loads": ExactLoads(unsteady)}[kind]
-    states, times, art = solve_unsteady(data, unsteady.params, cartesian_two_domain(2), 1,
+    states, times, sysm = solve_unsteady(data, unsteady.params, cartesian_two_domain(2), 1,
                                         stepping.SchemeParams(dt=0.01), 0)
     assert times == [0.0]
-    want = projected_values(art.space, unsteady) if kind == "manufactured" else {}
+    want = projected_values(sysm.space, unsteady) if kind == "manufactured" else {}
     assert set(want) <= set(states[0]) - {"a"}
     for f, v in states[0].items():
         if f != "a":
@@ -146,9 +145,9 @@ def test_convergence_table_frees_each_solve_before_the_next(monkeypatch, case_id
 
     def tracked_setup(*args):
         assert all(ref() is None for ref in made), "an earlier solve is still alive"
-        art = real_setup(*args)
-        made.append(weakref.ref(art))
-        return art
+        sysm = real_setup(*args)
+        made.append(weakref.ref(sysm))
+        return sysm
 
     monkeypatch.setattr(driver, "setup", tracked_setup)
     meshes = [cartesian_two_domain(n) for n in (2, 3, 4)]
@@ -157,12 +156,40 @@ def test_convergence_table_frees_each_solve_before_the_next(monkeypatch, case_id
     assert len(made) == 3
 
 
+@pytest.mark.parametrize("J", [("E",), ACVE], ids=["E", "ACVE"])
+def test_error_row_has_one_column_per_field(monkeypatch, unsteady, J):
+    # err_<field without ':'> is the square root of the field's broken
+    # error at the last state, in field order; the manufactured cases have
+    # one compartment, so with four the norms are replaced by fixed values
+    from polympe import driver, norms
+    sysm = setup(cartesian_two_domain(2), 1, PhysicalParams.unit(J), VERIFICATION_DIRICHLET)
+    finals = {}
+
+    def recorded_energy_norm(*args, **kwargs):
+        eb = real_energy_norm(*args, **kwargs) if J == ("E",) else norms.EnergyBreakdown(
+            {}, [0.0], [0.0], {f: 1.0 + i for i, f in enumerate(sysm.space.fields)})
+        finals.update(eb.final)
+        return eb
+
+    real_energy_norm = norms.energy_norm
+    monkeypatch.setattr(driver.norms, "energy_norm", recorded_energy_norm)
+    data = unsteady if J == ("E",) else forms.ZeroData()
+    states, times = stepping.simulate(sysm, stepping.SchemeParams(dt=0.01), data, 2)
+    row = driver.error_row(unsteady, states, times, sysm)
+    errs = {k: v for k, v in row.items() if k.startswith("err_") and k != "err_energy"}
+    assert list(finals) == list(sysm.space.fields)
+    assert list(errs) == [f"err_{f.replace(':', '')}" for f in finals]
+    assert list(errs.values()) == [float(np.sqrt(v)) for v in finals.values()]
+    if J == ("E",):
+        assert list(errs) == ["err_d", "err_pE", "err_u", "err_p"]
+
+
 def test_initial_acceleration_vanishes_on_discrete_steady(steady, cart4_setup):
     mesh, _, _ = cart4_setup
-    state, art = solve_steady(steady, mesh, 2)
+    state, sysm = solve_steady(steady, mesh, 2)
     vals = dict(state)
-    loads = forms.assemble_loads(art.space, art.sys.params, art.faces, steady, 0.0)
-    st = stepping.initial_state(art.sys, loads, vals)
+    loads = forms.assemble_loads(sysm.space, sysm.params, sysm.faces, steady, 0.0)
+    st = stepping.initial_state(sysm, loads, vals)
     # the discrete steady solution satisfies the momentum row exactly
     scale = np.abs(state["d"]).max()
     assert np.abs(st["a"]).max() < 1e-9 * max(scale, 1.0)
@@ -172,13 +199,12 @@ def test_initial_acceleration_vanishes_on_discrete_steady(steady, cart4_setup):
 def test_initial_state_rejects_unknown_and_derived_values(small_sys, field):
     loads = np.zeros(small_sys.space.n_dofs)
     with pytest.raises(ValueError, match=re.escape(f"['{field}']")):
-        stepping.initial_state(small_sys.sys, loads, {field: np.zeros(small_sys.space.sizes["d"])})
+        stepping.initial_state(small_sys, loads, {field: np.zeros(small_sys.space.sizes["d"])})
 
 
 def test_zero_loads_zero_state_stays_zero(small_sys):
     sp = stepping.SchemeParams(dt=0.01)
-    states, times = stepping.simulate(small_sys.sys, small_sys.faces, sp,
-                                      forms.ZeroData(), 3)
+    states, times = stepping.simulate(small_sys, sp, forms.ZeroData(), 3)
     assert np.abs(states[-1]["d"]).max() == 0.0
     assert np.abs(states[-1]["p"]).max() == 0.0
 
@@ -199,7 +225,7 @@ class _SourceInfiniteFrom(forms.ZeroData):
 def test_non_finite_state_names_its_step(small_sys):
     sp = stepping.SchemeParams(dt=0.1)
     with pytest.raises(NumericalError, match="non-finite state at step 3 "):
-        stepping.simulate(small_sys.sys, small_sys.faces, sp, _SourceInfiniteFrom(0.25), 5)
+        stepping.simulate(small_sys, sp, _SourceInfiniteFrom(0.25), 5)
 
 
 @pytest.mark.parametrize("key", ["f_el", "g:E", "p_out", "d", "p:E", "d,t", "u"])
@@ -207,27 +233,25 @@ def test_nan_datum_at_one_point_is_numerical_error(small_sys, key):
     # NaN is not zero: the term that reads it is assembled and the march fails
     sp = stepping.SchemeParams(dt=0.1)
     with pytest.raises(NumericalError, match="non-finite state at step 1 "):
-        stepping.simulate(small_sys.sys, small_sys.faces, sp, OnePointData(key, np.nan), 3)
+        stepping.simulate(small_sys, sp, OnePointData(key, np.nan), 3)
 
 
 @pytest.mark.parametrize("n_steps, stride", [(-4, 1), (3, 0), (3, -2)])
 def test_simulate_rejects_bad_step_counts(small_sys, n_steps, stride):
     with pytest.raises(ValueError, match="n_steps >= 0 and stride >= 1"):
-        stepping.simulate(small_sys.sys, small_sys.faces, stepping.SchemeParams(dt=0.1),
+        stepping.simulate(small_sys, stepping.SchemeParams(dt=0.1),
                           forms.ZeroData(), n_steps, stride=stride)
 
 
 def test_simulate_final_time_and_stride(small_sys):
     sp = stepping.SchemeParams(dt=0.25)
-    states, times = stepping.simulate(small_sys.sys, small_sys.faces, sp,
-                                      forms.ZeroData(), 8, t0=0.1, stride=3)
+    states, times = stepping.simulate(small_sys, sp, forms.ZeroData(), 8, t0=0.1, stride=3)
     # initial + steps 3, 6 + final 8, each at the time its loads use
     assert len(states) == 4
     assert times == [0.1 + n * 0.25 for n in (0, 3, 6, 8)]
     # 300 steps of 0.01 end at 3.0, not at the sum of 300 increments
-    states, times = stepping.simulate(small_sys.sys, small_sys.faces,
-                                      stepping.SchemeParams(dt=0.01), forms.ZeroData(), 300,
-                                      stride=300)
+    states, times = stepping.simulate(small_sys, stepping.SchemeParams(dt=0.01),
+                                      forms.ZeroData(), 300, stride=300)
     assert len(states) == 2 and times[-1] == 3.0
 
 
@@ -248,7 +272,7 @@ def test_newmark_velocity_second_order_in_dt(unsteady):
     T = 0.032
     z = {}
     for dt in (T / 4, T / 8, T / 16):
-        states, times, art = solve_unsteady(unsteady, unsteady.params, mesh, 2,
+        states, times, sysm = solve_unsteady(unsteady, unsteady.params, mesh, 2,
                                             stepping.SchemeParams(dt=dt), int(round(T / dt)))
         z[dt] = states[-1]["z"]
     e1 = np.linalg.norm(z[T / 4] - z[T / 8])
@@ -263,8 +287,8 @@ def test_dissipativity_short(small_sys):
     vals["z"] = rng.standard_normal(space.sizes["d"])
     vals["p:E"] = rng.standard_normal(space.sizes["p:E"])
     sp = stepping.SchemeParams(dt=1e-2)
-    states, _ = stepping.simulate(small_sys.sys, small_sys.faces, sp, forms.ZeroData(), 20, vals)
-    E = [stepping.discrete_energy(small_sys.sys, s) for s in states]
+    states, _ = stepping.simulate(small_sys, sp, forms.ZeroData(), 20, vals)
+    E = [stepping.discrete_energy(small_sys, s) for s in states]
     for a, b in zip(E, E[1:]):
         assert b <= a * (1 + 1e-10)
 
@@ -278,13 +302,13 @@ def test_dissipativity_four_compartments():
     params = PhysicalParams.unit(compartments=J)
     mesh = cartesian_two_domain(2)
     dirichlet = {"el": {"d"} | {f"p:{j}" for j in J}, "wall": {"u"}, "out": set()}
-    art = setup(mesh, 1, params, dirichlet)
+    sysm = setup(mesh, 1, params, dirichlet)
     rng = np.random.default_rng(3)
-    vals = {f: rng.standard_normal(art.space.sizes[f]) for f in art.space.fields}
-    vals["z"] = rng.standard_normal(art.space.sizes["d"])
+    vals = {f: rng.standard_normal(sysm.space.sizes[f]) for f in sysm.space.fields}
+    vals["z"] = rng.standard_normal(sysm.space.sizes["d"])
     sp = stepping.SchemeParams(dt=1e-2)
-    states, _ = stepping.simulate(art.sys, art.faces, sp, forms.ZeroData(), 15, vals)
-    E = [stepping.discrete_energy(art.sys, s) for s in states]
+    states, _ = stepping.simulate(sysm, sp, forms.ZeroData(), 15, vals)
+    E = [stepping.discrete_energy(sysm, s) for s in states]
     for a, b in zip(E, E[1:]):
         assert b <= a * (1 + 1e-10)
 
@@ -352,7 +376,7 @@ def test_trajectory_pinned(mesh80, name, J):
     rng = np.random.default_rng(0)
     values = {f: rng.standard_normal(n) for f, n in sizes.items() if f != "a"}
     probe = {f: rng.standard_normal(n) for f, n in sizes.items()}
-    states, _ = stepping.simulate(sysm, faces, stepping.SchemeParams(dt=0.01), DemoData(),
+    states, _ = stepping.simulate(sysm, stepping.SchemeParams(dt=0.01), DemoData(),
                                       10, values, stride=5)
     want = TRAJECTORY_PINS[f"{name}/{''.join(J)}"]
     assert len(states) == len(want) == 3
@@ -388,7 +412,7 @@ def test_stepping_matrices_bytes_pinned(mesh80, J):
 
 @pytest.mark.parametrize("sid", list(PIN_SCHEMES))
 def test_a2_stores_no_zeros(small_sys, sid):
-    A2 = stepping.build_stepping_matrices(small_sys.sys, stepping.SchemeParams(**PIN_SCHEMES[sid]))
+    A2 = stepping.build_stepping_matrices(small_sys, stepping.SchemeParams(**PIN_SCHEMES[sid]))
     assert A2["A2"].data.all()
 
 
@@ -399,12 +423,12 @@ def test_theta_scheme_first_order_against_trapezoid(theta):
     # for theta > 1/2 the scheme is first order, so its gap to the
     # second-order theta = 1/2 march halves with dt; a coupling block left
     # out of the blended velocity makes it converge to another solution
-    art = setup(cartesian_two_domain(2), 1, PhysicalParams.unit(), DEMO_DIRICHLET)
+    sysm = setup(cartesian_two_domain(2), 1, PhysicalParams.unit(), DEMO_DIRICHLET)
     T = 0.2
 
     def final(th, dt):
         n = int(round(T / dt))
-        states, _ = stepping.simulate(art.sys, art.faces, stepping.SchemeParams(dt=dt, theta=th),
+        states, _ = stepping.simulate(sysm, stepping.SchemeParams(dt=dt, theta=th),
                                       DemoData(1.0), n, stride=n)
         return np.concatenate(list(states[-1].values()))
 

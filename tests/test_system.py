@@ -18,13 +18,13 @@ from conftest import unit_square_mesh
 
 
 def test_layout_sizes_J_E(mesh80, unit_params):
-    art = setup(mesh80, 2, unit_params, VERIFICATION_DIRICHLET)
-    s = art.space.sizes
+    sysm = setup(mesh80, 2, unit_params, VERIFICATION_DIRICHLET)
+    s = sysm.space.sizes
     assert s["d"] == 2 * 40 * 6
     assert s["p:E"] == 40 * 6
     assert s["u"] == 2 * 40 * 6
     assert s["p"] == 40 * 6
-    assert art.space.n_dofs == sum(s.values())
+    assert sysm.space.n_dofs == sum(s.values())
 
 
 def test_elastic_only_system_solvable():
@@ -96,8 +96,8 @@ def test_structural_checks_pass_brain_preset_demo_mesh(mesh80):
     # mesh80 is the configs/demo.json mesh; the brain-preset Darcy stiffness
     # A_E is indefinite there until its penalty scales with k_j / mu_j
     cfg = json.loads((Path(__file__).parents[1] / "configs" / "demo.json").read_text())
-    art = setup(mesh80, 2, resolve_params(cfg), DEMO_DIRICHLET)
-    rep = structural_checks(art.sys)
+    sysm = setup(mesh80, 2, resolve_params(cfg), DEMO_DIRICHLET)
+    rep = structural_checks(sysm)
     assert rep.passed, rep.summary()
 
 
@@ -157,7 +157,7 @@ def test_steady_zero_loads_zero_solution(cart4_setup, unit_params):
 
 def test_steady_split_fields(steady, cart4_setup):
     mesh, _, _ = cart4_setup
-    state, art = solve_steady(steady, mesh, 1)
+    state, sysm = solve_steady(steady, mesh, 1)
     assert set(state) == {"d", "p:E", "u", "p"}
-    assert state["d"].shape == (art.space.sizes["d"],)
+    assert state["d"].shape == (sysm.space.sizes["d"],)
 
