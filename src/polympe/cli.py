@@ -29,7 +29,7 @@ from .manufactured import residual_oracle, steady_case, unsteady_case
 from .mesh import MeshError, load_mesh, quality_report, save_mesh
 from .params import PhysicalParams
 from .solvers import NumericalError
-from .system import structural_checks
+from .system import EXCHANGE, structural_checks
 
 
 class ConfigError(Exception):
@@ -216,17 +216,16 @@ class DemoData(ZeroData):
     """Synthetic demo regime: a pulsatile volumetric source in the exchange
     compartment (one heartbeat per second), no other forcing, free outlet."""
 
-    def __init__(self, amplitude=2e-3, compartment="E"):
+    def __init__(self, amplitude=2e-3):
         self.amplitude = amplitude
-        self.compartment = compartment
 
     def exact(self, key: str, pts, t=0.0):
-        if key == f"g:{self.compartment}":
+        if key == f"g:{EXCHANGE}":
             return np.full(len(pts), self.amplitude * np.pi * np.sin(2.0 * np.pi * t))
         return super().exact(key, pts, t)
 
 
-def cmd_convergence(cfg: dict, out: Path, tol_override=None) -> tuple[int, dict]:
+def cmd_convergence(cfg: dict, out: Path) -> tuple[int, dict]:
     conv = cfg.get("convergence", {})
     _check_keys("convergence", conv, ("meshes", "m_values", "spectral", "n_steps", "tol"))
     _check_keys("convergence tol", conv.get("tol", {}), ("below", "above"))
@@ -243,9 +242,8 @@ def cmd_convergence(cfg: dict, out: Path, tol_override=None) -> tuple[int, dict]
     m_values = _ints("convergence m_values", conv.get("m_values", [1, 2, 3]))
     n_steps = _int("convergence n_steps", conv.get("n_steps", 5))
     tol = conv.get("tol", {})
-    below, above = ((tol_override, tol_override) if tol_override is not None else
-                    (_real("convergence tol below", tol.get("below", 0.2)),
-                     _real("convergence tol above", tol.get("above", 0.3))))
+    below = _real("convergence tol below", tol.get("below", 0.2))
+    above = _real("convergence tol above", tol.get("above", 0.3))
     scheme = resolve_scheme(cfg, default={"dt": 1e-3}) if case_id == "unsteady" else None
     meshes = [resolve_mesh(s) for s in mesh_specs]
     rows = driver.convergence_table(case_id, meshes, m_values, scheme=scheme, n_steps=n_steps)
@@ -384,11 +382,8 @@ def main(argv=None) -> int:
                         choices=["convergence", "solve", "verify", "agglomerate"])
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="symmetric rate tolerance for convergence checks")
     args = parser.parse_args(argv)
-    command = {"convergence": lambda cfg, out: cmd_convergence(cfg, out, args.tol),
-               "solve": cmd_solve, "verify": cmd_verify,
+    command = {"convergence": cmd_convergence, "solve": cmd_solve, "verify": cmd_verify,
                "agglomerate": cmd_agglomerate}[args.command]
 
     t0 = time.perf_counter()

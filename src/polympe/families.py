@@ -26,8 +26,8 @@ def cartesian_two_domain(ny: int, nx: int | None = None) -> PolyMesh:
     if ny < 1:
         raise ValueError("ny must be >= 1")
     nx = 2 * ny if nx is None else nx
-    if nx % 2:
-        raise ValueError("nx must be even so the grid is aligned with x = 0")
+    if nx < 2 or nx % 2:
+        raise ValueError(f"nx must be even and >= 2, so the grid is aligned with x = 0; got {nx}")
     xs = np.linspace(-1.0, 1.0, nx + 1)
     ys = np.linspace(0.0, 1.0, ny + 1)
     vid = lambda i, j: j * (nx + 1) + i
@@ -49,10 +49,13 @@ def triangulated_two_domain(ny: int, nx_el: int | None = None, nx_f: int | None 
     ``jitter`` displaces strictly interior vertices by up to that fraction
     of the local grid spacing (deterministic for a fixed seed); boundary and
     interface vertices stay exact, so the geometry and the interface line
-    are preserved.
+    are preserved. ``ny``, ``nx_el`` and ``nx_f`` must be at least 1.
     """
     nx_el = ny if nx_el is None else nx_el
     nx_f = ny if nx_f is None else nx_f
+    for name, n in (("ny", ny), ("nx_el", nx_el), ("nx_f", nx_f)):
+        if n < 1:
+            raise ValueError(f"{name} must be >= 1, got {n}")
 
     # integer grid keys j * ncol + c over the columns of both grids; column
     # nx_el is the interface, shared by the two subdomains

@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import FaceSet
-from .params import PhysicalParams
+from .params import EXCHANGE, PhysicalParams
 from .spaces import DGSpace, FaceTable, VolumeTable
 
 
@@ -143,14 +143,6 @@ def _vector_mass(space, field: str, coeff):
     return d, d, np.broadcast_to(Ms[:, None], (tab.n_elem, 2) + Ms.shape[1:])
 
 
-def _divergence_volume(space, row_field: str, col_field: str, coeff):
-    """coeff * int phi_row dphi_col/dx_c per element, components c = 0, 1."""
-    tab = space.volume_table(space.field_domain(col_field))
-    e = np.arange(tab.n_elem)[:, None]
-    return (space.dofs(row_field, e), space.dofs(col_field, e, [0, 1]),
-            coeff(_volume_products(tab, (0, 1), (0, 2)).swapaxes(0, 1)))
-
-
 # -- face terms -----------------------------------------------------------------
 
 
@@ -253,36 +245,34 @@ def assemble_elastic(space: DGSpace, params: PhysicalParams, faces: FaceSet):
     return {"A": A, "M": _csr((n, n), _vector_mass(space, "d", params.rho_el))}
 
 
-def assemble_pressure(space: DGSpace, params: PhysicalParams, faces: FaceSet, j: str):
-    """Darcy-type SIPG stiffness A_j, storage mass M_j, coupling B_j (rows on
-    the pressure block, columns on ``d``), and inter-compartment C blocks."""
-    np_j, nd = space.sizes[f"p:{j}"], space.sizes["d"]
-    field = f"p:{j}"
-    kappa = params.kappa(j)
-    alpha = params.alpha_j[j]
-    tab = space.volume_table(space.field_domain(field))
-    Kxx, Kyy, Ms = _volume_products(tab, (1, 1), (2, 2), (0, 0))
-    d = space.dofs(field, np.arange(tab.n_elem))
-    sided = _sided(space, faces, faces.sipg_faces(field))
-
-    A = _csr((np_j, np_j), (d, d, kappa * (Kxx + Kyy)),
-             *(_sipg_scalar(space, t, ns, field, kappa,
-                            penalty_coefficients(t.harmonic_h, params, space.m).zeta[j])
-               for t, ns in sided))
-    # -int alpha p div w, + int alpha {p I} : [[w]]
-    B = _csr((np_j, nd), _divergence_volume(space, field, "d", lambda K: -alpha * K),
-             *(_pressure_jump(space, t, ns, field, "d", alpha) for t, ns in sided))
-
-    Mu = _csr((np_j, np_j), (d, d, Ms))
-    C = {}
-    off_sum = 0.0
-    for k in params.compartments:
-        if k != j:
-            beta_kj = params.beta[k][j]
-            C[k] = -beta_kj * Mu
-            off_sum += beta_kj
-    C[j] = (off_sum + params.beta_ext[j]) * Mu
-    return {"A": A, "M": _csr((np_j, np_j), (d, d, params.c_j[j] * Ms)), "B": B, "C": C}
+def assemble_pressure(space: DGSpace, params: PhysicalParams, faces: FaceSet):
+    """Darcy-type SIPG stiffness A_j and coupling B_j (rows on p:j, columns
+    on ``d``) of every compartment, and the mass M of the compartment
+    pressure space: ``{"A": {j: A_j}, "B": {j: B_j}, "M": M}``. The volume
+    products are computed once; the face terms follow each p:j's Dirichlet
+    faces."""
+    nd = space.sizes["d"]
+    tab = space.volume_table(space.field_domain("d"))
+    prods = _volume_products(tab, (1, 1), (2, 2), (0, 0), (0, 1), (0, 2))
+    K, Ms, div = prods[0] + prods[1], prods[2], prods[3:].swapaxes(0, 1)
+    # every p:j is a scalar field on the elastic elements, all laid out as
+    # space.dofs lays out a scalar field
+    e = np.arange(tab.n_elem)[:, None]
+    n, d = tab.n_elem * space.n_loc, e * space.n_loc + np.arange(space.n_loc)
+    out = {"A": {}, "B": {}}
+    for j in params.compartments:
+        field = f"p:{j}"
+        kappa, alpha = params.kappa(j), params.alpha_j[j]
+        sided = _sided(space, faces, faces.sipg_faces(field))
+        sipg = (_sipg_scalar(space, t, ns, field, kappa,
+                             penalty_coefficients(t.harmonic_h, params, space.m).zeta[j])
+                for t, ns in sided)
+        out["A"][j] = _csr((n, n), (d, d, kappa * K), *sipg)
+        # -int alpha p div w, + int alpha {p I} : [[w]]
+        out["B"][j] = _csr((n, nd), (d[:, None], space.dofs("d", e, [0, 1]), -alpha * div),
+                           *(_pressure_jump(space, t, ns, field, "d", alpha) for t, ns in sided))
+    out["M"] = _csr((n, n), (d, d, Ms))
+    return out
 
 
 def assemble_fluid(space: DGSpace, params: PhysicalParams, faces: FaceSet):
@@ -295,7 +285,10 @@ def assemble_fluid(space: DGSpace, params: PhysicalParams, faces: FaceSet):
                             penalty_coefficients(t.harmonic_h, params, space.m).gamma_v)
                for t, ns in sided))
     # the pressure block uses its own basis (same element, scalar)
-    B = _csr((npp, nu), _divergence_volume(space, "p", "u", lambda K: -K),
+    tab = space.volume_table(space.field_domain("u"))
+    e = np.arange(tab.n_elem)[:, None]
+    B = _csr((npp, nu), (space.dofs("p", e), space.dofs("u", e, [0, 1]),
+                         -_volume_products(tab, (0, 1), (0, 2)).swapaxes(0, 1)),
              *(_pressure_jump(space, t, ns, "p", "u", 1.0) for t, ns in sided))
 
     parts = []
@@ -310,11 +303,12 @@ def assemble_fluid(space: DGSpace, params: PhysicalParams, faces: FaceSet):
             "S": _csr((npp, npp), *parts)}
 
 
-def assemble_interface(space: DGSpace, params: PhysicalParams, faces: FaceSet, j: str = "E"):
+def assemble_interface(space: DGSpace, params: PhysicalParams, faces: FaceSet):
     """Interface blocks J_el (rows p_E, columns d) and J_f (rows p_E, columns
-    u): elastic-side pressure trace against the normal trace of each test
-    family; rows and columns vanish away from the interface."""
-    field = f"p:{j}"
+    u): elastic-side trace of the exchange-compartment pressure against the
+    normal trace of each test family; rows and columns vanish away from the
+    interface."""
+    field = f"p:{EXCHANGE}"
     shape_el = (space.sizes[field], space.sizes["d"])
     shape_f = (space.sizes[field], space.sizes["u"])
     # interface faces are oriented from the elastic (plus) side

@@ -179,7 +179,10 @@ def residual_oracle(case: ManufacturedCase, n_points: int = 100, t: float = 0.0,
     differences of the exact fields (independent of the symbolic source
     derivation). Field values on the stencils are evaluated in extended
     precision so the second differences are truncation-limited.
+    ``n_points`` must be at least 1.
     """
+    if n_points < 1:
+        raise ValueError(f"n_points must be >= 1, got {n_points}")
     import mpmath as mp
 
     prm = case.params

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+#: the compartment that exchanges mass with the fluid across the interface
+EXCHANGE = "E"
+
 
 @dataclass
 class PhysicalParams:

@@ -172,6 +172,6 @@ def discrete_energy(sys: SystemMatrices, st: dict) -> float:
     e = float(st["z"] @ (sys.M_el @ st["z"])) + float(st["d"] @ (sys.A_el @ st["d"]))
     for j in sys.compartments:
         p_j = st[f"p:{j}"]
-        e += float(p_j @ (sys.M_j[j] @ p_j))
+        e += float(p_j @ ((sys.params.c_j[j] * sys.M_comp) @ p_j))
     e += float(st["u"] @ (sys.M_f @ st["u"]))
     return e

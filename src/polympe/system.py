@@ -9,8 +9,8 @@ matrices on the pressure and fluid diagonals, ``stiff`` every other block of
 those rows, ``disp`` the displacement column of the pressure rows:
 
 * row d:   A_el d + sum_k (B_k^T + [k=E] J_el^T) p_k
-* row p:j: disp (B_j + [j=E] J_el) d + (mass M_j + stiff (C_jj + A_j)) p_j
-           + stiff (sum_{k!=j} C_jk p_k - [j=E] J_f u)
+* row p:j: disp (B_j + [j=E] J_el) d + (mass c_j M + stiff (T_jj M + A_j)) p_j
+           - stiff (sum_{k!=j} beta_kj M p_k + [j=E] J_f u)
 * row u:   (mass M_f + stiff A_f) u + stiff (J_f^T p_E + B_f^T p)
 * row p:   stiff (-B_f u + S p)
 
@@ -22,6 +22,10 @@ those rows, ``disp`` the displacement column of the pressure rows:
     A2        1/dt   -(1 - theta)  -theta gamma/(beta dt)  no d row; B_j + [j=E] J_el
                                                            at (p:j, z) and (p:j, a);
                                                            z, a rows
+
+Every compartment pressure lives in one DG space, so its storage and
+transfer blocks scale the one mass M (``M_comp``), with T_jj = sum_{k!=j}
+beta_kj + beta_ext_j.
 
 A1 and A2 are the Newmark--theta pair of :mod:`polympe.stepping`, whose
 layout adds the velocity ``z`` and acceleration ``a`` after ``d``.
@@ -39,10 +43,8 @@ import scipy.sparse as sp
 
 from . import forms
 from .mesh import FaceSet
-from .params import PhysicalParams
+from .params import EXCHANGE, PhysicalParams
 from .spaces import DGSpace, field_slices
-
-EXCHANGE = "E"
 
 
 @dataclass
@@ -54,10 +56,9 @@ class SystemMatrices:
     faces: FaceSet
     M_el: sp.csr_matrix
     A_el: sp.csr_matrix
-    M_j: dict
+    M_comp: sp.csr_matrix
     A_j: dict
     B_j: dict
-    C: dict  # C[j][k]
     M_f: sp.csr_matrix
     A_f: sp.csr_matrix
     B_f: sp.csr_matrix
@@ -75,17 +76,14 @@ def build_system(space: DGSpace, params: PhysicalParams, faces: FaceSet) -> Syst
     if tuple(params.compartments) != tuple(space.compartments):
         raise ValueError("params and space disagree on the compartment set")
     elastic = forms.assemble_elastic(space, params, faces)
-    pressures = {j: forms.assemble_pressure(space, params, faces, j) for j in params.compartments}
+    pressure = forms.assemble_pressure(space, params, faces)
     fluid = forms.assemble_fluid(space, params, faces)
     has_exchange = EXCHANGE in params.compartments
-    interface = forms.assemble_interface(space, params, faces, EXCHANGE) if has_exchange else {}
+    interface = forms.assemble_interface(space, params, faces) if has_exchange else {}
     return SystemMatrices(
         space=space, params=params, faces=faces,
         M_el=elastic["M"], A_el=elastic["A"],
-        M_j={j: pressures[j]["M"] for j in params.compartments},
-        A_j={j: pressures[j]["A"] for j in params.compartments},
-        B_j={j: pressures[j]["B"] for j in params.compartments},
-        C={j: pressures[j]["C"] for j in params.compartments},
+        M_comp=pressure["M"], A_j=pressure["A"], B_j=pressure["B"],
         M_f=fluid["M"], A_f=fluid["A"], B_f=fluid["B"], S=fluid["S"],
         J_el=interface.get("J_el"), J_f=interface.get("J_f"),
     )
@@ -103,14 +101,16 @@ def coupling_blocks(sys: SystemMatrices, mass, stiff, disp, elastic: bool = True
     """The coupling pattern as ``{(row_field, col_field): block}`` (see the
     module docstring); ``elastic=False`` leaves out the d row."""
     blocks = {}
-    for j in sys.compartments:
+    J, beta, M = sys.compartments, sys.params.beta, sys.M_comp
+    for j in J:
         r = f"p:{j}"
         coupl = displacement_coupling(sys, j)
         if elastic:
             blocks["d", r] = coupl.T
         blocks[r, "d"] = disp * coupl
-        blocks.update({(r, f"p:{k}"): stiff * sys.C[j][k] for k in sys.compartments if k != j})
-        blocks[r, r] = mass * sys.M_j[j] + stiff * (sys.C[j][j] + sys.A_j[j])
+        blocks.update({(r, f"p:{k}"): stiff * (-beta[k][j] * M) for k in J if k != j})
+        T_jj = sum(beta[k][j] for k in J if k != j) + sys.params.beta_ext[j]
+        blocks[r, r] = mass * (sys.params.c_j[j] * M) + stiff * (T_jj * M + sys.A_j[j])
         if j == EXCHANGE and sys.J_f is not None:
             blocks[r, "u"] = stiff * -sys.J_f
             blocks["u", r] = stiff * sys.J_f.T
@@ -205,11 +205,8 @@ def structural_checks(sys: SystemMatrices, seed: int = 0,
     rep = StructuralReport()
     rng = np.random.default_rng(seed)
 
-    named = {"A_el": sys.A_el, "A_f": sys.A_f, "S": sys.S,
-             "M_el": sys.M_el, "M_f": sys.M_f}
-    for j in sys.compartments:
-        named[f"A_{j}"] = sys.A_j[j]
-        named[f"M_{j}"] = sys.M_j[j]
+    named = {"A_el": sys.A_el, "A_f": sys.A_f, "S": sys.S, "M_el": sys.M_el, "M_f": sys.M_f,
+             **{f"A_{j}": sys.A_j[j] for j in sys.compartments}, "M_comp": sys.M_comp}
     for name, mat in named.items():
         rep.symmetry[name] = _rel_sym(mat)
         if name.startswith("A_") or name == "S":

@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from polympe.agglomerate import AgglomerationConfig, agglomerate
 from polympe.families import VERIFICATION_DIRICHLET, cartesian_two_domain, triangulated_two_domain
@@ -10,6 +11,8 @@ from polympe.manufactured import steady_case, unsteady_case
 from polympe.mesh import PolyMesh, build_faces
 from polympe.params import PhysicalParams
 from polympe.spaces import build_space
+from polympe.stepping import blend_loads, build_stepping_matrices, layout
+from polympe.system import build_global, split
 
 
 def unit_square_mesh(domain="elastic"):
@@ -60,6 +63,21 @@ def pin_params(J):
         params.beta[j] = {k: 1.0 + i + 0.25 * ik for ik, k in enumerate(J)}
     params.validate()
     return params
+
+
+def harmonic_response(sysm, loads, omega, scheme=None):
+    """Field amplitudes of the periodic response to the loads
+    sin(omega t) * ``loads``. Without ``scheme``, the continuous response
+    Im(X_c e^{i omega t}), from G(i omega) X_c = loads; with one, the
+    discrete periodic solution x^n = Im(X z^n) of its Newmark-theta march,
+    z = e^{i omega dt}, from (z A1 - A2) X = blend_loads(loads, z loads)."""
+    if scheme is None:
+        return split(splu(build_global(sysm, 1j * omega).tocsc()).solve(loads + 0j),
+                     sysm.space.sizes)
+    z = np.exp(1j * omega * scheme.dt)
+    mats = build_stepping_matrices(sysm, scheme)
+    rhs = blend_loads(sysm, scheme, loads + 0j, z * loads)
+    return split(splu((z * mats["A1"] - mats["A2"]).tocsc()).solve(rhs), layout(sysm.space))
 
 
 def two_square_mesh():

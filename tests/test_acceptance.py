@@ -15,22 +15,33 @@ constants 10):
    continuous-field jump annihilation;
 6. discrete energy non-increasing over 100 unforced steps;
 7. agglomeration pipeline hitting targets (910, 101) exactly with purity,
-   connectivity, interface preservation, and area conservation.
+   connectivity, interface preservation, and area conservation;
+8. temporal order against the time-harmonic response of the brain demo
+   (configs/demo.json on the 80-polygon mesh): as dt halves from 0.01 three
+   times, the discrete periodic solution's relative error to the continuous
+   one falls by 4 +- 0.3 per halving at theta = 1/2 and by 2 +- 0.15 at
+   theta = 0.7 and 1, in every field.
 """
 
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 
 from polympe import forms, norms, stepping
 from polympe.agglomerate import AgglomerationConfig, agglomerate, partition_assignment, validate_partition
+from polympe.cli import DemoData, resolve_params
 from polympe.driver import convergence_table, setup, solve_steady
-from polympe.families import VERIFICATION_DIRICHLET, cartesian_two_domain, triangulated_two_domain
+from polympe.families import (DEMO_DIRICHLET, VERIFICATION_DIRICHLET, cartesian_two_domain,
+                              triangulated_two_domain)
 from polympe.forms import penalty_coefficients
 from polympe.manufactured import residual_oracle
 from polympe.mesh import ELASTIC, FLUID
 from polympe.spaces import l2_project
 from polympe.system import structural_checks
+
+from conftest import harmonic_response
 
 RATE_BELOW, RATE_ABOVE = 0.2, 0.3
 
@@ -163,3 +174,24 @@ def test_criterion_7_agglomeration_pipeline():
     report(7, ok, f"targets {counts}, pure={rep.domain_pure}, "
                   f"connected={rep.connected}, area err {rep.area_error:.1e}, "
                   f"interface preserved={coarse.interface_edges() == fine.interface_edges()}")
+
+
+def test_criterion_8_temporal_order_against_harmonic_response(mesh80):
+    # the demo loads are sin(2 pi t) times their value at t = 1/4
+    cfg = json.loads((Path(__file__).parents[1] / "configs" / "demo.json").read_text())
+    sysm = setup(mesh80, 2, resolve_params(cfg), DEMO_DIRICHLET)
+    loads = forms.assemble_loads(sysm.space, sysm.params, sysm.faces, DemoData(), 0.25)
+    omega = 2.0 * np.pi
+    exact = harmonic_response(sysm, loads, omega)
+    ok, details = True, []
+    for theta, ratio, tol in ((0.5, 4.0, 0.3), (0.7, 2.0, 0.15), (1.0, 2.0, 0.15)):
+        errs = []
+        for dt in (0.01, 0.005, 0.0025, 0.00125):
+            X = harmonic_response(sysm, loads, omega, stepping.SchemeParams(dt=dt, theta=theta))
+            errs.append({f: np.linalg.norm(X[f] - xc) / np.linalg.norm(xc)
+                         for f, xc in exact.items()})
+        ratios = [e1[f] / e2[f] for e1, e2 in zip(errs, errs[1:]) for f in exact]
+        ok &= all(abs(r - ratio) <= tol for r in ratios)
+        details.append(f"theta={theta}: {min(ratios):.3f}-{max(ratios):.3f}")
+    report(8, ok, "error ratios per dt halving " + ", ".join(details)
+           + " (windows 4 +- 0.3 at theta = 0.5, 2 +- 0.15 otherwise)")

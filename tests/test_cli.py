@@ -309,7 +309,8 @@ def test_beta_override_merges_entry_by_entry():
 
 
 @pytest.mark.parametrize("command, doc, keys", [
-    ("convergence", {"case": "steady", "convergence": {"m_values": [1], "meshes": _SMALL_MESHES}},
+    ("convergence", {"case": "steady", "convergence": {"m_values": [1], "meshes": _SMALL_MESHES,
+                                                       "tol": {"below": 0.5, "above": 0.5}}},
      {"spectral", "observed_rates", "failures"}),
     ("solve", {"case": "zero", "mesh": {"family": "cartesian", "ny": 2}, "degree": 1,
                "scheme": {"dt": 0.01, "n_steps": 2}},
@@ -322,7 +323,7 @@ def test_beta_override_merges_entry_by_entry():
 def test_manifest_fields(tmp_path, command, doc, keys):
     from polympe import __version__
     out = tmp_path / "o"
-    main([command, "--config", write_config(tmp_path, doc), "--out", str(out), "--tol", "0.5"])
+    main([command, "--config", write_config(tmp_path, doc), "--out", str(out)])
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest) == {"config", "command", "version", "elapsed_s"} | keys
     assert manifest["command"] == command and manifest["version"] == __version__
@@ -384,12 +385,13 @@ def test_convergence_command_and_determinism(tmp_path):
             "meshes": [{"family": "cartesian", "ny": 2},
                        {"family": "cartesian", "ny": 4},
                        {"family": "cartesian", "ny": 8}],
+            "tol": {"below": 0.5, "above": 0.5},
         },
     }
     cfg = write_config(tmp_path, doc)
     out1, out2 = tmp_path / "c1", tmp_path / "c2"
-    assert main(["convergence", "--config", cfg, "--out", str(out1), "--tol", "0.5"]) == 0
-    assert main(["convergence", "--config", cfg, "--out", str(out2), "--tol", "0.5"]) == 0
+    assert main(["convergence", "--config", cfg, "--out", str(out1)]) == 0
+    assert main(["convergence", "--config", cfg, "--out", str(out2)]) == 0
     b1 = (out1 / "rates.csv").read_bytes()
     assert b1 == (out2 / "rates.csv").read_bytes()
     assert sha256_hex(b1) == RATES_CSV_SHA256
@@ -407,12 +409,12 @@ def test_convergence_tolerance_failure(tmp_path):
             "meshes": [{"family": "cartesian", "ny": 2},
                        {"family": "cartesian", "ny": 4},
                        {"family": "cartesian", "ny": 8}],
+            # an impossibly tight window must fail with exit code 1
+            "tol": {"below": 1e-9, "above": 1e-9},
         },
     }
     cfg = write_config(tmp_path, doc)
-    # an impossibly tight window must fail with exit code 1
-    assert main(["convergence", "--config", cfg, "--out",
-                 str(tmp_path / "cf"), "--tol", "1e-9"]) == 1
+    assert main(["convergence", "--config", cfg, "--out", str(tmp_path / "cf")]) == 1
 
 
 def test_convergence_needs_three_meshes(tmp_path):
@@ -434,6 +436,47 @@ def test_verify_command(tmp_path):
     text = (out / "verify.txt").read_text()
     assert "max residual" in text and "structural checks: PASS" in text
     assert "negative control" in text
+    # one symmetry line for the one compartment mass, none per compartment
+    assert "symmetry M_comp:" in text and "symmetry M_E:" not in text
+
+
+@pytest.mark.parametrize("n_points", [0, -3])
+def test_verify_needs_an_interior_point(tmp_path, capsys, monkeypatch, n_points):
+    cfg = write_config(tmp_path, {"mesh": {"family": "cartesian", "ny": 2}, "degree": 1,
+                                  "verify": {"n_points": n_points}})
+    out = tmp_path / "v"
+
+    def no_mesh(spec):
+        raise AssertionError("a bad n_points must be reported before the mesh is built")
+
+    monkeypatch.setattr(cli, "resolve_mesh", no_mesh)
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "n_points" in err and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("mesh, name", [
+    (dict(_AGGLOMERATED, fine_ny=0), "ny"),
+    (dict(_AGGLOMERATED, fine_nx_el=0), "nx_el"),
+    (dict(_AGGLOMERATED, fine_nx_f=0), "nx_f"),
+    ({"family": "cartesian", "ny": 2, "nx": 0}, "nx"),
+], ids=["fine_ny", "fine_nx_el", "fine_nx_f", "nx"])
+def test_non_positive_mesh_size_is_input_error(tmp_path, capsys, mesh, name):
+    cfg = write_config(tmp_path, dict(_ZERO_SOLVE, mesh=mesh))
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{name} must be" in err and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_tol_flag_is_gone(tmp_path):
+    # the rate window is the config's convergence.tol alone
+    cfg = write_config(tmp_path, _SWEEP)
+    with pytest.raises(SystemExit) as exc:
+        main(["convergence", "--config", cfg, "--out", str(tmp_path / "o"), "--tol", "0.5"])
+    assert exc.value.code == 2
 
 
 def test_agglomerate_command(tmp_path):

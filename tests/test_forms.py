@@ -12,6 +12,7 @@ from polympe.manufactured import ManufacturedCase, X, Y, _strong_sources
 from polympe.mesh import build_faces, harmonic_h
 from polympe.params import PhysicalParams
 from polympe.spaces import build_space, l2_project
+from polympe.system import build_system, coupling_blocks
 
 from conftest import (ACVE, OnePointData, pin_params, pin_setup, sha256_hex, two_square_mesh,
                       unit_square_mesh)
@@ -106,16 +107,25 @@ def test_elastic_symmetry_and_psd(cart4_setup, unit_params):
 
 def test_pressure_stiffness_linear():
     _, faces, space = natural_setup("elastic")
-    out = forms.assemble_pressure(space, PhysicalParams.unit(), faces, "E")
+    out = forms.assemble_pressure(space, PhysicalParams.unit(), faces)
     p = interp(space, "p:E", lambda q: q[:, 0])
-    assert p @ (out["A"] @ p) == pytest.approx(1.0, rel=1e-12)
+    assert p @ (out["A"]["E"] @ p) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_pressure_mass_is_the_compartment_l2_product():
+    _, faces, space = natural_setup("elastic")
+    out = forms.assemble_pressure(space, PhysicalParams.unit(), faces)
+    one = interp(space, "p:E", lambda q: np.ones(len(q)))
+    assert one @ (out["M"] @ one) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_pressure_external_coupling():
+    # the (p:E, p:E) block of the steady operator is beta^e M + A_E, and A_E
+    # annihilates constants without Dirichlet faces
     _, faces, space = natural_setup("elastic")
-    out = forms.assemble_pressure(space, PhysicalParams.unit(), faces, "E")
+    blocks = coupling_blocks(build_system(space, PhysicalParams.unit(), faces), 0.0, 1.0, 0.0)
     one = interp(space, "p:E", lambda q: np.ones(len(q)))
-    assert one @ (out["C"]["E"] @ one) == pytest.approx(1.0, rel=1e-12)
+    assert one @ (blocks["p:E", "p:E"] @ one) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_intercompartment_coupling_vanishes_for_equal_pressures():
@@ -123,11 +133,11 @@ def test_intercompartment_coupling_vanishes_for_equal_pressures():
     faces = build_faces(mesh, {"nat": set()})
     params = PhysicalParams.unit(compartments=("A", "C"))
     space = build_space(mesh, 2, compartments=("A", "C"))
-    outA = forms.assemble_pressure(space, params, faces, "A")
+    blocks = coupling_blocks(build_system(space, params, faces), 0.0, 1.0, 0.0)
     p = interp(space, "p:A", lambda q: 1.7 * np.ones(len(q)))
     # same vector in both compartments: transfer contribution cancels, only
     # the external coupling beta^e remains
-    contrib = p @ (outA["C"]["A"] @ p) + p @ (outA["C"]["C"] @ p)
+    contrib = p @ (blocks["p:A", "p:A"] @ p) + p @ (blocks["p:A", "p:C"] @ p)
     assert contrib == pytest.approx(params.beta_ext["A"] * 1.7 ** 2, rel=1e-12)
 
 
@@ -359,13 +369,17 @@ def _xby(B):
 
 
 def _bilinear_pins(sysm):
-    """x^T B y for every block of a SystemMatrices, keyed by block name."""
-    J = sysm.compartments
+    """x^T B y for every block of a SystemMatrices, keyed by block name; the
+    storage masses M_j = c_j M and the transfer blocks C_jk = -beta_kj M and
+    C_jj = (sum_{k!=j} beta_kj + beta_ext_j) M are formed from the one
+    compartment mass M, as the coupling pattern forms them."""
+    J, prm, M = sysm.compartments, sysm.params, sysm.M_comp
     out = {"M_el": sysm.M_el, "A_el": sysm.A_el, "M_f": sysm.M_f, "A_f": sysm.A_f,
            "B_f": sysm.B_f, "S": sysm.S}
     for j in J:
-        out.update({f"M_{j}": sysm.M_j[j], f"A_{j}": sysm.A_j[j], f"B_{j}": sysm.B_j[j]})
-        out.update({f"C_{j}{k}": sysm.C[j][k] for k in J})
+        out.update({f"M_{j}": prm.c_j[j] * M, f"A_{j}": sysm.A_j[j], f"B_{j}": sysm.B_j[j]})
+        T_jj = sum(prm.beta[k][j] for k in J if k != j) + prm.beta_ext[j]
+        out.update({f"C_{j}{k}": (T_jj if k == j else -prm.beta[k][j]) * M for k in J})
     if sysm.J_el is not None:
         out.update(J_el=sysm.J_el, J_f=sysm.J_f)
     return {k: _xby(B) for k, B in out.items()}
@@ -390,7 +404,6 @@ def _assert_pinned(got, want):
 @pytest.mark.parametrize("name", ["cart4", "mesh80"])
 @pytest.mark.parametrize("J", [("E",), ACVE], ids=["E", "ACVE"])
 def test_blocks_pinned(mesh80, name, J):
-    from polympe.system import build_system
     faces, space = pin_setup(name, mesh80, J)
     sysm = build_system(space, pin_params(J), faces)
     _assert_pinned(_bilinear_pins(sysm), PINS[f"{name}/{''.join(J)}"])

@@ -86,6 +86,12 @@ def test_residual_oracle_negative_control(steady):
     assert bad2.max_residual > 1e-1
 
 
+@pytest.mark.parametrize("n_points", [0, -3])
+def test_residual_oracle_needs_a_point(steady, n_points):
+    with pytest.raises(ValueError, match="n_points must be >= 1"):
+        residual_oracle(steady, n_points=n_points)
+
+
 def test_interface_conditions_via_oracle(unsteady):
     rep = residual_oracle(unsteady, n_points=50, t=0.05)
     for name in ("interface stress balance x", "interface stress balance y",

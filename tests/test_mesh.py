@@ -60,6 +60,18 @@ def test_cartesian_4x4_split():
     assert len(faces.interface) == 4
 
 
+@pytest.mark.parametrize("build, name", [
+    (lambda: triangulated_two_domain(0), "ny"),
+    (lambda: triangulated_two_domain(4, 0), "nx_el"),
+    (lambda: triangulated_two_domain(4, 4, -1), "nx_f"),
+    (lambda: cartesian_two_domain(2, 0), "nx"),
+    (lambda: cartesian_two_domain(0), "ny"),
+], ids=["tri-ny", "tri-nx_el", "tri-nx_f", "cart-nx", "cart-ny"])
+def test_family_sizes_must_be_positive(build, name):
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        build()
+
+
 def test_non_ccw_rejected():
     with pytest.raises(MeshError, match="counterclockwise"):
         PolyMesh([[0, 0], [1, 0], [1, 1]], [[0, 2, 1]], ["elastic"], {})

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from polympe import forms, stepping
-from polympe.cli import DemoData
+from polympe.cli import DemoData, resolve_params
 from polympe.driver import projected_values, setup, solve_steady, solve_unsteady
 from polympe.families import DEMO_DIRICHLET, VERIFICATION_DIRICHLET, cartesian_two_domain
 from polympe.params import PhysicalParams
@@ -415,6 +416,48 @@ def test_a2_stores_no_zeros(small_sys, sid):
     A2 = stepping.build_stepping_matrices(small_sys, stepping.SchemeParams(**PIN_SCHEMES[sid]))
     assert A2["A2"].data.all()
 
+
+
+# -- exact operator bytes --------------------------------------------------
+# sha256 of the data, indices and indptr of A1 and A2 at dt0.01 and of the
+# steady operator G(0), on the 80-polygon pin setups and on the brain-preset
+# system of configs/demo.json, recorded when each compartment stored its own
+# storage mass and transfer blocks: forming them all from one shared mass
+# must leave every bit.
+
+OPERATOR_SHA256 = {
+    "E": {"A1": "6aeefcf1bbd37bc0121ed1275959bf4138628a77f59151b0ad9024e9b716378c",
+          "A2": "38235fea6a534c5384192c21882ea63803fbe6306caf4ffcdab616da5cf150e0",
+          "G0": "61826415ca43a42eac49e95724aeda74086fa9aa263a92c47e9b94839f169fca"},
+    "ACVE": {"A1": "316ca31be0c07bbfcc8da0295516cd4a28a757ff983755d9eb2033098cfef17c",
+             "A2": "c06dd23d6f0272e138496d36c83622f767958cffc6f033d3ff12f3ed11b8fcb7",
+             "G0": "304e3234f772bb985019a263ed4a6f254a51a0691eb759c089dae33cdc17003f"},
+    "demo": {"A1": "e6c8c4f907e7beddc1fe51c96a986fb1d9e640bebb1dcb801ba668d26ce9959d",
+             "A2": "fc194a02024b5f1d73699566b6140a1b7b7a4607abf8e769fe4a2198c84ff000",
+             "G0": "2cd40a468138c66db09303244010964bd374d043c4424d9f50521b41546360a3"},
+}
+
+
+def _csr_sha256(mat) -> str:
+    h = hashlib.sha256()
+    for a in (mat.data, mat.indices, mat.indptr):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("key", ["E", "ACVE", "demo"])
+def test_operator_bytes_pinned(mesh80, key):
+    if key == "demo":
+        cfg = json.loads((Path(__file__).parents[1] / "configs" / "demo.json").read_text())
+        sysm = setup(mesh80, 2, resolve_params(cfg), DEMO_DIRICHLET)
+    else:
+        J = ACVE if key == "ACVE" else ("E",)
+        faces, space = pin_setup("mesh80", mesh80, J)
+        sysm = build_system(space, pin_params(J), faces)
+    mats = stepping.build_stepping_matrices(sysm, stepping.SchemeParams(**PIN_SCHEMES["dt0.01"]))
+    got = {"A1": _csr_sha256(mats["A1"]), "A2": _csr_sha256(mats["A2"]),
+           "G0": _csr_sha256(build_global(sysm, 0.0))}
+    assert got == OPERATOR_SHA256[key]
 
 # -- consistency of the theta-method ---------------------------------------
 

@@ -12,7 +12,7 @@ from polympe.mesh import build_faces
 from polympe.params import PhysicalParams
 from polympe.solvers import factorize
 from polympe.spaces import build_space
-from polympe.system import build_global, build_system, structural_checks
+from polympe.system import build_global, build_system, coupling_blocks, structural_checks
 
 from conftest import unit_square_mesh
 
@@ -59,10 +59,12 @@ def test_four_compartments_layout():
     space = build_space(mesh, 1, compartments=J)
     sysm = build_system(space, params, faces)
     assert set(sysm.A_j) == set(J)
+    # one mass serves every storage and transfer block
+    blocks = coupling_blocks(sysm, 1.0, 1.0, 1.0)
     for j in J:
-        assert set(sysm.C[j]) == set(J)
         for k in J:
-            assert sysm.C[j][k].shape == (space.sizes[f"p:{j}"], space.sizes[f"p:{k}"])
+            assert blocks[f"p:{j}", f"p:{k}"].shape == (space.sizes[f"p:{j}"],
+                                                        space.sizes[f"p:{k}"])
     # only the exchange compartment couples to the interface
     assert sysm.J_el is not None and sysm.J_el.nnz > 0
     G = build_global(sysm, s=1.0)
@@ -128,7 +130,8 @@ def test_block_consistency(cart4_setup, unit_params):
     rows = {
         "d": (s * s * sysm.M_el + sysm.A_el) @ d + sysm.B_j["E"].T @ pE + sysm.J_el.T @ pE,
         "p:E": -s * ((sysm.B_j["E"] + sysm.J_el) @ d)
-               + (s * sysm.M_j["E"] + sysm.A_j["E"] + sysm.C["E"]["E"]) @ pE
+               + (s * unit_params.c_j["E"] * sysm.M_comp + sysm.A_j["E"]
+                  + unit_params.beta_ext["E"] * sysm.M_comp) @ pE
                - sysm.J_f @ u,
         "u": sysm.J_f.T @ pE + (s * sysm.M_f + sysm.A_f) @ u + sysm.B_f.T @ p,
         "p": -sysm.B_f @ u + sysm.S @ p,
