@@ -48,6 +48,9 @@ class PhysicalParams:
         self.validate()
 
     def validate(self):
+        if EXCHANGE not in self.compartments:
+            raise ValueError(f"compartments must include the exchange compartment {EXCHANGE!r}, "
+                             f"got {list(self.compartments)}")
         strictly_positive = {
             "rho_el": self.rho_el, "rho_f": self.rho_f, "mu_el": self.mu_el,
             "lam": self.lam, "mu_f": self.mu_f, "eta_bar": self.eta_bar,

@@ -24,7 +24,7 @@ class Factorization:
         self.n = n
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        b = np.asarray(b, dtype=float)
+        b = np.asarray(b)
         if b.shape[0] != self.n:
             raise ValueError(f"rhs has length {b.shape[0]}, expected {self.n}")
         return self._lu.solve(b)

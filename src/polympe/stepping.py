@@ -114,8 +114,7 @@ def initial_state(sys: SystemMatrices, loads: np.ndarray, values=None) -> dict:
     r = loads[space.field_slice("d")] - sys.A_el @ st["d"]
     for j in sys.compartments:
         r -= sys.B_j[j].T @ st[f"p:{j}"]
-    if sys.J_el is not None:
-        r -= sys.J_el.T @ st[f"p:{EXCHANGE}"]
+    r -= sys.J_el.T @ st[f"p:{EXCHANGE}"]
     st["a"] = factorize(sys.M_el).solve(r)
     return st
 

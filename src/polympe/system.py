@@ -63,8 +63,8 @@ class SystemMatrices:
     A_f: sp.csr_matrix
     B_f: sp.csr_matrix
     S: sp.csr_matrix
-    J_el: sp.csr_matrix | None
-    J_f: sp.csr_matrix | None
+    J_el: sp.csr_matrix
+    J_f: sp.csr_matrix
 
     @property
     def compartments(self):
@@ -78,21 +78,20 @@ def build_system(space: DGSpace, params: PhysicalParams, faces: FaceSet) -> Syst
     elastic = forms.assemble_elastic(space, params, faces)
     pressure = forms.assemble_pressure(space, params, faces)
     fluid = forms.assemble_fluid(space, params, faces)
-    has_exchange = EXCHANGE in params.compartments
-    interface = forms.assemble_interface(space, params, faces) if has_exchange else {}
+    interface = forms.assemble_interface(space, params, faces)
     return SystemMatrices(
         space=space, params=params, faces=faces,
         M_el=elastic["M"], A_el=elastic["A"],
         M_comp=pressure["M"], A_j=pressure["A"], B_j=pressure["B"],
         M_f=fluid["M"], A_f=fluid["A"], B_f=fluid["B"], S=fluid["S"],
-        J_el=interface.get("J_el"), J_f=interface.get("J_f"),
+        J_el=interface["J_el"], J_f=interface["J_f"],
     )
 
 
 def displacement_coupling(sys: SystemMatrices, j: str) -> sp.csr_matrix:
     """The operator of the displacement column of the p:j row,
     B_j + [j=E] J_el."""
-    if j == EXCHANGE and sys.J_el is not None:
+    if j == EXCHANGE:
         return sys.B_j[j] + sys.J_el
     return sys.B_j[j]
 
@@ -111,7 +110,7 @@ def coupling_blocks(sys: SystemMatrices, mass, stiff, disp, elastic: bool = True
         blocks.update({(r, f"p:{k}"): stiff * (-beta[k][j] * M) for k in J if k != j})
         T_jj = sum(beta[k][j] for k in J if k != j) + sys.params.beta_ext[j]
         blocks[r, r] = mass * (sys.params.c_j[j] * M) + stiff * (T_jj * M + sys.A_j[j])
-        if j == EXCHANGE and sys.J_f is not None:
+        if j == EXCHANGE:
             blocks[r, "u"] = stiff * -sys.J_f
             blocks["u", r] = stiff * sys.J_f.T
     if elastic:
@@ -224,26 +223,25 @@ def structural_checks(sys: SystemMatrices, seed: int = 0,
     for j in sys.compartments:
         placed = blk(G0, "d", f"p:{j}")
         ref = sys.B_j[j].T.tocsr()
-        if j == EXCHANGE and sys.J_el is not None:
+        if j == EXCHANGE:
             ref = ref + sys.J_el.T
         rep.pairing[f"B_{j}^T"] = _rel_diff(placed, ref)
 
-    if sys.J_f is not None:
-        pe = f"p:{EXCHANGE}"
-        rep.pairing["J_f^T"] = _rel_diff(blk(G1, "u", pe), sys.J_f.T.tocsr())
-        rep.pairing["J_f"] = _rel_diff(blk(G1, pe, "u"), (-sys.J_f).tocsr())
+    pe = f"p:{EXCHANGE}"
+    rep.pairing["J_f^T"] = _rel_diff(blk(G1, "u", pe), sys.J_f.T.tocsr())
+    rep.pairing["J_f"] = _rel_diff(blk(G1, pe, "u"), (-sys.J_f).tocsr())
 
-        # energy rate of the interface coupling on random compatible states:
-        # the two placements must cancel exactly
-        v = rng.standard_normal(sys.space.sizes["d"])
-        pE = rng.standard_normal(sys.space.sizes[pe])
-        u = rng.standard_normal(sys.space.sizes["u"])
-        jelT_placed = blk(G0, "d", pe) - sys.B_j[EXCHANGE].T.tocsr()
-        mjel_placed = blk(Gt, pe, "d") + sys.B_j[EXCHANGE]
-        r1 = float(v @ (jelT_placed @ pE)) + float(pE @ (mjel_placed @ v))
-        r2 = float(u @ (blk(G1, "u", pe) @ pE)) + float(pE @ (blk(G1, pe, "u") @ u))
-        scale = max(abs(float(v @ (jelT_placed @ pE))), abs(float(u @ (blk(G1, "u", pe) @ pE))), 1e-300)
-        rep.interface_energy = max(abs(r1), abs(r2)) / scale
+    # energy rate of the interface coupling on random compatible states:
+    # the two placements must cancel exactly
+    v = rng.standard_normal(sys.space.sizes["d"])
+    pE = rng.standard_normal(sys.space.sizes[pe])
+    u = rng.standard_normal(sys.space.sizes["u"])
+    jelT_placed = blk(G0, "d", pe) - sys.B_j[EXCHANGE].T.tocsr()
+    mjel_placed = blk(Gt, pe, "d") + sys.B_j[EXCHANGE]
+    r1 = float(v @ (jelT_placed @ pE)) + float(pE @ (mjel_placed @ v))
+    r2 = float(u @ (blk(G1, "u", pe) @ pE)) + float(pE @ (blk(G1, pe, "u") @ u))
+    scale = max(abs(float(v @ (jelT_placed @ pE))), abs(float(u @ (blk(G1, "u", pe) @ pE))), 1e-300)
+    rep.interface_energy = max(abs(r1), abs(r2)) / scale
 
     return rep
 

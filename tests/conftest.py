@@ -2,14 +2,15 @@ import hashlib
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import splu
 
+from polympe import cli
 from polympe.agglomerate import AgglomerationConfig, agglomerate
 from polympe.families import VERIFICATION_DIRICHLET, cartesian_two_domain, triangulated_two_domain
 from polympe.forms import ZeroData
 from polympe.manufactured import steady_case, unsteady_case
 from polympe.mesh import PolyMesh, build_faces
 from polympe.params import PhysicalParams
+from polympe.solvers import factorize
 from polympe.spaces import build_space
 from polympe.stepping import blend_loads, build_stepping_matrices, layout
 from polympe.system import build_global, split
@@ -72,12 +73,22 @@ def harmonic_response(sysm, loads, omega, scheme=None):
     discrete periodic solution x^n = Im(X z^n) of its Newmark-theta march,
     z = e^{i omega dt}, from (z A1 - A2) X = blend_loads(loads, z loads)."""
     if scheme is None:
-        return split(splu(build_global(sysm, 1j * omega).tocsc()).solve(loads + 0j),
+        return split(factorize(build_global(sysm, 1j * omega)).solve(loads + 0j),
                      sysm.space.sizes)
     z = np.exp(1j * omega * scheme.dt)
     mats = build_stepping_matrices(sysm, scheme)
     rhs = blend_loads(sysm, scheme, loads + 0j, z * loads)
-    return split(splu((z * mats["A1"] - mats["A2"]).tocsc()).solve(rhs), layout(sysm.space))
+    return split(factorize(z * mats["A1"] - mats["A2"]).solve(rhs), layout(sysm.space))
+
+
+def read_config(command, doc) -> dict:
+    """The values ``polympe <command>`` reads from the config ``doc``, read as
+    :func:`polympe.cli.main` reads them before the command runs: the
+    manifest's ``resolved_config``."""
+    cfg = cli.Section("", doc)
+    cfg.string("output_dir", "out")
+    cli.COMMANDS[command](cfg)
+    return cfg.resolved
 
 
 def two_square_mesh():

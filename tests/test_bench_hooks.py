@@ -5,11 +5,13 @@ read 0, so these tests read perfbench's tables (without changing them) and
 check them against the code."""
 
 import importlib
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
+from polympe import cli
 from polympe.agglomerate import AgglomerationConfig, agglomerate
 from polympe.driver import setup
 from polympe.families import VERIFICATION_DIRICHLET, cartesian_two_domain, triangulated_two_domain
@@ -19,7 +21,10 @@ from polympe.solvers import factorize
 from polympe.spaces import build_space
 from polympe.stepping import SchemeParams, build_stepping_matrices
 
+from conftest import read_config
+
 BENCH = Path(__file__).parents[1] / "perfbench"
+CONFIGS = BENCH.parent / "configs"
 
 #: names the benchmark still uses but the code no longer has: the steady
 #: wrapper (now driver.solve_steady's own factorization) and the time loop
@@ -69,3 +74,15 @@ def test_every_counter_reads_its_return_value(bench, returns):
         assert counts, span
         for key, val in counts.items():
             assert int(val) == val and val > 0, (span, key, val)
+
+
+def test_direct_calls_accept_the_benchmark_arguments(bench):
+    # the calls perfbench's workloads make into polympe, with their edits of
+    # the shipped configs: a rejected argument would show only as a failed run
+    sweep = json.loads((CONFIGS / "verification_unsteady.json").read_text())
+    assert cli.resolve_mesh(dict(sweep["convergence"]["meshes"][0], seed=1)).n_elements == 20
+    assert SchemeParams(**sweep["scheme"]) == SchemeParams(dt=1e-3)
+    demo = json.loads((CONFIGS / "demo.json").read_text())
+    demo["mesh"].update(targets=[160, 160], fine_ny=48, seed=1)
+    demo["scheme"]["n_steps"] = bench["workloads"].PulsatileMarch.n_steps
+    assert read_config("solve", demo)["scheme"]["n_steps"] == 300

@@ -1,5 +1,7 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -7,7 +9,17 @@ from polympe import cli
 from polympe.cli import main
 from polympe.mesh import load_mesh
 
-from conftest import sha256_hex
+from conftest import read_config, sha256_hex
+
+ROOT = Path(__file__).resolve().parents[1]
+#: the command that runs each shipped config
+SHIPPED = {"agglomerate_brain_scale": "agglomerate", "demo": "solve", "spectral": "convergence",
+           "verification_steady": "convergence", "verification_unsteady": "convergence",
+           "verify": "verify"}
+
+
+def shipped(name):
+    return json.loads((ROOT / "configs" / f"{name}.json").read_text())
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -133,7 +145,7 @@ def test_solve_manifest_records_the_case_params(tmp_path, capsys):
     assert main(["solve", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["resolved_params"]["mu_el"] == steady_case().params.mu_el == 1.0
-    assert manifest["resolved_scheme"] is None
+    assert "scheme" not in manifest["resolved_config"]
 
 
 def test_solve_manifest_records_the_full_scheme(tmp_path):
@@ -142,8 +154,8 @@ def test_solve_manifest_records_the_full_scheme(tmp_path):
     out = tmp_path / "out"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["resolved_scheme"] == {"dt": 0.01, "beta": 0.25, "gamma": 0.5,
-                                           "theta": 0.5, "n_steps": 2}
+    assert manifest["resolved_config"]["scheme"] == {"dt": 0.01, "beta": 0.25, "gamma": 0.5,
+                                                     "theta": 0.5, "n_steps": 2}
 
 
 @pytest.mark.parametrize("command, doc", [
@@ -192,6 +204,15 @@ def test_unknown_solve_key_is_input_error(tmp_path, capsys, doc, key):
     ("verify", {"mesh": {"family": "cartesian", "ny": 2}, "verify": {"npoints": 5}}, "npoints"),
     ("agglomerate", {"agglomeration": {"fine": {"fine_ny": 4}, "target": [2, 2]}}, "target"),
     ("agglomerate", {"agglomeration": {"fine": {"fine_ny": 4, "seeed": 1}}}, "seeed"),
+    # a steady sweep reads no time scheme
+    ("convergence", {"case": "steady", "scheme": {"dt": 1e-3},
+                     "convergence": {"m_values": [1], "meshes": []}}, "scheme"),
+    # a misspelt section is reported as unknown, not as a missing key of the
+    # section it stands for
+    ("solve", {"case": "zero", "shceme": {"dt": 0.01}}, "shceme"),
+    ("convergence", {"convergance": {"meshes": [{"family": "cartesian", "ny": 2}]}},
+     "convergance"),
+    ("agglomerate", {"agglomeraton": {"fine": {"fine_ny": 4}}}, "agglomeraton"),
 ])
 def test_unknown_config_key_is_input_error(tmp_path, capsys, command, doc, key):
     cfg = write_config(tmp_path, doc)
@@ -201,23 +222,60 @@ def test_unknown_config_key_is_input_error(tmp_path, capsys, command, doc, key):
 
 
 def test_shipped_configs_have_known_top_level_keys():
-    # each config passes the checks its command makes before building a mesh
-    from pathlib import Path
-    from polympe.cli import _SOLVE_KEYS, _TOP_KEYS, _check_keys, resolve_params, resolve_scheme
-    configs = Path(__file__).resolve().parents[1] / "configs"
-    commands = {"agglomerate_brain_scale": "agglomerate", "demo": "solve", "spectral": "convergence",
-                "verification_steady": "convergence", "verification_unsteady": "convergence",
-                "verify": "verify"}
-    assert sorted(commands) == sorted(p.stem for p in configs.glob("*.json"))
-    for name, command in commands.items():
-        cfg = json.loads((configs / f"{name}.json").read_text())
-        _check_keys("top-level", cfg, _TOP_KEYS[command])
-        if command == "solve":
-            _check_keys("solve", cfg, _SOLVE_KEYS[cfg["case"]])
-        if command in ("solve", "verify"):
-            resolve_params(cfg)
-        if "scheme" in cfg:
-            resolve_scheme(cfg, extra=("n_steps",) if command == "solve" else ())
+    # each config passes its command's parse step, which reads the whole
+    # config before a mesh is built
+    assert sorted(SHIPPED) == sorted(p.stem for p in (ROOT / "configs").glob("*.json"))
+    for name, command in SHIPPED.items():
+        read_config(command, shipped(name))
+
+
+def test_demo_config_resolves_to_pinned_values():
+    # every default the demo run takes; a default that moves fails here
+    assert read_config("solve", shipped("demo")) == {
+        "output_dir": "out_demo", "case": "demo",
+        "mesh": {"family": "agglomerated", "targets": [40, 40], "fine_ny": 24,
+                 "fine_nx_el": None, "fine_nx_f": None, "jitter": 0.25, "seed": 0},
+        "degree": 2, "dirichlet": {"el": ["d"], "wall": ["u"], "out": []},
+        "compartments": ["E"],
+        "params": {"preset": "brain", "alpha_j": {"E": 0.49}, "beta_ext": {"E": 0.0}},
+        "demo_amplitude": 0.002,
+        "scheme": {"dt": 0.01, "beta": 0.25, "gamma": 0.5, "theta": 0.5, "n_steps": 100},
+        "snapshot_stride": 10,
+    }
+
+
+def _leaf_paths(doc, prefix=""):
+    """The key path of every value in ``doc``, a list of objects adding
+    ``[]`` to its key."""
+    if isinstance(doc, dict):
+        return [p for k, v in doc.items() for p in _leaf_paths(v, f"{prefix}{k}.")]
+    if isinstance(doc, list) and doc and all(isinstance(v, dict) for v in doc):
+        return [p for v in doc for p in _leaf_paths(v, prefix[:-1] + "[].")]
+    return [prefix[:-1]]
+
+
+def _config_table_patterns():
+    """The key paths of the README's config table as regular expressions,
+    ``<j>`` and the like standing for any one key."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = lines.index("| key | kind | default | read by |") + 2
+    rows = lines[start:start + next(i for i, l in enumerate(lines[start:]) if not l.startswith("|"))]
+    return [re.sub(r"<\w+>", r"[^.]+", re.escape(path))
+            for row in rows for path in re.findall(r"`([^`]+)`", row.split("|")[1])]
+
+
+def test_every_resolved_key_is_in_the_readme_table():
+    docs = [(command, shipped(name)) for name, command in SHIPPED.items()]
+    for case in ("steady", "unsteady", "zero", "demo"):
+        doc = {"case": case}
+        if case != "steady":
+            doc["scheme"] = {"dt": 0.01}
+        docs.append(("solve", doc))
+    patterns = _config_table_patterns()
+    for command, doc in docs:
+        missing = [p for p in _leaf_paths(read_config(command, doc))
+                   if not any(re.fullmatch(pat, p) for pat in patterns)]
+        assert not missing, (command, doc, missing)
 
 
 @pytest.mark.parametrize("doc, name", [
@@ -280,6 +338,8 @@ def _with(doc, section, **changes):
                 "verify": {"n_points": 5, "oracle_tol": False}}, "oracle_tol"),
     ("agglomerate", {"agglomeration": {"fine": {"fine_ny": 4}, "targets": [2, 2.5]}},
      "targets"),
+    ("convergence", _with(_with(_SWEEP, None, case="unsteady"), "convergence", n_steps=2.0),
+     "convergence n_steps"),
 ])
 def test_wrong_typed_number_or_flag_is_input_error(tmp_path, capsys, command, doc, name):
     # integers must be JSON integers, numbers JSON numbers and flags JSON
@@ -288,6 +348,38 @@ def test_wrong_typed_number_or_flag_is_input_error(tmp_path, capsys, command, do
     assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert name in err and "Traceback" not in err
+    assert not list(out.glob("*"))
+
+
+@pytest.mark.parametrize("command, doc, name", [
+    ("solve", _with(_ZERO_SOLVE, None, case=["demo"]), "case"),
+    ("solve", _with(_ZERO_SOLVE, "mesh", family=["cartesian"]), "mesh family"),
+    ("solve", _with(_ZERO_SOLVE, None, mesh={"path": 7}), "mesh path"),
+    ("solve", _with(_ZERO_SOLVE, None, output_dir=5), "output_dir"),
+    ("solve", _with(_ZERO_SOLVE, None, params={"preset": ["brain"]}), "params preset"),
+    ("convergence", _with(_SWEEP, None, case=1), "case"),
+    ("verify", {"case": None, "mesh": {"family": "cartesian", "ny": 2}, "degree": 1}, "case"),
+    ("agglomerate", {"agglomeration": {"fine": {"fine_ny": 4}, "targets": [2, 2], "output": 3}},
+     "agglomeration output"),
+])
+def test_wrong_typed_string_is_input_error(tmp_path, capsys, command, doc, name):
+    out = tmp_path / "o"
+    assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{name} must be a string" in err and "Traceback" not in err
+    assert not list(out.glob("*"))
+
+
+@pytest.mark.parametrize("compartments", [[], ["A"]])
+def test_compartments_need_the_exchange_compartment(tmp_path, capsys, compartments):
+    # without E the fluid and the elastic parts decouple and the demo source
+    # never enters
+    doc = _with(_ZERO_SOLVE, None, case="demo", compartments=compartments,
+                params={"preset": "brain"})
+    out = tmp_path / "o"
+    assert main(["solve", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "exchange compartment 'E'" in err and "Traceback" not in err
     assert not list(out.glob("*"))
 
 
@@ -314,7 +406,7 @@ def test_beta_override_merges_entry_by_entry():
      {"spectral", "observed_rates", "failures"}),
     ("solve", {"case": "zero", "mesh": {"family": "cartesian", "ny": 2}, "degree": 1,
                "scheme": {"dt": 0.01, "n_steps": 2}},
-     {"snapshots", "n_elements", "n_dofs", "resolved_params", "resolved_scheme"}),
+     {"snapshots", "n_elements", "n_dofs", "resolved_params"}),
     ("verify", {"mesh": {"family": "cartesian", "ny": 2}, "degree": 1,
                 "verify": {"n_points": 5}}, {"passed"}),
     ("agglomerate", {"agglomeration": {"fine": {"fine_ny": 4}, "targets": [2, 2]}},
@@ -325,9 +417,10 @@ def test_manifest_fields(tmp_path, command, doc, keys):
     out = tmp_path / "o"
     main([command, "--config", write_config(tmp_path, doc), "--out", str(out)])
     manifest = json.loads((out / "manifest.json").read_text())
-    assert set(manifest) == {"config", "command", "version", "elapsed_s"} | keys
+    assert set(manifest) == {"config", "command", "version", "elapsed_s", "resolved_config"} | keys
     assert manifest["command"] == command and manifest["version"] == __version__
     assert manifest["config"] == doc and manifest["elapsed_s"] > 0.0
+    assert manifest["resolved_config"] == read_config(command, doc)
 
 
 @pytest.mark.parametrize("doc", [{"snapshot_stride": 0, "scheme": {"dt": 0.01, "n_steps": 2}},

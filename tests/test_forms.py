@@ -131,13 +131,13 @@ def test_pressure_external_coupling():
 def test_intercompartment_coupling_vanishes_for_equal_pressures():
     mesh = unit_square_mesh("elastic")
     faces = build_faces(mesh, {"nat": set()})
-    params = PhysicalParams.unit(compartments=("A", "C"))
-    space = build_space(mesh, 2, compartments=("A", "C"))
+    params = PhysicalParams.unit(compartments=("A", "E"))
+    space = build_space(mesh, 2, compartments=("A", "E"))
     blocks = coupling_blocks(build_system(space, params, faces), 0.0, 1.0, 0.0)
     p = interp(space, "p:A", lambda q: 1.7 * np.ones(len(q)))
     # same vector in both compartments: transfer contribution cancels, only
     # the external coupling beta^e remains
-    contrib = p @ (blocks["p:A", "p:A"] @ p) + p @ (blocks["p:A", "p:C"] @ p)
+    contrib = p @ (blocks["p:A", "p:A"] @ p) + p @ (blocks["p:A", "p:E"] @ p)
     assert contrib == pytest.approx(params.beta_ext["A"] * 1.7 ** 2, rel=1e-12)
 
 
@@ -380,8 +380,7 @@ def _bilinear_pins(sysm):
         out.update({f"M_{j}": prm.c_j[j] * M, f"A_{j}": sysm.A_j[j], f"B_{j}": sysm.B_j[j]})
         T_jj = sum(prm.beta[k][j] for k in J if k != j) + prm.beta_ext[j]
         out.update({f"C_{j}{k}": (T_jj if k == j else -prm.beta[k][j]) * M for k in J})
-    if sysm.J_el is not None:
-        out.update(J_el=sysm.J_el, J_f=sysm.J_f)
+    out.update(J_el=sysm.J_el, J_f=sysm.J_f)
     return {k: _xby(B) for k, B in out.items()}
 
 

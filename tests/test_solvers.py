@@ -17,6 +17,15 @@ def test_permuted_diagonal():
     assert np.allclose(f.solve(np.array([2.0, 3.0])), [3.0, 2.0])
 
 
+def test_complex_matrix_solves_complex_rhs():
+    # the harmonic responses solve G(i omega) X = F through factorize
+    A = sp.csr_matrix(np.array([[2.0 + 1.0j, 1.0], [0.0, 1.0 - 3.0j]]))
+    b = np.array([1.0 + 2.0j, -1.0j])
+    x = factorize(A).solve(b)
+    assert x.dtype == np.complex128
+    assert np.allclose(A @ x, b, rtol=0, atol=1e-14)
+
+
 def test_singular_reported():
     A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SingularMatrixError):
