@@ -10,6 +10,15 @@ sub-triangulation used for quadrature requires. The repair is incremental
 (only clusters touched by a move are re-examined) and deterministic for a
 fixed seed.
 
+Both phases skip work without changing a decision. Lloyd carries Hamerly's
+bounds (*Making k-means even faster*, SDM 2010) and evaluates again only the
+points whose nearest centre they leave in doubt, in cheaper arithmetic; a
+point whose two nearest centres are nearly tied takes its label from the
+dense distances, so no label changes (:func:`_lloyd`). The repair
+keeps each cluster's directed boundary edges (:class:`_Boundary`) and
+updates them on every move, so that checking an outline walks it and reads
+nothing else.
+
 Coarse element boundaries keep every fine vertex along straight runs, so
 shared runs match segment-by-segment between neighbors (hanging-node
 friendly) and the coarse interface is geometrically identical to the fine
@@ -52,29 +61,101 @@ class AgglomerationConfig:
         return self.target_elastic if domain == ELASTIC else self.target_fluid
 
 
+def _sq_distances(points: np.ndarray, sq: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances, point by centre, as the dense Lloyd iteration
+    rounds them: ``sq - 2 p.c + |c|^2`` with one matrix product (``sq``
+    holds the points' squared norms). The product is taken with ``2 c``,
+    which doubles every rounded term exactly."""
+    d2 = points @ (2.0 * centers).T
+    np.subtract(sq[:, None], d2, out=d2)
+    d2 += (centers ** 2).sum(axis=1)[None, :]
+    return d2
+
+
+def _offsets(lifted: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """``|c|^2 - 2 p.c``, point by centre: the squared distance less the
+    point's squared norm, with one matrix product of the ``lifted`` points
+    (each with a third coordinate 1)."""
+    return lifted @ np.hstack((-2.0 * centers, (centers ** 2).sum(axis=1)[:, None])).T
+
+
+def _reseed(points: np.ndarray, sq: np.ndarray, centers: np.ndarray, empty: np.ndarray):
+    """Put the centre of each ``empty`` cluster, in index order, on the point
+    farthest from every centre placed so far: the others, then the reseeded
+    ones before it."""
+    near = _sq_distances(points, sq, centers[~empty]).min(axis=1)
+    for j in np.flatnonzero(empty):
+        centers[j] = points[near.argmax()]
+        np.minimum(near, _sq_distances(points, sq, centers[j:j + 1])[:, 0], out=near)
+
+
+def _least_two(d2: np.ndarray):
+    """Per row of ``d2`` (overwritten): the first column of least value, that
+    value and the least value of the other columns."""
+    near = d2.argmin(axis=1)
+    at = np.arange(len(d2))
+    best = d2[at, near]
+    d2[at, near] = np.inf
+    return near, best, d2.min(axis=1)
+
+
 def _lloyd(points: np.ndarray, k: int, rng, iterations: int) -> np.ndarray:
-    """Plain Lloyd k-means; deterministic for a fixed generator state."""
+    """Lloyd k-means; deterministic for a fixed generator state.
+
+    The labels are those of the dense iteration, which assigns every point to
+    the first centre of least :func:`_sq_distances` and stops when no label
+    changes. Hamerly's bounds (SDM 2010) skip the points whose centre is
+    certain: after each evaluation ``upper`` bounds a point's distance to its
+    centre and ``lower`` its distance to every other centre. Each centre
+    update widens them by the centre shifts plus ``slack``. That is over ten
+    times the rounding of any computed distance (whose square is off by at
+    most about ``20 * 2**-53 * max |p|^2``), so ``upper < lower`` proves that
+    the dense iteration keeps the label.
+
+    The other points are evaluated again by :func:`_offsets`, which rounds
+    otherwise than the dense iteration (so would a subset of its rows: BLAS
+    takes another kernel for one row, and for some column tails of some row
+    blocks). A point whose two nearest centres are within ``slack**2`` takes
+    its label from :func:`_sq_distances` of all points instead, and is
+    evaluated again at the next iteration."""
     n = len(points)
     centers = points[rng.choice(n, size=k, replace=False)].copy()
-    labels = np.zeros(n, dtype=int)
     sq = (points ** 2).sum(axis=1)
-    d2 = np.empty((n, k))  # squared distances, point by centre
+    lifted = np.hstack((points, np.ones((n, 1))))
+    slack = 2.0 ** -20 * np.sqrt(sq.max())
+    labels = np.zeros(n, dtype=int)
+    upper, lower = np.empty(n), np.empty(n)
+    rows = np.arange(n)
     for _ in range(iterations):
-        np.matmul(points, centers.T, out=d2)
-        d2 *= 2.0
-        np.subtract(sq[:, None], d2, out=d2)
-        d2 += (centers ** 2).sum(axis=1)[None, :]
-        new_labels = d2.argmin(axis=1)
-        if np.array_equal(new_labels, labels):
+        if len(rows) == 0:
             break
-        labels = new_labels
+        near, best, second = _least_two(_offsets(lifted[rows], centers))
+        tie = second - best <= slack ** 2
+        if tie.any():
+            near[tie] = _sq_distances(points, sq, centers)[rows[tie]].argmin(axis=1)
+            second[tie] = best[tie]
+        upper[rows] = np.sqrt(np.maximum(best + sq[rows], 0.0)) + slack
+        lower[rows] = np.sqrt(np.maximum(second + sq[rows], 0.0)) - slack
+        if np.array_equal(near, labels[rows]):
+            break
+        labels[rows] = near
         counts = np.bincount(labels, minlength=k)
         sums = np.stack([np.bincount(labels, weights=points[:, i], minlength=k) for i in (0, 1)],
                         axis=1)
         full = counts > 0
+        old = centers.copy()
         centers[full] = sums[full] / counts[full, None]
-        # re-seed empty clusters on the farthest point
-        centers[~full] = points[d2.min(axis=1).argmax()]
+        if not full.all():
+            _reseed(points, sq, centers, ~full)
+        shift = np.sqrt(((centers - old) ** 2).sum(axis=1))
+        upper += shift[labels] + slack
+        # every other centre moved by at most the largest shift but the own
+        far = shift.argmax()
+        lower -= np.where(labels == far, np.delete(shift, far).max(initial=0.0), shift[far]) + slack
+        rows = np.flatnonzero(upper >= lower)
+        # tighten ``upper`` to the distance to the own centre before evaluating
+        upper[rows] = np.sqrt(((points[rows] - centers[labels[rows]]) ** 2).sum(axis=1)) + slack
+        rows = rows[upper[rows] >= lower[rows]]
     return labels
 
 
@@ -95,8 +176,8 @@ def _components(members, adj):
 
 
 def _adjacency(mesh: PolyMesh, ids) -> dict:
-    """Face neighbours of each element of ``ids`` among ``ids``, read from
-    the interior rows of the edge table."""
+    """Face neighbours of each element of ``ids`` among ``ids``, as a list,
+    read from the interior rows of the edge table."""
     ids = np.asarray(ids)
     inside = np.zeros(mesh.n_elements, dtype=bool)
     inside[ids] = True
@@ -108,7 +189,7 @@ def _adjacency(mesh: PolyMesh, ids) -> dict:
     dst = np.concatenate([pairs[:, 1], pairs[:, 0]])[order].tolist()
     lo = np.searchsorted(src, ids, side="left").tolist()
     hi = np.searchsorted(src, ids, side="right").tolist()
-    return {g: set(dst[a:b]) for g, a, b in zip(ids.tolist(), lo, hi)}
+    return {g: dst[a:b] for g, a, b in zip(ids.tolist(), lo, hi)}
 
 
 class _Outlines:
@@ -137,35 +218,71 @@ class _Outlines:
         missing side -1 of a boundary edge reads as no cluster."""
         return np.full(len(self.a) + 1, -1)
 
-    def loop(self, elems, owner: np.ndarray, cid: int):
-        """Oriented outer vertex loop of cluster ``cid``, whose triangles
-        ``elems`` are exactly those ``owner`` maps to ``cid``, retaining
-        every fine vertex on the boundary; with, per loop edge, the triangle
-        inside and the element across (-1 for none). Raises for clusters
-        whose boundary is not a single simple loop (holes, pinched vertices,
-        splits)."""
+    def boundaries(self, elems, owner: np.ndarray) -> dict:
+        """The :class:`_Boundary` of each cluster that ``owner`` maps the
+        triangles ``elems`` to, all of whose triangles ``elems`` holds."""
         e = np.fromiter(elems, dtype=int, count=len(elems))
-        rows, cols = np.nonzero(owner[self.nb[e]] != cid)
+        side = owner[e]
+        rows, cols = np.nonzero(owner[self.nb[e]] != side[:, None])
         inner = e[rows]
-        a = self.a[inner, cols].tolist()
-        b = self.b[inner, cols].tolist()
-        succ = dict(zip(a, range(len(a))))  # start vertex -> outline edge
-        if len(succ) < len(a):
+        out = {}
+        for cid, a, b, tri, twin in zip(side[rows].tolist(), self.a[inner, cols].tolist(),
+                                        self.b[inner, cols].tolist(), inner.tolist(),
+                                        self.nb[inner, cols].tolist()):
+            if cid not in out:
+                out[cid] = _Boundary()
+            out[cid].add(a, b, tri, twin)
+        return out
+
+
+class _Boundary:
+    """The directed boundary edges of one cluster, by start vertex: the end
+    vertex (``nxt``), the triangle inside (``inner``) and the element across
+    (``across``, -1 for none). A second edge from one start vertex is a
+    pinch; it waits in ``pinched`` as (start, end, inside, across)."""
+
+    __slots__ = ("nxt", "inner", "across", "pinched")
+
+    def __init__(self):
+        self.nxt, self.inner, self.across = {}, {}, {}
+        self.pinched = []
+
+    def add(self, a: int, b: int, inner: int, across: int):
+        if a in self.nxt:
+            self.pinched.append((a, b, inner, across))
+        else:
+            self.nxt[a], self.inner[a], self.across[a] = b, inner, across
+
+    def remove(self, a: int, b: int):
+        if self.nxt[a] != b:
+            self.pinched.remove(next(e for e in self.pinched if e[:2] == (a, b)))
+            return
+        for i, edge in enumerate(self.pinched):
+            if edge[0] == a:
+                del self.pinched[i]
+                self.nxt[a], self.inner[a], self.across[a] = edge[1:]
+                return
+        del self.nxt[a], self.inner[a], self.across[a]
+
+    def loop(self) -> list:
+        """Oriented outer vertex loop from the least vertex, retaining every
+        fine vertex on the boundary. Raises for clusters whose boundary is
+        not a single simple loop (holes, pinched vertices, splits)."""
+        if self.pinched:
             raise MeshError("cluster boundary is not a single loop")
-        if not succ:
+        nxt = self.nxt
+        if not nxt:
             raise MeshError("empty cluster")
-        start = min(succ)
-        walk = [succ[start]]
-        cur = b[walk[0]]
-        while cur != start:
-            walk.append(succ[cur])
-            cur = b[walk[-1]]
-            if len(walk) > len(succ):
-                raise MeshError("cluster boundary has multiple loops")
-        if len(walk) != len(succ):
+        start = cur = min(nxt)
+        loop = []
+        for _ in range(len(nxt)):
+            loop.append(cur)
+            cur = nxt[cur]
+            if cur == start:
+                break
+        if cur != start or len(loop) != len(nxt):
             raise MeshError("cluster boundary has multiple loops (hole or split)")
-        inner, cols = inner[walk], cols[walk]
-        return [a[j] for j in walk], inner.tolist(), self.nb[inner, cols].tolist()
+        return loop
 
 
 #: fan triangles at or below this fraction of the cluster area count as
@@ -176,7 +293,11 @@ _STAR_RTOL = 1e-10
 class _Partition:
     """Mutable cluster partition of one subdomain's fine elements, with
     incremental star-shapedness bookkeeping. Elements are indexed by their
-    global fine-mesh ids."""
+    global fine-mesh ids.
+
+    ``boundary`` keeps the :class:`_Boundary` of the clusters whose outline
+    has been read: :meth:`move` updates the two it changes edge by edge, and
+    every other edit drops the ones it changes, to be read again."""
 
     def __init__(self, mesh: PolyMesh, outlines: _Outlines, ids: np.ndarray, rng):
         self.mesh = mesh
@@ -188,6 +309,7 @@ class _Partition:
         self.adj = _adjacency(mesh, ids)
         self.clusters: dict[int, set] = {}
         self.owner = outlines.owners()
+        self.boundary: dict[int, _Boundary] = {}
         self._next = 0
         self._dirty: set[int] = set()
 
@@ -203,11 +325,29 @@ class _Partition:
 
     def drop_cluster(self, cid) -> set:
         elems = self.clusters.pop(cid)
+        self.boundary.pop(cid, None)
         self._dirty.discard(cid)
         return elems
 
     def move(self, elem: int, dest: int):
         src = int(self.owner[elem])
+        old, new = self.boundary.get(src), self.boundary.get(dest)
+        t = self.outlines
+        for a, b, nb in zip(t.a[elem].tolist(), t.b[elem].tolist(), t.nb[elem].tolist()):
+            # the edge a -> b of ``elem`` leaves the boundary of ``src`` and
+            # joins that of ``dest``, unless ``nb`` is on the same side: then
+            # the reverse edge b -> a of ``nb`` joins or leaves it instead
+            side = self.owner[nb]
+            if old is not None:
+                if side == src:
+                    old.add(b, a, nb, elem)
+                else:
+                    old.remove(a, b)
+            if new is not None:
+                if side == dest:
+                    new.remove(b, a)
+                else:
+                    new.add(a, b, elem, nb)
         self.clusters[src].discard(elem)
         self.clusters[dest].add(elem)
         self.owner[elem] = dest
@@ -222,6 +362,7 @@ class _Partition:
                 # keep the largest piece under the old id, split the rest off
                 comps.sort(key=len)
                 self.clusters[src] = set(comps[-1])
+                self.boundary.pop(src, None)
                 for comp in comps[:-1]:
                     self.add_cluster(comp)
 
@@ -237,6 +378,7 @@ class _Partition:
             raise MeshError("isolated cluster cannot be merged")
         best = max(sorted(touching), key=lambda c: touching[c])
         self.drop_cluster(cid)
+        self.boundary.pop(best, None)
         self.clusters[best].update(elems)
         self.owner[list(elems)] = best
         self._dirty.add(best)
@@ -282,8 +424,11 @@ class _Partition:
                 out.append((twin, cid))
             return out
 
+        if cid not in self.boundary:
+            self.boundary.update(self.outlines.boundaries(elems, self.owner))
+        bd = self.boundary[cid]
         try:
-            loop, inner, across = self.outlines.loop(elems, self.owner, cid)
+            loop = bd.loop()
         except MeshError:
             moves = []
             members = list(elems)
@@ -293,14 +438,14 @@ class _Partition:
             if not moves:
                 raise
             return moves
-        pts = self.mesh.vertices[loop]
+        pts = self.mesh.vertices.take(loop, axis=0)
         p = pts - pts.mean(axis=0)
         q = np.concatenate((p[1:], p[:1]))
         area2 = p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
         moves = []
-        violations = np.flatnonzero(area2 <= _STAR_RTOL * area2.sum()).tolist()
-        for i in violations:
-            moves.extend(edge_moves(inner[i], across[i]))
+        violations = (area2 <= _STAR_RTOL * area2.sum()).nonzero()[0].tolist()
+        for v in (loop[i] for i in violations):
+            moves.extend(edge_moves(bd.inner[v], bd.across[v]))
         if violations and not moves:
             raise MeshError("star-shapedness violation without a movable edge")
         return moves
@@ -308,6 +453,9 @@ class _Partition:
     def repair_star_shape(self, k: int, budget: int):
         violating: dict[int, list] = {}
         self._dirty = set(self.clusters)
+        self.boundary.update(self.outlines.boundaries(
+            [e for cid, elems in self.clusters.items() if cid not in self.boundary for e in elems],
+            self.owner))
         stubborn: dict[int, int] = {}
         for _ in range(budget):
             for cid in self._dirty:
@@ -358,9 +506,9 @@ def _partition_domain(mesh: PolyMesh, outlines: _Outlines, ids: np.ndarray, k: i
     for _ in range(ATTEMPTS):
         part = _Partition(mesh, outlines, ids, rng)
         labels = _lloyd(part.pts, k, rng, LLOYD_ITERATIONS)
-        for c in range(k):
-            members = [part.ids[i] for i in np.nonzero(labels == c)[0]]
-            for comp in _components(members, part.adj):
+        by_label = ids[np.argsort(labels, kind="stable")]
+        for members in np.split(by_label, np.cumsum(np.bincount(labels, minlength=k))[:-1]):
+            for comp in _components(members.tolist(), part.adj):
                 part.add_cluster(comp)
         try:
             part.fix_count(k, budget)
@@ -387,7 +535,8 @@ def agglomerate(fine: PolyMesh, cfg: AgglomerationConfig, assignment=None) -> Po
     owner = outlines.owners()
     for cid, cl in enumerate(assignment):
         owner[cl] = cid
-    elements = [outlines.loop(cl, owner, cid)[0] for cid, cl in enumerate(assignment)]
+    bounds = outlines.boundaries([e for cl in assignment for e in cl], owner)
+    elements = [bounds.get(cid, _Boundary()).loop() for cid in range(len(assignment))]
     domains = [fine.element_domain[cl[0]] for cl in assignment]
     # coarse edges are fine edges; those on the fine boundary keep its labels
     t = fine.edges

@@ -187,6 +187,15 @@ def _read_scheme(sec: Section) -> stepping.SchemeParams:
     return scheme
 
 
+def _read_case(cfg: Section, default: str, cases=("steady", "unsteady", "zero", "demo")) -> str:
+    """The ``case`` key, one of ``cases``."""
+    case_id = cfg.string("case", default)
+    if case_id not in cases:
+        raise ConfigError(f"unknown case {case_id!r}; expected {', '.join(cases[:-1])} "
+                          f"or {cases[-1]}")
+    return case_id
+
+
 def _read_dirichlet(cfg: Section, case: str) -> dict:
     """The Dirichlet fields of each boundary label, by default ``case``'s."""
     default = VERIFICATION_DIRICHLET if case in ("steady", "unsteady") else DEMO_DIRICHLET
@@ -209,9 +218,7 @@ class DemoData(ZeroData):
 
 
 def cmd_convergence(cfg: Section):
-    case_id = cfg.string("case", "steady")
-    if case_id not in ("steady", "unsteady"):
-        raise ConfigError("convergence needs case steady or unsteady")
+    case_id = _read_case(cfg, "steady", ("steady", "unsteady"))
     conv = cfg.section("convergence", {})
     scfg = cfg.section("scheme", {"dt": 1e-3}) if case_id == "unsteady" else None
     cfg.close()
@@ -263,9 +270,7 @@ def cmd_convergence(cfg: Section):
 
 
 def cmd_solve(cfg: Section):
-    case_id = cfg.string("case", "demo")
-    if case_id not in ("steady", "unsteady", "zero", "demo"):
-        raise ConfigError(f"unknown case {case_id!r}; expected steady, unsteady, zero or demo")
+    case_id = _read_case(cfg, "demo")
     spec = _read_spec(cfg.section("mesh", {"family": "cartesian", "ny": 4}))
     m, dirichlet = cfg.integer("degree", 2), _read_dirichlet(cfg, case_id)
     if case_id in ("steady", "unsteady"):
@@ -316,7 +321,7 @@ def cmd_verify(cfg: Section):
     vcfg.close()
     m, params = cfg.integer("degree", 2), _read_params(cfg)
     spec = _read_spec(cfg.section("mesh", {"family": "cartesian", "ny": 4}))
-    dirichlet = _read_dirichlet(cfg, cfg.string("case", "steady"))
+    dirichlet = _read_dirichlet(cfg, _read_case(cfg, "steady"))
     cfg.close()
 
     def run(out: Path):

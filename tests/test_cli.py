@@ -370,6 +370,21 @@ def test_wrong_typed_string_is_input_error(tmp_path, capsys, command, doc, name)
     assert not list(out.glob("*"))
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("solve", _with(_ZERO_SOLVE, None, case="stedy")),
+    ("convergence", _with(_SWEEP, None, case="stedy")),
+    ("convergence", _with(_SWEEP, None, case="zero")),
+    ("verify", {"case": "stedy", "mesh": {"family": "cartesian", "ny": 2}, "degree": 1}),
+])
+def test_unknown_case_is_input_error(tmp_path, capsys, command, doc):
+    # a misspelt case must not fall back to another case's defaults
+    out = tmp_path / "o"
+    assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"unknown case {doc['case']!r}" in err and "Traceback" not in err
+    assert not list(out.glob("*"))
+
+
 @pytest.mark.parametrize("compartments", [[], ["A"]])
 def test_compartments_need_the_exchange_compartment(tmp_path, capsys, compartments):
     # without E the fluid and the elastic parts decouple and the demo source
