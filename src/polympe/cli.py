@@ -28,7 +28,7 @@ from . import __version__, driver, outputs, stepping
 from .agglomerate import AgglomerationConfig, agglomerate, partition_assignment, validate_partition
 from .families import DEMO_DIRICHLET, VERIFICATION_DIRICHLET, cartesian_two_domain, triangulated_two_domain
 from .forms import ZeroData
-from .manufactured import residual_oracle, steady_case, unsteady_case
+from .manufactured import SOURCES, residual_oracle, steady_case, unsteady_case
 from .mesh import MeshError, load_mesh, quality_report, save_mesh
 from .params import PhysicalParams
 from .solvers import NumericalError
@@ -332,9 +332,11 @@ def cmd_verify(cfg: Section):
             report_lines.append(f"[{case.name}] max residual {rep.max_residual:.3e} (tol {tol:g})")
             report_lines.append(rep.summary())
             ok &= rep.max_residual < tol
-            bad = residual_oracle(case.corrupted("f_f"), n_points=10, t=t)
-            report_lines.append(f"[{case.name}] negative control residual {bad.max_residual:.3e}")
-            ok &= bad.max_residual > 1e-1
+            for source in SOURCES:
+                bad = residual_oracle(case.corrupted(source), n_points=10, t=t)
+                report_lines.append(f"[{case.name}] negative control {source} residual "
+                                    f"{bad.max_residual:.3e}")
+                ok &= bad.max_residual > 1e-1
 
         srep = structural_checks(driver.setup(resolve_mesh(spec), m, params, dirichlet))
         report_lines.append(srep.summary())

@@ -364,8 +364,8 @@ def assemble_loads(space: DGSpace, params: PhysicalParams, faces: FaceSet, data,
     Returns one ``space.n_dofs`` vector in the field order of ``space``.
 
     ``data`` gives every datum as ``data.exact(key, pts, t)`` at points
-    (n, 2), keyed as the ``exprs`` of
-    :class:`~polympe.manufactured.ManufacturedCase`: the sources ``f_el``,
+    (n, 2), under the keys of
+    :meth:`~polympe.manufactured.ManufacturedCase.exact`: the sources ``f_el``,
     ``g:<j>`` and ``f_f``, the outlet stress ``p_out``, and the Dirichlet
     traces ``d``, ``d,t`` (its time derivative), ``u`` and ``p:<j>``;
     vector keys give (n, 2) values, scalar ones (n,).

@@ -7,68 +7,159 @@ coefficients equal to one and Biot-Willis coefficient 1/2 (configurable).
 The displacement/velocity profiles share the factor
 cos(pi x) cos(pi y) - sin(pi x) sin(pi y) = cos(pi (x + y)), which makes the
 velocity divergence-free along the (1, -1) direction and lets all interface
-conditions hold exactly. Volume sources, the outlet stress datum, and every
-needed derivative are generated symbolically from the strong equations, so
-transcription cannot drift from the fields; an independent finite-difference
-oracle (:func:`residual_oracle`) validates the whole construction.
+conditions hold exactly. Both cases are separable: every field is a time
+factor times a steady profile, and div d_s = div u_s = 0,
+lap d_s = -2 pi^2 d_s, lap u_s = -2 pi^2 u_s, lap pE_s = -pi^2 pE_s. So each
+volume source and the outlet datum is a short closed form, written once in
+:data:`_KEYS` and evaluated in numpy (:meth:`ManufacturedCase.exact`) or in
+mpmath (:func:`residual_oracle`). The tests check these closed forms against
+a symbolic derivation from the strong equations, and the independent
+finite-difference oracle validates the whole construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cache
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
-import sympy as sym
 
-from .params import PhysicalParams
-
-X, Y, T = sym.symbols("x y t", real=True)
+from .params import EXCHANGE, PhysicalParams
 
 _MARGIN = 0.02
 
 
-def _grad(e):
-    return sym.Matrix([e.diff(X), e.diff(Y)])
+class _Factors(NamedTuple):
+    """The time factors of a case at one time, with their time derivatives:
+    ``el`` scales d and p:E, ``u`` scales u and ``p`` scales p."""
+
+    el: Any
+    el_t: Any
+    el_tt: Any
+    u: Any
+    u_t: Any
+    p: Any
+    p_t: Any
 
 
-def _eps(v):
-    g = sym.Matrix([[v[0].diff(X), v[0].diff(Y)], [v[1].diff(X), v[1].diff(Y)]])
-    return (g + g.T) / 2
+def _steady_factors(t, xp) -> _Factors:
+    return _Factors(1, 0, 0, 1, 0, 1, 0)
 
 
-def _div_tensor(s):
-    return sym.Matrix([s[0, 0].diff(X) + s[0, 1].diff(Y), s[1, 0].diff(X) + s[1, 1].diff(Y)])
+def _unsteady_factors(eta, t, xp) -> _Factors:
+    """g_el = cos(eta t) - sin(eta t), g_u = g_el - g_el' / eta = 2 cos(eta t)
+    and g_p = (g_el + g_u) / 2."""
+    c, s = xp.cos(eta * t), xp.sin(eta * t)
+    return _Factors(el=c - s, el_t=-eta * (s + c), el_tt=-eta ** 2 * (c - s),
+                    u=2 * c, u_t=-2 * eta * s, p=(3 * c - s) / 2, p_t=-eta * (3 * s + c) / 2)
 
 
-def _strong_sources(d, pE, u, p, alpha):
-    """Sources and outlet datum implied by the strong equations (unit
-    coefficients, single exchange compartment)."""
-    sigma_el = 2 * _eps(d) + (d[0].diff(X) + d[1].diff(Y)) * sym.eye(2)
-    f_el = d.diff(T, 2) - _div_tensor(sigma_el) + alpha * _grad(pE)
-    d_t = d.diff(T)
-    g_E = pE.diff(T) + alpha * (d_t[0].diff(X) + d_t[1].diff(Y)) \
-        - (pE.diff(X, 2) + pE.diff(Y, 2)) + pE
-    sigma_f = 2 * _eps(u)
-    f_f = u.diff(T) - _div_tensor(sigma_f) + _grad(p)
-    # outlet stress at x = 1 with n_f = (1, 0): (sigma_f - p I) n = -pbar n
-    p_out = -(2 * u[0].diff(X) - p)
-    return f_el, g_E, f_f, p_out
+# steady profiles at (x, y), Biot-Willis alpha ``al``, in the namespace ``xp``
+# (numpy or mpmath); vector gradients are listed row by row (components, then
+# x/y)
+
+def _d_s(x, y, al, xp):
+    v = xp.pi * (1 - al) * xp.cos(xp.pi * (x + y))
+    return -v, v
 
 
-def _steady_fields(alpha):
-    phi = sym.cos(sym.pi * X) * sym.cos(sym.pi * Y) - sym.sin(sym.pi * X) * sym.sin(sym.pi * Y)
-    d = sym.pi * (1 - alpha) * phi * sym.Matrix([-1, 1])
-    pE = -sym.pi * X * sym.cos(sym.pi * Y) - 2 * sym.pi ** 2 * sym.sin(sym.pi * Y)
-    u = sym.pi * phi * sym.Matrix([1, -1])
-    p = -X * sym.cos(sym.pi * Y) - 4 * sym.pi ** 2 * sym.sin(sym.pi * Y)
-    return d, pE, u, p
+def _d_s_grad(x, y, al, xp):
+    v = xp.pi ** 2 * (1 - al) * xp.sin(xp.pi * (x + y))
+    return v, v, -v, -v
 
 
-@dataclass
+def _pE_s(x, y, al, xp):
+    return (-xp.pi * x * xp.cos(xp.pi * y) - 2 * xp.pi ** 2 * xp.sin(xp.pi * y),)
+
+
+def _pE_s_grad(x, y, al, xp):
+    cy, sy = xp.cos(xp.pi * y), xp.sin(xp.pi * y)
+    return -xp.pi * cy, xp.pi ** 2 * x * sy - 2 * xp.pi ** 3 * cy
+
+
+def _u_s(x, y, al, xp):
+    v = xp.pi * xp.cos(xp.pi * (x + y))
+    return v, -v
+
+
+def _u_s_grad(x, y, al, xp):
+    v = xp.pi ** 2 * xp.sin(xp.pi * (x + y))
+    return -v, -v, v, v
+
+
+def _p_s(x, y, al, xp):
+    return (-x * xp.cos(xp.pi * y) - 4 * xp.pi ** 2 * xp.sin(xp.pi * y),)
+
+
+def _p_s_grad(x, y, al, xp):
+    cy, sy = xp.cos(xp.pi * y), xp.sin(xp.pi * y)
+    return -cy, xp.pi * x * sy - 4 * xp.pi ** 3 * cy
+
+
+# the sources of the strong equations (unit coefficients) and the outlet
+# datum, given the time factors g
+
+def _f_el(x, y, g, al, xp):
+    """d_tt - div(2 eps(d) + div(d) I) + alpha grad pE
+    = g_el'' d_s + g_el (2 pi^2 d_s + alpha grad pE_s)."""
+    k = g.el_tt + 2 * xp.pi ** 2 * g.el
+    (d0, d1), (q0, q1) = _d_s(x, y, al, xp), _pE_s_grad(x, y, al, xp)
+    return k * d0 + al * g.el * q0, k * d1 + al * g.el * q1
+
+
+def _g_E(x, y, g, al, xp):
+    """pE_t + alpha div d_t - lap pE + pE = (g_el' + (1 + pi^2) g_el) pE_s."""
+    (q,) = _pE_s(x, y, al, xp)
+    return ((g.el_t + (1 + xp.pi ** 2) * g.el) * q,)
+
+
+def _f_f(x, y, g, al, xp):
+    """u_t - div(2 eps(u)) + grad p = g_u' u_s + 2 pi^2 g_u u_s + g_p grad p_s."""
+    k = g.u_t + 2 * xp.pi ** 2 * g.u
+    (u0, u1), (q0, q1) = _u_s(x, y, al, xp), _p_s_grad(x, y, al, xp)
+    return k * u0 + g.p * q0, k * u1 + g.p * q1
+
+
+def _p_out(x, y, g, al, xp):
+    """The outlet datum pbar of (sigma_f - p I) n = -pbar n with n = (1, 0):
+    -(2 du_x/dx - p) = 2 pi^2 g_u sin(pi (x + y)) + g_p p_s."""
+    (q,) = _p_s(x, y, al, xp)
+    return (2 * xp.pi ** 2 * g.u * xp.sin(xp.pi * (x + y)) + g.p * q,)
+
+
+def _scaled(factor: str, profile):
+    """The key whose value is the time factor ``factor`` times ``profile``."""
+    def components(x, y, g, al, xp):
+        s = getattr(g, factor)
+        return tuple(s * c for c in profile(x, y, al, xp))
+    return components
+
+
+#: the volume sources and the outlet datum: the negative controls of
+#: :func:`residual_oracle` sign-flip each in turn
+SOURCES = ("f_el", "g:E", "f_f", "p_out")
+
+#: key -> (components at (x, y) given the time factors and alpha, shape of one
+#: value). Every field has its value, ``,t`` and ``,grad`` keys; the sources
+#: and the outlet datum only their values, as no caller reads their
+#: derivatives.
+_KEYS: dict[str, tuple[Callable, tuple]] = {
+    "f_el": (_f_el, (2,)), "g:E": (_g_E, ()), "f_f": (_f_f, (2,)), "p_out": (_p_out, ()),
+}
+for _name, _factor, _profile, _grad, _shape in (
+        ("d", "el", _d_s, _d_s_grad, (2,)), ("p:E", "el", _pE_s, _pE_s_grad, ()),
+        ("u", "u", _u_s, _u_s_grad, (2,)), ("p", "p", _p_s, _p_s_grad, ())):
+    _KEYS[_name] = (_scaled(_factor, _profile), _shape)
+    _KEYS[_name + ",t"] = (_scaled(_factor + "_t", _profile), _shape)
+    _KEYS[_name + ",grad"] = (_scaled(_factor, _grad), _shape + (2,))
+
+
+@dataclass(frozen=True)
 class ManufacturedCase:
     """Exact fields, derivatives, sources, and boundary data, all read by
-    :meth:`exact` under their ``exprs`` keys.
+    :meth:`exact`: the steady profiles scaled by the time factors
+    ``factors(t, xp)``, with the keys named in ``negated`` sign-flipped.
 
     Scalar keys give (n,) arrays, vector ones (n, 2), gradients (n, 2) for
     scalars and (n, 2, 2) (rows: components, cols: x/y) for vectors.
@@ -76,101 +167,54 @@ class ManufacturedCase:
 
     name: str
     params: PhysicalParams
-    exprs: dict
-    _fns: dict = field(default_factory=dict, repr=False)
+    factors: Callable
+    negated: frozenset = frozenset()
 
-    def _fn(self, key: str):
-        """The program of ``key`` (a field, ``<field>,t`` or ``<field>,grad``)
-        and the shape of its value at one point. One CSE-compiled program
-        returns every component of the key, so they share their common
-        factors; it is lambdified on first read, as a run reads few keys."""
-        if key not in self._fns:
-            name, _, part = key.partition(",")
-            if name.startswith("_") or part not in ("", "t", "grad"):
-                raise KeyError(key)
-            expr = self.exprs[name]
-            comps, shape = (list(expr), (2,)) if isinstance(expr, sym.Matrix) else ([expr], ())
-            if part == "grad":
-                # vector gradients: rows components, columns x/y
-                comps, shape = [c.diff(v) for c in comps for v in (X, Y)], shape + (2,)
-            elif part:
-                comps = [c.diff(T) for c in comps]
-            self._fns[key] = sym.lambdify((X, Y, T), comps, "numpy", cse=True), shape
-        return self._fns[key]
+    def _components(self, key: str, x, y, t, xp) -> tuple:
+        """The components of ``key`` at (x, y) and time t, computed in the
+        namespace ``xp`` (numpy or mpmath)."""
+        comps = _KEYS[key][0](x, y, self.factors(t, xp), self.params.alpha_j[EXCHANGE], xp)
+        if key.partition(",")[0] in self.negated:
+            return tuple(-c for c in comps)
+        return comps
 
     def exact(self, key: str, pts, t=0.0):
-        """``key`` at the points ``pts`` (n, 2) and time ``t``: an ``exprs``
-        name, optionally suffixed ``,t`` (time derivative) or ``,grad``.
+        """``key`` at the points ``pts`` (n, 2) and time ``t``, as a fresh
+        array: a field (``d``, ``p:E``, ``u``, ``p``), optionally suffixed
+        ``,t`` (time derivative) or ``,grad``, or a source (``f_el``,
+        ``g:E``, ``f_f``) or the outlet datum ``p_out``. Any other key,
+        a source derivative included, raises ``KeyError``.
 
         This is the load-data interface of
         :func:`polympe.forms.assemble_loads`."""
-        fn, shape = self._fn(key)
-        pts = np.asarray(pts)
-        out = np.empty((len(pts), int(np.prod(shape))))
-        # a constant component comes back as a scalar and broadcasts
-        for i, v in enumerate(fn(pts[:, 0], pts[:, 1], t)):
+        shape = _KEYS[key][1]
+        pts = np.asarray(pts, dtype=float)
+        comps = self._components(key, pts[:, 0], pts[:, 1], t, np)
+        out = np.empty((len(pts), len(comps)))
+        for i, v in enumerate(comps):
             out[:, i] = v
         return out.reshape(len(pts), *shape)
 
     def corrupted(self, source: str) -> "ManufacturedCase":
-        """Copy with one source expression sign-flipped (negative control)."""
-        exprs = dict(self.exprs)
-        exprs[source] = -exprs[source]
-        return ManufacturedCase(self.name + f"~{source}", self.params, exprs)
+        """Copy with one field, source or datum sign-flipped, its
+        derivatives included (negative control)."""
+        if source not in _KEYS or "," in source:
+            raise KeyError(source)
+        return replace(self, name=self.name + f"~{source}", negated=self.negated | {source})
 
 
-@cache
-def _built(build, alpha) -> ManufacturedCase:
-    """``build(alpha)``, built once per ``alpha``: every later call returns
-    the same case, so its lambdified programs are shared too. Callers must
-    not mutate it. The public factories stay plain functions, as perfbench's
-    phase gates expect."""
-    return build(alpha)
+def steady_case(alpha=0.5) -> ManufacturedCase:
+    """Steady exact solution; time derivatives vanish identically."""
+    return ManufacturedCase("steady", PhysicalParams.unit(alpha=float(alpha)), _steady_factors)
 
 
-def steady_case(alpha=sym.Rational(1, 2)) -> ManufacturedCase:
-    """Steady exact solution; time derivatives vanish identically. Built
-    once per ``alpha`` (:func:`_built`)."""
-    return _built(_steady_case, alpha)
-
-
-def unsteady_case(alpha=sym.Rational(1, 2)) -> ManufacturedCase:
+def unsteady_case(alpha=0.5) -> ManufacturedCase:
     """Separable time-dependent solution: the steady profiles scaled by time
     factors chosen so the interface conditions stay exact. The factor ratio
     eta_time = mu_el / (mu_f (1 - alpha)) is distinct from the penalty eta;
-    the fluid-pressure factor averages the elastic and velocity ones. Built
-    once per ``alpha`` (:func:`_built`)."""
-    return _built(_unsteady_case, alpha)
-
-
-def _steady_case(alpha) -> ManufacturedCase:
-    alpha = sym.nsimplify(alpha)
-    d, pE, u, p = _steady_fields(alpha)
-    f_el, g_E, f_f, p_out = _strong_sources(d, pE, u, p, alpha)
-    return ManufacturedCase(
-        name="steady",
-        params=PhysicalParams.unit(alpha=float(alpha)),
-        exprs={"d": d, "p:E": pE, "u": u, "p": p,
-               "f_el": f_el, "g:E": g_E, "f_f": f_f, "p_out": p_out},
-    )
-
-
-def _unsteady_case(alpha) -> ManufacturedCase:
-    alpha = sym.nsimplify(alpha)
-    eta_time = 1 / (1 - alpha)
-    g_el = sym.cos(eta_time * T) - sym.sin(eta_time * T)
-    g_u = g_el - g_el.diff(T) / eta_time
-    g_p = (g_el + g_u) / 2
-    ds, pEs, us, ps = _steady_fields(alpha)
-    d, pE, u, p = g_el * ds, g_el * pEs, g_u * us, g_p * ps
-    f_el, g_E, f_f, p_out = _strong_sources(d, pE, u, p, alpha)
-    return ManufacturedCase(
-        name="unsteady",
-        params=PhysicalParams.unit(alpha=float(alpha)),
-        exprs={"d": d, "p:E": pE, "u": u, "p": p,
-               "f_el": f_el, "g:E": g_E, "f_f": f_f, "p_out": p_out,
-               "_g_el": g_el, "_g_u": g_u, "_g_p": g_p, "_eta_time": eta_time},
-    )
+    the fluid-pressure factor averages the elastic and velocity ones."""
+    params = PhysicalParams.unit(alpha=float(alpha))
+    return ManufacturedCase("unsteady", params, partial(_unsteady_factors, 1 / (1 - float(alpha))))
 
 
 @dataclass
@@ -193,13 +237,30 @@ class ResidualReport:
         return "\n".join(lines)
 
 
+#: central differences: derivative -> ((steps in x, y, t, weight), ...) and
+#: the power of the step they are divided by
+_STENCILS = {
+    "": (((0, 0, 0, 1),), 0),
+    "x": (((1, 0, 0, 0.5), (-1, 0, 0, -0.5)), 1),
+    "y": (((0, 1, 0, 0.5), (0, -1, 0, -0.5)), 1),
+    "t": (((0, 0, 1, 0.5), (0, 0, -1, -0.5)), 1),
+    "xx": (((1, 0, 0, 1), (0, 0, 0, -2), (-1, 0, 0, 1)), 2),
+    "yy": (((0, 1, 0, 1), (0, 0, 0, -2), (0, -1, 0, 1)), 2),
+    "tt": (((0, 0, 1, 1), (0, 0, 0, -2), (0, 0, -1, 1)), 2),
+    "xy": (((1, 1, 0, 0.25), (1, -1, 0, -0.25), (-1, 1, 0, -0.25), (-1, -1, 0, 0.25)), 2),
+    "tx": (((1, 0, 1, 0.25), (1, 0, -1, -0.25), (-1, 0, 1, -0.25), (-1, 0, -1, 0.25)), 2),
+    "ty": (((0, 1, 1, 0.25), (0, 1, -1, -0.25), (0, -1, 1, -0.25), (0, -1, -1, 0.25)), 2),
+}
+
+
 def residual_oracle(case: ManufacturedCase, n_points: int = 100, t: float = 0.0,
                     step: float = 1e-5, seed: int = 0) -> ResidualReport:
     """Validate the case against the strong equations with central finite
-    differences of the exact fields (independent of the symbolic source
-    derivation). Field values on the stencils are evaluated in extended
-    precision so the second differences are truncation-limited.
-    ``n_points`` must be at least 1.
+    differences of the exact fields (independent of the closed-form
+    sources). Field values on the stencils are evaluated in extended
+    precision so the second differences are truncation-limited. Checks the
+    volume equations in each subdomain, the interface conditions at x = 0
+    and the outlet stress at x = 1. ``n_points`` must be at least 1.
     """
     if n_points < 1:
         raise ValueError(f"n_points must be >= 1, got {n_points}")
@@ -208,14 +269,6 @@ def residual_oracle(case: ManufacturedCase, n_points: int = 100, t: float = 0.0,
     prm = case.params
     if tuple(prm.compartments) != ("E",):
         raise ValueError("the residual oracle covers the single-compartment cases")
-
-    fns = {}
-    for key in ("d", "p:E", "u", "p", "f_el", "g:E", "f_f"):
-        expr = case.exprs[key]
-        if isinstance(expr, sym.Matrix):
-            fns[key] = [sym.lambdify((X, Y, T), expr[i], "mpmath") for i in (0, 1)]
-        else:
-            fns[key] = sym.lambdify((X, Y, T), expr, "mpmath")
 
     rng = np.random.default_rng(seed)
     n_el = n_f = n_points
@@ -229,35 +282,24 @@ def residual_oracle(case: ManufacturedCase, n_points: int = 100, t: float = 0.0,
         h = mp.mpf(step)
         tt = mp.mpf(t)
 
-        def dx(f, x, y):
-            return (f(x + h, y, tt) - f(x - h, y, tt)) / (2 * h)
+        def at(x, y):
+            """``D(key, derivative)``: the central difference of every
+            component of ``key`` at (x, y, t); each stencil point of each key
+            is evaluated once."""
+            x, y = mp.mpf(float(x)), mp.mpf(float(y))
+            values = {}
 
-        def dy(f, x, y):
-            return (f(x, y + h, tt) - f(x, y - h, tt)) / (2 * h)
+            def value(key, i, j, k):
+                if (key, i, j, k) not in values:
+                    values[key, i, j, k] = case._components(
+                        key, x + i * h, y + j * h, tt + k * h, mp)
+                return values[key, i, j, k]
 
-        def dxx(f, x, y):
-            return (f(x + h, y, tt) - 2 * f(x, y, tt) + f(x - h, y, tt)) / h ** 2
-
-        def dyy(f, x, y):
-            return (f(x, y + h, tt) - 2 * f(x, y, tt) + f(x, y - h, tt)) / h ** 2
-
-        def dxy(f, x, y):
-            return (f(x + h, y + h, tt) - f(x + h, y - h, tt)
-                    - f(x - h, y + h, tt) + f(x - h, y - h, tt)) / (4 * h ** 2)
-
-        def dt(f, x, y):
-            return (f(x, y, tt + h) - f(x, y, tt - h)) / (2 * h)
-
-        def dtt(f, x, y):
-            return (f(x, y, tt + h) - 2 * f(x, y, tt) + f(x, y, tt - h)) / h ** 2
-
-        def dt_then_dx(f, x, y):
-            return ((f(x + h, y, tt + h) - f(x + h, y, tt - h))
-                    - (f(x - h, y, tt + h) - f(x - h, y, tt - h))) / (4 * h * h)
-
-        def dt_then_dy(f, x, y):
-            return ((f(x, y + h, tt + h) - f(x, y + h, tt - h))
-                    - (f(x, y - h, tt + h) - f(x, y - h, tt - h))) / (4 * h * h)
+            def D(key, derivative=""):
+                taps, power = _STENCILS[derivative]
+                comps = zip(*(value(key, i, j, k) for i, j, k, _ in taps))
+                return [sum(w * v for (*_, w), v in zip(taps, c)) / h ** power for c in comps]
+            return D
 
         mu, lam = mp.mpf(prm.mu_el), mp.mpf(prm.lam)
         muf = mp.mpf(prm.mu_f)
@@ -266,57 +308,58 @@ def residual_oracle(case: ManufacturedCase, n_points: int = 100, t: float = 0.0,
         beta_e = mp.mpf(prm.beta_ext["E"])
         rho_el, rho_f, cE = mp.mpf(prm.rho_el), mp.mpf(prm.rho_f), mp.mpf(prm.c_j["E"])
 
-        d0, d1 = fns["d"]
-        u0, u1 = fns["u"]
-        pE, p = fns["p:E"], fns["p"]
-        fel0, fel1 = fns["f_el"]
-        ff0, ff1 = fns["f_f"]
-        gE = fns["g:E"]
-
         res: dict[str, float] = {}
 
         def track(name, value):
             res[name] = max(res.get(name, 0.0), abs(float(value)))
 
         for px, py in pts_el:
-            x, y = mp.mpf(float(px)), mp.mpf(float(py))
-            div_sigma_0 = (2 * mu + lam) * dxx(d0, x, y) + mu * dyy(d0, x, y) \
-                + (lam + mu) * dxy(d1, x, y)
-            div_sigma_1 = mu * dxx(d1, x, y) + (2 * mu + lam) * dyy(d1, x, y) \
-                + (lam + mu) * dxy(d0, x, y)
-            track("elastic momentum x",
-                  rho_el * dtt(d0, x, y) - div_sigma_0 + alpha * dx(pE, x, y) - fel0(x, y, tt))
-            track("elastic momentum y",
-                  rho_el * dtt(d1, x, y) - div_sigma_1 + alpha * dy(pE, x, y) - fel1(x, y, tt))
+            D = at(px, py)
+            dxx, dyy, dxy = D("d", "xx"), D("d", "yy"), D("d", "xy")
+            dtt, dtx, dty = D("d", "tt"), D("d", "tx"), D("d", "ty")
+            (pE,), (pEx,), (pEy,) = D("p:E"), D("p:E", "x"), D("p:E", "y")
+            (pE_xx,), (pE_yy,), (pE_t,) = D("p:E", "xx"), D("p:E", "yy"), D("p:E", "t")
+            f_el, (gE,) = D("f_el"), D("g:E")
+            div_sigma_0 = (2 * mu + lam) * dxx[0] + mu * dyy[0] + (lam + mu) * dxy[1]
+            div_sigma_1 = mu * dxx[1] + (2 * mu + lam) * dyy[1] + (lam + mu) * dxy[0]
+            track("elastic momentum x", rho_el * dtt[0] - div_sigma_0 + alpha * pEx - f_el[0])
+            track("elastic momentum y", rho_el * dtt[1] - div_sigma_1 + alpha * pEy - f_el[1])
             track("mass balance E",
-                  cE * dt(pE, x, y) + alpha * (dt_then_dx(d0, x, y) + dt_then_dy(d1, x, y))
-                  - kappa * (dxx(pE, x, y) + dyy(pE, x, y)) + beta_e * pE(x, y, tt)
-                  - gE(x, y, tt))
+                  cE * pE_t + alpha * (dtx[0] + dty[1]) - kappa * (pE_xx + pE_yy)
+                  + beta_e * pE - gE)
 
         for px, py in pts_f:
-            x, y = mp.mpf(float(px)), mp.mpf(float(py))
-            div_sf_0 = muf * (2 * dxx(u0, x, y) + dyy(u0, x, y) + dxy(u1, x, y))
-            div_sf_1 = muf * (dxx(u1, x, y) + 2 * dyy(u1, x, y) + dxy(u0, x, y))
-            track("fluid momentum x",
-                  rho_f * dt(u0, x, y) - div_sf_0 + dx(p, x, y) - ff0(x, y, tt))
-            track("fluid momentum y",
-                  rho_f * dt(u1, x, y) - div_sf_1 + dy(p, x, y) - ff1(x, y, tt))
-            track("incompressibility", dx(u0, x, y) + dy(u1, x, y))
+            D = at(px, py)
+            uxx, uyy, uxy = D("u", "xx"), D("u", "yy"), D("u", "xy")
+            ut, ux, uy = D("u", "t"), D("u", "x"), D("u", "y")
+            (px_,), (py_,), f_f = D("p", "x"), D("p", "y"), D("f_f")
+            div_sf_0 = muf * (2 * uxx[0] + uyy[0] + uxy[1])
+            div_sf_1 = muf * (uxx[1] + 2 * uyy[1] + uxy[0])
+            track("fluid momentum x", rho_f * ut[0] - div_sf_0 + px_ - f_f[0])
+            track("fluid momentum y", rho_f * ut[1] - div_sf_1 + py_ - f_f[1])
+            track("incompressibility", ux[0] + uy[1])
 
         for py in ys_sigma:
-            x, y = mp.mpf(0), mp.mpf(float(py))
-            # n_el = (1, 0), n_f = (-1, 0)
-            sig_el_00 = (2 * mu + lam) * dx(d0, x, y) + lam * dy(d1, x, y)
-            sig_el_10 = mu * (dy(d0, x, y) + dx(d1, x, y))
-            sig_f_00 = 2 * muf * dx(u0, x, y)
-            sig_f_10 = muf * (dy(u0, x, y) + dx(u1, x, y))
-            track("interface stress balance x",
-                  sig_el_00 - alpha * pE(x, y, tt) - sig_f_00 + p(x, y, tt))
+            # interface at x = 0: n_el = (1, 0), n_f = (-1, 0)
+            D = at(0.0, py)
+            dx, dy, dt = D("d", "x"), D("d", "y"), D("d", "t")
+            ux, uy, u = D("u", "x"), D("u", "y"), D("u")
+            (pE,), (pEx,), (p,) = D("p:E"), D("p:E", "x"), D("p")
+            sig_el_00 = (2 * mu + lam) * dx[0] + lam * dy[1]
+            sig_el_10 = mu * (dy[0] + dx[1])
+            sig_f_00 = 2 * muf * ux[0]
+            sig_f_10 = muf * (uy[0] + ux[1])
+            track("interface stress balance x", sig_el_00 - alpha * pE - sig_f_00 + p)
             track("interface stress balance y", sig_el_10 - sig_f_10)
-            track("interface mass flux",
-                  -u0(x, y, tt) + dt(d0, x, y) - kappa * dx(pE, x, y))
-            track("interface normal stress",
-                  pE(x, y, tt) - p(x, y, tt) + sig_f_00)
+            track("interface mass flux", -u[0] + dt[0] - kappa * pEx)
+            track("interface normal stress", pE - p + sig_f_00)
             track("interface tangential stress", sig_f_10)
+
+            # outlet at x = 1, n_f = (1, 0): (sigma_f - p I) n = -pbar n
+            D = at(1.0, py)
+            ux, uy = D("u", "x"), D("u", "y")
+            (p,), (pbar,) = D("p"), D("p_out")
+            track("outlet normal stress", 2 * muf * ux[0] - p + pbar)
+            track("outlet tangential stress", muf * (uy[0] + ux[1]))
 
     return ResidualReport(residuals=res, n_points=n_points, t=t, step=step)

@@ -7,6 +7,7 @@ import pytest
 
 from polympe import cli
 from polympe.cli import main
+from polympe.manufactured import SOURCES
 from polympe.mesh import load_mesh
 
 from conftest import read_config, sha256_hex
@@ -102,17 +103,21 @@ def test_demo_snapshot_bytes_pinned(tmp_path):
 
 #: sha256 of each snapshot file of `polympe solve` for the steady, unsteady
 #: and zero cases on ``cartesian_two_domain(2)`` at m = 1 (the unsteady and
-#: zero cases: 4 steps of 0.01, snapshot stride 2)
+#: zero cases: 4 steps of 0.01, snapshot stride 2). The steady and unsteady
+#: entries were recorded again when the manufactured cases became closed
+#: forms: per column, the cell means moved by at most 4.9e-16 * max|column|
+#: (steady) and 4.6e-13 * max|column| (unsteady, in p at step 4; d, p:E and
+#: u by at most 1.4e-14)
 CASE_SNAPSHOT_SHA256 = {
     "steady": {
-        "snapshot_000000.csv": "1e615e3e675c96eb37c9a8b3ad7db04b539c301ebe252bdd64e591ac20ddf580",
-        "snapshot_000000.vtk": "4caf8fa9813da3624f3ad6a3e7d26fc32c08e90cb15e2cb313e674f8fb1db89a",
+        "snapshot_000000.csv": "9dfe55ec627c86bc7f2045e34081731980951cbb09f2bff6a0ea740b138a82d1",
+        "snapshot_000000.vtk": "65ac2db3914471e5be2b63ffd6ef8262b79f0a8bcf5144bddfc72e906398b8ba",
     },
     "unsteady": {
-        "snapshot_000002.csv": "4f8792898bdf795b6ac19e1d08523c252b233c5023ff4324d4f02a61b51bec9e",
-        "snapshot_000002.vtk": "22e1fb97280343b95b8c576a87a00b369dd432ae70e3dff236093c053c0a9821",
-        "snapshot_000004.csv": "4a8c14e8933c4fea1ec84cc12846900a1522682ad613df6901eeceec994ef6f5",
-        "snapshot_000004.vtk": "6a5615d7ff6d65a89dcbc30881aae98f2d23c5854d445f6712df0374f1426b63",
+        "snapshot_000002.csv": "1405f95a7b3fd37de43c9badadb86801c5f5e8fccbde67acfd4525719769fc52",
+        "snapshot_000002.vtk": "e3b928c7906c6ad6d79f9500a26e29b615cef6895d92f44e0d370001124b289b",
+        "snapshot_000004.csv": "a315e76d3fa3ae68bb1997d7b3b741938fe1042a08a26af34fab9e3fd5cb8cd0",
+        "snapshot_000004.vtk": "28f3393662a9e5969d0e0bd4d34b375a14daa9f715f0522ee12c40fc05566001",
     },
     "zero": {
         "snapshot_000002.csv": "31b007a35c3870af150f4fe4d970e53c14a21f84ad8ea777d989a9372d474053",
@@ -481,8 +486,10 @@ def test_pure_neumann_steady_is_numerical_failure(tmp_path, capsys):
 RATE_TABLE_COLUMNS = ["m", "h", "n_elements_el", "n_elements_f", "err_energy",
                       "err_d", "err_pE", "err_u", "err_p", "rate_energy"]
 #: sha256 of the rates.csv of the sweep below, recorded when the columns
-#: were a fixed list in the writer
-RATES_CSV_SHA256 = "3960fffa5ea65f2974ab1acd0e607d1e0b7a91a261ca9af29ce9c6858873ec96"
+#: were a fixed list in the writer, and again when the manufactured cases
+#: became closed forms: each error moved by at most 3.6e-14 of itself
+#: (err_p; err_energy 1.7e-15) and the rates not at all
+RATES_CSV_SHA256 = "ad3b4a43abf7551e56550b87e736274f6fdc7f86b699d1bd906043dd398a1b46"
 
 
 def test_convergence_command_and_determinism(tmp_path):
@@ -543,7 +550,10 @@ def test_verify_command(tmp_path):
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
     text = (out / "verify.txt").read_text()
     assert "max residual" in text and "structural checks: PASS" in text
-    assert "negative control" in text
+    # one negative control per source and case, and the outlet is checked
+    for source in SOURCES:
+        assert text.count(f"negative control {source} residual") == 2, source
+    assert "outlet normal stress" in text
     # one symmetry line for the one compartment mass, none per compartment
     assert "symmetry M_comp:" in text and "symmetry M_E:" not in text
 

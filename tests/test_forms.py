@@ -8,7 +8,6 @@ import sympy as sym
 from polympe import forms
 from polympe.cli import DemoData, resolve_params
 from polympe.families import DEMO_DIRICHLET, VERIFICATION_DIRICHLET
-from polympe.manufactured import ManufacturedCase, X, Y, _strong_sources
 from polympe.mesh import build_faces, harmonic_h
 from polympe.params import PhysicalParams
 from polympe.spaces import build_space, l2_project
@@ -16,6 +15,7 @@ from polympe.system import build_system, coupling_blocks
 
 from conftest import (ACVE, OnePointData, pin_params, pin_setup, sha256_hex, two_square_mesh,
                       unit_square_mesh)
+from symbolic import X, Y, SymbolicCase
 
 
 def natural_setup(domain, m=2):
@@ -268,10 +268,7 @@ def test_interface_patch_linear():
     pE = sym.Integer(-2) + 0 * X
     u = sym.Matrix([X, -Y])
     p = sym.Integer(0) + 0 * X
-    f_el, g_E, f_f, p_out = _strong_sources(d, pE, u, p, alpha)
-    case = ManufacturedCase("patch1", PhysicalParams.unit(alpha=0.5),
-                            {"d": d, "p:E": pE, "u": u, "p": p,
-                             "f_el": f_el, "g:E": g_E, "f_f": f_f, "p_out": p_out})
+    case = SymbolicCase.from_fields("patch1", alpha, d, pE, u, p)
     state, sysm = solve_steady(case, cartesian_two_domain(2), 1)
     bn = norms.broken_norms(sysm.space, sysm.faces, case.params, state, exact=case, t=0.0)
     for key, val in bn.items():
@@ -289,10 +286,7 @@ def test_interface_patch_cubic(mesh80):
     pE = -X * Y ** 2
     u = sym.Matrix([X ** 2 + Y ** 2, -2 * X * Y])
     p = X * Y
-    f_el, g_E, f_f, p_out = _strong_sources(d, pE, u, p, alpha)
-    case = ManufacturedCase("patch3", PhysicalParams.unit(alpha=0.5),
-                            {"d": d, "p:E": pE, "u": u, "p": p,
-                             "f_el": f_el, "g:E": g_E, "f_f": f_f, "p_out": p_out})
+    case = SymbolicCase.from_fields("patch3", alpha, d, pE, u, p)
     state, sysm = solve_steady(case, mesh80, 3)
     bn = norms.broken_norms(sysm.space, sysm.faces, case.params, state, exact=case, t=0.0)
     for key, val in bn.items():
@@ -440,16 +434,17 @@ def test_volume_loads_equal_projection(mesh80, unsteady):
 # Dirichlet), recorded when every term was assembled whatever its datum:
 # skipping a term whose datum is zero everywhere must leave every bit.
 # The unsteady and steady entries were recorded again when each exact key
-# became one CSE program: the sums inside the symbolic sources reorder,
-# which moves these loads by at most 9.6e-18 * max|F|.
+# became one CSE program (the sums inside the symbolic sources reorder: at
+# most 9.6e-18 * max|F|), and again when the manufactured cases became
+# closed forms, which moved these loads by at most 1.6e-16 * max|F|.
 
 LOAD_SHA256 = {
     "demo/0.0": "2ddbd07ddfda5d4f9b1c44c8ff16f7e38027d275af6bf57f317b136060d695a9",
     "demo/0.01": "7ca55165b9d3303dd8dd1662dfb55ad4f1610e20f500c52b74865c886cf7e311",
     "demo/0.25": "e94532cacde54b96aa66e6c6bee60cdd3c7f63534a21ca8b4a8ab90a5e496007",
     "demo/0.37": "1a0f7e7563ac33b9dd9f76c0020516fc2124239a374039ed8004010389925ef6",
-    "unsteady/0.37": "abf0b8f8853ffff433688f199af76b0d5d771a1f90ee7f8918fff12036742369",
-    "steady/0.0": "97551e62c2a0569e65c7c16896fa24a0ef97a29f9ced55b1e3385e62e9a168e2",
+    "unsteady/0.37": "863253640436c8d5df2f48554fb25f1efe4baacb204cae50eefebfd2d6dbd1b6",
+    "steady/0.0": "114c3b4de4bb4b3d88073a1cfded8968545d2116d38288b1f7510b4327317500",
 }
 DEMO_CONFIG = json.loads((Path(__file__).parents[1] / "configs" / "demo.json").read_text())
 

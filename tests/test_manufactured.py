@@ -1,8 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import sympy as sym
 
-from polympe.manufactured import T, X, Y, residual_oracle
+import polympe
+from polympe.manufactured import SOURCES, residual_oracle
+
+from symbolic import T, steady_reference, unsteady_factors, unsteady_reference
+
+FIELD_KEYS = [f + part for f in ("d", "p:E", "u", "p") for part in ("", ",t", ",grad")]
 
 
 def sample_points(rng, n, domain):
@@ -28,24 +38,29 @@ def test_divergence_free_closed_form(steady, unsteady):
         assert np.abs(g[:, 0, 0] + g[:, 1, 1]).max() < 1e-12
 
 
-@pytest.mark.parametrize("key", ["u,tt", "_g_el", "q", "p:E,grad,t"])
+@pytest.mark.parametrize("key", ["u,tt", "_g_el", "q", "p:E,grad,t", "f_el,t", "f_el,grad"])
 def test_unknown_key_is_key_error(unsteady, key):
+    # no caller reads a source derivative, so the cases do not define them
     with pytest.raises(KeyError):
         unsteady.exact(key, np.zeros((1, 2)), 0.0)
+    with pytest.raises(KeyError):
+        unsteady.corrupted(key)
 
 
-def test_time_factors(unsteady):
-    g_el = unsteady.exprs["_g_el"]
-    t = sym.Symbol("t", real=True)
-    assert float(g_el.subs(t, 0).subs(sym.Symbol("t"), 0)) == pytest.approx(1.0)
-    eta = float(unsteady.exprs["_eta_time"])
-    assert eta == pytest.approx(2.0)  # mu_el / (mu_f (1 - alpha)) at unit params
-    g_u = sym.simplify(unsteady.exprs["_g_u"])
-    g_p = sym.simplify(unsteady.exprs["_g_p"] - (unsteady.exprs["_g_el"] + unsteady.exprs["_g_u"]) / 2)
-    assert g_p == 0
-    # g_u(0) computed symbolically rather than by hand arithmetic
-    tsym = list(g_u.free_symbols)[0]
-    assert float(g_u.subs(tsym, 0)) == pytest.approx(2.0)
+def test_time_factors(steady, unsteady):
+    # the closed-form factors and their derivatives against the symbolic ones
+    g_el, g_u, g_p, eta = unsteady_factors(sym.Rational(1, 2))
+    assert eta == 2  # mu_el / (mu_f (1 - alpha)) at unit params
+    want = {"el": g_el, "el_t": g_el.diff(T), "el_tt": g_el.diff(T, 2),
+            "u": g_u, "u_t": g_u.diff(T), "p": g_p, "p_t": g_p.diff(T)}
+    for t in (0.0, 0.37, 1.3):
+        got = unsteady.factors(t, np)._asdict()
+        assert set(got) == set(want)
+        for name, expr in want.items():
+            assert got[name] == pytest.approx(float(expr.subs(T, t)), rel=1e-14, abs=1e-14), name
+        assert tuple(steady.factors(t, np)) == (1, 0, 0, 1, 0, 1, 0)
+    g0 = unsteady.factors(0.0, np)
+    assert (g0.el, g0.u, g0.p) == (1, 2, 1.5)
 
 
 def test_unsteady_reduces_to_scaled_steady_at_t0(steady, unsteady):
@@ -59,13 +74,14 @@ def test_unsteady_reduces_to_scaled_steady_at_t0(steady, unsteady):
 
 
 def test_separability(unsteady):
+    # each field is its time factor times one profile
     rng = np.random.default_rng(6)
     pts = sample_points(rng, 8, "elastic")
     t1, t2 = 0.123, 0.456
-    a = unsteady.exact("p:E", pts, t1)
-    b = unsteady.exact("p:E", pts, t2)
-    g_el = sym.lambdify(sym.Symbol("t", real=True), unsteady.exprs["_g_el"])
-    assert np.allclose(a / b, g_el(t1) / g_el(t2))
+    g1, g2 = unsteady.factors(t1, np), unsteady.factors(t2, np)
+    for key, factor in (("d", "el"), ("p:E", "el"), ("u", "u"), ("p", "p")):
+        a, b = unsteady.exact(key, pts, t1), unsteady.exact(key, pts, t2)
+        assert np.allclose(a * getattr(g2, factor), b * getattr(g1, factor)), key
 
 
 def test_residual_oracle_steady(steady):
@@ -80,10 +96,10 @@ def test_residual_oracle_unsteady(unsteady):
 
 
 def test_residual_oracle_negative_control(steady):
-    bad = residual_oracle(steady.corrupted("f_f"), n_points=20)
-    assert bad.max_residual > 1e-1
-    bad2 = residual_oracle(steady.corrupted("g:E"), n_points=20)
-    assert bad2.max_residual > 1e-1
+    # a sign slip in any source or in the outlet datum fails the oracle
+    for source in SOURCES:
+        bad = residual_oracle(steady.corrupted(source), n_points=20)
+        assert bad.max_residual > 1e-1, source
 
 
 @pytest.mark.parametrize("n_points", [0, -3])
@@ -96,7 +112,8 @@ def test_interface_conditions_via_oracle(unsteady):
     rep = residual_oracle(unsteady, n_points=50, t=0.05)
     for name in ("interface stress balance x", "interface stress balance y",
                  "interface mass flux", "interface normal stress",
-                 "interface tangential stress"):
+                 "interface tangential stress", "outlet normal stress",
+                 "outlet tangential stress"):
         assert rep.residuals[name] < 1e-4, name
 
 
@@ -106,35 +123,36 @@ def test_report_summary(steady):
     assert "max" in text and "incompressibility" in text
 
 
-def reference_exact(case, key, pts, t):
-    """``case.exact(key, pts, t)`` the way it was first written: one plain
-    ``lambdify`` per component and derivative, broadcast and stacked."""
-    name, _, part = key.partition(",")
-    expr = case.exprs[name]
-
-    def lam(e):
-        f = sym.lambdify((X, Y, T), e, "numpy")
-        return np.broadcast_to(np.asarray(f(pts[:, 0], pts[:, 1], t), dtype=float), len(pts))
-
-    def ev(e):
-        if part == "grad":
-            return np.stack([lam(e.diff(v)) for v in (X, Y)], axis=1)
-        return lam(e.diff(T) if part else e)
-
-    return np.stack([ev(e) for e in expr], axis=1) if isinstance(expr, sym.Matrix) else ev(expr)
+@pytest.fixture(scope="module")
+def references():
+    return {"steady": steady_reference(), "unsteady": unsteady_reference()}
 
 
 @pytest.mark.parametrize("which", ["steady", "unsteady", "corrupted"])
-def test_exact_matches_per_component_reference(steady, unsteady, which):
-    case = {"steady": steady, "unsteady": unsteady, "corrupted": unsteady.corrupted("f_el")}[which]
+def test_exact_matches_per_component_reference(steady, unsteady, references, which):
+    # the closed forms against the symbolic derivation, for every key a
+    # caller reads
+    case, ref = {"steady": (steady, references["steady"]),
+                 "unsteady": (unsteady, references["unsteady"]),
+                 "corrupted": (unsteady.corrupted("f_el"),
+                               references["unsteady"].corrupted("f_el"))}[which]
     pts = np.random.default_rng(7).uniform([-1.0, 0.0], [1.0, 1.0], (300, 2))
-    keys = [name + part for name in case.exprs if not name.startswith("_")
-            for part in ("", ",t", ",grad")]
-    for key in keys:
+    for key in FIELD_KEYS + list(SOURCES):
         for t in (0.0, 0.37, 1.3):
-            got, want = case.exact(key, pts, t), reference_exact(case, key, pts, t)
+            got, want = case.exact(key, pts, t), ref.exact(key, pts, t)
             assert got.shape == want.shape and got.dtype == np.float64, key
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), (key, t)
             # a fresh array each call, which callers may write to
             again = case.exact(key, pts, t)
             assert got.flags.writeable and not np.shares_memory(got, again), key
+
+
+def test_import_does_not_load_sympy():
+    # sympy is a test dependency only: the package and its CLI never import it
+    src = str(Path(polympe.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, polympe, polympe.cli; print('sympy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=60, check=True)
+    assert out.stdout.strip() == "False"
