@@ -196,12 +196,18 @@ def _read_case(cfg: Section, default: str, cases=("steady", "unsteady", "zero", 
     return case_id
 
 
-def _read_dirichlet(cfg: Section, case: str) -> dict:
-    """The Dirichlet fields of each boundary label, by default ``case``'s."""
+def _read_dirichlet(cfg: Section, case: str, compartments) -> dict:
+    """The Dirichlet fields of each boundary label, by default ``case``'s;
+    each is ``d``, ``u`` or ``p:<j>`` of one of ``compartments``."""
     default = VERIFICATION_DIRICHLET if case in ("steady", "unsteady") else DEMO_DIRICHLET
     sec = cfg.section("dirichlet", {lab: sorted(fs) for lab, fs in default.items()},
                       path="{} {!r}")
-    return {lab: set(sec.names(lab)) for lab in sec.doc}
+    known = {"d", "u", *(f"p:{j}" for j in compartments)}
+    out = {lab: set(sec.names(lab)) for lab in sec.doc}
+    for lab in (lab for lab, fs in out.items() if fs - known):
+        raise ConfigError(f"{sec.path(lab)} lists unknown field(s) {sorted(out[lab] - known)}; "
+                          f"expected some of {sorted(known)}")
+    return out
 
 
 class DemoData(ZeroData):
@@ -272,7 +278,7 @@ def cmd_convergence(cfg: Section):
 def cmd_solve(cfg: Section):
     case_id = _read_case(cfg, "demo")
     spec = _read_spec(cfg.section("mesh", {"family": "cartesian", "ny": 4}))
-    m, dirichlet = cfg.integer("degree", 2), _read_dirichlet(cfg, case_id)
+    m = cfg.integer("degree", 2)
     if case_id in ("steady", "unsteady"):
         # the manufactured cases bring their own parameters
         data = steady_case() if case_id == "steady" else unsteady_case()
@@ -280,6 +286,7 @@ def cmd_solve(cfg: Section):
     else:
         params = _read_params(cfg)
         data = DemoData(cfg.real("demo_amplitude", 2e-3)) if case_id == "demo" else ZeroData()
+    dirichlet = _read_dirichlet(cfg, case_id, params.compartments)
     if case_id != "steady":
         scfg, stride = cfg.section("scheme", {}), cfg.integer("snapshot_stride", 1)
     cfg.close()
@@ -321,7 +328,7 @@ def cmd_verify(cfg: Section):
     vcfg.close()
     m, params = cfg.integer("degree", 2), _read_params(cfg)
     spec = _read_spec(cfg.section("mesh", {"family": "cartesian", "ny": 4}))
-    dirichlet = _read_dirichlet(cfg, _read_case(cfg, "steady"))
+    dirichlet = _read_dirichlet(cfg, _read_case(cfg, "steady"), params.compartments)
     cfg.close()
 
     def run(out: Path):

@@ -12,10 +12,11 @@ All assembled blocks are field-local sparse CSR matrices, placed globally
 in :mod:`polympe.system`; the loads are one dense vector in the global field
 order of :class:`~polympe.spaces.DGSpace`.
 
-Assembly reads the stacked tabulations of :class:`~polympe.spaces.DGSpace`:
-volume terms take one batched product per group of elements with equal
-quadrature-point counts and per term, face terms one per face set (interior
-faces with both sides, boundary faces with the plus side) and per term.
+Volume terms scale the Gram products ``gram`` of a
+:class:`~polympe.spaces.VolumeTable` and volume loads are its ``integrate``:
+this module reads no volume basis. Face terms take one batched product of the
+stacked face tabulations per face set (interior faces with both sides,
+boundary faces with the plus side) and per term.
 Each block is built from one COO triplet list whose entries follow the
 element, face, side and component order of the sums that define the form,
 and face loads are accumulated in face order: duplicate entries and face
@@ -31,7 +32,7 @@ import scipy.sparse as sp
 
 from .mesh import FaceSet
 from .params import EXCHANGE, PhysicalParams
-from .spaces import DGSpace, FaceTable, VolumeTable
+from .spaces import DGSpace, FaceTable
 
 
 @dataclass(frozen=True)
@@ -78,8 +79,7 @@ def _csr(shape, *parts):
     together; duplicates are summed. scipy sums them in an order set by the
     entry order, so the parts list the blocks in the order of the sums over
     elements, faces, sides and components that define each form."""
-    parts = [(np.broadcast_to(r[..., :, None], v.shape),
-              np.broadcast_to(c[..., None, :], v.shape), v) for r, c, v in parts]
+    parts = [np.broadcast_arrays(r[..., :, None], c[..., None, :], v) for r, c, v in parts]
     if not sum(v.size for _, _, v in parts):
         return sp.csr_matrix(shape)
     rows, cols, vals = (np.concatenate([p[i].ravel() for p in parts]) for i in range(3))
@@ -91,44 +91,10 @@ def _csr(shape, *parts):
 # -- volume terms -------------------------------------------------------------
 
 
-def _volume_products(tab: VolumeTable, *pairs) -> np.ndarray:
-    """a^T W b per element for each pair (a, b) of basis tabulations (0:
-    values, 1 and 2: x and y derivatives); (len(pairs), n_elem, n_loc, n_loc).
-    One batched product per group of elements with equal point counts."""
-    n_loc = tab.basis.shape[2]
-    out = np.empty((len(pairs), tab.n_elem, n_loc, n_loc))
-    for elems, rows, n in tab.groups:
-        w = tab.weights[rows].reshape(-1, n, 1)
-        basis = tab.basis[:, rows].reshape(3, -1, n, n_loc)
-        for i, (a, b) in enumerate(pairs):
-            out[i, elems] = basis[a].swapaxes(1, 2) @ (w * basis[b])
-    return out
-
-
-def _volume_loads(tab: VolumeTable, vals: np.ndarray) -> np.ndarray:
-    """phi^T (w * v) per element for each row v of the point values ``vals``
-    (k, nq); (n_elem, k, n_loc). A row that is zero at every point gives
-    zero blocks and no products (NaN and inf count as nonzero)."""
-    # contiguous point rows, as the per-element products read them (and as
-    # the zero test scans them fast); each (row, element) product is its own
-    # gemv, so a kept row rounds the same whichever rows are dropped
-    vals = np.ascontiguousarray(vals)
-    keep = np.flatnonzero(vals.any(axis=1))
-    out = np.zeros((tab.n_elem, len(vals), tab.basis.shape[2]))
-    if not len(keep):
-        return out
-    wv = vals[keep] * tab.weights
-    for elems, rows, n in tab.groups:
-        phiT = tab.basis[0, rows].reshape(-1, n, out.shape[2]).swapaxes(1, 2)
-        prod = phiT @ wv[:, rows].reshape(len(keep), -1, n, 1)
-        out[np.ix_(elems, keep)] = prod[..., 0].swapaxes(0, 1)
-    return out
-
-
 def _elastic_volume(space, field: str, mu, lam):
     """Elasticity volume blocks d0d0, d1d1, d0d1, d1d0 of every element."""
     tab = space.volume_table(space.field_domain(field))
-    Kxx, Kyy, Kxy = _volume_products(tab, (1, 1), (2, 2), (1, 2))
+    Kxx, Kyy, Kxy = tab.gram[1, 1], tab.gram[2, 2], tab.gram[1, 2]
     A01 = mu * Kxy.swapaxes(1, 2) + lam * Kxy
     vals = np.stack([(2 * mu + lam) * Kxx + mu * Kyy, (2 * mu + lam) * Kyy + mu * Kxx,
                      A01, A01.swapaxes(1, 2)], axis=1)
@@ -136,11 +102,12 @@ def _elastic_volume(space, field: str, mu, lam):
     return space.dofs(field, e, [0, 1, 0, 1]), space.dofs(field, e, [0, 1, 1, 0]), vals
 
 
-def _vector_mass(space, field: str, coeff):
-    tab = space.volume_table(space.field_domain(field))
-    Ms = coeff * _volume_products(tab, (0, 0))[0]
-    d = space.dofs(field, np.arange(tab.n_elem)[:, None], [0, 1])
-    return d, d, np.broadcast_to(Ms[:, None], (tab.n_elem, 2) + Ms.shape[1:])
+def _mass(space, field: str, rho=1.0) -> sp.csr_matrix:
+    """rho * gram[0, 0] on each component of each element of ``field``: the
+    one site of every mass."""
+    tab, n = space.volume_table(space.field_domain(field)), space.sizes[field]
+    d = space.dofs(field, np.arange(tab.n_elem)[:, None], np.arange(space.components(field)))
+    return _csr((n, n), (d, d, (rho * tab.gram[0, 0])[:, None]))
 
 
 # -- face terms -----------------------------------------------------------------
@@ -242,21 +209,19 @@ def assemble_elastic(space: DGSpace, params: PhysicalParams, faces: FaceSet):
              *(_sipg_vector(space, tab, ns, "d", mu, lam,
                             penalty_coefficients(tab.harmonic_h, params, space.m).eta)
                for tab, ns in _sided(space, faces, faces.sipg_faces("d"))))
-    return {"A": A, "M": _csr((n, n), _vector_mass(space, "d", params.rho_el))}
+    return {"A": A, "M": _mass(space, "d", params.rho_el)}
 
 
 def assemble_pressure(space: DGSpace, params: PhysicalParams, faces: FaceSet):
     """Darcy-type SIPG stiffness A_j and coupling B_j (rows on p:j, columns
     on ``d``) of every compartment, and the mass M of the compartment
     pressure space: ``{"A": {j: A_j}, "B": {j: B_j}, "M": M}``. The volume
-    products are computed once; the face terms follow each p:j's Dirichlet
-    faces."""
+    blocks are shared by every compartment; the face terms follow each p:j's
+    Dirichlet faces."""
     nd = space.sizes["d"]
     tab = space.volume_table(space.field_domain("d"))
-    prods = _volume_products(tab, (1, 1), (2, 2), (0, 0), (0, 1), (0, 2))
-    K, Ms, div = prods[0] + prods[1], prods[2], prods[3:].swapaxes(0, 1)
-    # every p:j is a scalar field on the elastic elements, all laid out as
-    # space.dofs lays out a scalar field
+    K, div = tab.gram[1, 1] + tab.gram[2, 2], np.stack([tab.gram[0, 1], tab.gram[0, 2]], axis=1)
+    # every p:j is laid out as space.dofs lays out a scalar elastic field
     e = np.arange(tab.n_elem)[:, None]
     n, d = tab.n_elem * space.n_loc, e * space.n_loc + np.arange(space.n_loc)
     out = {"A": {}, "B": {}}
@@ -271,7 +236,7 @@ def assemble_pressure(space: DGSpace, params: PhysicalParams, faces: FaceSet):
         # -int alpha p div w, + int alpha {p I} : [[w]]
         out["B"][j] = _csr((n, nd), (d[:, None], space.dofs("d", e, [0, 1]), -alpha * div),
                            *(_pressure_jump(space, t, ns, field, "d", alpha) for t, ns in sided))
-    out["M"] = _csr((n, n), (d, d, Ms))
+    out["M"] = _mass(space, f"p:{EXCHANGE}")
     return out
 
 
@@ -288,7 +253,7 @@ def assemble_fluid(space: DGSpace, params: PhysicalParams, faces: FaceSet):
     tab = space.volume_table(space.field_domain("u"))
     e = np.arange(tab.n_elem)[:, None]
     B = _csr((npp, nu), (space.dofs("p", e), space.dofs("u", e, [0, 1]),
-                         -_volume_products(tab, (0, 1), (0, 2)).swapaxes(0, 1)),
+                         -np.stack([tab.gram[0, 1], tab.gram[0, 2]], axis=1)),
              *(_pressure_jump(space, t, ns, "p", "u", 1.0) for t, ns in sided))
 
     parts = []
@@ -299,7 +264,7 @@ def assemble_fluid(space: DGSpace, params: PhysicalParams, faces: FaceSet):
         e = tab.elem[:, :ns]
         parts.append((space.dofs("p", e[:, :, None]), space.dofs("p", e[:, None, :]),
                       (pen[:, None, None] * sa * sb)[..., None, None] * _face_mass(w, phi)))
-    return {"A": A, "M": _csr((nu, nu), _vector_mass(space, "u", params.rho_f)), "B": B,
+    return {"A": A, "M": _mass(space, "u", params.rho_f), "B": B,
             "S": _csr((npp, npp), *parts)}
 
 
@@ -382,7 +347,7 @@ def assemble_loads(space: DGSpace, params: PhysicalParams, faces: FaceSet, data,
     sl = space.field_slice
 
     tab = space.volume_table(space.field_domain("d"))
-    vol = _volume_loads(tab, np.array(
+    vol = tab.integrate(np.array(
         [*np.asarray(data.exact("f_el", tab.points, t), dtype=float).T]
         + [data.exact(f"g:{j}", tab.points, t) for j in params.compartments], dtype=float))
     F[sl("d")] += vol[:, :2].ravel()
@@ -390,7 +355,7 @@ def assemble_loads(space: DGSpace, params: PhysicalParams, faces: FaceSet, data,
         F[sl(f"p:{j}")] += vol[:, 2 + i].ravel()
     tab = space.volume_table(space.field_domain("u"))
     f_f = np.asarray(data.exact("f_f", tab.points, t), dtype=float)
-    F[sl("u")] += _volume_loads(tab, f_f.T).ravel()
+    F[sl("u")] += tab.integrate(f_f.T).ravel()
 
     def add(tab, field, vals, comps=0):
         # plus-side blocks vals (F, [component,] [term,] n_loc), in C order

@@ -353,7 +353,8 @@ def build_faces(mesh: PolyMesh, dirichlet_map: Mapping[str, Iterable[str]]) -> F
     ``dirichlet_map`` sends a boundary label to the set of variables that are
     Dirichlet on edges carrying that label; variables not listed get the
     natural condition (zero flux for pressures, outlet stress for the fluid).
-    Raises :class:`MeshError` on unlabeled boundary edges.
+    Raises :class:`MeshError` on unlabeled boundary edges and on a label that
+    lists variables but that no boundary edge carries.
     """
     t = mesh.edges
     inner = t.interior
@@ -375,6 +376,9 @@ def build_faces(mesh: PolyMesh, dirichlet_map: Mapping[str, Iterable[str]]) -> F
     found = [mesh.boundary_labels.get(key) for key in keys]
     if None in found:
         raise MeshError(f"unlabeled boundary edge {keys[found.index(None)]}")
+    if absent := sorted({lab for lab, vs in dirichlet_map.items() if vs} - set(found)):
+        raise MeshError(f"no boundary edge carries the Dirichlet label(s) {absent}; "
+                        f"the mesh's labels are {sorted(set(found))}")
     label = np.full(len(rows), None, dtype=object)
     label[~inner] = found
     return FaceSet(ab=_readonly(ab), elem=_readonly(elem), normal=_readonly(normal),

@@ -10,16 +10,18 @@ exact to the requested order; face rules are Gauss-Legendre segments.
 and their tabulations, stacked per subdomain or face set so that one batched
 product per group of equal-sized elements (or per face set) evaluates,
 projects or averages a field at all quadrature points, or assembles a form.
-Each vertex-count group of the mesh fills both stacks with one
-:meth:`DGSpace.tabulate` call; the face tabulation reads the arrays of a
-:class:`~polympe.mesh.FaceSet` directly. There are no per-element or per-face
-objects or accessors.
+A :class:`VolumeTable` owns every contraction against its basis. Each
+vertex-count group of the mesh evaluates its volume seeds once and its face
+traces with one :meth:`DGSpace.tabulate` call; the face tabulation reads the
+arrays of a :class:`~polympe.mesh.FaceSet` directly. There are no per-element
+or per-face objects or accessors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -120,7 +122,9 @@ class VolumeTable:
 
     :meth:`values` and :meth:`grads` evaluate a field with one batched
     product per group: the group's tabulations (G, n, n_loc) against its
-    coefficients (G, n_loc, ncomp)."""
+    coefficients (G, n_loc, ncomp). ``gram[a, b]`` holds the products
+    phi_a^T W phi_b of every element (a <= b; 0: values, 1 and 2: x and y
+    derivatives), computed once, and :meth:`integrate` gives phi^T (w v)."""
 
     points: np.ndarray  # (nq, 2)
     weights: np.ndarray  # (nq,)
@@ -128,6 +132,7 @@ class VolumeTable:
     elem: np.ndarray  # (nq,)
     groups: tuple  # ((elements (G,), row slice, points per element), ...)
     mean_weights: np.ndarray  # (n_elem, n_loc): phi^T w / |K|
+    gram: MappingProxyType  # {(a, b): (n_elem, n_loc, n_loc)}, read-only
 
     @property
     def n_elem(self) -> int:
@@ -140,6 +145,24 @@ class VolumeTable:
     def grads(self, coeffs: np.ndarray) -> np.ndarray:
         """Field gradients (nq, ncomp, 2), rows components, columns x/y."""
         return self._at_points(self.basis[1:], coeffs)
+
+    def integrate(self, vals: np.ndarray) -> np.ndarray:
+        """phi^T (w * v) per element for each row v of the point values
+        ``vals`` (k, nq); (n_elem, k, n_loc). A row that is zero at every
+        point gives zero blocks and no products (NaN and inf count as nonzero)."""
+        # contiguous rows for the products and the zero test; each (row, element)
+        # product is its own gemv, so a kept row rounds the same whichever rows are dropped
+        vals = np.ascontiguousarray(vals)
+        keep = np.flatnonzero(vals.any(axis=1))
+        out = np.zeros((self.n_elem, len(vals), self.basis.shape[2]))
+        if not len(keep):
+            return out
+        wv = vals[keep] * self.weights
+        for elems, rows, n in self.groups:
+            phiT = self.basis[0, rows].reshape(-1, n, out.shape[2]).swapaxes(1, 2)
+            prod = phiT @ wv[:, rows].reshape(len(keep), -1, n, 1)
+            out[np.ix_(elems, keep)] = prod[..., 0].swapaxes(0, 1)
+        return out
 
     def _at_points(self, basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         """The tabulations ``basis`` (k, nq, n_loc) of a field at every
@@ -237,15 +260,16 @@ class DGSpace:
         self.center = 0.5 * (hi + lo)
         rules = [volume_quadrature(mesh.vertices[loops], self.vol_order)
                  for _, loops in mesh.groups]
+        tabs = [self._seeds(elems, rule.points) for (elems, _), rule in zip(mesh.groups, rules)]
         gram = np.empty((mesh.n_elements, self.n_loc, self.n_loc))
-        for (elems, _), rule in zip(mesh.groups, rules):
-            seed = self._seeds(elems, rule.points)[0]
-            gram[elems] = seed.swapaxes(1, 2) @ (rule.weights[..., None] * seed)
+        for (elems, _), rule, seed in zip(mesh.groups, rules, tabs):
+            gram[elems] = seed[0].swapaxes(1, 2) @ (rule.weights[..., None] * seed[0])
         # scipy factorizes and inverts the stack matrix by matrix, and
         # refuses an empty stack (a mesh without elements)
         self.coeff = solve_triangular(cholesky(gram, lower=True), np.eye(self.n_loc),
                                       lower=True) if len(gram) else gram
-        tabs = [self.tabulate(elems, rule.points) for (elems, _), rule in zip(mesh.groups, rules)]
+        for i, (elems, _) in enumerate(mesh.groups):  # seeds to tabulations, as in tabulate
+            tabs[i] = tabs[i] @ self.coeff[elems].swapaxes(1, 2)
         self._tables = {domain: self._volume_table(ids, rules, tabs)
                         for domain, ids in ((ELASTIC, self.el_ids), (FLUID, self.f_ids))}
         self._faces = None
@@ -306,6 +330,8 @@ class DGSpace:
         # the zero-size first parts keep the shapes of an empty subdomain
         points, w, basis = [np.zeros((0, 2))], [np.zeros(0)], [np.zeros((3, 0, self.n_loc))]
         groups, start, mean_weights = [], 0, np.empty((len(ids), self.n_loc))
+        gram = {(a, b): np.empty((len(ids), self.n_loc, self.n_loc))
+                for b in range(3) for a in range(b + 1)}
         for (elems, _), rule, tab in zip(self.mesh.groups, rules, tabs):
             sel = np.isin(elems, ids)
             loc, n = self.local[elems[sel]], rule.weights.shape[1]
@@ -318,11 +344,15 @@ class DGSpace:
                 starts = np.arange(0, len(loc) * n, n)
                 mean_weights[loc] = (np.add.reduceat(w[-1][:, None] * basis[-1][0], starts, axis=0)
                                      / np.add.reduceat(w[-1], starts)[:, None])
+                phi = basis[-1].reshape(3, -1, n, self.n_loc)
+                for a, b in gram:
+                    gram[a, b][loc] = phi[a].swapaxes(1, 2) @ (w[-1].reshape(-1, n, 1) * phi[b])
         return VolumeTable(points=np.concatenate(points), weights=np.concatenate(w),
                            basis=np.concatenate(basis, axis=1), groups=tuple(groups),
                            elem=np.concatenate([np.zeros(0, dtype=int)]
                                                + [np.repeat(loc, n) for loc, _, n in groups]),
-                           mean_weights=mean_weights)
+                           mean_weights=mean_weights,
+                           gram=MappingProxyType({k: _readonly(v) for k, v in gram.items()}))
 
     def volume_table(self, domain: str) -> VolumeTable:
         """Stacked volume tabulation of the ``domain`` elements."""
@@ -394,11 +424,4 @@ def l2_project(space: DGSpace, field: str, fn) -> np.ndarray:
     """
     tab = space.volume_table(space.field_domain(field))
     vals = np.asarray(fn(tab.points), dtype=float)
-    vals = vals.reshape(len(tab.weights), space.components(field))
-    # the transpose of VolumeTable.values, applied to w * vals
-    wv = tab.weights[:, None] * vals
-    out = np.empty((tab.n_elem, vals.shape[1], space.n_loc))
-    for elems, rows, n in tab.groups:
-        out[elems] = np.add.reduceat(wv[rows, :, None] * tab.basis[0, rows, None, :],
-                                     np.arange(0, len(elems) * n, n), axis=0)
-    return out.ravel()
+    return tab.integrate(vals.reshape(len(tab.weights), space.components(field)).T).ravel()

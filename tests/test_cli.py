@@ -107,17 +107,22 @@ def test_demo_snapshot_bytes_pinned(tmp_path):
 #: entries were recorded again when the manufactured cases became closed
 #: forms: per column, the cell means moved by at most 4.9e-16 * max|column|
 #: (steady) and 4.6e-13 * max|column| (unsteady, in p at step 4; d, p:E and
-#: u by at most 1.4e-14)
+#: u by at most 1.4e-14). The unsteady entries were recorded again when
+#: l2_project became VolumeTable.integrate of the sampled field (one gemv per
+#: element instead of a reduceat sum): the initial projections moved by at
+#: most 4.6e-16 of their max, and the cell means by at most 1.1e-12 *
+#: max|column| (in p at step 4, which the march amplifies; d, p:E and u by at
+#: most 1.9e-14)
 CASE_SNAPSHOT_SHA256 = {
     "steady": {
         "snapshot_000000.csv": "9dfe55ec627c86bc7f2045e34081731980951cbb09f2bff6a0ea740b138a82d1",
         "snapshot_000000.vtk": "65ac2db3914471e5be2b63ffd6ef8262b79f0a8bcf5144bddfc72e906398b8ba",
     },
     "unsteady": {
-        "snapshot_000002.csv": "1405f95a7b3fd37de43c9badadb86801c5f5e8fccbde67acfd4525719769fc52",
-        "snapshot_000002.vtk": "e3b928c7906c6ad6d79f9500a26e29b615cef6895d92f44e0d370001124b289b",
-        "snapshot_000004.csv": "a315e76d3fa3ae68bb1997d7b3b741938fe1042a08a26af34fab9e3fd5cb8cd0",
-        "snapshot_000004.vtk": "28f3393662a9e5969d0e0bd4d34b375a14daa9f715f0522ee12c40fc05566001",
+        "snapshot_000002.csv": "559f4613088015155af28625430da0cad2011a1995ca752cf98a0688c9c9a1e3",
+        "snapshot_000002.vtk": "75ae93de691256cf5de55e319281267bf9dd3585a6e3493b4ac219146eb7cf6c",
+        "snapshot_000004.csv": "9e871d9df8866a4577e85c13086ef7cd44e55a07dc13a4e2154bb08254a6c719",
+        "snapshot_000004.vtk": "dc9cbb39064f2a977539a89cd0ff6ac2c6f66c1c97bdc04e047a012998cc398a",
     },
     "zero": {
         "snapshot_000002.csv": "31b007a35c3870af150f4fe4d970e53c14a21f84ad8ea777d989a9372d474053",
@@ -556,6 +561,51 @@ def test_verify_command(tmp_path):
     assert "outlet normal stress" in text
     # one symmetry line for the one compartment mass, none per compartment
     assert "symmetry M_comp:" in text and "symmetry M_E:" not in text
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("dirichlet, name, field", [
+    ({"el": ["d", "pE"], "wal": ["u"], "out": []}, "dirichlet 'el'", "'pE'"),
+    ({"el": ["d", "p:A"], "wall": ["u"], "out": []}, "dirichlet 'el'", "'p:A'"),
+    ({"el": ["d"], "wall": ["u", "p"], "out": []}, "dirichlet 'wall'", "'p'"),
+], ids=["misspelt", "other-compartment", "fluid-pressure"])
+def test_unknown_dirichlet_field_is_input_error(tmp_path, capsys, monkeypatch, command,
+                                                dirichlet, name, field):
+    # a Dirichlet field is d, u or p:<j> of the run's compartments (here E)
+    doc = {"mesh": {"family": "cartesian", "ny": 2}, "degree": 1, "dirichlet": dirichlet}
+    if command == "solve":
+        doc.update(case="zero", scheme={"dt": 0.01, "n_steps": 2})
+    out = tmp_path / "o"
+
+    def no_mesh(spec):
+        raise AssertionError("an unknown Dirichlet field must be reported before the mesh is built")
+
+    monkeypatch.setattr(cli, "resolve_mesh", no_mesh)
+    assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert name in err and field in err and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_dirichlet_label_on_no_edge_is_input_error(tmp_path, capsys, command):
+    # "wal" names no boundary edge of the mesh; "out" lists no field and
+    # may name any label
+    doc = {"mesh": {"family": "cartesian", "ny": 2}, "degree": 1,
+           "dirichlet": {"el": ["d", "p:E"], "wal": ["u"], "outlet": []}}
+    if command == "solve":
+        doc.update(case="zero", scheme={"dt": 0.01, "n_steps": 2})
+    out = tmp_path / "o"
+    assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "label(s) ['wal']" in err and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_dirichlet_reads_every_compartment_pressure():
+    doc = {"case": "zero", "compartments": ["A", "E"], "scheme": {"dt": 0.01},
+           "dirichlet": {"el": ["d", "p:A", "p:E"], "wall": ["u"], "out": []}}
+    assert read_config("solve", doc)["dirichlet"] == doc["dirichlet"]
 
 
 @pytest.mark.parametrize("n_points", [0, -3])

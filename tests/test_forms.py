@@ -1,9 +1,11 @@
+import ast
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy as sym
+from scipy.linalg import block_diag
 
 from polympe import forms
 from polympe.cli import DemoData, resolve_params
@@ -425,8 +427,57 @@ def test_volume_loads_equal_projection(mesh80, unsteady):
     for field, key in (("d", "f_el"), ("u", "f_f"), ("p:E", "g:E")):
         got = loads[space.field_slice(field)]
         want = l2_project(space, field, lambda x: unsteady.exact(key, x, t))
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        # both are VolumeTable.integrate of the same point values
+        assert np.array_equal(got, want), field
     assert not loads[space.field_slice("p")].any()
+
+
+@pytest.mark.parametrize("name", ["cart4", "mesh80"])
+def test_masses_are_scaled_gram_products(mesh80, name):
+    # M_el, M_f and M_comp are rho * gram[0, 0] of their subdomain, element
+    # by element (and component by component), bit for bit
+    faces, space = pin_setup(name, mesh80, ACVE)
+    params = pin_params(ACVE)
+    params.rho_el, params.rho_f = 1.3e3, 0.7
+    sysm = build_system(space, params, faces)
+    for M, domain, rho, ncomp in ((sysm.M_el, "elastic", params.rho_el, 2),
+                                  (sysm.M_f, "fluid", params.rho_f, 2),
+                                  (sysm.M_comp, "elastic", 1.0, 1)):
+        gram = space.volume_table(domain).gram[0, 0]
+        blocks = [rho * g for g in gram for _ in range(ncomp)]
+        assert np.array_equal(M.toarray(), block_diag(*blocks)), domain
+
+
+class _Contractions:
+    """A volume table seen through its contractions alone: no group layout,
+    basis or weights."""
+
+    def __init__(self, tab):
+        self.gram, self.integrate, self.points, self.n_elem = (
+            tab.gram, tab.integrate, tab.points, tab.n_elem)
+
+
+def test_forms_reads_volume_tables_through_their_contractions(monkeypatch, unsteady):
+    # the group layout of a volume table is the decision of polympe.spaces:
+    # forms neither reads it nor contracts against the basis itself
+    tree = ast.parse(Path(forms.__file__).read_text())
+    assert not any(isinstance(n, ast.Attribute) and n.attr == "groups" for n in ast.walk(tree))
+    assert not any(isinstance(n, ast.alias) and n.name == "VolumeTable" for n in ast.walk(tree))
+
+    faces, space = pin_setup("cart4", None, ACVE)
+    ref = build_system(space, pin_params(ACVE), faces)
+    efaces, espace = pin_setup("cart4", None, ("E",))
+    ref_loads = forms.assemble_loads(espace, unsteady.params, efaces, unsteady, 0.37)
+    for sp_ in (space, espace):
+        tables = {d: _Contractions(sp_.volume_table(d)) for d in ("elastic", "fluid")}
+        monkeypatch.setattr(sp_, "volume_table", tables.__getitem__)
+    got = build_system(space, pin_params(ACVE), faces)
+    for name, val in vars(ref).items():
+        for key, mat in (val.items() if isinstance(val, dict) else [(None, val)]):
+            if hasattr(mat, "tocsr"):
+                assert (mat != (getattr(got, name)[key] if key else getattr(got, name))).nnz == 0
+    loads = forms.assemble_loads(espace, unsteady.params, efaces, unsteady, 0.37)
+    assert np.array_equal(loads, ref_loads)
 
 
 # -- exact load bytes ------------------------------------------------------

@@ -114,6 +114,25 @@ def test_wall_classification_per_variable():
     assert faces.outlet().tolist() == [out]
 
 
+@pytest.mark.parametrize("family", ["cartesian", "triangulated", "agglomerated"])
+def test_default_dirichlet_maps_fit_every_family(mesh80, family):
+    # every label of both default maps names boundary edges of each family
+    # (the 80-polygon agglomerate is the mesh of the shipped demo and verify
+    # configs)
+    mesh = {"cartesian": cartesian_two_domain(1), "triangulated": triangulated_two_domain(1),
+            "agglomerated": mesh80}[family]
+    for dmap in (VERIFICATION_DIRICHLET, DEMO_DIRICHLET):
+        assert len(build_faces(mesh, dmap).dirichlet("u"))
+
+
+def test_dirichlet_label_on_no_edge():
+    with pytest.raises(MeshError, match=r"label\(s\) \['wal'\]"):
+        build_faces(two_square_mesh(), {"el": {"d"}, "wal": {"u"}, "out": set()})
+    # a label that lists no field may name no edge
+    faces = build_faces(two_square_mesh(), {"el": {"d"}, "wall": {"u"}, "outlet": set()})
+    assert len(faces.dirichlet("u")) == 2
+
+
 def test_unlabeled_boundary_edge():
     mesh = two_square_mesh()
     mesh.boundary_labels.pop((2, 3))

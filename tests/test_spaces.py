@@ -117,6 +117,48 @@ def test_gram_identity(mesh80):
     assert seen == mesh80.n_elements
 
 
+@pytest.mark.parametrize("m", [1, 3])
+def test_gram_matches_per_element_quadrature(mesh80, m):
+    # gram[a, b] is phi_a^T W phi_b of each element (0: values, 1 and 2: x
+    # and y derivatives), here against one quadrature and tabulation per
+    # element, summed by einsum
+    space = build_space(mesh80, m)
+    for domain, ids in (("elastic", space.el_ids), ("fluid", space.f_ids)):
+        tab = space.volume_table(domain)
+        assert sorted(tab.gram) == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+        ref = {ab: np.empty_like(g) for ab, g in tab.gram.items()}
+        for k in ids:
+            rule = volume_quadrature(mesh80.vertices[mesh80.elements[k]], space.vol_order)
+            phi = space.tabulate([k], rule.points[None])[:, 0]
+            for a, b in ref:
+                ref[a, b][space.local[k]] = np.einsum("q,qi,qj->ij", rule.weights, phi[a], phi[b])
+        for ab, g in tab.gram.items():
+            assert g.shape == (len(ids), space.n_loc, space.n_loc) and not g.flags.writeable
+            assert np.abs(g - ref[ab]).max() <= 1e-13 * np.abs(ref[ab]).max(), (domain, ab)
+        with pytest.raises(TypeError):
+            tab.gram[0, 0] = ref[0, 0]
+
+
+def test_integrate_matches_its_definition_and_skips_zero_rows(mesh80):
+    space = build_space(mesh80, 2)
+    tab = space.volume_table("fluid")
+    f, g = np.random.default_rng(3).standard_normal((2, len(tab.weights)))
+    got = tab.integrate(np.array([f, np.zeros_like(f), g]))
+    # sum over the points of each element of w v phi
+    want = np.zeros((tab.n_elem, 2, space.n_loc))
+    np.add.at(want, tab.elem, (tab.weights * np.array([f, g])).T[:, :, None] * tab.basis[0, :, None])
+    assert np.abs(got[:, [0, 2]] - want).max() <= 1e-14 * np.abs(want).max()
+    # an all-zero row gives zero blocks, and the other rows round as they do
+    # on their own
+    assert not got[:, 1].any()
+    assert np.array_equal(got[:, 0], tab.integrate(f[None])[:, 0])
+    assert np.array_equal(got[:, [0, 2]], tab.integrate(np.array([f, g])))
+    assert not tab.integrate(np.zeros((2, len(f)))).any()
+    # NaN counts as nonzero
+    nan = np.where(np.arange(len(f)) == 7, np.nan, 0.0)
+    assert np.isnan(tab.integrate(nan[None])[tab.elem[7], 0]).all()
+
+
 def field_values(space, field, vec, k, pts):
     """Values (n, ncomp) of a field-local DOF vector on mesh element ``k`` at
     the points ``pts`` (n, 2)."""
