@@ -323,6 +323,8 @@ def cmd_solve(cfg: Section):
 def cmd_verify(cfg: Section):
     vcfg = cfg.section("verify", {})
     n_points = vcfg.integer("n_points", 100)
+    if n_points < 1:
+        raise ConfigError(f"verify n_points must be >= 1, got {n_points}")
     tol = vcfg.real("oracle_tol", 1e-4)
     t_unsteady = vcfg.real("t", 0.37)
     vcfg.close()
@@ -332,6 +334,9 @@ def cmd_verify(cfg: Section):
     cfg.close()
 
     def run(out: Path):
+        # the mesh and the system first, so that their input errors come
+        # before the oracle's runs
+        sysm = driver.setup(resolve_mesh(spec), m, params, dirichlet)
         ok = True
         report_lines = []
         for case, t in ((steady_case(), 0.0), (unsteady_case(), t_unsteady)):
@@ -345,7 +350,7 @@ def cmd_verify(cfg: Section):
                                     f"{bad.max_residual:.3e}")
                 ok &= bad.max_residual > 1e-1
 
-        srep = structural_checks(driver.setup(resolve_mesh(spec), m, params, dirichlet))
+        srep = structural_checks(sysm)
         report_lines.append(srep.summary())
         ok &= srep.passed
 

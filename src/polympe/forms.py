@@ -78,11 +78,21 @@ def _csr(shape, *parts):
     (..., r), column indices (..., c) and values (..., r, c) that broadcast
     together; duplicates are summed. scipy sums them in an order set by the
     entry order, so the parts list the blocks in the order of the sums over
-    elements, faces, sides and components that define each form."""
-    parts = [np.broadcast_arrays(r[..., :, None], c[..., None, :], v) for r, c, v in parts]
-    if not sum(v.size for _, _, v in parts):
+    elements, faces, sides and components that define each form.
+
+    Each part is broadcast once, into its slice of one triplet buffer; the
+    indices are int32 while the shape allows, as scipy would cast them."""
+    parts = [(r[..., :, None], c[..., None, :], v) for r, c, v in parts]
+    shapes = [np.broadcast_shapes(*(a.shape for a in p)) for p in parts]
+    ends = np.cumsum([0] + [int(np.prod(s)) for s in shapes])
+    if not ends[-1]:
         return sp.csr_matrix(shape)
-    rows, cols, vals = (np.concatenate([p[i].ravel() for p in parts]) for i in range(3))
+    idx = np.int32 if max(shape) <= np.iinfo(np.int32).max else np.int64
+    triplet = np.empty(ends[-1], idx), np.empty(ends[-1], idx), np.empty(ends[-1])
+    for p, s, a, b in zip(parts, shapes, ends, ends[1:]):
+        for buf, x in zip(triplet, p):
+            buf[a:b].reshape(s)[...] = x
+    rows, cols, vals = triplet
     m = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
     m.sum_duplicates()
     return m

@@ -185,15 +185,24 @@ class ManufacturedCase:
         ``g:E``, ``f_f``) or the outlet datum ``p_out``. Any other key,
         a source derivative included, raises ``KeyError``.
 
+        ``t`` may also be a 1-D array of S times, which gives (S, n, ...):
+        the profiles are evaluated once and scaled by each time's factors.
+
         This is the load-data interface of
         :func:`polympe.forms.assemble_loads`."""
         shape = _KEYS[key][1]
         pts = np.asarray(pts, dtype=float)
+        lead = np.shape(t)
+        if len(lead) > 1:
+            raise ValueError(f"t must be a scalar or a 1-D array, got shape {lead}")
+        if lead:
+            # time factors (S, 1) against profiles (n,)
+            t = np.asarray(t, dtype=float)[:, None]
         comps = self._components(key, pts[:, 0], pts[:, 1], t, np)
-        out = np.empty((len(pts), len(comps)))
+        out = np.empty(lead + (len(pts), len(comps)))
         for i, v in enumerate(comps):
-            out[:, i] = v
-        return out.reshape(len(pts), *shape)
+            out[..., i] = v
+        return out.reshape(*lead, len(pts), *shape)
 
     def corrupted(self, source: str) -> "ManufacturedCase":
         """Copy with one field, source or datum sign-flipped, its

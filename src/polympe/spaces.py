@@ -25,7 +25,8 @@ from types import MappingProxyType
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .mesh import ELASTIC, FLUID, FaceSet, PolyMesh, _readonly
 
@@ -109,6 +110,27 @@ def _legendre_table(xi: np.ndarray, m: int):
     ders = np.stack([np.zeros_like(xi)] + [npleg.legval(xi, _leg_coeffs(n)[1])
                                            for n in range(1, m + 1)], axis=-1)
     return vals, ders
+
+
+def _inverse_cholesky(gram: np.ndarray) -> np.ndarray:
+    """The inverse lower Cholesky factor of each matrix of the stack ``gram``
+    (G, n, n): one LAPACK ``potrf`` and ``trtrs`` per matrix, the calls
+    scipy's ``cholesky`` and ``solve_triangular`` make, without their
+    per-matrix wrappers. A matrix that is not finite raises ``ValueError``,
+    one that is not positive definite ``LinAlgError``, naming its index in
+    the stack."""
+    finite = np.isfinite(gram).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"the Gram matrix of element {int(np.argmin(finite))} is not finite")
+    out = np.empty_like(gram)
+    eye = np.eye(gram.shape[-1])
+    for k, g in enumerate(gram):
+        c, info = dpotrf(g, lower=1, clean=1)
+        if info == 0:
+            out[k], info = dtrtrs(c, eye, lower=1)
+        if info != 0:
+            raise LinAlgError(f"the Gram matrix of element {k} is not positive definite")
+    return out
 
 
 @dataclass(frozen=True)
@@ -264,10 +286,7 @@ class DGSpace:
         gram = np.empty((mesh.n_elements, self.n_loc, self.n_loc))
         for (elems, _), rule, seed in zip(mesh.groups, rules, tabs):
             gram[elems] = seed[0].swapaxes(1, 2) @ (rule.weights[..., None] * seed[0])
-        # scipy factorizes and inverts the stack matrix by matrix, and
-        # refuses an empty stack (a mesh without elements)
-        self.coeff = solve_triangular(cholesky(gram, lower=True), np.eye(self.n_loc),
-                                      lower=True) if len(gram) else gram
+        self.coeff = _inverse_cholesky(gram)
         for i, (elems, _) in enumerate(mesh.groups):  # seeds to tabulations, as in tabulate
             tabs[i] = tabs[i] @ self.coeff[elems].swapaxes(1, 2)
         self._tables = {domain: self._volume_table(ids, rules, tabs)

@@ -123,14 +123,14 @@ def coupling_blocks(sys: SystemMatrices, mass, stiff, disp, elastic: bool = True
 
 
 def place(blocks: dict, sizes: dict) -> sp.csr_matrix:
-    """Stack named blocks in the field order of ``sizes``; a row with no
-    block gets an empty diagonal."""
-    names = list(sizes)
-    grid = [[blocks.get((r, c)) for c in names] for r in names]
-    for i, r in enumerate(names):
-        if all(b is None for b in grid[i]):
-            grid[i][i] = sp.csr_matrix((sizes[r], sizes[r]))
-    return sp.bmat(grid, format="csr")
+    """Stack named blocks in the field order of ``sizes``, a missing block
+    empty: each block row in CSR, then the rows. With every block in CSR
+    scipy stacks the index arrays directly, with no COO copy of the whole
+    operator (a transposed block comes as CSC)."""
+    def block(r, c):
+        return blocks[r, c].tocsr() if (r, c) in blocks else sp.csr_matrix((sizes[r], sizes[c]))
+    return sp.vstack([sp.hstack([block(r, c) for c in sizes], format="csr") for r in sizes],
+                     format="csr")
 
 
 def split(x: np.ndarray, sizes: dict) -> dict:
@@ -190,16 +190,11 @@ def _rel_diff(a, b) -> float:
     return (np.abs(d.data).max() / scale) if d.nnz else 0.0
 
 
-def structural_checks(sys: SystemMatrices, seed: int = 0,
-                      global_matrix=None) -> StructuralReport:
+def structural_checks(sys: SystemMatrices, seed: int = 0) -> StructuralReport:
     """Symmetry, positive semidefiniteness (each stiffness's smallest over its
     largest |eigenvalue|, from one dense ``eigvalsh``: verification meshes
     have a few thousand rows at most), transpose pairing of the placed
     blocks, and the interface energy-cancellation residual.
-
-    ``global_matrix`` may supply an externally assembled stacked operator
-    (with unit time-derivative slots) to be checked against the stored
-    blocks; by default it is built from them.
     """
     rep = StructuralReport()
     rng = np.random.default_rng(seed)
@@ -212,7 +207,7 @@ def structural_checks(sys: SystemMatrices, seed: int = 0,
             ev = np.linalg.eigvalsh(mat.toarray()) if mat.shape[0] else np.zeros(1)
             rep.psd_min[name] = float(ev[0] / (np.abs(ev).max() or 1.0))
 
-    G1 = build_global(sys, s=1.0) if global_matrix is None else global_matrix
+    G1 = build_global(sys, s=1.0)
     G0 = build_global(sys, s=0.0)
     Gt = (G1 - G0).tocsr()
     sl = sys.space.field_slice

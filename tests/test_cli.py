@@ -624,6 +624,25 @@ def test_verify_needs_an_interior_point(tmp_path, capsys, monkeypatch, n_points)
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"dirichlet": {"el": ["d", "p:E"], "wal": ["u"], "outlet": []}}, "label(s) ['wal']"),
+    ({"mesh": {"path": "no_such_mesh.json"}}, "no_such_mesh.json"),
+], ids=["dirichlet_label", "mesh_file"])
+def test_verify_reports_input_errors_before_the_oracle(tmp_path, capsys, monkeypatch, doc,
+                                                       message):
+    cfg = write_config(tmp_path, {"mesh": {"family": "cartesian", "ny": 2}, "degree": 1, **doc})
+    out = tmp_path / "v"
+
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("a mesh or Dirichlet error must be reported before the oracle runs")
+
+    monkeypatch.setattr(cli, "residual_oracle", no_oracle)
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("mesh, name", [
     (dict(_AGGLOMERATED, fine_ny=0), "ny"),
     (dict(_AGGLOMERATED, fine_nx_el=0), "nx_el"),

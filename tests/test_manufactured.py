@@ -147,6 +147,26 @@ def test_exact_matches_per_component_reference(steady, unsteady, references, whi
             assert got.flags.writeable and not np.shares_memory(got, again), key
 
 
+@pytest.mark.parametrize("which", ["steady", "unsteady"])
+def test_exact_at_many_times_matches_scalar_calls(steady, unsteady, which):
+    # a vector of times evaluates the profiles once and scales them by each
+    # time's factors: the scalar calls to a few ulp (numpy may round an array
+    # sine apart from a scalar one), the steady constants broadcast to S
+    case = steady if which == "steady" else unsteady
+    pts = np.random.default_rng(8).uniform([-1.0, 0.0], [1.0, 1.0], (200, 2))
+    times = np.array([0.0, 0.37, 1.3, 2.9])
+    for key in FIELD_KEYS + list(SOURCES):
+        got = case.exact(key, pts, times)
+        assert got.shape == (len(times),) + case.exact(key, pts, 0.0).shape, key
+        for i, t in enumerate(times):
+            want = case.exact(key, pts, t)
+            assert np.abs(got[i] - want).max() <= 4 * np.finfo(float).eps * np.abs(want).max(), \
+                (key, t)
+        assert np.array_equal(case.exact(key, pts, list(times)), got), key
+    with pytest.raises(ValueError):
+        case.exact("p", pts, times[None])
+
+
 def test_import_does_not_load_sympy():
     # sympy is a test dependency only: the package and its CLI never import it
     src = str(Path(polympe.__file__).parents[1])

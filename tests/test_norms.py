@@ -99,6 +99,77 @@ def test_error_norms_pinned_short_unsteady_run(unsteady):
         assert eb.final[key] == bn[key]
 
 
+def test_component_sums_match_numpy_reductions():
+    # the norms add squares component by component in the order numpy's sum
+    # over the trailing axes adds them, so a single state keeps its bits
+    rng = np.random.default_rng(6)
+    g = rng.standard_normal((3, 500, 2, 2)) * 10.0 ** rng.integers(-4, 4, (3, 500, 2, 2))
+    eps = 0.5 * (g + g.swapaxes(-1, -2))
+    ee, tr = norms._strain_sq(g)
+    assert np.array_equal(ee, (eps * eps).sum(axis=(-2, -1)))
+    assert np.array_equal(tr, eps[..., 0, 0] + eps[..., 1, 1])
+    for v, axes in ((g, 2), (g[..., 0], 1), (g[..., :1, :], 2), (g[..., 0, :1], 1)):
+        v = np.ascontiguousarray(v)
+        assert np.array_equal(norms._sum_sq(v, axes), (v * v).sum(axis=tuple(range(-axes, 0))))
+
+
+def per_state_energy(states, times, space, faces, params, exact):
+    """The energy norm's instantaneous terms and integrand as per-state
+    broken norms define them, one state at a time."""
+    integrand = []
+    for state, t in zip(states, times):
+        bn = norms.broken_norms(space, faces, params, state, exact, t)
+        l2 = {j: norms.weighted_l2sq(space, f"p:{j}", state[f"p:{j}"], 1.0, exact, t=t)
+              for j in params.compartments}
+        integrand.append(bn["u"] + bn["p"] + sum(bn[f"p:{j}"] + params.beta_ext[j] * l2[j]
+                                                 for j in params.compartments))
+    last, t = states[-1], times[-1]
+    inst = {"d": bn["d"], "u": norms.weighted_l2sq(space, "u", last["u"], params.rho_f, exact, t=t),
+            **{f"p:{j}": params.c_j[j] * l2[j] for j in params.compartments}}
+    if "z" in last:
+        inst["z"] = norms.weighted_l2sq(space, "d", last["z"], params.rho_el, exact,
+                                        exact_name="d,t", t=t)
+    return inst, integrand
+
+
+@pytest.mark.parametrize("mesh", ["cart2", "mesh80"])
+def test_one_pass_energy_norm_matches_per_state_norms(unsteady, mesh80, mesh):
+    from polympe import driver, stepping
+    from polympe.families import VERIFICATION_DIRICHLET, cartesian_two_domain
+    msh = cartesian_two_domain(2) if mesh == "cart2" else mesh80
+    sysm = driver.setup(msh, 2, unsteady.params, VERIFICATION_DIRICHLET)
+    states, times = stepping.simulate(sysm, stepping.SchemeParams(dt=1e-3), unsteady, 4,
+                                      driver.projected_values(sysm.space, unsteady))
+    args = (sysm.space, sysm.faces, unsteady.params)
+    eb = norms.energy_norm(states, times, *args, exact=unsteady)
+    inst, integrand = per_state_energy(states, times, *args, unsteady)
+    assert eb.instantaneous.keys() == inst.keys() and len(eb.integrand) == len(states)
+    for key, value in inst.items():
+        assert eb.instantaneous[key] == pytest.approx(value, rel=1e-13), key
+    assert eb.integrand == pytest.approx(integrand, rel=1e-13)
+    total = np.sqrt(sum(inst.values()) + np.trapezoid(integrand, times))
+    assert eb.total == pytest.approx(total, rel=1e-13)
+    assert eb.final == norms.broken_norms(*args, states[-1], unsteady, times[-1])
+
+
+def test_one_pass_energy_norm_of_several_compartments(cart4_setup):
+    # discrete norms of random states, non-unit coefficients
+    from polympe.spaces import build_space
+    _, faces, space1 = cart4_setup
+    J = ("A", "C", "V", "E")
+    params = PhysicalParams.unit(J)
+    for i, j in enumerate(J):
+        params.k_j[j], params.c_j[j], params.beta_ext[j] = 1.0 + i, 0.5 + i, 0.25 * i
+    space = build_space(space1.mesh, 2, J)
+    rng = np.random.default_rng(5)
+    states = [{f: rng.standard_normal(n) for f, n in space.sizes.items()} for _ in range(3)]
+    times = [0.0, 0.1, 0.3]
+    eb = norms.energy_norm(states, times, space, faces, params)
+    inst, integrand = per_state_energy(states, times, space, faces, params, None)
+    assert eb.instantaneous == pytest.approx(inst, rel=1e-13)
+    assert eb.integrand == pytest.approx(integrand, rel=1e-13)
+
+
 def test_energy_norm_zero_trajectory(cart4_setup, unit_params):
     _, faces, space = cart4_setup
     st = zero_state(space)
@@ -122,6 +193,9 @@ def test_energy_norm_requires_states(cart4_setup, unit_params):
     _, faces, space = cart4_setup
     with pytest.raises(ValueError):
         norms.energy_norm([], [], space, faces, unit_params)
+    st = zero_state(space)
+    with pytest.raises(ValueError, match="as many times"):
+        norms.energy_norm([st, st], [0.0], space, faces, unit_params)
 
 
 def test_convergence_rates_power_law():

@@ -3,10 +3,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, cholesky, solve_triangular
 
 from polympe.families import VERIFICATION_DIRICHLET, cartesian_two_domain
 from polympe.mesh import PolyMesh, build_faces
-from polympe.spaces import build_space, face_quadrature, l2_project, volume_quadrature
+from polympe.spaces import (_inverse_cholesky, build_space, face_quadrature, l2_project,
+                            volume_quadrature)
 
 from conftest import pin_setup, unit_square_mesh
 
@@ -307,3 +309,21 @@ def test_face_table_is_kept_from_its_second_request_and_read_only():
     for arr in (*vars(first).values(), *vars(tab).values()):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = arr[0]
+
+
+def test_inverse_cholesky_matches_scipy_and_names_a_bad_element():
+    # the LAPACK loop rounds as scipy's factorization and triangular solve
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((5, 6, 6))
+    gram = a @ a.swapaxes(1, 2) + 6 * np.eye(6)
+    got = _inverse_cholesky(gram)
+    for g, c in zip(gram, got):
+        assert np.array_equal(c, solve_triangular(cholesky(g, lower=True), np.eye(6), lower=True))
+    assert _inverse_cholesky(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+    gram[3, 2, 2] = 0.0
+    gram[3, 2, :2] = gram[3, :2, 2] = 0.0
+    with pytest.raises(LinAlgError, match="element 3 "):
+        _inverse_cholesky(gram)
+    gram[1, 0, 1] = np.nan  # LAPACK would pass a NaN through
+    with pytest.raises(ValueError, match="element 1 "):
+        _inverse_cholesky(gram)

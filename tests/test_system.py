@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polympe import forms
+from polympe import forms, system
 from polympe.cli import resolve_params
 from polympe.driver import setup, solve_steady
 from polympe.families import DEMO_DIRICHLET, VERIFICATION_DIRICHLET, cartesian_two_domain
@@ -103,13 +103,20 @@ def test_structural_checks_pass_brain_preset_demo_mesh(mesh80):
     assert rep.passed, rep.summary()
 
 
-def test_structural_checks_flag_corrupted_sign(cart4_setup, unit_params):
+def test_structural_checks_flag_corrupted_sign(cart4_setup, unit_params, monkeypatch):
     _, faces, space = cart4_setup
     sysm = build_system(space, unit_params, faces)
     G = build_global(sysm, s=1.0).tolil()
     sl_e, sl_u = space.field_slice("p:E"), space.field_slice("u")
     G[sl_e, sl_u] = -G[sl_e, sl_u]
-    rep = structural_checks(sysm, global_matrix=G.tocsr())
+    corrupted = G.tocsr()
+
+    def build_corrupted(sys, s=0.0):
+        # the unit-slot operator with J_f placed with the wrong sign
+        return corrupted if s == 1.0 else build_global(sys, s)
+
+    monkeypatch.setattr(system, "build_global", build_corrupted)
+    rep = structural_checks(sysm)
     assert rep.pairing["J_f"] > 0.5
     assert not rep.passed
 
