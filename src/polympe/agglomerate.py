@@ -10,9 +10,10 @@ sub-triangulation used for quadrature requires. The repair is incremental
 (only clusters touched by a move are re-examined) and deterministic for a
 fixed seed.
 
-Both phases skip work without changing a decision. Lloyd carries Hamerly's
-bounds (*Making k-means even faster*, SDM 2010) and evaluates again only the
-points whose nearest centre they leave in doubt, in cheaper arithmetic; a
+Both phases skip work without changing a decision. Lloyd finds each point's
+two nearest centres in a k-d tree of the centres, keeps one margin per point
+from Hamerly's bounds (*Making k-means even faster*, SDM 2010) and queries
+again only the points whose nearest centre that margin leaves in doubt; a
 point whose two nearest centres are nearly tied takes its label from the
 dense distances, so no label changes (:func:`_lloyd`). The repair
 keeps each cluster's directed boundary edges (:class:`_Boundary`) and
@@ -36,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .mesh import ELASTIC, FLUID, MeshError, PolyMesh
 
@@ -72,13 +74,6 @@ def _sq_distances(points: np.ndarray, sq: np.ndarray, centers: np.ndarray) -> np
     return d2
 
 
-def _offsets(lifted: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """``|c|^2 - 2 p.c``, point by centre: the squared distance less the
-    point's squared norm, with one matrix product of the ``lifted`` points
-    (each with a third coordinate 1)."""
-    return lifted @ np.hstack((-2.0 * centers, (centers ** 2).sum(axis=1)[:, None])).T
-
-
 def _reseed(points: np.ndarray, sq: np.ndarray, centers: np.ndarray, empty: np.ndarray):
     """Put the centre of each ``empty`` cluster, in index order, on the point
     farthest from every centre placed so far: the others, then the reseeded
@@ -89,53 +84,40 @@ def _reseed(points: np.ndarray, sq: np.ndarray, centers: np.ndarray, empty: np.n
         np.minimum(near, _sq_distances(points, sq, centers[j:j + 1])[:, 0], out=near)
 
 
-def _least_two(d2: np.ndarray):
-    """Per row of ``d2`` (overwritten): the first column of least value, that
-    value and the least value of the other columns."""
-    near = d2.argmin(axis=1)
-    at = np.arange(len(d2))
-    best = d2[at, near]
-    d2[at, near] = np.inf
-    return near, best, d2.min(axis=1)
-
-
 def _lloyd(points: np.ndarray, k: int, rng, iterations: int) -> np.ndarray:
     """Lloyd k-means; deterministic for a fixed generator state.
 
     The labels are those of the dense iteration, which assigns every point to
     the first centre of least :func:`_sq_distances` and stops when no label
-    changes. Hamerly's bounds (SDM 2010) skip the points whose centre is
-    certain: after each evaluation ``upper`` bounds a point's distance to its
-    centre and ``lower`` its distance to every other centre. Each centre
-    update widens them by the centre shifts plus ``slack``. That is over ten
-    times the rounding of any computed distance (whose square is off by at
-    most about ``20 * 2**-53 * max |p|^2``), so ``upper < lower`` proves that
-    the dense iteration keeps the label.
+    changes. Each pass asks a k-d tree of the centres (Bentley, CACM 1975)
+    for the two nearest centres of the points in doubt, exactly and point by
+    point. Hamerly's margin (SDM 2010) ``gap``, the second distance less the
+    first less ``2 slack``, shrinks at each centre update by the point's own
+    centre shift, the largest other shift and ``2 slack``; while it stays
+    positive the point keeps its label and is not queried.
 
-    The other points are evaluated again by :func:`_offsets`, which rounds
-    otherwise than the dense iteration (so would a subset of its rows: BLAS
-    takes another kernel for one row, and for some column tails of some row
-    blocks). A point whose two nearest centres are within ``slack**2`` takes
-    its label from :func:`_sq_distances` of all points instead, and is
-    evaluated again at the next iteration."""
+    With ``slack = 2**-20 max |p|``, two nearest centres more than ``slack**2``
+    apart in squared distance are far above the dense rounding (about
+    ``20 * 2**-53 * max |p|^2``), so the tree's nearest is the dense one. A
+    tie within ``slack**2`` takes its label from :func:`_sq_distances` of all
+    points instead, and is queried again at the next pass."""
     n = len(points)
     centers = points[rng.choice(n, size=k, replace=False)].copy()
     sq = (points ** 2).sum(axis=1)
-    lifted = np.hstack((points, np.ones((n, 1))))
     slack = 2.0 ** -20 * np.sqrt(sq.max())
     labels = np.zeros(n, dtype=int)
-    upper, lower = np.empty(n), np.empty(n)
+    gap = np.empty(n)
     rows = np.arange(n)
     for _ in range(iterations):
         if len(rows) == 0:
             break
-        near, best, second = _least_two(_offsets(lifted[rows], centers))
-        tie = second - best <= slack ** 2
+        dist, nearest = cKDTree(centers).query(points[rows], k=2)
+        first, second, near = dist[:, 0], dist[:, 1], nearest[:, 0]
+        tie = second ** 2 - first ** 2 <= slack ** 2
         if tie.any():
             near[tie] = _sq_distances(points, sq, centers)[rows[tie]].argmin(axis=1)
-            second[tie] = best[tie]
-        upper[rows] = np.sqrt(np.maximum(best + sq[rows], 0.0)) + slack
-        lower[rows] = np.sqrt(np.maximum(second + sq[rows], 0.0)) - slack
+            second[tie] = first[tie]
+        gap[rows] = second - first - 2.0 * slack
         if np.array_equal(near, labels[rows]):
             break
         labels[rows] = near
@@ -148,14 +130,11 @@ def _lloyd(points: np.ndarray, k: int, rng, iterations: int) -> np.ndarray:
         if not full.all():
             _reseed(points, sq, centers, ~full)
         shift = np.sqrt(((centers - old) ** 2).sum(axis=1))
-        upper += shift[labels] + slack
         # every other centre moved by at most the largest shift but the own
         far = shift.argmax()
-        lower -= np.where(labels == far, np.delete(shift, far).max(initial=0.0), shift[far]) + slack
-        rows = np.flatnonzero(upper >= lower)
-        # tighten ``upper`` to the distance to the own centre before evaluating
-        upper[rows] = np.sqrt(((points[rows] - centers[labels[rows]]) ** 2).sum(axis=1)) + slack
-        rows = rows[upper[rows] >= lower[rows]]
+        gap -= shift[labels] + np.where(labels == far, np.delete(shift, far).max(initial=0.0),
+                                        shift[far]) + 2.0 * slack
+        rows = np.flatnonzero(gap <= 0.0)
     return labels
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import MISSING, asdict, fields
@@ -37,6 +38,17 @@ from .system import EXCHANGE, structural_checks
 
 class ConfigError(Exception):
     pass
+
+
+def _finite(v) -> bool:
+    """Whether a JSON value is a number that converts to a finite float
+    (``json`` reads ``NaN``, ``Infinity`` and integers of any size)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 class Section:
@@ -69,8 +81,7 @@ class Section:
                          lambda v: isinstance(v, int) and not isinstance(v, bool))
 
     def real(self, key, default=MISSING) -> float:
-        return float(self._get(key, default, "a number",
-                               lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)))
+        return float(self._get(key, default, "a finite number", _finite))
 
     def flag(self, key, default=MISSING) -> bool:
         return self._get(key, default, "true or false", lambda v: isinstance(v, bool))

@@ -231,9 +231,9 @@ def assemble_pressure(space: DGSpace, params: PhysicalParams, faces: FaceSet):
     nd = space.sizes["d"]
     tab = space.volume_table(space.field_domain("d"))
     K, div = tab.gram[1, 1] + tab.gram[2, 2], np.stack([tab.gram[0, 1], tab.gram[0, 2]], axis=1)
-    # every p:j is laid out as space.dofs lays out a scalar elastic field
+    # every p:j has the layout of p:E
     e = np.arange(tab.n_elem)[:, None]
-    n, d = tab.n_elem * space.n_loc, e * space.n_loc + np.arange(space.n_loc)
+    n, d = space.sizes[f"p:{EXCHANGE}"], space.dofs(f"p:{EXCHANGE}", e[:, 0])
     out = {"A": {}, "B": {}}
     for j in params.compartments:
         field = f"p:{j}"

@@ -155,9 +155,8 @@ def broken_norms(space: DGSpace, faces: FaceSet, params: PhysicalParams, state: 
     ``state`` maps field names to field-local DOF vectors. Returns a dict
     with keys ``d``, ``p:<j>``, ``u``, ``p`` holding the squared norms.
     """
-    fields = ["d", *(f"p:{j}" for j in params.compartments), "u", "p"]
     return {f: float(_broken_sq(space, faces, params, f, [state[f]], exact, t)[0])
-            for f in fields}
+            for f in space.fields}
 
 
 def weighted_l2sq(space: DGSpace, field: str, vec, coeff: float,

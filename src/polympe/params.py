@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 #: the compartment that exchanges mass with the fluid across the interface
@@ -62,16 +63,19 @@ class PhysicalParams:
             strictly_positive[f"k_{j}"] = self.k_j[j]
             strictly_positive[f"zeta_bar_{j}"] = self.zeta_bar[j]
         for name, v in strictly_positive.items():
-            if not v > 0.0:
-                raise ValueError(f"parameter {name} must be strictly positive, got {v}")
+            if not 0.0 < v < math.inf:
+                raise ValueError(f"parameter {name} must be finite and strictly positive, "
+                                 f"got {v}")
         for j in self.compartments:
             if not 0.0 <= self.alpha_j[j] < 1.0:
                 raise ValueError(f"alpha_{j} must lie in [0, 1), got {self.alpha_j[j]}")
-            if self.beta_ext[j] < 0.0:
-                raise ValueError(f"beta_ext_{j} must be nonnegative")
+            if not 0.0 <= self.beta_ext[j] < math.inf:
+                raise ValueError(f"beta_ext_{j} must be finite and nonnegative, "
+                                 f"got {self.beta_ext[j]}")
             for k in self.compartments:
-                if self.beta[j][k] < 0.0:
-                    raise ValueError(f"beta[{j}][{k}] must be nonnegative")
+                if not 0.0 <= self.beta[j][k] < math.inf:
+                    raise ValueError(f"beta[{j}][{k}] must be finite and nonnegative, "
+                                     f"got {self.beta[j][k]}")
 
     @property
     def elastic_tensor_norm(self) -> float:

@@ -23,6 +23,7 @@ them; A1 keeps its whole pattern, which sets the column ordering of its LU.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,8 @@ class SchemeParams:
     theta: float = 0.5
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
         if not 0.0 < self.beta <= 0.5:
             raise ValueError("beta must lie in (0, 1/2]")
         if not 0.5 <= self.gamma <= 1.0:

@@ -146,22 +146,26 @@ def build_global(sys: SystemMatrices, s: float = 0.0) -> sp.csr_matrix:
     return place(blocks, sys.space.sizes)
 
 
+#: largest relative asymmetry, pairing defect and interface energy that pass
+SYM_TOL = 1e-12
+#: least relative eigenvalue that passes as positive semi-definite
+PSD_TOL = -1e-12
+
+
 @dataclass
 class StructuralReport:
     symmetry: dict = field(default_factory=dict)
     psd_min: dict = field(default_factory=dict)
     pairing: dict = field(default_factory=dict)
     interface_energy: float = 0.0
-    sym_tol: float = 1e-12
-    psd_tol: float = -1e-12
 
     @property
     def passed(self) -> bool:
         return (
-            all(v < self.sym_tol for v in self.symmetry.values())
-            and all(v >= self.psd_tol for v in self.psd_min.values())
-            and all(v < self.sym_tol for v in self.pairing.values())
-            and self.interface_energy < self.sym_tol
+            all(v < SYM_TOL for v in self.symmetry.values())
+            and all(v >= PSD_TOL for v in self.psd_min.values())
+            and all(v < SYM_TOL for v in self.pairing.values())
+            and self.interface_energy < SYM_TOL
         )
 
     def summary(self) -> str:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from polympe.agglomerate import (AgglomerationConfig, _Boundary, _lloyd, _Outlines, _reseed,
                                  agglomerate, partition_assignment, validate_partition)
@@ -306,20 +307,28 @@ def test_bounded_lloyd_matches_the_dense_iteration(k, n, seed, kind):
                           dense_lloyd(points, k, np.random.default_rng(seed), 60))
 
 
-@pytest.mark.parametrize("k, n, seed", [(2, 20, 2), (3, 24, 2)])
+@pytest.mark.parametrize("kind", ["uniform", "lattice", "far"])
+def test_bounded_lloyd_matches_the_dense_iteration_on_many_centres(kind):
+    points = lloyd_points(3000, 0, kind)
+    assert np.array_equal(_lloyd(points, 160, np.random.default_rng(0), 60),
+                          dense_lloyd(points, 160, np.random.default_rng(0), 60))
+
+
+@pytest.mark.parametrize("k, n, seed", [(2, 16, 0), (3, 24, 2)])
 def test_bounded_lloyd_evaluates_a_single_row(monkeypatch, k, n, seed):
-    # at these sizes one iteration evaluates exactly one point again: one row
-    # goes through BLAS gemv, and the labels still match the dense iteration
-    real, rows = agglomerate_module._offsets, []
+    # at these sizes one pass queries the tree for exactly one point, and the
+    # labels still match the dense iteration
+    sizes = []
 
-    def offsets(lifted, centers):
-        rows.append((len(lifted), len(centers)))
-        return real(lifted, centers)
+    class Tree(cKDTree):
+        def query(self, x, *args, **kwargs):
+            sizes.append(len(x))
+            return super().query(x, *args, **kwargs)
 
-    monkeypatch.setattr(agglomerate_module, "_offsets", offsets)
+    monkeypatch.setattr(agglomerate_module, "cKDTree", Tree)
     points = lloyd_points(n, seed, "uniform")
     labels = _lloyd(points, k, np.random.default_rng(seed), 60)
-    assert (1, k) in rows
+    assert 1 in sizes
     assert np.array_equal(labels, dense_lloyd(points, k, np.random.default_rng(seed), 60))
 
 

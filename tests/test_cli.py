@@ -9,6 +9,8 @@ from polympe import cli
 from polympe.cli import main
 from polympe.manufactured import SOURCES
 from polympe.mesh import load_mesh
+from polympe.params import PhysicalParams
+from polympe.stepping import SchemeParams
 
 from conftest import read_config, sha256_hex
 
@@ -465,11 +467,44 @@ def test_bad_step_counts_are_input_errors(tmp_path, capsys, monkeypatch, doc):
     assert not list(out.glob("snapshot_*")) and not (out / "manifest.json").exists()
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("command, doc, name", [
+    ("solve", _with(_ZERO_SOLVE, None, case="demo", demo_amplitude=float("nan")),
+     "demo_amplitude"),
+    ("solve", _with(_ZERO_SOLVE, "scheme", dt=float("inf")), "scheme dt"),
+    ("solve", _with(_ZERO_SOLVE, None, case="demo", params={"beta_ext": {"E": float("nan")}}),
+     "params beta_ext[E]"),
+    ("solve", _with(_ZERO_SOLVE, None, case="demo", params={"mu_el": 10 ** 400}),
+     "params mu_el"),
+], ids=["demo_amplitude-nan", "dt-inf", "beta_ext-nan", "mu_el-400-digits"])
+def test_non_finite_config_number_is_input_error(tmp_path, capsys, command, doc, name):
+    # json reads NaN, Infinity and integers of any size; none is a number here
+    out = tmp_path / "o"
+    assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{name} must be a finite number" in err and "Traceback" not in err
+    assert not list(out.glob("*"))
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: PhysicalParams(beta_ext={"E": float("nan")}), "beta_ext_E"),
+    (lambda: PhysicalParams(beta={"E": {"E": float("nan")}}), r"beta\[E\]\[E\]"),
+    (lambda: PhysicalParams(beta={"E": {"E": float("inf")}}), r"beta\[E\]\[E\]"),
+    (lambda: PhysicalParams(mu_el=float("inf")), "mu_el"),
+    (lambda: PhysicalParams(k_j={"E": float("inf")}), "k_E"),
+    (lambda: SchemeParams(dt=float("inf")), "dt"),
+], ids=["beta_ext-nan", "beta-nan", "beta-inf", "mu_el-inf", "k_j-inf", "dt-inf"])
+def test_non_finite_coefficient_is_rejected(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
 def test_non_finite_forcing_is_numerical_failure(tmp_path, capsys):
+    # a finite amplitude whose forcing overflows
     cfg = write_config(tmp_path, {
         "case": "demo", "mesh": {"family": "cartesian", "ny": 2}, "degree": 1,
-        "scheme": {"dt": 0.01, "n_steps": 3}, "demo_amplitude": float("inf"),
+        "scheme": {"dt": 0.01, "n_steps": 3}, "demo_amplitude": 1e308,
     })
     out = tmp_path / "o"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 3
