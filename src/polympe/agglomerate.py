@@ -276,7 +276,8 @@ class _Partition:
 
     ``boundary`` keeps the :class:`_Boundary` of the clusters whose outline
     has been read: :meth:`move` updates the two it changes edge by edge, and
-    every other edit drops the ones it changes, to be read again."""
+    every other edit drops the ones it changes, to be read again. ``_violating``
+    maps the clusters last found not star-shaped to their moves."""
 
     def __init__(self, mesh: PolyMesh, outlines: _Outlines, ids: np.ndarray, rng):
         self.mesh = mesh
@@ -291,6 +292,7 @@ class _Partition:
         self.boundary: dict[int, _Boundary] = {}
         self._next = 0
         self._dirty: set[int] = set()
+        self._violating: dict[int, list] = {}
 
     # -- structural edits ------------------------------------------------
 
@@ -306,6 +308,7 @@ class _Partition:
         elems = self.clusters.pop(cid)
         self.boundary.pop(cid, None)
         self._dirty.discard(cid)
+        self._violating.pop(cid, None)
         return elems
 
     def move(self, elem: int, dest: int):
@@ -379,7 +382,8 @@ class _Partition:
             if len(self.clusters) < k:
                 self.split_largest()
             else:
-                smallest = min(sorted(self.clusters), key=lambda c: len(self.clusters[c]))
+                # the ids are keys in ascending order: the first smallest wins
+                smallest = min(self.clusters, key=lambda c: len(self.clusters[c]))
                 self.merge_into_neighbor(smallest)
         raise MeshError(f"could not reach target {k} within the repair budget")
 
@@ -430,7 +434,7 @@ class _Partition:
         return moves
 
     def repair_star_shape(self, k: int, budget: int):
-        violating: dict[int, list] = {}
+        violating = self._violating
         self._dirty = set(self.clusters)
         self.boundary.update(self.outlines.boundaries(
             [e for cid, elems in self.clusters.items() if cid not in self.boundary for e in elems],
@@ -438,15 +442,11 @@ class _Partition:
         stubborn: dict[int, int] = {}
         for _ in range(budget):
             for cid in self._dirty:
-                if cid in self.clusters:
-                    mv = self._violation_moves(cid)
-                    if mv:
-                        violating[cid] = mv
-                    else:
-                        violating.pop(cid, None)
-            for cid in list(violating):
-                if cid not in self.clusters:
-                    del violating[cid]
+                mv = self._violation_moves(cid)
+                if mv:
+                    violating[cid] = mv
+                else:
+                    violating.pop(cid, None)
             self._dirty = set()
             if not violating:
                 self.fix_count(k, budget)
@@ -461,7 +461,6 @@ class _Partition:
                 self.merge_into_neighbor(cid)
                 self.fix_count(k, budget)
                 stubborn.pop(cid)
-                violating.pop(cid, None)
                 continue
             moves = violating.pop(cid)
             elem, dest = moves[self.rng.integers(len(moves))]

@@ -25,11 +25,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, driver, outputs, stepping
+from . import __version__, driver, norms, outputs, stepping
 from .agglomerate import AgglomerationConfig, agglomerate, partition_assignment, validate_partition
 from .families import DEMO_DIRICHLET, VERIFICATION_DIRICHLET, cartesian_two_domain, triangulated_two_domain
 from .forms import ZeroData
-from .manufactured import SOURCES, residual_oracle, steady_case, unsteady_case
+from .manufactured import (CONTROL_FLOOR, ORACLE_T, ORACLE_TOL, SOURCES, residual_oracle,
+                           steady_case, unsteady_case)
 from .mesh import MeshError, load_mesh, quality_report, save_mesh
 from .params import PhysicalParams
 from .solvers import NumericalError
@@ -175,7 +176,7 @@ def _read_params(cfg: Section) -> PhysicalParams:
     sec = cfg.section("params", {})
     preset = sec.string("preset", "unit")
     if preset == "unit":
-        params = PhysicalParams.unit(compartments, alpha=sec.real("alpha", 0.5))
+        params = PhysicalParams.unit(compartments)
     elif preset == "brain":
         params = PhysicalParams.brain(compartments)
     else:
@@ -207,10 +208,9 @@ def _read_case(cfg: Section, default: str, cases=("steady", "unsteady", "zero", 
     return case_id
 
 
-def _read_dirichlet(cfg: Section, case: str, compartments) -> dict:
-    """The Dirichlet fields of each boundary label, by default ``case``'s;
+def _read_dirichlet(cfg: Section, default: dict, compartments) -> dict:
+    """The Dirichlet fields of each boundary label, by default ``default``'s;
     each is ``d``, ``u`` or ``p:<j>`` of one of ``compartments``."""
-    default = VERIFICATION_DIRICHLET if case in ("steady", "unsteady") else DEMO_DIRICHLET
     sec = cfg.section("dirichlet", {lab: sorted(fs) for lab, fs in default.items()},
                       path="{} {!r}")
     known = {"d", "u", *(f"p:{j}" for j in compartments)}
@@ -243,9 +243,6 @@ def cmd_convergence(cfg: Section):
     spectral = conv.flag("spectral", False)
     m_values = conv.ints("m_values", [1, 2, 3])
     n_steps = conv.integer("n_steps", 5) if scfg else None
-    tol = conv.section("tol", {})
-    below, above = tol.real("below", 0.2), tol.real("above", 0.3)
-    tol.close()
     conv.close()
     if len(specs) < (1 if spectral else 3):
         raise ConfigError("convergence meshes must be a mesh family with >= 3 refinements "
@@ -269,6 +266,7 @@ def cmd_convergence(cfg: Section):
                 if not e2 < e1:
                     failures.append((m2, e2 / e1))
         else:
+            below, above = norms.RATE_WINDOW
             for m in m_values:
                 rate = per_m[m][-1]["rate_energy"]
                 if not (m - below <= rate <= m + above):
@@ -293,11 +291,11 @@ def cmd_solve(cfg: Section):
     if case_id in ("steady", "unsteady"):
         # the manufactured cases bring their own parameters
         data = steady_case() if case_id == "steady" else unsteady_case()
-        params = data.params
+        params, default = data.params, VERIFICATION_DIRICHLET
     else:
-        params = _read_params(cfg)
+        params, default = _read_params(cfg), DEMO_DIRICHLET
         data = DemoData(cfg.real("demo_amplitude", 2e-3)) if case_id == "demo" else ZeroData()
-    dirichlet = _read_dirichlet(cfg, case_id, params.compartments)
+    dirichlet = _read_dirichlet(cfg, default, params.compartments)
     if case_id != "steady":
         scfg, stride = cfg.section("scheme", {}), cfg.integer("snapshot_stride", 1)
     cfg.close()
@@ -336,12 +334,10 @@ def cmd_verify(cfg: Section):
     n_points = vcfg.integer("n_points", 100)
     if n_points < 1:
         raise ConfigError(f"verify n_points must be >= 1, got {n_points}")
-    tol = vcfg.real("oracle_tol", 1e-4)
-    t_unsteady = vcfg.real("t", 0.37)
     vcfg.close()
     m, params = cfg.integer("degree", 2), _read_params(cfg)
     spec = _read_spec(cfg.section("mesh", {"family": "cartesian", "ny": 4}))
-    dirichlet = _read_dirichlet(cfg, _read_case(cfg, "steady"), params.compartments)
+    dirichlet = _read_dirichlet(cfg, VERIFICATION_DIRICHLET, params.compartments)
     cfg.close()
 
     def run(out: Path):
@@ -350,16 +346,17 @@ def cmd_verify(cfg: Section):
         sysm = driver.setup(resolve_mesh(spec), m, params, dirichlet)
         ok = True
         report_lines = []
-        for case, t in ((steady_case(), 0.0), (unsteady_case(), t_unsteady)):
+        for case, t in ((steady_case(), 0.0), (unsteady_case(), ORACLE_T)):
             rep = residual_oracle(case, n_points=n_points, t=t)
-            report_lines.append(f"[{case.name}] max residual {rep.max_residual:.3e} (tol {tol:g})")
+            report_lines.append(f"[{case.name}] max residual {rep.max_residual:.3e} "
+                                f"(tol {ORACLE_TOL:g})")
             report_lines.append(rep.summary())
-            ok &= rep.max_residual < tol
+            ok &= rep.max_residual < ORACLE_TOL
             for source in SOURCES:
                 bad = residual_oracle(case.corrupted(source), n_points=10, t=t)
                 report_lines.append(f"[{case.name}] negative control {source} residual "
                                     f"{bad.max_residual:.3e}")
-                ok &= bad.max_residual > 1e-1
+                ok &= bad.max_residual > CONTROL_FLOOR
 
         srep = structural_checks(sysm)
         report_lines.append(srep.summary())

@@ -34,6 +34,10 @@ from .mesh import FaceSet
 from .params import EXCHANGE, PhysicalParams
 from .spaces import DGSpace, FaceTable
 
+#: the one penalty constant of the scheme: :func:`penalty_coefficients`
+#: multiplies each coefficient and degree scaling by it
+PENALTY = 10.0
+
 
 @dataclass(frozen=True)
 class PenaltyValues:
@@ -63,13 +67,13 @@ def penalty_coefficients(h, params: PhysicalParams, degree: int = 1) -> PenaltyV
     """
     s = max(1, degree) ** 2
     return PenaltyValues(
-        eta=s * params.eta_bar * params.elastic_tensor_norm / h,
+        eta=s * PENALTY * params.elastic_tensor_norm / h,
         zeta={
-            j: s * params.zeta_bar[j] * params.darcy_tensor_norm(j) / (np.sqrt(params.mu_j[j]) * h)
+            j: s * PENALTY * params.darcy_tensor_norm(j) / (np.sqrt(params.mu_j[j]) * h)
             for j in params.compartments
         },
-        gamma_v=s * params.gamma_v_bar * params.mu_f / h,
-        gamma_p=params.gamma_p_bar * h,
+        gamma_v=s * PENALTY * params.mu_f / h,
+        gamma_p=PENALTY * h,
     )
 
 

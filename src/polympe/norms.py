@@ -238,6 +238,9 @@ def energy_norm(states: list, times: list, space: DGSpace, faces: FaceSet,
 
 #: errors at or below this floor are treated as saturated, not rated
 SATURATION_FLOOR = 1e-13
+#: (below, above): the finest-pair energy rate at degree m must lie in
+#: [m - below, m + above] (acceptance criteria 1 and 3, `polympe convergence`)
+RATE_WINDOW = (0.2, 0.3)
 
 
 def convergence_rates(errors, hs):

@@ -1,4 +1,4 @@
-"""Physical and penalty parameters of the coupled poroelasticity-Stokes model."""
+"""Physical parameters of the coupled poroelasticity-Stokes model."""
 
 from __future__ import annotations
 
@@ -15,9 +15,7 @@ class PhysicalParams:
 
     Compartment-indexed entries are keyed by the compartment label. ``beta``
     holds the inter-compartment transfer coefficients ``beta[j][k]`` (from k
-    to j) and ``beta_ext`` the external ones. Penalty scalings: ``eta_bar``
-    (elastic), ``zeta_bar[j]`` (pressures), ``gamma_v_bar`` and
-    ``gamma_p_bar`` (fluid velocity / pressure).
+    to j) and ``beta_ext`` the external ones.
     """
 
     compartments: tuple[str, ...] = ("E",)
@@ -32,10 +30,6 @@ class PhysicalParams:
     k_j: dict = field(default_factory=dict)
     beta: dict = field(default_factory=dict)
     beta_ext: dict = field(default_factory=dict)
-    eta_bar: float = 10.0
-    zeta_bar: dict = field(default_factory=dict)
-    gamma_v_bar: float = 10.0
-    gamma_p_bar: float = 10.0
 
     def __post_init__(self):
         J = self.compartments
@@ -45,23 +39,18 @@ class PhysicalParams:
         self.k_j = {j: self.k_j.get(j, 1.0e-11) for j in J}
         self.beta = {j: {k: self.beta.get(j, {}).get(k, 1.0) for k in J} for j in J}
         self.beta_ext = {j: self.beta_ext.get(j, 1.0) for j in J}
-        self.zeta_bar = {j: self.zeta_bar.get(j, 10.0) for j in J}
         self.validate()
 
     def validate(self):
         if EXCHANGE not in self.compartments:
             raise ValueError(f"compartments must include the exchange compartment {EXCHANGE!r}, "
                              f"got {list(self.compartments)}")
-        strictly_positive = {
-            "rho_el": self.rho_el, "rho_f": self.rho_f, "mu_el": self.mu_el,
-            "lam": self.lam, "mu_f": self.mu_f, "eta_bar": self.eta_bar,
-            "gamma_v_bar": self.gamma_v_bar, "gamma_p_bar": self.gamma_p_bar,
-        }
+        strictly_positive = {"rho_el": self.rho_el, "rho_f": self.rho_f, "mu_el": self.mu_el,
+                             "lam": self.lam, "mu_f": self.mu_f}
         for j in self.compartments:
             strictly_positive[f"mu_{j}"] = self.mu_j[j]
             strictly_positive[f"c_{j}"] = self.c_j[j]
             strictly_positive[f"k_{j}"] = self.k_j[j]
-            strictly_positive[f"zeta_bar_{j}"] = self.zeta_bar[j]
         for name, v in strictly_positive.items():
             if not 0.0 < v < math.inf:
                 raise ValueError(f"parameter {name} must be finite and strictly positive, "
@@ -92,13 +81,13 @@ class PhysicalParams:
         return self.k_j[j]
 
     @classmethod
-    def unit(cls, compartments=("E",), alpha=0.5) -> "PhysicalParams":
-        """All coefficients equal to 1 except the Biot-Willis alpha
+    def unit(cls, compartments=("E",)) -> "PhysicalParams":
+        """All coefficients equal to 1 except the Biot-Willis alpha, 1/2
         (the verification setting)."""
         J = tuple(compartments)
         return cls(
             compartments=J, rho_el=1.0, rho_f=1.0, mu_el=1.0, lam=1.0, mu_f=1.0,
-            mu_j={j: 1.0 for j in J}, alpha_j={j: alpha for j in J},
+            mu_j={j: 1.0 for j in J}, alpha_j={j: 0.5 for j in J},
             c_j={j: 1.0 for j in J}, k_j={j: 1.0 for j in J},
             beta={j: {k: 1.0 for k in J} for j in J}, beta_ext={j: 1.0 for j in J},
         )

@@ -194,14 +194,14 @@ def _rel_diff(a, b) -> float:
     return (np.abs(d.data).max() / scale) if d.nnz else 0.0
 
 
-def structural_checks(sys: SystemMatrices, seed: int = 0) -> StructuralReport:
+def structural_checks(sys: SystemMatrices) -> StructuralReport:
     """Symmetry, positive semidefiniteness (each stiffness's smallest over its
     largest |eigenvalue|, from one dense ``eigvalsh``: verification meshes
     have a few thousand rows at most), transpose pairing of the placed
-    blocks, and the interface energy-cancellation residual.
+    blocks, and the interface energy-cancellation residual on fixed random states.
     """
     rep = StructuralReport()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
 
     named = {"A_el": sys.A_el, "A_f": sys.A_f, "S": sys.S, "M_el": sys.M_el, "M_f": sys.M_f,
              **{f"A_{j}": sys.A_j[j] for j in sys.compartments}, "M_comp": sys.M_comp}

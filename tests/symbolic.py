@@ -7,6 +7,8 @@ checked against, and it builds the polynomial patch cases of the form tests.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import sympy as sym
 
@@ -75,7 +77,8 @@ class SymbolicCase:
         """The case of the given fields, with the sources and outlet datum of
         :func:`strong_sources`."""
         f_el, g_E, f_f, p_out = strong_sources(d, pE, u, p, alpha)
-        return cls(name, PhysicalParams.unit(alpha=float(alpha)),
+        params = replace(PhysicalParams.unit(), alpha_j={"E": float(alpha)})
+        return cls(name, params,
                    {"d": d, "p:E": pE, "u": u, "p": p,
                     "f_el": f_el, "g:E": g_E, "f_f": f_f, "p_out": p_out})
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from polympe import cli
+from polympe import cli, norms
 from polympe.cli import main
 from polympe.manufactured import SOURCES
 from polympe.mesh import load_mesh
@@ -208,6 +208,22 @@ def test_unknown_solve_key_is_input_error(tmp_path, capsys, doc, key):
     assert not list(out.glob("snapshot_*"))
 
 
+_SMALL_MESHES = [{"family": "cartesian", "ny": n} for n in (2, 4, 8)]
+_ZERO_SOLVE = {"case": "zero", "mesh": {"family": "cartesian", "ny": 2}, "degree": 1,
+               "scheme": {"dt": 0.01, "n_steps": 2}}
+_AGGLOMERATED = {"family": "agglomerated", "targets": [2, 2], "fine_ny": 4}
+_SWEEP = {"case": "steady", "convergence": {"m_values": [1], "meshes": _SMALL_MESHES}}
+_VERIFY = {"mesh": {"family": "cartesian", "ny": 2}, "degree": 1}
+
+
+def _with(doc, section, **changes):
+    """``doc`` with the entries ``changes`` set in its ``section`` (the
+    top level when ``section`` is ``None``)."""
+    doc = json.loads(json.dumps(doc))
+    (doc if section is None else doc[section]).update(changes)
+    return doc
+
+
 @pytest.mark.parametrize("command, doc, key", [
     ("convergence", {"case": "steady", "convergence": {"m_values": [1], "meshes": [],
                                                         "n_step": 1}}, "n_step"),
@@ -225,12 +241,27 @@ def test_unknown_solve_key_is_input_error(tmp_path, capsys, doc, key):
     ("convergence", {"convergance": {"meshes": [{"family": "cartesian", "ny": 2}]}},
      "convergance"),
     ("agglomerate", {"agglomeraton": {"fine": {"fine_ny": 4}}}, "agglomeraton"),
+    # options removed in favour of constants (forms.PENALTY, norms.RATE_WINDOW,
+    # the oracle bounds of manufactured) or of another key (params.alpha_j)
+    *[("solve", _with(_ZERO_SOLVE, None, params={key: val}), key)
+      for key, val in [("eta_bar", 10.0), ("gamma_v_bar", 10.0), ("gamma_p_bar", 10.0),
+                       ("zeta_bar", {"E": 10.0}), ("alpha", 0.5)]],
+    ("verify", dict(_VERIFY, params={"zeta_bar": {"E": 10.0}}), "zeta_bar"),
+    ("convergence", _with(_SWEEP, "convergence", tol={"below": 0.2, "above": 0.3}), "tol"),
+    ("verify", dict(_VERIFY, verify={"n_points": 5, "oracle_tol": 1e-4}), "oracle_tol"),
+    ("verify", dict(_VERIFY, verify={"n_points": 5, "oracle_tol": False}), "oracle_tol"),
+    ("verify", dict(_VERIFY, verify={"n_points": 5, "t": 0.37}), "t"),
+    ("verify", dict(_VERIFY, case="steady"), "case"),
+    ("verify", dict(_VERIFY, case="stedy"), "case"),
+    ("verify", dict(_VERIFY, case=None), "case"),
 ])
 def test_unknown_config_key_is_input_error(tmp_path, capsys, command, doc, key):
     cfg = write_config(tmp_path, doc)
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert repr(key) in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_shipped_configs_have_known_top_level_keys():
@@ -306,21 +337,6 @@ def test_wrong_typed_config_value_is_input_error(tmp_path, capsys, doc, name):
     assert not list(out.glob("*"))
 
 
-_SMALL_MESHES = [{"family": "cartesian", "ny": n} for n in (2, 4, 8)]
-_ZERO_SOLVE = {"case": "zero", "mesh": {"family": "cartesian", "ny": 2}, "degree": 1,
-               "scheme": {"dt": 0.01, "n_steps": 2}}
-_AGGLOMERATED = {"family": "agglomerated", "targets": [2, 2], "fine_ny": 4}
-_SWEEP = {"case": "steady", "convergence": {"m_values": [1], "meshes": _SMALL_MESHES}}
-
-
-def _with(doc, section, **changes):
-    """``doc`` with the entries ``changes`` set in its ``section`` (the
-    top level when ``section`` is ``None``)."""
-    doc = json.loads(json.dumps(doc))
-    (doc if section is None else doc[section]).update(changes)
-    return doc
-
-
 @pytest.mark.parametrize("command, doc, name", [
     ("solve", _with(_ZERO_SOLVE, None, degree=None), "degree"),
     ("solve", _with(_ZERO_SOLVE, None, degree=1.7), "degree"),
@@ -343,11 +359,10 @@ def _with(doc, section, **changes):
     ("convergence", _with(_SWEEP, "convergence", m_values=[]), "m_values"),
     ("convergence", _with(_SWEEP, "convergence", m_values=[True]), "m_values"),
     ("convergence", _with(_SWEEP, "convergence", n_steps=2.0), "n_steps"),
-    ("convergence", _with(_SWEEP, "convergence", tol={"below": True}), "tol below"),
-    ("verify", {"mesh": {"family": "cartesian", "ny": 2}, "degree": 1,
-                "verify": {"n_points": "5"}}, "n_points"),
-    ("verify", {"mesh": {"family": "cartesian", "ny": 2}, "degree": 1,
-                "verify": {"n_points": 5, "oracle_tol": False}}, "oracle_tol"),
+    ("convergence", _with(_SWEEP, "convergence", meshes=[dict(spec, ny=2.5) for spec in
+                                                         _SMALL_MESHES]), "meshes[0] ny"),
+    ("verify", dict(_VERIFY, verify={"n_points": "5"}), "n_points"),
+    ("verify", dict(_VERIFY, verify={"n_points": 5.0}), "verify n_points"),
     ("agglomerate", {"agglomeration": {"fine": {"fine_ny": 4}, "targets": [2, 2.5]}},
      "targets"),
     ("convergence", _with(_with(_SWEEP, None, case="unsteady"), "convergence", n_steps=2.0),
@@ -370,7 +385,7 @@ def test_wrong_typed_number_or_flag_is_input_error(tmp_path, capsys, command, do
     ("solve", _with(_ZERO_SOLVE, None, output_dir=5), "output_dir"),
     ("solve", _with(_ZERO_SOLVE, None, params={"preset": ["brain"]}), "params preset"),
     ("convergence", _with(_SWEEP, None, case=1), "case"),
-    ("verify", {"case": None, "mesh": {"family": "cartesian", "ny": 2}, "degree": 1}, "case"),
+    ("verify", dict(_VERIFY, params={"preset": 1}), "params preset"),
     ("agglomerate", {"agglomeration": {"fine": {"fine_ny": 4}, "targets": [2, 2], "output": 3}},
      "agglomeration output"),
 ])
@@ -386,7 +401,6 @@ def test_wrong_typed_string_is_input_error(tmp_path, capsys, command, doc, name)
     ("solve", _with(_ZERO_SOLVE, None, case="stedy")),
     ("convergence", _with(_SWEEP, None, case="stedy")),
     ("convergence", _with(_SWEEP, None, case="zero")),
-    ("verify", {"case": "stedy", "mesh": {"family": "cartesian", "ny": 2}, "degree": 1}),
 ])
 def test_unknown_case_is_input_error(tmp_path, capsys, command, doc):
     # a misspelt case must not fall back to another case's defaults
@@ -428,8 +442,7 @@ def test_beta_override_merges_entry_by_entry():
 
 
 @pytest.mark.parametrize("command, doc, keys", [
-    ("convergence", {"case": "steady", "convergence": {"m_values": [1], "meshes": _SMALL_MESHES,
-                                                       "tol": {"below": 0.5, "above": 0.5}}},
+    ("convergence", {"case": "steady", "convergence": {"m_values": [1], "meshes": _SMALL_MESHES}},
      {"spectral", "observed_rates", "failures"}),
     ("solve", {"case": "zero", "mesh": {"family": "cartesian", "ny": 2}, "degree": 1,
                "scheme": {"dt": 0.01, "n_steps": 2}},
@@ -540,7 +553,6 @@ def test_convergence_command_and_determinism(tmp_path):
             "meshes": [{"family": "cartesian", "ny": 2},
                        {"family": "cartesian", "ny": 4},
                        {"family": "cartesian", "ny": 8}],
-            "tol": {"below": 0.5, "above": 0.5},
         },
     }
     cfg = write_config(tmp_path, doc)
@@ -556,19 +568,10 @@ def test_convergence_command_and_determinism(tmp_path):
     assert len(rows) == 3
 
 
-def test_convergence_tolerance_failure(tmp_path):
-    doc = {
-        "case": "steady",
-        "convergence": {
-            "m_values": [1],
-            "meshes": [{"family": "cartesian", "ny": 2},
-                       {"family": "cartesian", "ny": 4},
-                       {"family": "cartesian", "ny": 8}],
-            # an impossibly tight window must fail with exit code 1
-            "tol": {"below": 1e-9, "above": 1e-9},
-        },
-    }
-    cfg = write_config(tmp_path, doc)
+def test_convergence_tolerance_failure(tmp_path, monkeypatch):
+    # an impossibly tight window must fail with exit code 1
+    monkeypatch.setattr(norms, "RATE_WINDOW", (0.0, 0.0))
+    cfg = write_config(tmp_path, _SWEEP)
     assert main(["convergence", "--config", cfg, "--out", str(tmp_path / "cf")]) == 1
 
 
@@ -584,7 +587,7 @@ def test_verify_command(tmp_path):
     cfg = write_config(tmp_path, {
         "mesh": {"family": "cartesian", "ny": 2},
         "degree": 1,
-        "verify": {"n_points": 15, "t": 0.2},
+        "verify": {"n_points": 15},
     })
     out = tmp_path / "v"
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
@@ -694,7 +697,7 @@ def test_non_positive_mesh_size_is_input_error(tmp_path, capsys, mesh, name):
 
 
 def test_tol_flag_is_gone(tmp_path):
-    # the rate window is the config's convergence.tol alone
+    # the rate window is norms.RATE_WINDOW alone
     cfg = write_config(tmp_path, _SWEEP)
     with pytest.raises(SystemExit) as exc:
         main(["convergence", "--config", cfg, "--out", str(tmp_path / "o"), "--tol", "0.5"])

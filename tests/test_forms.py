@@ -71,8 +71,9 @@ def test_penalty_ratio_scaling_check():
     params = PhysicalParams.unit()
     for h in (0.05, 0.3):
         pv = forms.penalty_coefficients(face_h(h, h), params)
-        assert pv.gamma_p / pv.gamma_v == pytest.approx(
-            (params.gamma_p_bar / params.gamma_v_bar) * h ** 2 / params.mu_f)
+        assert pv.gamma_v == pytest.approx(forms.PENALTY * params.mu_f / h)
+        assert pv.gamma_p == pytest.approx(forms.PENALTY * h)
+        assert pv.gamma_p / pv.gamma_v == pytest.approx(h ** 2 / params.mu_f)
 
 
 # -- elastic block ---------------------------------------------------------
@@ -301,11 +302,9 @@ def test_params_validation_errors():
     with pytest.raises(ValueError, match="rho_el"):
         PhysicalParams(rho_el=-1.0)
     with pytest.raises(ValueError, match="alpha"):
-        PhysicalParams.unit(alpha=1.0)
+        PhysicalParams(alpha_j={"E": 1.0})
     with pytest.raises(ValueError, match="beta"):
         PhysicalParams(beta_ext={"E": -0.5})
-    with pytest.raises(ValueError, match="zeta"):
-        PhysicalParams(zeta_bar={"E": 0.0})
 
 
 def test_darcy_coefficient():
@@ -325,13 +324,12 @@ def test_params_presets():
     assert brain.k_j["E"] == pytest.approx(1e-11)
     assert brain.beta["E"]["E"] == 1.0
     assert brain.beta_ext["E"] == 0.0
-    unit = PhysicalParams.unit(alpha=0.5)
+    unit = PhysicalParams.unit()
+    assert unit.alpha_j["E"] == 0.5
     assert unit.elastic_tensor_norm == pytest.approx(4.0)
     assert unit.darcy_tensor_norm("E") == pytest.approx(1.0)
-    # verification defaults for the penalty constants
-    for p in (brain, unit):
-        assert p.eta_bar == p.gamma_v_bar == p.gamma_p_bar == 10.0
-        assert p.zeta_bar["E"] == 10.0
+    # the penalty constant of both presets
+    assert forms.PENALTY == 10.0
 
 
 def test_sipg_blocks_remain_coercive_at_high_degree(mesh80, unit_params):
