@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .mesh import ELASTIC, FLUID, MeshError, PolyMesh
+from .mesh import ELASTIC, FLUID, MeshError, PolyMesh, _fan
 
 
 #: repair moves per attempt and coarse element (counting at least 10 elements)
@@ -337,8 +337,12 @@ class _Partition:
         if not self.clusters[src]:
             self.drop_cluster(src)
         elif sum(nb in self.clusters[src] for nb in self.adj[elem]) != 1:
-            # every cluster is connected before a move, so a triangle with
-            # exactly one source-side neighbour cannot disconnect its source
+            # the split check is skipped for a triangle with exactly one
+            # source-side neighbour, though clusters are not always connected
+            # here: a stale cached move can reach a cluster that no longer
+            # touches the triangle, or leave a source already in pieces.
+            # Moved clusters are checked again, _Boundary.loop rejects an
+            # outline of several loops and validate_partition checks the result
             comps = _components(self.clusters[src], self.adj)
             if len(comps) > 1:
                 # keep the largest piece under the old id, split the rest off
@@ -421,10 +425,7 @@ class _Partition:
             if not moves:
                 raise
             return moves
-        pts = self.mesh.vertices.take(loop, axis=0)
-        p = pts - pts.mean(axis=0)
-        q = np.concatenate((p[1:], p[:1]))
-        area2 = p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
+        area2 = _fan(self.mesh.vertices.take(loop, axis=0))[3]
         moves = []
         violations = (area2 <= _STAR_RTOL * area2.sum()).nonzero()[0].tolist()
         for v in (loop[i] for i in violations):

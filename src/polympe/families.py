@@ -49,13 +49,16 @@ def triangulated_two_domain(ny: int, nx_el: int | None = None, nx_f: int | None 
     ``jitter`` displaces strictly interior vertices by up to that fraction
     of the local grid spacing (deterministic for a fixed seed); boundary and
     interface vertices stay exact, so the geometry and the interface line
-    are preserved. ``ny``, ``nx_el`` and ``nx_f`` must be at least 1.
+    are preserved. ``ny``, ``nx_el`` and ``nx_f`` must be at least 1, and
+    ``jitter`` at least 0.
     """
     nx_el = ny if nx_el is None else nx_el
     nx_f = ny if nx_f is None else nx_f
     for name, n in (("ny", ny), ("nx_el", nx_el), ("nx_f", nx_f)):
         if n < 1:
             raise ValueError(f"{name} must be >= 1, got {n}")
+    if not jitter >= 0.0:
+        raise ValueError(f"jitter must be >= 0, got {jitter}")
 
     # integer grid keys j * ncol + c over the columns of both grids; column
     # nx_el is the interface, shared by the two subdomains

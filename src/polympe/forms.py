@@ -25,8 +25,6 @@ contributions then round in that order, however the products are batched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -34,47 +32,35 @@ from .mesh import FaceSet
 from .params import EXCHANGE, PhysicalParams
 from .spaces import DGSpace, FaceTable
 
-#: the one penalty constant of the scheme: :func:`penalty_coefficients`
-#: multiplies each coefficient and degree scaling by it
+#: the one penalty constant of the scheme: :func:`face_penalty` multiplies
+#: each coefficient and degree scaling by it
 PENALTY = 10.0
 
 
-@dataclass(frozen=True)
-class PenaltyValues:
-    """Face penalty coefficients: eta (elastic), zeta per compartment,
-    gamma_v (fluid velocity), gamma_p (fluid pressure)."""
+def face_penalty(params: PhysicalParams, field: str, h, m: int):
+    """The SIPG penalty of ``field`` at degree ``m`` on faces of harmonic
+    diameter ``h`` (``harmonic_h`` of a face set or face table: a float, or
+    an array for per-face values). The one choice of penalty per field, read
+    by the assembly, the Dirichlet liftings and the DG norms.
 
-    eta: float
-    zeta: dict
-    gamma_v: float
-    gamma_p: float
-
-
-def penalty_coefficients(h, params: PhysicalParams, degree: int = 1) -> PenaltyValues:
-    """Penalty values for the harmonic face diameter ``h`` (``harmonic_h``
-    of a face set or face table): a float, or an array for per-face values.
-
-    eta and gamma_v scale with 1/{h}_H, gamma_p with {h}_H; the
-    coefficient-dependent factors are the 2-norms of the elasticity and
-    permeability tensors (with spatially uniform coefficients the two-sided
-    maximum is the common value).
-
-    The coercivity-critical penalties (eta, zeta_j, gamma_v) additionally
-    carry the standard degree^2 factor of interior-penalty methods on
-    polytopal meshes; without it the forms lose definiteness on agglomerated
-    elements already at moderate degrees. ``degree = 1`` reproduces the bare
-    coefficient scalings.
+    For ``d``, ``p:<j>`` and ``u`` it is PENALTY m^2 c / h, with c the
+    2-norm of the coefficient tensor: 2 mu_el + 2 lambda (the largest
+    eigenvalue of the isotropic elasticity tensor), k_j / sqrt(mu_j) (which
+    is the Darcy coefficient kappa(j) = k_j / mu_j only where mu_j = 1) and
+    mu_f. The m^2 factor is the standard one of interior-penalty methods on
+    polytopal meshes: without it the forms lose definiteness on agglomerated
+    elements already at moderate degrees. The fluid pressure ``p`` (the
+    stabilization S) takes PENALTY h.
     """
-    s = max(1, degree) ** 2
-    return PenaltyValues(
-        eta=s * PENALTY * params.elastic_tensor_norm / h,
-        zeta={
-            j: s * PENALTY * params.darcy_tensor_norm(j) / (np.sqrt(params.mu_j[j]) * h)
-            for j in params.compartments
-        },
-        gamma_v=s * PENALTY * params.mu_f / h,
-        gamma_p=PENALTY * h,
-    )
+    if field == "p":
+        return PENALTY * h
+    s = m ** 2 * PENALTY
+    if field == "d":
+        return s * (2.0 * params.mu_el + 2.0 * params.lam) / h
+    if field == "u":
+        return s * params.mu_f / h
+    j = field.partition(":")[2]
+    return s * params.k_j[j] / (np.sqrt(params.mu_j[j]) * h)
 
 
 def _csr(shape, *parts):
@@ -221,7 +207,7 @@ def assemble_elastic(space: DGSpace, params: PhysicalParams, faces: FaceSet):
     mu, lam = params.mu_el, params.lam
     A = _csr((n, n), _elastic_volume(space, "d", mu, lam),
              *(_sipg_vector(space, tab, ns, "d", mu, lam,
-                            penalty_coefficients(tab.harmonic_h, params, space.m).eta)
+                            face_penalty(params, "d", tab.harmonic_h, space.m))
                for tab, ns in _sided(space, faces, faces.sipg_faces("d"))))
     return {"A": A, "M": _mass(space, "d", params.rho_el)}
 
@@ -244,7 +230,7 @@ def assemble_pressure(space: DGSpace, params: PhysicalParams, faces: FaceSet):
         kappa, alpha = params.kappa(j), params.alpha_j[j]
         sided = _sided(space, faces, faces.sipg_faces(field))
         sipg = (_sipg_scalar(space, t, ns, field, kappa,
-                             penalty_coefficients(t.harmonic_h, params, space.m).zeta[j])
+                             face_penalty(params, field, t.harmonic_h, space.m))
                 for t, ns in sided)
         out["A"][j] = _csr((n, n), (d, d, kappa * K), *sipg)
         # -int alpha p div w, + int alpha {p I} : [[w]]
@@ -261,7 +247,7 @@ def assemble_fluid(space: DGSpace, params: PhysicalParams, faces: FaceSet):
     sided = _sided(space, faces, faces.sipg_faces("u"))
     A = _csr((nu, nu), _elastic_volume(space, "u", params.mu_f, 0.0),
              *(_sipg_vector(space, t, ns, "u", params.mu_f, 0.0,
-                            penalty_coefficients(t.harmonic_h, params, space.m).gamma_v)
+                            face_penalty(params, "u", t.harmonic_h, space.m))
                for t, ns in sided))
     # the pressure block uses its own basis (same element, scalar)
     tab = space.volume_table(space.field_domain("u"))
@@ -274,7 +260,7 @@ def assemble_fluid(space: DGSpace, params: PhysicalParams, faces: FaceSet):
     for tab, ns in _sided(space, faces, faces.interior_f):
         w, phi, _, _ = _trace(tab, ns)
         sa, _, sb, _ = _side_weights(ns)
-        pen = penalty_coefficients(tab.harmonic_h, params, space.m).gamma_p
+        pen = face_penalty(params, "p", tab.harmonic_h, space.m)
         e = tab.elem[:, :ns]
         parts.append((space.dofs("p", e[:, :, None]), space.dofs("p", e[:, None, :]),
                       (pen[:, None, None] * sa * sb)[..., None, None] * _face_mass(w, phi)))
@@ -391,7 +377,7 @@ def assemble_loads(space: DGSpace, params: PhysicalParams, faces: FaceSet, data,
         g = _face_data(tab, data, "d", t)
         if g.any():
             lift, _ = _vector_lift(tab, g, params.mu_el, params.lam,
-                                   penalty_coefficients(tab.harmonic_h, params, space.m).eta)
+                                   face_penalty(params, "d", tab.harmonic_h, space.m))
             add(tab, "d", lift, c[:, None])
 
     # Dirichlet lifting for the compartment pressures, plus the mass-coupling
@@ -406,7 +392,7 @@ def assemble_loads(space: DGSpace, params: PhysicalParams, faces: FaceSet, data,
         terms = []
         if g.any():
             dn = gx * n[:, None, None, 0] + gy * n[:, None, None, 1]
-            zeta = penalty_coefficients(tab.harmonic_h, params, space.m).zeta[j]
+            zeta = face_penalty(params, f"p:{j}", tab.harmonic_h, space.m)
             wg = (w * g)[:, None]
             terms.append(-params.kappa(j) * _face_loads(dn, wg)
                          + zeta[:, None, None] * _face_loads(phi, wg))
@@ -422,7 +408,7 @@ def assemble_loads(space: DGSpace, params: PhysicalParams, faces: FaceSet, data,
         g = _face_data(tab, data, "u", t)
         if g.any():
             lift, gn = _vector_lift(tab, g, params.mu_f, 0.0,
-                                    penalty_coefficients(tab.harmonic_h, params, space.m).gamma_v)
+                                    face_penalty(params, "u", tab.harmonic_h, space.m))
             add(tab, "u", lift, c[:, None])
             add(tab, "p", -_face_loads(tab.basis[:, 0, 0], (tab.weights * gn)[:, None])[:, 0])
 

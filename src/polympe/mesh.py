@@ -40,12 +40,19 @@ class MeshError(Exception):
     """Invalid mesh topology or geometry."""
 
 
-def _fan_areas(pts: np.ndarray) -> np.ndarray:
-    """Signed areas of the centroid-fan triangles (c, v_i, v_{i+1}) of a
-    ``(G, n, 2)`` stack of vertex loops, ``c`` the vertex mean of each."""
-    p = pts - pts.mean(axis=1, keepdims=True)
-    q = np.roll(p, -1, axis=1)
-    return 0.5 * (p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0])
+def _fan(pts: np.ndarray):
+    """The centroid fan of a ``(..., n, 2)`` stack of vertex loops: the
+    vertex mean ``c`` (..., 1, 2) of each loop, the spokes ``p = v_i - c``
+    and ``q = v_{i+1} - c`` (..., n, 2), and twice the signed areas
+    ``p x q`` (..., n) of the fan triangles (c, v_i, v_{i+1}).
+
+    The one fan of the package: meshes are validated star-shaped against it,
+    volume quadrature integrates over it and agglomeration repairs clusters
+    against it."""
+    c = pts.mean(axis=-2, keepdims=True)
+    p = pts - c
+    q = np.concatenate((p[..., 1:, :], p[..., :1, :]), axis=-2)
+    return c, p, q, p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0]
 
 
 @dataclass(frozen=True)
@@ -165,15 +172,16 @@ class PolyMesh:
             pts = verts[np.where(in_range[:, None], loops, 0)]
             x, y = pts[..., 0], pts[..., 1]
             area = 0.5 * (x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y).sum(axis=1)
+            c, _, _, fan2 = _fan(pts)
             self.areas[elems] = area
-            self.centroids[elems] = pts.mean(axis=1)
+            self.centroids[elems] = c[:, 0]
             d = pts[:, :, None, :] - pts[:, None, :, :]
             self.diameters[elems] = np.sqrt((d ** 2).sum(-1).max(axis=(1, 2)))
             self.bboxes[elems, 0] = pts.min(axis=1)
             self.bboxes[elems, 1] = pts.max(axis=1)
             # star-shapedness w.r.t. the centroid: every fan triangle
             # (centroid, v_i, v_{i+1}) must have strictly positive area
-            star = _fan_areas(pts).min(axis=1) > _FAN_AREA_RTOL * area
+            star = 0.5 * fan2.min(axis=1) > _FAN_AREA_RTOL * area
             err[elems] = np.select([~in_range, repeats, area <= 0.0, ~star], [2, 3, 4, 5], 0)
 
         bad = np.flatnonzero(err)
@@ -183,7 +191,7 @@ class PolyMesh:
                 raise MeshError(f"element {k} is not counterclockwise "
                                 f"(signed area {float(self.areas[k]):g})")
             if err[k] == 5:
-                tri = _fan_areas(self.vertices[self.elements[k]][None])[0]
+                tri = 0.5 * _fan(self.vertices[self.elements[k]])[3]
                 raise MeshError(
                     f"element {k} is not star-shaped w.r.t. its centroid "
                     f"(fan triangle at local edge {int(tri.argmin())} has area {tri.min():g})"
@@ -416,13 +424,13 @@ class MeshQualityReport:
 def quality_report(mesh: PolyMesh) -> MeshQualityReport:
     """Compute per-element shape ratios and neighbor mesh-size variation
     (``bounded_variation`` in edge-table order)."""
-    d = 2
     ratios = np.empty(mesh.n_elements)
     for elems, loops in mesh.groups:
         pts = mesh.vertices[loops]
         edge = np.roll(pts, -1, axis=1) - pts
         lengths = np.hypot(edge[..., 0], edge[..., 1])
-        r = d * _fan_areas(pts) / (lengths * mesh.diameters[elems, None])
+        # d |S_K^F| with d = 2 is twice the fan triangle's area
+        r = _fan(pts)[3] / (lengths * mesh.diameters[elems, None])
         ratios[elems] = r.min(axis=1)
     sides = mesh.edges.elem[mesh.edges.interior]
     return MeshQualityReport(

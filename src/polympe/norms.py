@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import penalty_coefficients
+from .forms import face_penalty
 from .mesh import FaceSet
 from .params import PhysicalParams
 from .spaces import DGSpace
@@ -93,7 +93,7 @@ def _l2sq(space, field, vecs, exact, t, exact_name=None) -> np.ndarray:
     return np.sum(w * _sum_sq(v), axis=-1)
 
 
-def _jump_sq(space, faces, fidxs, field, vecs, penalty, exact, t) -> np.ndarray:
+def _jump_sq(space, faces, fidxs, field, vecs, params, exact, t) -> np.ndarray:
     """:func:`jump_sq` (S,) of each state, as :func:`_volume_error` reads
     them."""
     if not len(fidxs):
@@ -109,43 +109,35 @@ def _jump_sq(space, faces, fidxs, field, vecs, penalty, exact, t) -> np.ndarray:
     jj = (j * j).sum(axis=-1)
     if j.shape[-1] == 2:
         jj = 0.5 * (jj + (j * tab.normal[:, None, :]).sum(axis=-1) ** 2)
-    return np.sum(penalty(tab.harmonic_h)[:, None] * tab.weights * jj, axis=(-2, -1))
+    pen = face_penalty(params, field, tab.harmonic_h, space.m)
+    return np.sum(pen[:, None] * tab.weights * jj, axis=(-2, -1))
 
 
-def jump_sq(space: DGSpace, faces: FaceSet, fidxs, field: str, vec, penalty,
+def jump_sq(space: DGSpace, faces: FaceSet, fidxs, field: str, vec, params: PhysicalParams,
             exact=None, t: float = 0.0) -> float:
-    """Sum over the faces ``fidxs`` of penalty * |jump|^2 of a field (or of
-    its error against ``exact``); vector jumps in the symmetric tensor sense
-    ([[v]]:[[v]] = (|j|^2 + (j.n)^2) / 2 with j the trace difference).
-
-    ``penalty`` maps the harmonic diameters (F,) of the faces to per-face
-    weights, e.g. ``lambda h: penalty_coefficients(h, params, m).eta``.
-    """
-    return float(_jump_sq(space, faces, fidxs, field, [vec], penalty, exact, t)[0])
+    """Sum over the faces ``fidxs`` of the field's
+    :func:`~polympe.forms.face_penalty` times |jump|^2 of a field (or of its
+    error against ``exact``); vector jumps in the symmetric tensor sense
+    ([[v]]:[[v]] = (|j|^2 + (j.n)^2) / 2 with j the trace difference)."""
+    return float(_jump_sq(space, faces, fidxs, field, [vec], params, exact, t)[0])
 
 
 def _broken_sq(space, faces, params, field, vecs, exact, t) -> np.ndarray:
     """The squared broken norm (S,) of ``field`` (or of its error against
     ``exact``) of each state, as :func:`_volume_error` reads them."""
-    def pen(h):
-        return penalty_coefficients(h, params, space.m)
-
     if field == "p":
         return _l2sq(space, "p", vecs, exact, t) + _jump_sq(
-            space, faces, faces.sipg_faces("u"), "p", vecs, lambda h: pen(h).gamma_p, exact, t)
+            space, faces, faces.sipg_faces("u"), "p", vecs, params, exact, t)
     w, g = _volume_error(space, field, vecs, exact, t, grad=True)
+    fidxs = faces.interior_f if field == "u" else faces.sipg_faces(field)
     if field == "d":
         ee, tr = _strain_sq(g)
         vol = np.sum(w * (2 * params.mu_el * ee + params.lam * tr * tr), axis=-1)
-        fidxs, penalty = faces.sipg_faces("d"), lambda h: pen(h).eta
     elif field == "u":
         vol = np.sum(w * 2 * params.mu_f * _strain_sq(g)[0], axis=-1)
-        fidxs, penalty = faces.interior_f, lambda h: pen(h).gamma_v
     else:
-        j = field.partition(":")[2]
-        vol = params.kappa(j) * np.sum(w * _sum_sq(g, 2), axis=-1)
-        fidxs, penalty = faces.sipg_faces(field), lambda h: pen(h).zeta[j]
-    return vol + _jump_sq(space, faces, fidxs, field, vecs, penalty, exact, t)
+        vol = params.kappa(field.partition(":")[2]) * np.sum(w * _sum_sq(g, 2), axis=-1)
+    return vol + _jump_sq(space, faces, fidxs, field, vecs, params, exact, t)
 
 
 def broken_norms(space: DGSpace, faces: FaceSet, params: PhysicalParams, state: dict,

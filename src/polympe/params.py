@@ -66,19 +66,9 @@ class PhysicalParams:
                     raise ValueError(f"beta[{j}][{k}] must be finite and nonnegative, "
                                      f"got {self.beta[j][k]}")
 
-    @property
-    def elastic_tensor_norm(self) -> float:
-        """Largest eigenvalue of the 2D isotropic elasticity tensor,
-        2 mu_el + 2 lambda (the squared 2-norm of its square root)."""
-        return 2.0 * self.mu_el + 2.0 * self.lam
-
     def kappa(self, j: str) -> float:
         """Darcy coefficient k_j / mu_j of compartment ``j``."""
         return self.k_j[j] / self.mu_j[j]
-
-    def darcy_tensor_norm(self, j: str) -> float:
-        """2-norm of K_j = k_j I."""
-        return self.k_j[j]
 
     @classmethod
     def unit(cls, compartments=("E",)) -> "PhysicalParams":

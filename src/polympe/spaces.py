@@ -28,7 +28,7 @@ from numpy.polynomial import legendre as npleg
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
-from .mesh import ELASTIC, FLUID, FaceSet, PolyMesh, _readonly
+from .mesh import ELASTIC, FLUID, FaceSet, PolyMesh, _fan, _readonly
 
 
 @dataclass(frozen=True)
@@ -69,11 +69,9 @@ def volume_quadrature(element_vertices, order: int) -> QuadratureRule:
     if order < 1:
         raise ValueError("order must be >= 1")
     pts = np.asarray(element_vertices, dtype=float)
-    c = pts.mean(axis=-2, keepdims=True)
     xr, yr, wr = _triangle_rule(order)
     # one block of rule points per fan triangle (c, v_i, v_{i+1})
-    e0, e1 = pts - c, np.roll(pts, -1, axis=-2) - c
-    area2 = e0[..., 0] * e1[..., 1] - e0[..., 1] * e1[..., 0]
+    c, e0, e1, area2 = _fan(pts)
     p = c[..., None, :] + xr[:, None] * e0[..., None, :] + yr[:, None] * e1[..., None, :]
     lead = pts.shape[:-2]
     return QuadratureRule(p.reshape(*lead, -1, 2), (wr * area2[..., None]).reshape(*lead, -1))
@@ -204,7 +202,7 @@ class FaceTable:
     sides (zero for the minus side of a boundary face). ``elem`` holds the
     local element of each side within its own subdomain (the plus side twice
     on a boundary face), and ``harmonic_h`` the harmonic diameter of each
-    face, so that :func:`polympe.forms.penalty_coefficients` gives per-face
+    face, so that :func:`polympe.forms.face_penalty` gives per-face
     penalties.
 
     The tables :meth:`DGSpace.face_table` hands out may be shared between

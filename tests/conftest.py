@@ -91,6 +91,40 @@ def read_config(command, doc) -> dict:
     return cfg.resolved
 
 
+def rotation(phi):
+    """The matrix R of the rotation by the angle ``phi``."""
+    c, s = np.cos(phi), np.sin(phi)
+    return np.array([[c, -s], [s, c]])
+
+
+def rotated(mesh, phi):
+    """``mesh`` rotated by ``phi`` about the origin: its vertices mapped by
+    R, with the same loops, domains and boundary labels."""
+    return PolyMesh(mesh.vertices @ rotation(phi).T, mesh.elements, mesh.element_domain,
+                    mesh.boundary_labels)
+
+
+class RotatedCase:
+    """The data of a manufactured ``case`` rotated by ``phi`` with its mesh:
+    each key is read at the points mapped by R^T, and its vectors are mapped
+    by R, its vector gradients G by R G R^T and its scalar gradients g by
+    R g."""
+
+    VECTORS = ("d", "u", "f_el", "f_f")
+
+    def __init__(self, case, phi):
+        self.case, self.params, self.R = case, case.params, rotation(phi)
+
+    def exact(self, key, pts, t=0.0):
+        R = self.R
+        v = self.case.exact(key, np.asarray(pts) @ R, t)
+        base, _, suffix = key.partition(",")
+        vector, grad = base in self.VECTORS, suffix == "grad"
+        if vector and grad:
+            return R @ v @ R.T
+        return v @ R.T if vector or grad else v
+
+
 def two_square_mesh():
     return PolyMesh(
         [[-1, 0], [0, 0], [1, 0], [1, 1], [0, 1], [-1, 1]],

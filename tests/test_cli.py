@@ -378,6 +378,21 @@ def test_wrong_typed_number_or_flag_is_input_error(tmp_path, capsys, command, do
     assert not list(out.glob("*"))
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("solve", _with(_ZERO_SOLVE, None, mesh=dict(_AGGLOMERATED, jitter=-0.25))),
+    ("agglomerate", {"agglomeration": {"fine": {"fine_ny": 4, "jitter": -0.25},
+                                       "targets": [2, 2]}}),
+])
+def test_negative_jitter_is_input_error(tmp_path, capsys, command, doc):
+    # a negative jitter was once read as no jitter, while the manifest
+    # recorded the negative value
+    out = tmp_path / "o"
+    assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "jitter must be >= 0, got -0.25" in err and "Traceback" not in err
+    assert not list(out.glob("*"))
+
+
 @pytest.mark.parametrize("command, doc, name", [
     ("solve", _with(_ZERO_SOLVE, None, case=["demo"]), "case"),
     ("solve", _with(_ZERO_SOLVE, "mesh", family=["cartesian"]), "mesh family"),

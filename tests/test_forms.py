@@ -33,47 +33,46 @@ def interp(space, field, fn):
 # -- penalties -----------------------------------------------------------
 
 def face_h(h_plus, h_minus=None):
-    """The harmonic diameter ``penalty_coefficients`` reads for a face
+    """The harmonic diameter ``face_penalty`` reads for a face
     between elements of diameters ``h_plus`` and ``h_minus``."""
     return harmonic_h(h_plus, h_minus)
 
 
 def test_penalty_values_elastic():
     params = PhysicalParams.unit()
-    pv = forms.penalty_coefficients(face_h(0.1, 0.1), params)
+    eta = forms.face_penalty(params, "d", face_h(0.1, 0.1), 1)
     # largest eigenvalue of the isotropic elasticity tensor via a Voigt-form
     # eigenvalue oracle: C = [[2mu+lam, lam, 0], [lam, 2mu+lam, 0], [0, 0, 2mu]]
     voigt = np.array([[3.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 2.0]])
     assert np.linalg.eigvalsh(voigt).max() == pytest.approx(4.0)
-    assert pv.eta == pytest.approx(10 * 4.0 / 0.1)
+    assert eta == pytest.approx(10 * 4.0 / 0.1)
 
 
 def test_penalty_values_darcy_and_fluid():
     params = PhysicalParams.unit()
-    pv = forms.penalty_coefficients(face_h(0.5, 0.5), params)
-    assert pv.zeta["E"] == pytest.approx(20.0)
-    assert pv.gamma_v == pytest.approx(10.0 / 0.5)
-    assert pv.gamma_p == pytest.approx(10.0 * 0.5)
+    h = face_h(0.5, 0.5)
+    assert forms.face_penalty(params, "p:E", h, 1) == pytest.approx(20.0)
+    assert forms.face_penalty(params, "u", h, 1) == pytest.approx(10.0 / 0.5)
+    assert forms.face_penalty(params, "p", h, 1) == pytest.approx(10.0 * 0.5)
 
 
 def test_penalty_degree_scaling():
     # eta, zeta, gamma_v carry the degree^2 factor; gamma_p stays linear in h
     params = PhysicalParams.unit()
-    base = forms.penalty_coefficients(face_h(0.2, 0.2), params, degree=1)
-    high = forms.penalty_coefficients(face_h(0.2, 0.2), params, degree=3)
-    assert high.eta == pytest.approx(9 * base.eta)
-    assert high.zeta["E"] == pytest.approx(9 * base.zeta["E"])
-    assert high.gamma_v == pytest.approx(9 * base.gamma_v)
-    assert high.gamma_p == pytest.approx(base.gamma_p)
+    h = face_h(0.2, 0.2)
+    for field, ratio in (("d", 9), ("p:E", 9), ("u", 9), ("p", 1)):
+        assert (forms.face_penalty(params, field, h, 3)
+                == pytest.approx(ratio * forms.face_penalty(params, field, h, 1)))
 
 
 def test_penalty_ratio_scaling_check():
     params = PhysicalParams.unit()
     for h in (0.05, 0.3):
-        pv = forms.penalty_coefficients(face_h(h, h), params)
-        assert pv.gamma_v == pytest.approx(forms.PENALTY * params.mu_f / h)
-        assert pv.gamma_p == pytest.approx(forms.PENALTY * h)
-        assert pv.gamma_p / pv.gamma_v == pytest.approx(h ** 2 / params.mu_f)
+        gamma_v = forms.face_penalty(params, "u", face_h(h, h), 1)
+        gamma_p = forms.face_penalty(params, "p", face_h(h, h), 1)
+        assert gamma_v == pytest.approx(forms.PENALTY * params.mu_f / h)
+        assert gamma_p == pytest.approx(forms.PENALTY * h)
+        assert gamma_p / gamma_v == pytest.approx(h ** 2 / params.mu_f)
 
 
 # -- elastic block ---------------------------------------------------------
@@ -326,8 +325,9 @@ def test_params_presets():
     assert brain.beta_ext["E"] == 0.0
     unit = PhysicalParams.unit()
     assert unit.alpha_j["E"] == 0.5
-    assert unit.elastic_tensor_norm == pytest.approx(4.0)
-    assert unit.darcy_tensor_norm("E") == pytest.approx(1.0)
+    # the coefficient norms of the penalty: 2 mu_el + 2 lambda and k_j / sqrt(mu_j)
+    assert forms.face_penalty(unit, "d", 1.0, 1) == pytest.approx(forms.PENALTY * 4.0)
+    assert forms.face_penalty(unit, "p:E", 1.0, 1) == pytest.approx(forms.PENALTY * 1.0)
     # the penalty constant of both presets
     assert forms.PENALTY == 10.0
 

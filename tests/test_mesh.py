@@ -11,6 +11,7 @@ from polympe.families import (DEMO_DIRICHLET, VERIFICATION_DIRICHLET, cartesian_
                               triangulated_two_domain)
 from polympe.mesh import (ELASTIC, KINDS, MeshError, PolyMesh, build_faces, harmonic_h, load_mesh,
                           quality_report, save_mesh)
+from polympe.spaces import volume_quadrature
 
 from conftest import two_square_mesh, unit_square_mesh
 
@@ -348,3 +349,20 @@ def test_non_star_perturbation_rejected(pts, i, t):
     assume(shoelace(pts) > 1e-6 and min_fan_ratio(pts) < -1e-9)
     with pytest.raises(MeshError, match="element 0 is not star-shaped"):
         PolyMesh(pts, [list(range(len(pts)))], [ELASTIC], {})
+
+
+@BOUNDED
+@given(star_polygons(), st.integers(0, 11), st.floats(-0.5, 1.0), st.integers(1, 6))
+def test_accepted_polygons_get_positive_quadrature_weights(pts, i, t, order):
+    # validation and quadrature read one fan: every polygon the mesh accepts,
+    # one vertex pulled towards or through the origin included, integrates
+    # with strictly positive weights
+    pts = pts.copy()
+    pts[i % len(pts)] *= t
+    try:
+        mesh = PolyMesh(pts, [list(range(len(pts)))], [ELASTIC], {})
+    except MeshError:
+        assume(False)
+    w = volume_quadrature(mesh.vertices[mesh.elements[0]], order).weights
+    assert (w > 0.0).all()
+    assert w.sum() == pytest.approx(mesh.areas[0], rel=1e-12)

@@ -73,9 +73,7 @@ def test_continuous_interpolant_has_no_jumps(cart4_setup, unit_params):
     _, faces, space = cart4_setup
     st = zero_state(space)
     st["d"] = l2_project(space, "d", lambda p: np.stack([p[:, 0] * p[:, 1], p[:, 1] ** 2], axis=1))
-    from polympe.forms import penalty_coefficients
-    jump = norms.jump_sq(space, faces, faces.interior_el, "d", st["d"],
-                         lambda h: penalty_coefficients(h, unit_params, space.m).eta)
+    jump = norms.jump_sq(space, faces, faces.interior_el, "d", st["d"], unit_params)
     assert jump < 1e-10
 
 
