@@ -36,27 +36,26 @@ def solve_steady(case: ManufacturedCase, mesh: PolyMesh, m: int,
     return split(x, sys.space.sizes), sys
 
 
-def projected_values(space, case: ManufacturedCase) -> dict:
-    """The L2 projections of a case's exact fields at t = 0, with the
+def projected_values(space, data) -> dict:
+    """The L2 projections of the fields of ``data`` at t = 0, with the
     Newmark velocity ``z`` projected from the time derivative of ``d``: the
-    initial values of a manufactured march from t = 0."""
-    vals = {"d": l2_project(space, "d", partial(case.exact, "d")),
-            "z": l2_project(space, "d", partial(case.exact, "d,t"))}
+    initial values of every march from t = 0. Zero data projects to rest."""
+    vals = {"d": l2_project(space, "d", partial(data.exact, "d")),
+            "z": l2_project(space, "d", partial(data.exact, "d,t"))}
     for f in space.fields[1:]:
-        vals[f] = l2_project(space, f, partial(case.exact, f))
+        vals[f] = l2_project(space, f, partial(data.exact, f))
     return vals
 
 
 def solve_unsteady(data, params, mesh: PolyMesh, m: int, scheme: stepping.SchemeParams,
                    n_steps: int, dirichlet_map=VERIFICATION_DIRICHLET, stride: int = 1):
-    """March ``n_steps`` steps under the loads of ``data`` from t = 0: a
-    :class:`~polympe.manufactured.ManufacturedCase` from its
-    :func:`projected_values`, any other data from rest. Returns the states
-    and times recorded every ``stride`` steps (see
+    """March ``n_steps`` steps under the loads of ``data`` from its
+    :func:`projected_values` at t = 0, so that zero data starts from rest.
+    Returns the states and times recorded every ``stride`` steps (see
     :func:`polympe.stepping.simulate`) and the system."""
     sys = setup(mesh, m, params, dirichlet_map)
-    values = projected_values(sys.space, data) if isinstance(data, ManufacturedCase) else None
-    states, times = stepping.simulate(sys, scheme, data, n_steps, values, stride=stride)
+    states, times = stepping.simulate(sys, scheme, data, n_steps,
+                                      projected_values(sys.space, data), stride=stride)
     return states, times, sys
 
 

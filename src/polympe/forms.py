@@ -288,11 +288,14 @@ def assemble_interface(space: DGSpace, params: PhysicalParams, faces: FaceSet):
 
 
 class ZeroData:
-    """All sources, boundary data, and traces identically zero."""
+    """Every source, datum, trace and field identically zero: "no data"."""
 
     def exact(self, key: str, pts, t=0.0):
-        vector = key.partition(",")[0] in ("f_el", "f_f", "d", "u")
-        return np.zeros((len(pts), 2) if vector else len(pts))
+        """Zeros of the shape :meth:`~polympe.manufactured.ManufacturedCase.exact`
+        gives ``key`` (a 1-D ``t`` of S times included)."""
+        name, _, suffix = key.partition(",")
+        shape = (2,) * ((name in ("f_el", "f_f", "d", "u")) + (suffix == "grad"))
+        return np.zeros(np.shape(t) + (len(pts),) + shape)
 
 
 def _face_data(tab: FaceTable, data, key: str, t: float) -> np.ndarray:

@@ -6,8 +6,8 @@ pressures over interior-elastic plus their Dirichlet faces, the fluid
 velocity over interior-fluid faces only, and the fluid pressure over
 interior-fluid plus velocity-Dirichlet faces (the stabilization form S is
 assembled over interior faces only; the norm deliberately measures the wider
-set). Errors against an exact solution are evaluated at quadrature points
-from closed-form exact values and derivatives.
+set). Each term measures the error against a datum at quadrature points; the
+default datum, :class:`~polympe.forms.ZeroData`, measures the field itself.
 
 Each term reads the stacked tabulations of :class:`~polympe.spaces.DGSpace`
 through its table evaluators (one batched product per element group, or per
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import face_penalty
+from .forms import ZeroData, face_penalty
 from .mesh import FaceSet
 from .params import PhysicalParams
 from .spaces import DGSpace
@@ -71,17 +71,14 @@ def _strain_sq(g: np.ndarray):
 
 def _volume_error(space, field, vecs, exact, t, grad=False, exact_name=None):
     """Weights and (exact - discrete) values (S, nq, ncomp) or gradients
-    (S, nq, ncomp, 2) on the field's subdomain, the discrete field alone
-    without ``exact``, of the field-local vectors ``vecs`` (S, n) at the
-    times ``t`` (S,); a scalar ``t`` is one time for a single state, at
-    which ``exact`` rounds as it always has."""
+    (S, nq, ncomp, 2) on the field's subdomain of the field-local vectors
+    ``vecs`` (S, n) at the times ``t`` (S,); a scalar ``t`` is one time for a
+    single state, at which ``exact`` rounds as it always has."""
     tab = space.volume_table(space.field_domain(field))
     coeffs = _stacked(space, field, vecs)
     v = _states_first(tab.grads(coeffs) if grad else tab.values(coeffs), 1, len(vecs))
-    if exact is None:
-        return tab.weights, np.ascontiguousarray(v)
     key = (exact_name or field) + (",grad" if grad else "")
-    e = exact.exact(key, tab.points, t).reshape(-1, *v.shape[1:])
+    e = exact.exact(key, tab.points, t).reshape(v.shape)
     e -= v
     return tab.weights, e
 
@@ -101,7 +98,7 @@ def _jump_sq(space, faces, fidxs, field, vecs, params, exact, t) -> np.ndarray:
     tab = space.face_table(faces, fidxs)
     # (S, F, nq, ncomp)
     j = np.ascontiguousarray(_states_first(tab.jump(_stacked(space, field, vecs)), 2, len(vecs)))
-    if exact is not None and tab.boundary.any():
+    if tab.boundary.any():
         # minus the error jump; interior faces carry no exact term
         b = tab.boundary
         j[:, b] -= exact.exact(field, tab.points[b].reshape(-1, 2), t).reshape(
@@ -114,17 +111,17 @@ def _jump_sq(space, faces, fidxs, field, vecs, params, exact, t) -> np.ndarray:
 
 
 def jump_sq(space: DGSpace, faces: FaceSet, fidxs, field: str, vec, params: PhysicalParams,
-            exact=None, t: float = 0.0) -> float:
+            exact=ZeroData(), t: float = 0.0) -> float:
     """Sum over the faces ``fidxs`` of the field's
-    :func:`~polympe.forms.face_penalty` times |jump|^2 of a field (or of its
-    error against ``exact``); vector jumps in the symmetric tensor sense
+    :func:`~polympe.forms.face_penalty` times |jump|^2 of the error of a
+    field against ``exact``; vector jumps in the symmetric tensor sense
     ([[v]]:[[v]] = (|j|^2 + (j.n)^2) / 2 with j the trace difference)."""
     return float(_jump_sq(space, faces, fidxs, field, [vec], params, exact, t)[0])
 
 
 def _broken_sq(space, faces, params, field, vecs, exact, t) -> np.ndarray:
-    """The squared broken norm (S,) of ``field`` (or of its error against
-    ``exact``) of each state, as :func:`_volume_error` reads them."""
+    """The squared broken norm (S,) of the error of ``field`` against
+    ``exact`` of each state, as :func:`_volume_error` reads them."""
     if field == "p":
         return _l2sq(space, "p", vecs, exact, t) + _jump_sq(
             space, faces, faces.sipg_faces("u"), "p", vecs, params, exact, t)
@@ -141,8 +138,8 @@ def _broken_sq(space, faces, params, field, vecs, exact, t) -> np.ndarray:
 
 
 def broken_norms(space: DGSpace, faces: FaceSet, params: PhysicalParams, state: dict,
-                 exact=None, t: float = 0.0) -> dict:
-    """Squared broken norms of a state (or of its error against ``exact``).
+                 exact=ZeroData(), t: float = 0.0) -> dict:
+    """Squared broken norms of the error of a state against ``exact``.
 
     ``state`` maps field names to field-local DOF vectors. Returns a dict
     with keys ``d``, ``p:<j>``, ``u``, ``p`` holding the squared norms.
@@ -152,8 +149,8 @@ def broken_norms(space: DGSpace, faces: FaceSet, params: PhysicalParams, state: 
 
 
 def weighted_l2sq(space: DGSpace, field: str, vec, coeff: float,
-                  exact=None, exact_name=None, t: float = 0.0) -> float:
-    """coeff * ||field (error)||_{L2}^2 over the field's subdomain."""
+                  exact=ZeroData(), exact_name=None, t: float = 0.0) -> float:
+    """coeff * ||exact - field||_{L2}^2 over the field's subdomain."""
     return coeff * float(_l2sq(space, field, [vec], exact, t, exact_name)[0])
 
 
@@ -178,8 +175,8 @@ class EnergyBreakdown:
 
 
 def energy_norm(states: list, times: list, space: DGSpace, faces: FaceSet,
-                params: PhysicalParams, exact=None) -> EnergyBreakdown:
-    """Energy norm of a trajectory (or of its error against ``exact``), its
+                params: PhysicalParams, exact=ZeroData()) -> EnergyBreakdown:
+    """Energy norm of the error of a trajectory against ``exact``, its
     ``states`` recorded at the ``times``, one per state.
 
     Instantaneous terms are evaluated at the final state: elastic kinetic

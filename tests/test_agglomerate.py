@@ -139,6 +139,50 @@ def test_rejects_non_triangular():
         agglomerate(mesh, AgglomerationConfig(1, 0))
 
 
+def test_target_in_a_domain_without_fine_elements():
+    with pytest.raises(MeshError, match="no fine elements in the fluid domain"):
+        partition_assignment(eight_triangle_square(), AgglomerationConfig(2, 1, seed=0))
+
+
+#: a fine mesh and targets whose star-shapedness repair needs more than
+#: max(k, 10) moves in the fluid domain
+_HARD_FINE = {"fine_ny": 24, "fine_nx_el": 24, "fine_nx_f": 6, "jitter": 0.25, "seed": 0}
+_HARD_TARGETS = (227, 25)
+
+
+def test_agglomeration_gives_up_after_its_attempts(monkeypatch):
+    # with one repair move per cluster the fluid repair runs out on every
+    # seeded initialization, and the last reason is reported
+    monkeypatch.setattr(agglomerate_module, "MAX_REPAIR_ITERATIONS", 1)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return _lloyd(*args)
+
+    monkeypatch.setattr(agglomerate_module, "_lloyd", counted)
+    f = _HARD_FINE
+    fine = triangulated_two_domain(f["fine_ny"], f["fine_nx_el"], f["fine_nx_f"],
+                                   jitter=f["jitter"], seed=f["seed"])
+    with pytest.raises(MeshError, match="agglomeration failed after 10 attempts: "
+                                        "star-shapedness repair budget exhausted"):
+        partition_assignment(fine, AgglomerationConfig(*_HARD_TARGETS, seed=0))
+    assert calls == [_HARD_TARGETS[0]] + [_HARD_TARGETS[1]] * agglomerate_module.ATTEMPTS
+
+
+def test_agglomerate_command_that_gives_up_writes_nothing(tmp_path, capsys, monkeypatch):
+    from polympe.cli import main
+    monkeypatch.setattr(agglomerate_module, "MAX_REPAIR_ITERATIONS", 1)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"agglomeration": {"fine": _HARD_FINE,
+                                                 "targets": list(_HARD_TARGETS)}}))
+    out = tmp_path / "out"
+    assert main(["agglomerate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "agglomeration failed after 10 attempts" in err and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_boundary_labels_inherited(mesh80):
     # every boundary edge of the coarse mesh carries a label from the fine mesh
     for key in mesh80.boundary_edges():

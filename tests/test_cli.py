@@ -41,6 +41,21 @@ def test_malformed_config_is_input_error(tmp_path):
     assert main(["solve", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize("doc, message", [
+    ([{"case": "zero"}], "the config must be a JSON object"),
+    ({"case": "zero", "mesh": {"ny": 2}}, "mesh family is required"),
+    ({"case": "zero", "mesh": {"family": "hexagonal", "ny": 2}},
+     "unknown mesh family 'hexagonal'"),
+    ({"case": "zero", "params": {"preset": "liver"}}, "unknown params preset 'liver'"),
+], ids=["array", "no-family", "family", "preset"])
+def test_config_input_error_names_its_key(tmp_path, capsys, doc, message):
+    out = tmp_path / "o"
+    assert main(["solve", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_solve_zero_case(tmp_path):
     cfg = write_config(tmp_path, {
         "case": "zero",
@@ -596,6 +611,42 @@ def test_convergence_needs_three_meshes(tmp_path):
         "convergence": {"m_values": [1], "meshes": [{"family": "cartesian", "ny": 2}]},
     })
     assert main(["convergence", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+
+
+#: a fixed-mesh sweep over m = 1..3 on the 20-polygon agglomerate
+_SPECTRAL = {"case": "steady", "convergence": {
+    "spectral": True, "m_values": [1, 2, 3],
+    "meshes": [{"family": "agglomerated", "targets": [10, 10], "fine_ny": 12, "seed": 0}]}}
+
+
+def test_spectral_sweep_on_one_mesh(tmp_path):
+    out = tmp_path / "s"
+    assert main(["convergence", "--config", write_config(tmp_path, _SPECTRAL),
+                 "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["spectral"] is True and manifest["failures"] == []
+    with open(out / "rates.csv") as fh:
+        errs = [float(r["err_energy"]) for r in csv.DictReader(fh)]
+    assert len(errs) == 3 and errs[0] > errs[1] > errs[2]
+
+
+def test_spectral_trend_failure(tmp_path, capsys, monkeypatch):
+    # errors that do not decrease with m fail the sweep with exit code 1
+    from polympe import driver
+
+    def flat(case_id, meshes, m_values, scheme=None, n_steps=5):
+        return [{"m": m, "h": 0.5, "err_energy": 1.0, "rate_energy": float("nan")}
+                for m in m_values]
+
+    monkeypatch.setattr(driver, "convergence_table", flat)
+    out = tmp_path / "s"
+    assert main(["convergence", "--config", write_config(tmp_path, _SPECTRAL),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "spectral trend check failed at m=2" in err
+    assert "spectral trend check failed at m=3" in err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [f["m"] for f in manifest["failures"]] == [2, 3]
 
 
 def test_verify_command(tmp_path):

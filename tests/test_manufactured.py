@@ -108,6 +108,14 @@ def test_residual_oracle_needs_a_point(steady, n_points):
         residual_oracle(steady, n_points=n_points)
 
 
+def test_residual_oracle_covers_one_compartment(steady):
+    from dataclasses import replace
+    from polympe.params import PhysicalParams
+    case = replace(steady, params=PhysicalParams.unit(("A", "C", "V", "E")))
+    with pytest.raises(ValueError, match="single-compartment"):
+        residual_oracle(case, n_points=5)
+
+
 def test_interface_conditions_via_oracle(unsteady):
     rep = residual_oracle(unsteady, n_points=50, t=0.05)
     for name in ("interface stress balance x", "interface stress balance y",
@@ -166,6 +174,21 @@ def test_exact_at_many_times_matches_scalar_calls(steady, unsteady, which):
     with pytest.raises(ValueError):
         case.exact("p", pts, times[None])
 
+
+
+@pytest.mark.parametrize("t", [0.37, np.array([0.0, 0.37, 1.3])], ids=["scalar", "times"])
+def test_zero_data_has_the_case_shapes(unsteady, t):
+    # the zero datum answers every key in the shape a manufactured case does,
+    # so that the norms and the projections read either alike
+    from polympe.forms import ZeroData
+    pts = np.random.default_rng(9).uniform([-1.0, 0.0], [1.0, 1.0], (7, 2))
+    for key in FIELD_KEYS + list(SOURCES):
+        got = ZeroData().exact(key, pts, t)
+        assert got.shape == unsteady.exact(key, pts, t).shape, key
+        assert got.dtype == np.float64 and not got.any(), key
+    # any compartment: a pressure and its source are scalars
+    assert ZeroData().exact("p:A,grad", pts, t).shape == np.shape(t) + (7, 2)
+    assert ZeroData().exact("g:V", pts, t).shape == np.shape(t) + (7,)
 
 def test_import_does_not_load_sympy():
     # sympy is a test dependency only: the package and its CLI never import it

@@ -54,6 +54,12 @@ def test_load_rejects_garbage(tmp_path):
         load_mesh(path)
 
 
+def test_load_rejects_a_document_without_elements(tmp_path):
+    path = write_mesh_file(tmp_path, {"vertices": [[0, 0], [1, 0], [0, 1]]})
+    with pytest.raises(MeshError, match="malformed mesh document .* missing 'elements'"):
+        load_mesh(path)
+
+
 def test_cartesian_4x4_split():
     mesh = cartesian_two_domain(4, nx=4)
     assert mesh.n_elements == 16
@@ -90,6 +96,22 @@ def test_edge_shared_by_three_rejected():
     elems = [[0, 1, 2], [0, 3, 1], [0, 1, 4]]
     with pytest.raises(MeshError):
         PolyMesh(verts, elems, ["elastic"] * 3, {})
+
+
+_TRIANGLE = [[0, 0], [1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("verts, elems, domains, match", [
+    ([0, 1, 2], [[0, 1, 2]], ["elastic"], r"vertices must be an \(N, 2\) array"),
+    (_TRIANGLE, [[0, 1, 2]], [], "element_domain length does not match"),
+    (_TRIANGLE, [[0, 1, 2]], ["solid"], "unknown domain tag 'solid'"),
+    (_TRIANGLE, [[0, 1, 2], [0, 1]], ["elastic"] * 2, "element 1 has fewer than 3 vertices"),
+    (_TRIANGLE, [[0, 1, 3]], ["elastic"], "element 0 has vertex index out of range"),
+    (_TRIANGLE, [[0, 1, 2], [0, 1, 1]], ["elastic"] * 2, "element 1 repeats a vertex"),
+], ids=["vertices", "domain-length", "domain-tag", "short-element", "index", "repeat"])
+def test_malformed_mesh_rejected(verts, elems, domains, match):
+    with pytest.raises(MeshError, match=match):
+        PolyMesh(verts, elems, domains, {})
 
 
 def test_interface_classification():

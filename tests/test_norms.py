@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polympe import norms
+from polympe import forms, norms
 from polympe.mesh import build_faces
 from polympe.params import PhysicalParams
 from polympe.spaces import build_space, l2_project
@@ -163,7 +163,8 @@ def test_one_pass_energy_norm_of_several_compartments(cart4_setup):
     states = [{f: rng.standard_normal(n) for f, n in space.sizes.items()} for _ in range(3)]
     times = [0.0, 0.1, 0.3]
     eb = norms.energy_norm(states, times, space, faces, params)
-    inst, integrand = per_state_energy(states, times, space, faces, params, None)
+    inst, integrand = per_state_energy(states, times, space, faces, params,
+                                      forms.ZeroData())
     assert eb.instantaneous == pytest.approx(inst, rel=1e-13)
     assert eb.integrand == pytest.approx(integrand, rel=1e-13)
 

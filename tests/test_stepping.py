@@ -123,13 +123,13 @@ class ExactLoads(forms.ZeroData):
 
 @pytest.mark.parametrize("kind", ["manufactured", "zero", "exact_loads"])
 def test_solve_unsteady_initial_values(unsteady, kind):
-    # a manufactured case starts from its projections, other data from rest
+    # every datum starts from its projection, and zero data projects to rest
     data = {"manufactured": unsteady, "zero": forms.ZeroData(),
             "exact_loads": ExactLoads(unsteady)}[kind]
     states, times, sysm = solve_unsteady(data, unsteady.params, cartesian_two_domain(2), 1,
                                         stepping.SchemeParams(dt=0.01), 0)
     assert times == [0.0]
-    want = projected_values(sysm.space, unsteady) if kind == "manufactured" else {}
+    want = {} if kind == "zero" else projected_values(sysm.space, unsteady)
     assert set(want) <= set(states[0]) - {"a"}
     for f, v in states[0].items():
         if f != "a":

@@ -71,6 +71,12 @@ def test_four_compartments_layout():
     assert G.shape == (space.n_dofs, space.n_dofs)
 
 
+def test_params_and_space_must_share_the_compartments(cart4_setup):
+    _, faces, space = cart4_setup
+    with pytest.raises(ValueError, match="disagree on the compartment set"):
+        build_system(space, PhysicalParams.unit(("A", "C", "V", "E")), faces)
+
+
 def test_structural_checks_pass(cart4_setup, unit_params):
     _, faces, space = cart4_setup
     sysm = build_system(space, unit_params, faces)
