@@ -171,16 +171,14 @@ def _merge(sec: Section, current: dict) -> None:
 def _read_params(cfg: Section) -> PhysicalParams:
     """The ``compartments`` and ``params`` of ``cfg``: a preset and its edits."""
     compartments = cfg.names("compartments", ["E"])
-    if len(set(compartments)) != len(compartments):
-        raise ConfigError(f"compartments must be distinct, got {compartments}")
     sec = cfg.section("params", {})
     preset = sec.string("preset", "unit")
-    if preset == "unit":
-        params = PhysicalParams.unit(compartments)
-    elif preset == "brain":
-        params = PhysicalParams.brain(compartments)
-    else:
+    if preset not in ("unit", "brain"):
         raise ConfigError(f"unknown params preset {preset!r}")
+    try:
+        params = getattr(PhysicalParams, preset)(compartments)
+    except ValueError as exc:  # only the compartments can fail a preset
+        raise ConfigError(str(exc)) from exc
     _merge(sec, vars(params))
     params.validate()
     return params

@@ -39,7 +39,7 @@ PENALTY = 10.0
 
 def face_penalty(params: PhysicalParams, field: str, h, m: int):
     """The SIPG penalty of ``field`` at degree ``m`` on faces of harmonic
-    diameter ``h`` (``harmonic_h`` of a face set or face table: a float, or
+    diameter ``h`` (``harmonic_h`` of an edge table or face table: a float, or
     an array for per-face values). The one choice of penalty per field, read
     by the assembly, the Dirichlet liftings and the DG norms.
 
@@ -113,11 +113,11 @@ def _mass(space, field: str, rho=1.0) -> sp.csr_matrix:
 # -- face terms -----------------------------------------------------------------
 
 
-def _sided(space, faces: FaceSet, fidxs) -> list:
+def _sided(space, fidxs) -> list:
     """Face tables of the interior faces of ``fidxs`` (both sides) and of its
     boundary faces (the plus side alone), as (table, sides) pairs; face lists
     put interior faces first, so the order of ``fidxs`` is kept."""
-    tab = space.face_table(faces, fidxs)
+    tab = space.face_table(fidxs)
     return [(tab.take(np.flatnonzero(sel)), ns)
             for sel, ns in ((~tab.boundary, 2), (tab.boundary, 1)) if sel.any()]
 
@@ -208,7 +208,7 @@ def assemble_elastic(space: DGSpace, params: PhysicalParams, faces: FaceSet):
     A = _csr((n, n), _elastic_volume(space, "d", mu, lam),
              *(_sipg_vector(space, tab, ns, "d", mu, lam,
                             face_penalty(params, "d", tab.harmonic_h, space.m))
-               for tab, ns in _sided(space, faces, faces.sipg_faces("d"))))
+               for tab, ns in _sided(space, faces.sipg_faces("d"))))
     return {"A": A, "M": _mass(space, "d", params.rho_el)}
 
 
@@ -228,7 +228,7 @@ def assemble_pressure(space: DGSpace, params: PhysicalParams, faces: FaceSet):
     for j in params.compartments:
         field = f"p:{j}"
         kappa, alpha = params.kappa(j), params.alpha_j[j]
-        sided = _sided(space, faces, faces.sipg_faces(field))
+        sided = _sided(space, faces.sipg_faces(field))
         sipg = (_sipg_scalar(space, t, ns, field, kappa,
                              face_penalty(params, field, t.harmonic_h, space.m))
                 for t, ns in sided)
@@ -244,7 +244,7 @@ def assemble_fluid(space: DGSpace, params: PhysicalParams, faces: FaceSet):
     """Stokes SIPG blocks: viscous A_f, mass M_f, divergence coupling B_f
     (rows on ``p``, columns on ``u``), and pressure-jump stabilization S."""
     nu, npp = space.sizes["u"], space.sizes["p"]
-    sided = _sided(space, faces, faces.sipg_faces("u"))
+    sided = _sided(space, faces.sipg_faces("u"))
     A = _csr((nu, nu), _elastic_volume(space, "u", params.mu_f, 0.0),
              *(_sipg_vector(space, t, ns, "u", params.mu_f, 0.0,
                             face_penalty(params, "u", t.harmonic_h, space.m))
@@ -257,7 +257,7 @@ def assemble_fluid(space: DGSpace, params: PhysicalParams, faces: FaceSet):
              *(_pressure_jump(space, t, ns, "p", "u", 1.0) for t, ns in sided))
 
     parts = []
-    for tab, ns in _sided(space, faces, faces.interior_f):
+    for tab, ns in _sided(space, faces.interior_f):
         w, phi, _, _ = _trace(tab, ns)
         sa, _, sb, _ = _side_weights(ns)
         pen = face_penalty(params, "p", tab.harmonic_h, space.m)
@@ -277,7 +277,7 @@ def assemble_interface(space: DGSpace, params: PhysicalParams, faces: FaceSet):
     shape_el = (space.sizes[field], space.sizes["d"])
     shape_f = (space.sizes[field], space.sizes["u"])
     # interface faces are oriented from the elastic (plus) side
-    tab = space.face_table(faces, faces.interface)
+    tab = space.face_table(faces.interface)
     w, phi, _, _ = _trace(tab, 2)
     P = _face_mass(w, phi)[:, 0, :, None]  # (F, side, 1, n_loc, n_loc)
     n = tab.normal[:, :, None, None]
@@ -368,7 +368,7 @@ def assemble_loads(space: DGSpace, params: PhysicalParams, faces: FaceSet, data,
     c = np.arange(2)
     # outlet: int -pbar n_f . v
     if len(fidxs := faces.outlet()):
-        tab = space.face_table(faces, fidxs)
+        tab = space.face_table(fidxs)
         pbar = _face_data(tab, data, "p_out", t)
         if pbar.any():
             add(tab, "u", _face_loads(tab.basis[:, 0, 0],
@@ -376,7 +376,7 @@ def assemble_loads(space: DGSpace, params: PhysicalParams, faces: FaceSet, data,
 
     # Dirichlet lifting for the displacement
     if len(fidxs := faces.dirichlet("d")):
-        tab = space.face_table(faces, fidxs)
+        tab = space.face_table(fidxs)
         g = _face_data(tab, data, "d", t)
         if g.any():
             lift, _ = _vector_lift(tab, g, params.mu_el, params.lam,
@@ -388,7 +388,7 @@ def assemble_loads(space: DGSpace, params: PhysicalParams, faces: FaceSet, data,
     for j in params.compartments:
         if not len(fidxs := faces.dirichlet(f"p:{j}")):
             continue
-        tab = space.face_table(faces, fidxs)
+        tab = space.face_table(fidxs)
         w, n = tab.weights, tab.normal
         g, gd = _face_data(tab, data, f"p:{j}", t), _face_data(tab, data, "d,t", t)
         phi, gx, gy = np.moveaxis(tab.basis[:, 0], 1, 0)
@@ -407,7 +407,7 @@ def assemble_loads(space: DGSpace, params: PhysicalParams, faces: FaceSet, data,
 
     # Dirichlet lifting for the fluid velocity, plus the divergence-row lifting
     if len(fidxs := faces.dirichlet("u")):
-        tab = space.face_table(faces, fidxs)
+        tab = space.face_table(fidxs)
         g = _face_data(tab, data, "u", t)
         if g.any():
             lift, gn = _vector_lift(tab, g, params.mu_f, 0.0,

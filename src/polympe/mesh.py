@@ -8,11 +8,11 @@ per-variable boundary conditions ("d", "u", "p:<compartment>").
 A mesh keeps its elements in groups of equal vertex count, one ``(G, n)``
 index array per group, so its geometry and its validation are one array
 reduction per group. Its edges form one :class:`EdgeTable`, lexsorted by
-vertex key, with the element and the oriented vertex pair of each side:
-faces, the interface and boundary edge sets, the quality report and the
-agglomeration adjacency are all read from that table. :func:`build_faces`
-turns it into one :class:`FaceSet`, a table of per-face arrays in the same
-order with its index sets, which :mod:`polympe.spaces` tabulates directly.
+vertex key, each edge oriented from its plus element with its normal,
+harmonic diameter and kind: the DG spaces, the interface and boundary edge
+sets, the quality report and the agglomeration adjacency are all read from
+that table. :func:`build_faces` resolves a Dirichlet map on it into one
+:class:`FaceSet`, the boundary labels and index sets of that map.
 
 Meshes and face sets are immutable after construction and safe to share
 between concurrent assembly workers.
@@ -32,8 +32,6 @@ FLUID = "fluid"
 #: Fan triangles smaller than this fraction of the element area fail the
 #: star-shapedness validation.
 _FAN_AREA_RTOL = 1e-12
-
-_AREA_RTOL = 1e-10
 
 
 class MeshError(Exception):
@@ -57,17 +55,25 @@ def _fan(pts: np.ndarray):
 
 @dataclass(frozen=True)
 class EdgeTable:
-    """Every edge of a mesh once, lexsorted by its vertex key ``(lo, hi)``.
+    """Every edge of a mesh once, lexsorted by its vertex key ``(lo, hi)``,
+    as read-only arrays: the one face table of the mesh.
 
-    ``elem[i]`` holds the elements on the two sides of edge ``i``, the lower
-    index first, with -1 as the second side of a boundary edge; ``ab[i, s]``
-    is the edge as the loop of side ``s`` traverses it (-1 where there is no
-    side). ``code`` is ``lo * n_vertices + hi``, ascending, for lookups.
+    Edge ``i`` is oriented from its plus element ``elem[i, 0]``, the first
+    element in mesh order that has it, except on an interface edge, where it
+    is the elastic one; ``elem[i, 1]`` is the minus element, -1 on a
+    boundary edge. ``ab[i]`` is the edge as the plus loop traverses it, and
+    ``normal[i]`` its unit normal out of the plus element. ``harmonic_h[i]``
+    is the harmonic diameter of its two elements (the plus diameter on the
+    boundary), and ``kind[i]`` indexes :data:`KINDS`. ``code`` is
+    ``lo * n_vertices + hi``, ascending, for lookups.
     """
 
     key: np.ndarray  # (E, 2)
     elem: np.ndarray  # (E, 2)
-    ab: np.ndarray  # (E, 2, 2)
+    ab: np.ndarray  # (E, 2)
+    normal: np.ndarray  # (E, 2)
+    harmonic_h: np.ndarray  # (E,)
+    kind: np.ndarray  # (E,)
     code: np.ndarray  # (E,)
     n_vertices: int
 
@@ -102,10 +108,11 @@ class PolyMesh:
 
     Construction validates orientation, star-shapedness with respect to the
     element centroid (required by the fan sub-triangulation used for
-    quadrature), conformity (each edge shared by at most two elements,
-    traversed in opposite directions), and the gap/overlap area invariant.
-    An invalid mesh raises :class:`MeshError` for its lowest-indexed
-    offending element, or its first offending edge in element order.
+    quadrature) and conformity (each edge shared by at most two elements,
+    traversed in opposite directions). Overlaps and gaps between elements
+    that share no edge are not detected. An invalid mesh raises
+    :class:`MeshError` for its lowest-indexed offending element, or its
+    first offending edge in element order.
 
     ``groups`` holds ``(elements (G,), loops (G, n))`` per vertex count
     ``n``, ascending; ``elements[k]`` is element ``k``'s loop; ``edges`` is
@@ -200,7 +207,7 @@ class PolyMesh:
 
     def _build_edges(self, flat, starts, counts):
         """The edge table from every (element, local edge) incidence, with the
-        conformity and gap/overlap checks on it."""
+        conformity check on it."""
         nv = len(self.vertices)
         nxt = np.arange(1, len(flat) + 1)
         nxt[starts + counts - 1] = starts
@@ -230,29 +237,23 @@ class PolyMesh:
                 "overlapping or flipped elements"
             )
 
-        two = mult == 2
-        inc = np.stack([i0, i1], axis=1)  # the incidence of each side
-        missing = ~two[:, None] & np.array([False, True])
-        elem = np.where(missing, -1, owner[inc])
-        ab = np.where(missing[..., None], -1, np.stack([a[inc], b[inc]], axis=-1))
+        inner = mult == 2
+        f0, f1 = self._fluid[owner[i0]], self._fluid[owner[i1]]
+        # edges are oriented from their first incidence, interface edges
+        # from their elastic side
+        swap = inner & f0 & ~f1
+        plus, minus = np.where(swap, i1, i0), np.where(swap, i0, i1)
+        elem = np.stack([owner[plus], np.where(inner, owner[minus], -1)], axis=1)
+        ab = np.stack([a[plus], b[plus]], axis=1)
+        fluid_p = self._fluid[elem[:, 0]].astype(int)
+        kind = np.where(inner, np.where(f0 != f1, 2, fluid_p), 3 + fluid_p)
+        tv = self.vertices[ab[:, 1]] - self.vertices[ab[:, 0]]
+        normal = np.stack([tv[:, 1], -tv[:, 0]], axis=1) / np.hypot(tv[:, 0], tv[:, 1])[:, None]
+        h = self.diameters[elem]  # the missing side of a boundary edge is masked below
+        harm = np.where(inner, harmonic_h(h[:, 0], h[:, 1]), h[:, 0])
         key = np.stack([lo[i0], hi[i0]], axis=1)
-        for arr in (elem, ab, key):
-            arr.setflags(write=False)
-        self.edges = EdgeTable(key=key, elem=elem, ab=ab, code=code[i0], n_vertices=nv)
-
-        # gap/overlap check: sum of element areas must match the area
-        # enclosed by the boundary loops (Green's theorem on boundary edges,
-        # summed in element order)
-        bd = np.sort(i0[~two])
-        va, vb = self.vertices[a[bd]], self.vertices[b[bd]]
-        terms = 0.5 * (va[:, 0] * vb[:, 1] - vb[:, 0] * va[:, 1])
-        boundary_area = float(np.cumsum(terms)[-1]) if len(terms) else 0.0
-        total = float(self.areas.sum())
-        if abs(total - boundary_area) > _AREA_RTOL * total:
-            raise MeshError(
-                f"element areas sum to {total:.15g} but the boundary encloses "
-                f"{boundary_area:.15g}: mesh has gaps or overlaps"
-            )
+        self.edges = EdgeTable(*map(_readonly, (key, elem, ab, normal, harm, kind, code[i0])),
+                               n_vertices=nv)
 
     @property
     def n_elements(self) -> int:
@@ -267,15 +268,13 @@ class PolyMesh:
 
     def interface_edges(self) -> set[tuple[int, int]]:
         """Sorted vertex pairs of edges separating the two subdomains."""
-        t = self.edges
-        fluid = self._fluid[t.elem]
-        return self._edge_keys(t.interior & (fluid[:, 0] != fluid[:, 1]))
+        return self._edge_keys(self.edges.kind == KINDS.index("interface"))
 
     def boundary_edges(self) -> set[tuple[int, int]]:
         return self._edge_keys(~self.edges.interior)
 
 
-#: face kinds by the code :attr:`FaceSet.kind` stores: interior (elastic,
+#: edge kinds by the code :attr:`EdgeTable.kind` stores: interior (elastic,
 #: fluid), interface, boundary (elastic, fluid); each names an index set
 KINDS = ("interior-el", "interior-f", "interface", "boundary-el", "boundary-f")
 
@@ -298,33 +297,24 @@ _NO_FACES = _readonly(np.zeros(0, dtype=int))
 
 @dataclass(frozen=True, eq=False)
 class FaceSet:
-    """Every face of a mesh as read-only arrays, one row per edge in
-    edge-table (sorted vertex key) order.
-
-    Face ``i`` runs from vertex ``ab[i, 0]`` to ``ab[i, 1]`` along the loop of
-    its plus element ``elem[i, 0]``, and ``normal[i]`` points out of that
-    element; on interface faces it is the elastic one. ``elem[i, 1]`` is the
-    minus element, -1 on boundary faces. ``kind[i]`` indexes :data:`KINDS`,
-    ``label[i]`` is the boundary label (``None`` on interior faces), and
-    ``dirichlet_map`` sends a label to its Dirichlet variables.
+    """A Dirichlet map resolved on the edge table ``edges`` of a mesh, one
+    row per edge: ``label[i]`` is the boundary label of edge ``i`` (``None``
+    on interior edges), and ``dirichlet_map`` sends a label to its Dirichlet
+    variables. The faces' geometry is that of ``edges``.
 
     The index sets are int arrays computed once: ``interior_el``,
     ``interior_f``, ``interface``, ``boundary_el`` and ``boundary_f`` in face
     order, and :meth:`dirichlet`, :meth:`sipg_faces` and :meth:`outlet`.
     """
 
-    ab: np.ndarray  # (F, 2)
-    elem: np.ndarray  # (F, 2)
-    normal: np.ndarray  # (F, 2)
-    harmonic_h: np.ndarray  # (F,)
-    kind: np.ndarray  # (F,)
+    edges: EdgeTable
     label: np.ndarray  # (F,) object
     dirichlet_map: Mapping[str, frozenset]
 
     def __post_init__(self):
         for code, kind in enumerate(KINDS):
             object.__setattr__(self, kind.replace("-", "_"),
-                               _readonly(np.flatnonzero(self.kind == code)))
+                               _readonly(np.flatnonzero(self.edges.kind == code)))
         dirichlet, sipg = {}, {}
         for var in set().union(*self.dirichlet_map.values()):
             pool = self.boundary_f if var == "u" else self.boundary_el
@@ -336,7 +326,7 @@ class FaceSet:
             object.__setattr__(self, name, value)
 
     def __len__(self):
-        return len(self.kind)
+        return len(self.label)
 
     def _interior(self, var: str) -> np.ndarray:
         return self.interior_f if var == "u" else self.interior_el
@@ -355,8 +345,8 @@ class FaceSet:
 
 
 def build_faces(mesh: PolyMesh, dirichlet_map: Mapping[str, Iterable[str]]) -> FaceSet:
-    """Derive and classify all faces of a mesh, one per edge in edge-table
-    (sorted vertex key) order.
+    """Resolve a Dirichlet map on the edge table of a mesh, one face per
+    edge in edge-table (sorted vertex key) order.
 
     ``dirichlet_map`` sends a boundary label to the set of variables that are
     Dirichlet on edges carrying that label; variables not listed get the
@@ -365,32 +355,17 @@ def build_faces(mesh: PolyMesh, dirichlet_map: Mapping[str, Iterable[str]]) -> F
     lists variables but that no boundary edge carries.
     """
     t = mesh.edges
-    inner = t.interior
-    rows = np.arange(len(t.code))
-    fluid = mesh._fluid[t.elem]  # the missing side of a boundary edge is masked below
-    # faces are oriented from side 0, interface faces from their elastic side
-    side = (inner & fluid[:, 0] & ~fluid[:, 1]).astype(int)
-    elem = np.stack([t.elem[rows, side], t.elem[rows, 1 - side]], axis=1)
-    ab = t.ab[rows, side]
-    fluid_p = fluid[rows, side].astype(int)
-    kind = np.where(inner, np.where(fluid[:, 0] != fluid[:, 1], 2, fluid_p), 3 + fluid_p)
-
-    tv = mesh.vertices[ab[:, 1]] - mesh.vertices[ab[:, 0]]
-    normal = np.stack([tv[:, 1], -tv[:, 0]], axis=1) / np.hypot(tv[:, 0], tv[:, 1])[:, None]
-    h = mesh.diameters[elem]
-    harm = np.where(inner, harmonic_h(h[:, 0], h[:, 1]), h[:, 0])
-
-    keys = list(map(tuple, t.key[~inner].tolist()))
+    outer = ~t.interior
+    keys = list(map(tuple, t.key[outer].tolist()))
     found = [mesh.boundary_labels.get(key) for key in keys]
     if None in found:
         raise MeshError(f"unlabeled boundary edge {keys[found.index(None)]}")
     if absent := sorted({lab for lab, vs in dirichlet_map.items() if vs} - set(found)):
         raise MeshError(f"no boundary edge carries the Dirichlet label(s) {absent}; "
                         f"the mesh's labels are {sorted(set(found))}")
-    label = np.full(len(rows), None, dtype=object)
-    label[~inner] = found
-    return FaceSet(ab=_readonly(ab), elem=_readonly(elem), normal=_readonly(normal),
-                   harmonic_h=_readonly(harm), kind=_readonly(kind), label=_readonly(label),
+    label = np.full(len(t.code), None, dtype=object)
+    label[outer] = found
+    return FaceSet(edges=t, label=_readonly(label),
                    dirichlet_map={lab: frozenset(vs) for lab, vs in dirichlet_map.items()})
 
 

@@ -90,12 +90,12 @@ def _l2sq(space, field, vecs, exact, t, exact_name=None) -> np.ndarray:
     return np.sum(w * _sum_sq(v), axis=-1)
 
 
-def _jump_sq(space, faces, fidxs, field, vecs, params, exact, t) -> np.ndarray:
+def _jump_sq(space, fidxs, field, vecs, params, exact, t) -> np.ndarray:
     """:func:`jump_sq` (S,) of each state, as :func:`_volume_error` reads
     them."""
     if not len(fidxs):
         return np.zeros(len(vecs))
-    tab = space.face_table(faces, fidxs)
+    tab = space.face_table(fidxs)
     # (S, F, nq, ncomp)
     j = np.ascontiguousarray(_states_first(tab.jump(_stacked(space, field, vecs)), 2, len(vecs)))
     if tab.boundary.any():
@@ -110,13 +110,13 @@ def _jump_sq(space, faces, fidxs, field, vecs, params, exact, t) -> np.ndarray:
     return np.sum(pen[:, None] * tab.weights * jj, axis=(-2, -1))
 
 
-def jump_sq(space: DGSpace, faces: FaceSet, fidxs, field: str, vec, params: PhysicalParams,
+def jump_sq(space: DGSpace, fidxs, field: str, vec, params: PhysicalParams,
             exact=ZeroData(), t: float = 0.0) -> float:
-    """Sum over the faces ``fidxs`` of the field's
+    """Sum over the faces ``fidxs`` (rows of the mesh's edge table) of the field's
     :func:`~polympe.forms.face_penalty` times |jump|^2 of the error of a
     field against ``exact``; vector jumps in the symmetric tensor sense
     ([[v]]:[[v]] = (|j|^2 + (j.n)^2) / 2 with j the trace difference)."""
-    return float(_jump_sq(space, faces, fidxs, field, [vec], params, exact, t)[0])
+    return float(_jump_sq(space, fidxs, field, [vec], params, exact, t)[0])
 
 
 def _broken_sq(space, faces, params, field, vecs, exact, t) -> np.ndarray:
@@ -124,7 +124,7 @@ def _broken_sq(space, faces, params, field, vecs, exact, t) -> np.ndarray:
     ``exact`` of each state, as :func:`_volume_error` reads them."""
     if field == "p":
         return _l2sq(space, "p", vecs, exact, t) + _jump_sq(
-            space, faces, faces.sipg_faces("u"), "p", vecs, params, exact, t)
+            space, faces.sipg_faces("u"), "p", vecs, params, exact, t)
     w, g = _volume_error(space, field, vecs, exact, t, grad=True)
     fidxs = faces.interior_f if field == "u" else faces.sipg_faces(field)
     if field == "d":
@@ -134,7 +134,7 @@ def _broken_sq(space, faces, params, field, vecs, exact, t) -> np.ndarray:
         vol = np.sum(w * 2 * params.mu_f * _strain_sq(g)[0], axis=-1)
     else:
         vol = params.kappa(field.partition(":")[2]) * np.sum(w * _sum_sq(g, 2), axis=-1)
-    return vol + _jump_sq(space, faces, fidxs, field, vecs, params, exact, t)
+    return vol + _jump_sq(space, fidxs, field, vecs, params, exact, t)
 
 
 def broken_norms(space: DGSpace, faces: FaceSet, params: PhysicalParams, state: dict,

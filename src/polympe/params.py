@@ -42,6 +42,8 @@ class PhysicalParams:
         self.validate()
 
     def validate(self):
+        if len(set(self.compartments)) != len(self.compartments):
+            raise ValueError(f"compartments must be distinct, got {list(self.compartments)}")
         if EXCHANGE not in self.compartments:
             raise ValueError(f"compartments must include the exchange compartment {EXCHANGE!r}, "
                              f"got {list(self.compartments)}")

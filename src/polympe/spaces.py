@@ -12,9 +12,9 @@ product per group of equal-sized elements (or per face set) evaluates,
 projects or averages a field at all quadrature points, or assembles a form.
 A :class:`VolumeTable` owns every contraction against its basis. Each
 vertex-count group of the mesh evaluates its volume seeds once and its face
-traces with one :meth:`DGSpace.tabulate` call; the face tabulation reads the
-arrays of a :class:`~polympe.mesh.FaceSet` directly. There are no per-element
-or per-face objects or accessors.
+traces with one :meth:`DGSpace.tabulate` call, on the oriented faces of the
+mesh's :class:`~polympe.mesh.EdgeTable`, when the space is built. There are
+no per-element or per-face objects or accessors.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from numpy.polynomial import legendre as npleg
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
-from .mesh import ELASTIC, FLUID, FaceSet, PolyMesh, _fan, _readonly
+from .mesh import ELASTIC, FLUID, PolyMesh, _fan, _readonly
 
 
 @dataclass(frozen=True)
@@ -197,7 +197,7 @@ class VolumeTable:
 
 @dataclass(frozen=True)
 class FaceTable:
-    """Quadrature of a face set stacked face by face (all faces share one
+    """Quadrature of a set of faces stacked face by face (all faces share one
     Gauss rule of nq points), with the basis traces of the plus and minus
     sides (zero for the minus side of a boundary face). ``elem`` holds the
     local element of each side within its own subdomain (the plus side twice
@@ -247,6 +247,8 @@ class DGSpace:
     The basis of mesh element ``k`` is the Legendre seeds on its bounding box
     (``center[k]``, ``half[k]``) recombined by ``coeff[k]``, the inverse
     Cholesky factor of their Gram matrix; ``local[k]`` is its subdomain index.
+    Every face of the mesh is tabulated when the space is built; a face
+    table is a selection of its rows.
     """
 
     def __init__(self, mesh: PolyMesh, m: int, compartments=("E",)):
@@ -255,6 +257,8 @@ class DGSpace:
         self.mesh = mesh
         self.m = int(m)
         self.compartments = tuple(compartments)
+        if len(set(self.compartments)) != len(self.compartments):
+            raise ValueError(f"compartments must be distinct, got {list(self.compartments)}")
         self.n_loc = (m + 1) * (m + 2) // 2
         self.vol_order = 2 * m + 2
         self.face_order = 2 * m + 3
@@ -289,7 +293,7 @@ class DGSpace:
             tabs[i] = tabs[i] @ self.coeff[elems].swapaxes(1, 2)
         self._tables = {domain: self._volume_table(ids, rules, tabs)
                         for domain, ids in ((ELASTIC, self.el_ids), (FLUID, self.f_ids))}
-        self._faces = None
+        self._faces = self._tabulate_faces()
         self._face_tables = {}
 
     # -- layout ----------------------------------------------------------
@@ -375,10 +379,9 @@ class DGSpace:
         """Stacked volume tabulation of the ``domain`` elements."""
         return self._tables[domain]
 
-    def face_table(self, faces: FaceSet, fidxs) -> FaceTable:
-        """Stacked face tabulation of the faces ``fidxs`` of ``faces``. Every
-        face set of the mesh lists the same faces (a Dirichlet map only labels
-        them), so the first one tabulates them all.
+    def face_table(self, fidxs) -> FaceTable:
+        """Stacked face tabulation of the faces ``fidxs``, rows of the mesh's
+        edge table.
 
         The table of an index set asked for a second time (the loads at
         every step, the norms at every state) is kept, read-only, and
@@ -389,21 +392,19 @@ class DGSpace:
         key = idx.tobytes()
         tab = self._face_tables.get(key)
         if tab is None:
-            if self._faces is None:
-                self._faces = self._tabulate_faces(faces)
             tab = self._faces.take(idx)
             # a set seen once maps to None until its second request
             self._face_tables[key] = tab if key in self._face_tables else None
         return tab
 
-    def _tabulate_faces(self, faces: FaceSet) -> FaceTable:
-        """The face table of every face of the mesh, read from the arrays of
-        ``faces``. An n-gon owns exactly n (face, side) pairs, so each
-        vertex-count group tabulates its basis once, on the quadrature points
-        of all its faces."""
-        nf = len(faces)
-        rule = face_quadrature(self.mesh.vertices[faces.ab], self.face_order)
-        plus, minus = faces.elem.T
+    def _tabulate_faces(self) -> FaceTable:
+        """The face table of every edge of the mesh, in edge-table order. An
+        n-gon owns exactly n (face, side) pairs, so each vertex-count group
+        tabulates its basis once, on the quadrature points of all its faces."""
+        edges = self.mesh.edges
+        nf = len(edges.code)
+        rule = face_quadrature(self.mesh.vertices[edges.ab], self.face_order)
+        plus, minus = edges.elem.T
         inner = minus >= 0
         nq = rule.weights.shape[1]
         basis = np.zeros((nf, 2, 3, nq, self.n_loc))
@@ -421,8 +422,8 @@ class DGSpace:
             tr = self.tabulate(elems, rule.points[f].reshape(len(elems), n * nq, 2))
             basis[f, s] = tr.reshape(3, len(elems), n, nq, self.n_loc).transpose(1, 2, 0, 3, 4)
         return FaceTable(
-            points=rule.points, weights=rule.weights, normal=faces.normal,
-            harmonic_h=faces.harmonic_h, boundary=~inner,
+            points=rule.points, weights=rule.weights, normal=edges.normal,
+            harmonic_h=edges.harmonic_h, boundary=~inner,
             elem=self.local[np.stack([plus, np.where(inner, minus, plus)], axis=1)], basis=basis)
 
 

@@ -75,6 +75,8 @@ def build_system(space: DGSpace, params: PhysicalParams, faces: FaceSet) -> Syst
     """Assemble every block and wire them into the coupled layout."""
     if tuple(params.compartments) != tuple(space.compartments):
         raise ValueError("params and space disagree on the compartment set")
+    if faces.edges is not space.mesh.edges:
+        raise ValueError("faces and space are built on different meshes")
     elastic = forms.assemble_elastic(space, params, faces)
     pressure = forms.assemble_pressure(space, params, faces)
     fluid = forms.assemble_fluid(space, params, faces)

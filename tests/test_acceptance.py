@@ -134,12 +134,12 @@ def test_criterion_5_structural_suite(mesh80, unit_params):
 
     jumps = 0.0
     d = l2_project(space, "d", bubble_el)
-    jumps = max(jumps, norms.jump_sq(space, faces, faces.sipg_faces("d"), "d", d, unit_params))
+    jumps = max(jumps, norms.jump_sq(space, faces.sipg_faces("d"), "d", d, unit_params))
     pe = l2_project(space, "p:E", lambda p: bubble_el(p)[:, 0])
-    jumps = max(jumps, norms.jump_sq(space, faces, faces.sipg_faces("p:E"), "p:E", pe,
+    jumps = max(jumps, norms.jump_sq(space, faces.sipg_faces("p:E"), "p:E", pe,
                                      unit_params))
     u = l2_project(space, "u", bubble_f)
-    jumps = max(jumps, norms.jump_sq(space, faces, faces.sipg_faces("u"), "u", u, unit_params))
+    jumps = max(jumps, norms.jump_sq(space, faces.sipg_faces("u"), "u", u, unit_params))
     ok &= jumps < 1e-10
     report(5, ok, f"symmetry max {max(rep.symmetry.values()):.1e}, "
                   f"psd min {min(rep.psd_min.values()):.1e}, "

@@ -117,13 +117,13 @@ def test_malformed_mesh_rejected(verts, elems, domains, match):
 def test_interface_classification():
     faces = build_faces(two_square_mesh(), VERIFICATION_DIRICHLET)
     i = faces.interface[0]
-    assert KINDS[faces.kind[i]] == "interface"
+    assert KINDS[faces.edges.kind[i]] == "interface"
     # no boundary condition of any variable applies to an interface face
     for fidxs in (faces.dirichlet("d"), faces.dirichlet("u"), faces.dirichlet("p:E"),
                   faces.outlet()):
         assert i not in fidxs
     # interface normal points out of the elastic element
-    assert np.allclose(faces.normal[i], [1.0, 0.0])
+    assert np.allclose(faces.edges.normal[i], [1.0, 0.0])
 
 
 def test_wall_classification_per_variable():
@@ -215,12 +215,12 @@ def test_interior_normals_opposite():
     # the stored normal is outward from the plus element; the minus-side
     # normal is its exact negative by construction, so check outwardness for both
     mesh = triangulated_two_domain(3, jitter=0.2)
-    faces = build_faces(mesh, VERIFICATION_DIRICHLET)
-    mid = 0.5 * (mesh.vertices[faces.ab[:, 0]] + mesh.vertices[faces.ab[:, 1]])
-    plus, minus = faces.elem.T
-    assert ((faces.normal * (mid - mesh.centroids[plus])).sum(axis=1) > 0).all()
+    t = mesh.edges
+    mid = 0.5 * (mesh.vertices[t.ab[:, 0]] + mesh.vertices[t.ab[:, 1]])
+    plus, minus = t.elem.T
+    assert ((t.normal * (mid - mesh.centroids[plus])).sum(axis=1) > 0).all()
     inner = minus >= 0
-    assert ((-faces.normal[inner] * (mid[inner] - mesh.centroids[minus[inner]])).sum(axis=1)
+    assert ((-t.normal[inner] * (mid[inner] - mesh.centroids[minus[inner]])).sum(axis=1)
             > 0).all()
 
 
@@ -231,8 +231,9 @@ _DIRICHLET_MAPS = {"verification": VERIFICATION_DIRICHLET, "demo": DEMO_DIRICHLE
 
 
 def _face_table_hashes(faces) -> dict:
-    items = {"endpoints": faces.ab, "elements": faces.elem, "normal": faces.normal,
-             "harmonic_h": faces.harmonic_h, "kind": faces.kind,
+    t = faces.edges
+    items = {"endpoints": t.ab, "elements": t.elem, "normal": t.normal,
+             "harmonic_h": t.harmonic_h, "kind": t.kind,
              "label": json.dumps(faces.label.tolist()).encode()}
     for name in ("interior_el", "interior_f", "interface", "boundary_el", "boundary_f"):
         items[name] = getattr(faces, name)
@@ -307,7 +308,8 @@ def test_grouped_geometry_and_edge_table_equal_per_element_reference(seed):
         for a, b in zip(got, reference_geometry(mesh)):
             assert a.tobytes() == b.tobytes()
         t = mesh.edges
-        table = [(tuple(key), [(k, a, b) for k, (a, b) in zip(elem, ab) if k >= 0])
+        # the plus side traverses the edge as ab, the minus side reversed
+        table = [(tuple(key), sorted((k, *s) for k, s in zip(elem, (ab, ab[::-1])) if k >= 0))
                  for key, elem, ab in zip(t.key.tolist(), t.elem.tolist(), t.ab.tolist())]
         assert table == reference_edges(mesh)
 

@@ -73,7 +73,7 @@ def test_continuous_interpolant_has_no_jumps(cart4_setup, unit_params):
     _, faces, space = cart4_setup
     st = zero_state(space)
     st["d"] = l2_project(space, "d", lambda p: np.stack([p[:, 0] * p[:, 1], p[:, 1] ** 2], axis=1))
-    jump = norms.jump_sq(space, faces, faces.interior_el, "d", st["d"], unit_params)
+    jump = norms.jump_sq(space, faces.interior_el, "d", st["d"], unit_params)
     assert jump < 1e-10
 
 

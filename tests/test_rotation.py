@@ -1,15 +1,22 @@
-"""Metamorphic check: a problem rotated with its data has the same errors.
+"""Metamorphic checks: a problem rotated with its data, or with its
+elements renumbered, has the same errors.
 
 Every mesh family has its interface at x = 0 and its outlet at x = 1, so
 every interface and outlet normal is +-e_x there, and a fault in the
 y-component of such a normal shows in no other test. The DG space P_m, the
 fan quadrature, the element diameters and the face normals all rotate with
-the mesh, so the rotated solves must reproduce each error to round-off."""
+the mesh, so the rotated solves must reproduce each error to round-off.
+
+Every mesh family also numbers its elastic elements first, so the first
+element of an interface face is always its elastic one. With the element
+order reversed the fluid elements come first, and only the orientation of
+interface faces from their elastic side keeps the errors the same."""
 
 import pytest
 
 from polympe import driver, forms, stepping
 from polympe.families import VERIFICATION_DIRICHLET, cartesian_two_domain, triangulated_two_domain
+from polympe.mesh import PolyMesh
 from polympe.solvers import factorize
 from polympe.system import build_global, split
 
@@ -47,3 +54,18 @@ def test_errors_are_rotation_invariant(mesh80, steady, unsteady, name, m):
     assert len(ref) == 10 and min(ref.values()) > 0.0
     for phi in ANGLES:
         assert errors(mesh, m, phi, steady, unsteady) == pytest.approx(ref, rel=1e-9), phi
+
+
+def renumbered(mesh):
+    """``mesh`` with its element order reversed (the fluid elements first)."""
+    order = range(mesh.n_elements - 1, -1, -1)
+    return PolyMesh(mesh.vertices, [mesh.elements[k] for k in order],
+                    [mesh.element_domain[k] for k in order], mesh.boundary_labels)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("name", sorted(MESHES))
+def test_errors_are_renumbering_invariant(mesh80, steady, unsteady, name, m):
+    mesh = MESHES[name](mesh80)
+    ref = errors(mesh, m, 0.0, steady, unsteady)
+    assert errors(renumbered(mesh), m, 0.0, steady, unsteady) == pytest.approx(ref, rel=1e-9)

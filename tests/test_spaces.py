@@ -249,7 +249,7 @@ def _table_pins(faces, space):
             out[f"{domain}/{name}"] = _probe(getattr(tab, name))
         out[f"{domain}/groups"] = _probe(np.concatenate(
             [np.concatenate([elems, [rows.start, rows.stop, n]]) for elems, rows, n in tab.groups]))
-    ftab = space.face_table(faces, np.arange(len(faces)))
+    ftab = space.face_table(np.arange(len(faces)))
     for name, arr in vars(ftab).items():
         out[f"faces/{name}"] = _probe(arr)
     return out
@@ -290,7 +290,7 @@ def test_table_evaluators_match_their_definitions(mesh80, name, m):
         coeffs = space.coeffs(field, rng.standard_normal(space.sizes[field]))
         tab = space.volume_table(space.field_domain(field))
         # the face set each field's norm measures its jumps on
-        ftab = space.face_table(faces, faces.sipg_faces("u" if field == "p" else field))
+        ftab = space.face_table(faces.sipg_faces("u" if field == "p" else field))
         for got, want in ((tab.values(coeffs), reference_values(tab, coeffs)),
                           (tab.grads(coeffs), reference_grads(tab, coeffs)),
                           (ftab.jump(coeffs), reference_jump(ftab, coeffs))):
@@ -301,11 +301,11 @@ def test_table_evaluators_match_their_definitions(mesh80, name, m):
 def test_face_table_is_kept_from_its_second_request_and_read_only():
     mesh = cartesian_two_domain(2)
     faces, space = build_faces(mesh, VERIFICATION_DIRICHLET), build_space(mesh, 1)
-    first = space.face_table(faces, faces.interior_el)
-    tab = space.face_table(faces, list(faces.interior_el))
+    first = space.face_table(faces.interior_el)
+    tab = space.face_table(list(faces.interior_el))
     assert tab is not first
-    assert space.face_table(faces, faces.interior_el.copy()) is tab
-    assert space.face_table(faces, faces.interior_f) is not tab
+    assert space.face_table(faces.interior_el.copy()) is tab
+    assert space.face_table(faces.interior_f) is not tab
     for arr in (*vars(first).values(), *vars(tab).values()):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = arr[0]

@@ -7,7 +7,8 @@ import pytest
 from polympe import forms, system
 from polympe.cli import resolve_params
 from polympe.driver import setup, solve_steady
-from polympe.families import DEMO_DIRICHLET, VERIFICATION_DIRICHLET, cartesian_two_domain
+from polympe.families import (DEMO_DIRICHLET, VERIFICATION_DIRICHLET, cartesian_two_domain,
+                               triangulated_two_domain)
 from polympe.mesh import build_faces
 from polympe.params import PhysicalParams
 from polympe.solvers import factorize
@@ -75,6 +76,23 @@ def test_params_and_space_must_share_the_compartments(cart4_setup):
     _, faces, space = cart4_setup
     with pytest.raises(ValueError, match="disagree on the compartment set"):
         build_system(space, PhysicalParams.unit(("A", "C", "V", "E")), faces)
+
+
+def test_faces_and_space_must_share_the_mesh(unit_params):
+    # the two meshes share their topology and differ only in the jitter of
+    # their vertices, so the faces of one fit the space of the other
+    space = build_space(triangulated_two_domain(4, jitter=0.2, seed=0), 1)
+    faces = build_faces(triangulated_two_domain(4, jitter=0.2, seed=1), VERIFICATION_DIRICHLET)
+    with pytest.raises(ValueError, match="different meshes"):
+        build_system(space, unit_params, faces)
+
+
+def test_repeated_compartment_is_rejected():
+    # a repeated compartment would list its pressure, and add its source, twice
+    with pytest.raises(ValueError, match="compartments must be distinct"):
+        PhysicalParams.unit(("E", "E"))
+    with pytest.raises(ValueError, match="compartments must be distinct"):
+        build_space(cartesian_two_domain(2), 1, ("E", "E"))
 
 
 def test_structural_checks_pass(cart4_setup, unit_params):
