@@ -32,9 +32,9 @@ from .forms import ZeroData
 from .manufactured import (CONTROL_FLOOR, ORACLE_T, ORACLE_TOL, SOURCES, residual_oracle,
                            steady_case, unsteady_case)
 from .mesh import MeshError, load_mesh, quality_report, save_mesh
-from .params import PhysicalParams
+from .params import PhysicalParams, check_dirichlet
 from .solvers import NumericalError
-from .system import EXCHANGE, structural_checks
+from .system import EXCHANGE, build_system, structural_checks
 
 
 class ConfigError(Exception):
@@ -207,15 +207,12 @@ def _read_case(cfg: Section, default: str, cases=("steady", "unsteady", "zero", 
 
 
 def _read_dirichlet(cfg: Section, default: dict, compartments) -> dict:
-    """The Dirichlet fields of each boundary label, by default ``default``'s;
-    each is ``d``, ``u`` or ``p:<j>`` of one of ``compartments``."""
+    """The Dirichlet fields of each boundary label, by default ``default``'s
+    (see :func:`~polympe.params.check_dirichlet`)."""
     sec = cfg.section("dirichlet", {lab: sorted(fs) for lab, fs in default.items()},
                       path="{} {!r}")
-    known = {"d", "u", *(f"p:{j}" for j in compartments)}
     out = {lab: set(sec.names(lab)) for lab in sec.doc}
-    for lab in (lab for lab, fs in out.items() if fs - known):
-        raise ConfigError(f"{sec.path(lab)} lists unknown field(s) {sorted(out[lab] - known)}; "
-                          f"expected some of {sorted(known)}")
+    check_dirichlet(out, compartments)
     return out
 
 
@@ -341,7 +338,7 @@ def cmd_verify(cfg: Section):
     def run(out: Path):
         # the mesh and the system first, so that their input errors come
         # before the oracle's runs
-        sysm = driver.setup(resolve_mesh(spec), m, params, dirichlet)
+        sysm = build_system(resolve_mesh(spec), m, params, dirichlet)
         ok = True
         report_lines = []
         for case, t in ((steady_case(), 0.0), (unsteady_case(), ORACLE_T)):

@@ -10,15 +10,10 @@ import numpy as np
 from . import forms, norms, stepping
 from .families import VERIFICATION_DIRICHLET
 from .manufactured import ManufacturedCase, steady_case, unsteady_case
-from .mesh import PolyMesh, build_faces
+from .mesh import PolyMesh
 from .solvers import NumericalError, factorize
-from .spaces import build_space, l2_project
+from .spaces import l2_project
 from .system import SystemMatrices, build_global, build_system, split
-
-
-def setup(mesh: PolyMesh, m: int, params, dirichlet_map) -> SystemMatrices:
-    faces = build_faces(mesh, dirichlet_map)
-    return build_system(build_space(mesh, m, params.compartments), params, faces)
 
 
 def solve_steady(case: ManufacturedCase, mesh: PolyMesh, m: int,
@@ -26,7 +21,7 @@ def solve_steady(case: ManufacturedCase, mesh: PolyMesh, m: int,
     """Solve the steady reduction, the stacked operator with every
     time-derivative slot dropped, against the loads of ``case`` at t = 0;
     returns the state dict and the system."""
-    sys = setup(mesh, m, case.params, dirichlet_map)
+    sys = build_system(mesh, m, case.params, dirichlet_map)
     loads = forms.assemble_loads(sys.space, case.params, sys.faces, case, 0.0)
     matrix = build_global(sys)
     x = factorize(matrix).solve(loads)
@@ -53,7 +48,7 @@ def solve_unsteady(data, params, mesh: PolyMesh, m: int, scheme: stepping.Scheme
     :func:`projected_values` at t = 0, so that zero data starts from rest.
     Returns the states and times recorded every ``stride`` steps (see
     :func:`polympe.stepping.simulate`) and the system."""
-    sys = setup(mesh, m, params, dirichlet_map)
+    sys = build_system(mesh, m, params, dirichlet_map)
     states, times = stepping.simulate(sys, scheme, data, n_steps,
                                       projected_values(sys.space, data), stride=stride)
     return states, times, sys

@@ -9,6 +9,16 @@ from dataclasses import dataclass, field
 EXCHANGE = "E"
 
 
+def check_dirichlet(dirichlet_map, compartments) -> None:
+    """Raise :class:`ValueError` unless each field of the label -> fields map
+    ``dirichlet_map`` is ``d``, ``u`` or ``p:<j>`` of one of ``compartments``."""
+    known = {"d", "u", *(f"p:{j}" for j in compartments)}
+    for lab, fs in dirichlet_map.items():
+        if unknown := sorted(set(fs) - known):
+            raise ValueError(f"dirichlet {lab!r} lists unknown field(s) {unknown}; "
+                             f"expected some of {sorted(known)}")
+
+
 @dataclass
 class PhysicalParams:
     """Coefficients of the coupled model, piecewise constant over the mesh.

@@ -48,6 +48,10 @@ class SchemeParams:
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
         if not 0.0 < self.beta <= 0.5:
             raise ValueError("beta must lie in (0, 1/2]")
+        if not all(c > 0.0 and math.isfinite(1.0 / c)
+                   for c in (self.beta * self.dt, self.beta * self.dt * self.dt)):
+            raise ValueError(f"the Newmark coefficients 1 / (beta dt) and 1 / (beta dt^2) must be "
+                             f"finite, got beta = {self.beta}, dt = {self.dt}")
         if not 0.5 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [1/2, 1]")
         if not 0.5 <= self.theta <= 1.0:
@@ -128,12 +132,12 @@ def check_step_counts(n_steps: int, stride: int) -> None:
 
 
 def simulate(sys: SystemMatrices, sp_: SchemeParams, data, n_steps: int, values=None,
-             t0: float = 0.0, stride: int = 1):
+             stride: int = 1):
     """March ``n_steps`` uniform steps from :func:`initial_state` (``values``
-    under the loads of ``data`` at ``t0``); returns the recorded states
+    under the loads of ``data`` at t = 0); returns the recorded states
     (every ``stride``-th plus first and last), each a dict of field views in
-    :func:`layout` order, and their times. Step ``n`` is at ``t0 + n * dt``,
-    the time its loads are assembled at.
+    :func:`layout` order, and their times. Step ``n`` is at ``n * dt``, the
+    time its loads are assembled at.
 
     The initial load of the divergence row is replaced by its discretely
     compatible value, so the theta-averaged algebraic constraint starts with
@@ -145,16 +149,16 @@ def simulate(sys: SystemMatrices, sp_: SchemeParams, data, n_steps: int, values=
     (:func:`check_step_counts`), and :class:`~polympe.solvers.NumericalError`
     at the first step whose state is not finite."""
     check_step_counts(n_steps, stride)
-    loads_n = forms.assemble_loads(sys.space, sys.params, sys.faces, data, t0)
+    loads_n = forms.assemble_loads(sys.space, sys.params, sys.faces, data, 0.0)
     state0 = initial_state(sys, loads_n, values)
     mats = build_stepping_matrices(sys, sp_)
     fact = factorize(mats["A1"])
     A2, space, sizes = mats["A2"], sys.space, layout(sys.space)
-    states, times = [state0], [t0]
+    states, times = [state0], [0.0]
     loads_n[space.field_slice("p")] = sys.S @ state0["p"] - sys.B_f @ state0["u"]
     x = np.concatenate(list(state0.values()))
     for n in range(1, n_steps + 1):
-        t = t0 + n * sp_.dt
+        t = n * sp_.dt
         loads_np1 = forms.assemble_loads(space, sys.params, sys.faces, data, t)
         # each solve returns a fresh vector, so a recorded state may view it
         x = fact.solve(A2 @ x + blend_loads(sys, sp_, loads_n, loads_np1))

@@ -42,9 +42,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import forms
-from .mesh import FaceSet
-from .params import EXCHANGE, PhysicalParams
-from .spaces import DGSpace, field_slices
+from .mesh import FaceSet, PolyMesh, build_faces
+from .params import EXCHANGE, PhysicalParams, check_dirichlet
+from .spaces import DGSpace, build_space, field_slices
 
 
 @dataclass
@@ -71,12 +71,12 @@ class SystemMatrices:
         return self.params.compartments
 
 
-def build_system(space: DGSpace, params: PhysicalParams, faces: FaceSet) -> SystemMatrices:
-    """Assemble every block and wire them into the coupled layout."""
-    if tuple(params.compartments) != tuple(space.compartments):
-        raise ValueError("params and space disagree on the compartment set")
-    if faces.edges is not space.mesh.edges:
-        raise ValueError("faces and space are built on different meshes")
+def build_system(mesh: PolyMesh, m: int, params: PhysicalParams, dirichlet_map) -> SystemMatrices:
+    """Resolve the Dirichlet map on ``mesh``, build the degree-``m`` space of
+    the compartments of ``params``, and assemble every block."""
+    check_dirichlet(dirichlet_map, params.compartments)
+    faces = build_faces(mesh, dirichlet_map)
+    space = build_space(mesh, m, params.compartments)
     elastic = forms.assemble_elastic(space, params, faces)
     pressure = forms.assemble_pressure(space, params, faces)
     fluid = forms.assemble_fluid(space, params, faces)
@@ -182,14 +182,6 @@ class StructuralReport:
         return "\n".join(lines)
 
 
-def _rel_sym(mat) -> float:
-    if mat.shape[0] == 0:
-        return 0.0
-    scale = np.abs(mat).max() or 1.0
-    diff = (mat - mat.T).tocoo()
-    return (np.abs(diff.data).max() / scale) if diff.nnz else 0.0
-
-
 def _rel_diff(a, b) -> float:
     scale = max(np.abs(a).max() if a.nnz else 0.0, np.abs(b).max() if b.nnz else 0.0, 1e-300)
     d = (a - b).tocoo()
@@ -208,7 +200,7 @@ def structural_checks(sys: SystemMatrices) -> StructuralReport:
     named = {"A_el": sys.A_el, "A_f": sys.A_f, "S": sys.S, "M_el": sys.M_el, "M_f": sys.M_f,
              **{f"A_{j}": sys.A_j[j] for j in sys.compartments}, "M_comp": sys.M_comp}
     for name, mat in named.items():
-        rep.symmetry[name] = _rel_sym(mat)
+        rep.symmetry[name] = _rel_diff(mat, mat.T)
         if name.startswith("A_") or name == "S":
             ev = np.linalg.eigvalsh(mat.toarray()) if mat.shape[0] else np.zeros(1)
             rep.psd_min[name] = float(ev[0] / (np.abs(ev).max() or 1.0))

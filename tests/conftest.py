@@ -13,7 +13,7 @@ from polympe.params import PhysicalParams
 from polympe.solvers import factorize
 from polympe.spaces import build_space
 from polympe.stepping import blend_loads, build_stepping_matrices, layout
-from polympe.system import build_global, split
+from polympe.system import build_global, build_system, split
 
 
 def unit_square_mesh(domain="elastic"):
@@ -47,13 +47,25 @@ class OnePointData(ZeroData):
         return v
 
 
-def pin_setup(name, mesh80, J):
-    """Faces and m = 2 space of the pinned-value tests on ``cartesian_two_domain(4)``
-    (``"cart4"``) or the 80-polygon mesh, every pressure Dirichlet."""
+def pin_mesh(name, mesh80, J):
+    """The mesh and Dirichlet map of the pinned-value tests:
+    ``cartesian_two_domain(4)`` (``"cart4"``) or the 80-polygon mesh, every
+    pressure Dirichlet."""
     mesh = cartesian_two_domain(4) if name == "cart4" else mesh80
-    dirichlet = dict(VERIFICATION_DIRICHLET, el={"d"} | {f"p:{j}" for j in J})
-    faces = build_faces(mesh, dirichlet)
-    return faces, build_space(mesh, 2, J)
+    return mesh, dict(VERIFICATION_DIRICHLET, el={"d"} | {f"p:{j}" for j in J})
+
+
+def pin_setup(name, mesh80, J):
+    """Faces and m = 2 space of the pinned-value tests (see :func:`pin_mesh`)."""
+    mesh, dirichlet = pin_mesh(name, mesh80, J)
+    return build_faces(mesh, dirichlet), build_space(mesh, 2, J)
+
+
+def pin_system(name, mesh80, J, params=None):
+    """The m = 2 system of the pinned-value tests (see :func:`pin_mesh`),
+    under ``params``, by default :func:`pin_params` of ``J``."""
+    mesh, dirichlet = pin_mesh(name, mesh80, J)
+    return build_system(mesh, 2, params or pin_params(J), dirichlet)
 
 
 def pin_params(J):

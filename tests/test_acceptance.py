@@ -35,13 +35,13 @@ import numpy as np
 from polympe import forms, norms, stepping
 from polympe.agglomerate import AgglomerationConfig, agglomerate, partition_assignment, validate_partition
 from polympe.cli import DemoData, resolve_params
-from polympe.driver import convergence_table, setup, solve_steady
+from polympe.driver import convergence_table, solve_steady
 from polympe.families import (DEMO_DIRICHLET, VERIFICATION_DIRICHLET, cartesian_two_domain,
                               triangulated_two_domain)
 from polympe.manufactured import CONTROL_FLOOR, ORACLE_T, ORACLE_TOL, SOURCES, residual_oracle
 from polympe.mesh import ELASTIC, FLUID
 from polympe.spaces import l2_project
-from polympe.system import structural_checks
+from polympe.system import build_system, structural_checks
 
 from conftest import harmonic_response
 
@@ -112,7 +112,7 @@ def test_criterion_4_manufactured_oracle(steady, unsteady):
 
 
 def test_criterion_5_structural_suite(mesh80, unit_params):
-    sysm = setup(mesh80, 2, unit_params, VERIFICATION_DIRICHLET)
+    sysm = build_system(mesh80, 2, unit_params, VERIFICATION_DIRICHLET)
     rep = structural_checks(sysm)
     ok = all(v < 1e-12 for v in rep.symmetry.values())
     ok &= all(v >= -1e-10 for v in rep.psd_min.values())
@@ -121,7 +121,7 @@ def test_criterion_5_structural_suite(mesh80, unit_params):
 
     # continuous degree <= m interpolants with homogeneous Dirichlet traces:
     # every jump-penalty contribution annihilates
-    sys4 = setup(cartesian_two_domain(2), 4, unit_params, VERIFICATION_DIRICHLET)
+    sys4 = build_system(cartesian_two_domain(2), 4, unit_params, VERIFICATION_DIRICHLET)
     space, faces = sys4.space, sys4.faces
 
     def bubble_el(p):
@@ -149,7 +149,7 @@ def test_criterion_5_structural_suite(mesh80, unit_params):
 
 
 def test_criterion_6_energy_dissipativity(unit_params):
-    sysm = setup(cartesian_two_domain(4), 2, unit_params, VERIFICATION_DIRICHLET)
+    sysm = build_system(cartesian_two_domain(4), 2, unit_params, VERIFICATION_DIRICHLET)
     rng = np.random.default_rng(7)
     vals = {f: rng.standard_normal(sysm.space.sizes[f]) for f in ("d", "u", "p")}
     vals["z"] = rng.standard_normal(sysm.space.sizes["d"])
@@ -181,7 +181,7 @@ def test_criterion_7_agglomeration_pipeline():
 def test_criterion_8_temporal_order_against_harmonic_response(mesh80):
     # the demo loads are sin(2 pi t) times their value at t = 1/4
     cfg = json.loads((Path(__file__).parents[1] / "configs" / "demo.json").read_text())
-    sysm = setup(mesh80, 2, resolve_params(cfg), DEMO_DIRICHLET)
+    sysm = build_system(mesh80, 2, resolve_params(cfg), DEMO_DIRICHLET)
     loads = forms.assemble_loads(sysm.space, sysm.params, sysm.faces, DemoData(), 0.25)
     omega = 2.0 * np.pi
     exact = harmonic_response(sysm, loads, omega)

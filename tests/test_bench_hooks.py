@@ -13,13 +13,13 @@ import pytest
 
 from polympe import cli
 from polympe.agglomerate import AgglomerationConfig, agglomerate
-from polympe.driver import setup
 from polympe.families import VERIFICATION_DIRICHLET, cartesian_two_domain, triangulated_two_domain
 from polympe.mesh import build_faces
 from polympe.params import PhysicalParams
 from polympe.solvers import factorize
 from polympe.spaces import build_space
 from polympe.stepping import SchemeParams, build_stepping_matrices
+from polympe.system import build_system
 
 from conftest import read_config
 
@@ -53,14 +53,14 @@ def test_every_hooked_name_resolves(bench):
 def returns():
     """The return value of each counted function, from small setups."""
     mesh = cartesian_two_domain(2)
-    sysm = setup(mesh, 1, PhysicalParams.unit(), VERIFICATION_DIRICHLET)
+    sysm = build_system(mesh, 1, PhysicalParams.unit(), VERIFICATION_DIRICHLET)
     fine = triangulated_two_domain(4)
     return {
         "families.triangulated_two_domain": fine,
         "agglomerate.agglomerate": agglomerate(fine, AgglomerationConfig(2, 2)),
         "mesh.build_faces": build_faces(mesh, VERIFICATION_DIRICHLET),
         "spaces.build_space": build_space(mesh, 1),
-        "system.build_system": sysm,  # driver.setup returns build_system's result
+        "system.build_system": sysm,
         "stepping.build_stepping_matrices": build_stepping_matrices(sysm, SchemeParams(dt=0.01)),
         "solvers.factorize": factorize(sysm.M_el),
     }

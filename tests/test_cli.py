@@ -352,6 +352,22 @@ def test_wrong_typed_config_value_is_input_error(tmp_path, capsys, doc, name):
     assert not list(out.glob("*"))
 
 
+@pytest.mark.parametrize("scheme", [{"dt": 1e-300}, {"dt": 1e-320}, {"beta": 1e-320},
+                                    {"dt": 1e-160}], ids=["dt-1e-300", "dt-1e-320",
+                                                          "beta-1e-320", "dt-1e-160"])
+def test_newmark_coefficient_that_is_not_finite_is_input_error(tmp_path, capsys, scheme):
+    # 1 / (beta dt^2) divides by zero or overflows: a config error, reported
+    # before anything is built, not a traceback or a failed march
+    doc = dict(shipped("demo"), mesh={"family": "cartesian", "ny": 2})
+    doc["scheme"] = dict(doc["scheme"], n_steps=2, **scheme)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    (key, value), = scheme.items()
+    assert f"{key} = {value}" in err and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("command, doc, name", [
     ("solve", _with(_ZERO_SOLVE, None, degree=None), "degree"),
     ("solve", _with(_ZERO_SOLVE, None, degree=1.7), "degree"),

@@ -7,7 +7,7 @@ import pytest
 import sympy as sym
 from scipy.linalg import block_diag
 
-from polympe import forms
+from polympe import forms, system
 from polympe.cli import DemoData, resolve_params
 from polympe.families import DEMO_DIRICHLET, VERIFICATION_DIRICHLET
 from polympe.mesh import build_faces, harmonic_h
@@ -15,8 +15,8 @@ from polympe.params import PhysicalParams
 from polympe.spaces import build_space, l2_project
 from polympe.system import build_system, coupling_blocks
 
-from conftest import (ACVE, OnePointData, pin_params, pin_setup, sha256_hex, two_square_mesh,
-                      unit_square_mesh)
+from conftest import (ACVE, OnePointData, pin_params, pin_setup, pin_system, sha256_hex,
+                      two_square_mesh, unit_square_mesh)
 from symbolic import X, Y, SymbolicCase
 
 
@@ -124,19 +124,17 @@ def test_pressure_mass_is_the_compartment_l2_product():
 def test_pressure_external_coupling():
     # the (p:E, p:E) block of the steady operator is beta^e M + A_E, and A_E
     # annihilates constants without Dirichlet faces
-    _, faces, space = natural_setup("elastic")
-    blocks = coupling_blocks(build_system(space, PhysicalParams.unit(), faces), 0.0, 1.0, 0.0)
-    one = interp(space, "p:E", lambda q: np.ones(len(q)))
+    sysm = build_system(unit_square_mesh("elastic"), 2, PhysicalParams.unit(), {"nat": set()})
+    blocks = coupling_blocks(sysm, 0.0, 1.0, 0.0)
+    one = interp(sysm.space, "p:E", lambda q: np.ones(len(q)))
     assert one @ (blocks["p:E", "p:E"] @ one) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_intercompartment_coupling_vanishes_for_equal_pressures():
-    mesh = unit_square_mesh("elastic")
-    faces = build_faces(mesh, {"nat": set()})
     params = PhysicalParams.unit(compartments=("A", "E"))
-    space = build_space(mesh, 2, compartments=("A", "E"))
-    blocks = coupling_blocks(build_system(space, params, faces), 0.0, 1.0, 0.0)
-    p = interp(space, "p:A", lambda q: 1.7 * np.ones(len(q)))
+    sysm = build_system(unit_square_mesh("elastic"), 2, params, {"nat": set()})
+    blocks = coupling_blocks(sysm, 0.0, 1.0, 0.0)
+    p = interp(sysm.space, "p:A", lambda q: 1.7 * np.ones(len(q)))
     # same vector in both compartments: transfer contribution cancels, only
     # the external coupling beta^e remains
     contrib = p @ (blocks["p:A", "p:A"] @ p) + p @ (blocks["p:A", "p:E"] @ p)
@@ -397,8 +395,7 @@ def _assert_pinned(got, want):
 @pytest.mark.parametrize("name", ["cart4", "mesh80"])
 @pytest.mark.parametrize("J", [("E",), ACVE], ids=["E", "ACVE"])
 def test_blocks_pinned(mesh80, name, J):
-    faces, space = pin_setup(name, mesh80, J)
-    sysm = build_system(space, pin_params(J), faces)
+    sysm = pin_system(name, mesh80, J)
     _assert_pinned(_bilinear_pins(sysm), PINS[f"{name}/{''.join(J)}"])
 
 
@@ -434,10 +431,10 @@ def test_volume_loads_equal_projection(mesh80, unsteady):
 def test_masses_are_scaled_gram_products(mesh80, name):
     # M_el, M_f and M_comp are rho * gram[0, 0] of their subdomain, element
     # by element (and component by component), bit for bit
-    faces, space = pin_setup(name, mesh80, ACVE)
     params = pin_params(ACVE)
     params.rho_el, params.rho_f = 1.3e3, 0.7
-    sysm = build_system(space, params, faces)
+    sysm = pin_system(name, mesh80, ACVE, params)
+    space = sysm.space
     for M, domain, rho, ncomp in ((sysm.M_el, "elastic", params.rho_el, 2),
                                   (sysm.M_f, "fluid", params.rho_f, 2),
                                   (sysm.M_comp, "elastic", 1.0, 1)):
@@ -462,14 +459,18 @@ def test_forms_reads_volume_tables_through_their_contractions(monkeypatch, unste
     assert not any(isinstance(n, ast.Attribute) and n.attr == "groups" for n in ast.walk(tree))
     assert not any(isinstance(n, ast.alias) and n.name == "VolumeTable" for n in ast.walk(tree))
 
-    faces, space = pin_setup("cart4", None, ACVE)
-    ref = build_system(space, pin_params(ACVE), faces)
+    ref = pin_system("cart4", None, ACVE)
     efaces, espace = pin_setup("cart4", None, ("E",))
     ref_loads = forms.assemble_loads(espace, unsteady.params, efaces, unsteady, 0.37)
-    for sp_ in (space, espace):
+
+    def contracted(sp_):
         tables = {d: _Contractions(sp_.volume_table(d)) for d in ("elastic", "fluid")}
         monkeypatch.setattr(sp_, "volume_table", tables.__getitem__)
-    got = build_system(space, pin_params(ACVE), faces)
+        return sp_
+
+    contracted(espace)
+    monkeypatch.setattr(system, "build_space", lambda *args: contracted(build_space(*args)))
+    got = pin_system("cart4", None, ACVE)
     for name, val in vars(ref).items():
         for key, mat in (val.items() if isinstance(val, dict) else [(None, val)]):
             if hasattr(mat, "tocsr"):

@@ -5,6 +5,7 @@ from polympe import forms, norms
 from polympe.mesh import build_faces
 from polympe.params import PhysicalParams
 from polympe.spaces import build_space, l2_project
+from polympe.system import build_system
 
 from conftest import unit_square_mesh
 
@@ -80,9 +81,9 @@ def test_continuous_interpolant_has_no_jumps(cart4_setup, unit_params):
 def test_error_norms_pinned_short_unsteady_run(unsteady):
     # values of the per-element evaluation these norms replaced; the run
     # starts from zero data so that only the norms, not a projection, differ
-    from polympe import driver, stepping
+    from polympe import stepping
     from polympe.families import VERIFICATION_DIRICHLET, cartesian_two_domain
-    sysm = driver.setup(cartesian_two_domain(2), 2, unsteady.params, VERIFICATION_DIRICHLET)
+    sysm = build_system(cartesian_two_domain(2), 2, unsteady.params, VERIFICATION_DIRICHLET)
     states, times = stepping.simulate(sysm, stepping.SchemeParams(dt=1e-3), unsteady, 3)
     eb = norms.energy_norm(states, times, sysm.space, sysm.faces,
                            unsteady.params, exact=unsteady)
@@ -135,7 +136,7 @@ def test_one_pass_energy_norm_matches_per_state_norms(unsteady, mesh80, mesh):
     from polympe import driver, stepping
     from polympe.families import VERIFICATION_DIRICHLET, cartesian_two_domain
     msh = cartesian_two_domain(2) if mesh == "cart2" else mesh80
-    sysm = driver.setup(msh, 2, unsteady.params, VERIFICATION_DIRICHLET)
+    sysm = build_system(msh, 2, unsteady.params, VERIFICATION_DIRICHLET)
     states, times = stepping.simulate(sysm, stepping.SchemeParams(dt=1e-3), unsteady, 4,
                                       driver.projected_values(sysm.space, unsteady))
     args = (sysm.space, sysm.faces, unsteady.params)

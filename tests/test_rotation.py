@@ -18,7 +18,7 @@ from polympe import driver, forms, stepping
 from polympe.families import VERIFICATION_DIRICHLET, cartesian_two_domain, triangulated_two_domain
 from polympe.mesh import PolyMesh
 from polympe.solvers import factorize
-from polympe.system import build_global, split
+from polympe.system import build_global, build_system, split
 
 from conftest import RotatedCase, rotated
 
@@ -33,7 +33,7 @@ def errors(mesh, m, phi, steady, unsteady):
     case, of the steady solve of ``steady`` and of four steps of dt = 1e-3
     of ``unsteady`` from its projected data, on one system of ``mesh``, the
     mesh and both cases rotated by ``phi``."""
-    sys = driver.setup(rotated(mesh, phi), m, steady.params, VERIFICATION_DIRICHLET)
+    sys = build_system(rotated(mesh, phi), m, steady.params, VERIFICATION_DIRICHLET)
     data = RotatedCase(steady, phi)
     loads = forms.assemble_loads(sys.space, sys.params, sys.faces, data, 0.0)
     state = split(factorize(build_global(sys)).solve(loads), sys.space.sizes)

@@ -55,11 +55,10 @@ def test_solve_multiply_roundtrip():
 
 def test_steady_system_residual(steady, mesh80):
     from polympe import forms
-    from polympe.driver import setup
     from polympe.families import VERIFICATION_DIRICHLET
-    from polympe.system import build_global
+    from polympe.system import build_global, build_system
 
-    sysm = setup(mesh80, 2, steady.params, VERIFICATION_DIRICHLET)
+    sysm = build_system(mesh80, 2, steady.params, VERIFICATION_DIRICHLET)
     loads = forms.assemble_loads(sysm.space, steady.params, sysm.faces, steady, 0.0)
     matrix = build_global(sysm)
     x = factorize(matrix).solve(loads)

@@ -8,19 +8,19 @@ import pytest
 
 from polympe import forms, stepping
 from polympe.cli import DemoData, resolve_params
-from polympe.driver import projected_values, setup, solve_steady, solve_unsteady
+from polympe.driver import projected_values, solve_steady, solve_unsteady
 from polympe.families import DEMO_DIRICHLET, VERIFICATION_DIRICHLET, cartesian_two_domain
 from polympe.params import PhysicalParams
 from polympe.solvers import NumericalError
 from polympe.spaces import field_slices, l2_project
 from polympe.system import build_global, build_system
 
-from conftest import ACVE, OnePointData, pin_params, pin_setup, sha256_hex
+from conftest import ACVE, OnePointData, pin_system, sha256_hex
 
 
 @pytest.fixture(scope="module")
 def small_sys(unit_params):
-    return setup(cartesian_two_domain(2), 1, unit_params, VERIFICATION_DIRICHLET)
+    return build_system(cartesian_two_domain(2), 1, unit_params, VERIFICATION_DIRICHLET)
 
 
 def test_scheme_params_validation():
@@ -32,6 +32,9 @@ def test_scheme_params_validation():
         stepping.SchemeParams(dt=0.1, gamma=0.4)
     with pytest.raises(ValueError):
         stepping.SchemeParams(dt=0.1, theta=0.2)
+    # 1 / (beta dt^2) is finite here, but 1 / (beta dt) overflows
+    with pytest.raises(ValueError, match="Newmark coefficients"):
+        stepping.SchemeParams(dt=1e6, beta=1e-320)
     stepping.SchemeParams(dt=0.1)  # defaults valid
 
 
@@ -102,7 +105,7 @@ def test_zero_initial_state(small_sys):
 
 
 def test_initial_state_projections(small_sys, unsteady):
-    sysm = setup(cartesian_two_domain(2), 1, unsteady.params, VERIFICATION_DIRICHLET)
+    sysm = build_system(cartesian_two_domain(2), 1, unsteady.params, VERIFICATION_DIRICHLET)
     loads = forms.assemble_loads(sysm.space, sysm.params, sysm.faces, unsteady, 0.0)
     st = stepping.initial_state(sysm, loads, projected_values(sysm.space, unsteady))
     d_ref = l2_project(sysm.space, "d", lambda p: unsteady.exact("d", p, 0.0))
@@ -142,15 +145,15 @@ def test_convergence_table_frees_each_solve_before_the_next(monkeypatch, case_id
     # mesh's solve, or the sweep's peak memory holds two meshes at once
     import weakref
     from polympe import driver
-    made, real_setup = [], driver.setup
+    made, real_build = [], driver.build_system
 
-    def tracked_setup(*args):
+    def tracked_build(*args):
         assert all(ref() is None for ref in made), "an earlier solve is still alive"
-        sysm = real_setup(*args)
+        sysm = real_build(*args)
         made.append(weakref.ref(sysm))
         return sysm
 
-    monkeypatch.setattr(driver, "setup", tracked_setup)
+    monkeypatch.setattr(driver, "build_system", tracked_build)
     meshes = [cartesian_two_domain(n) for n in (2, 3, 4)]
     driver.convergence_table(case_id, meshes, [1], scheme=stepping.SchemeParams(dt=1e-3),
                              n_steps=1)
@@ -163,7 +166,7 @@ def test_error_row_has_one_column_per_field(monkeypatch, unsteady, J):
     # error at the last state, in field order; the manufactured cases have
     # one compartment, so with four the norms are replaced by fixed values
     from polympe import driver, norms
-    sysm = setup(cartesian_two_domain(2), 1, PhysicalParams.unit(J), VERIFICATION_DIRICHLET)
+    sysm = build_system(cartesian_two_domain(2), 1, PhysicalParams.unit(J), VERIFICATION_DIRICHLET)
     finals = {}
 
     def recorded_energy_norm(*args, **kwargs):
@@ -246,10 +249,10 @@ def test_simulate_rejects_bad_step_counts(small_sys, n_steps, stride):
 
 def test_simulate_final_time_and_stride(small_sys):
     sp = stepping.SchemeParams(dt=0.25)
-    states, times = stepping.simulate(small_sys, sp, forms.ZeroData(), 8, t0=0.1, stride=3)
+    states, times = stepping.simulate(small_sys, sp, forms.ZeroData(), 8, stride=3)
     # initial + steps 3, 6 + final 8, each at the time its loads use
     assert len(states) == 4
-    assert times == [0.1 + n * 0.25 for n in (0, 3, 6, 8)]
+    assert times == [n * 0.25 for n in (0, 3, 6, 8)]
     # 300 steps of 0.01 end at 3.0, not at the sum of 300 increments
     states, times = stepping.simulate(small_sys, stepping.SchemeParams(dt=0.01),
                                       forms.ZeroData(), 300, stride=300)
@@ -303,7 +306,7 @@ def test_dissipativity_four_compartments():
     params = PhysicalParams.unit(compartments=J)
     mesh = cartesian_two_domain(2)
     dirichlet = {"el": {"d"} | {f"p:{j}" for j in J}, "wall": {"u"}, "out": set()}
-    sysm = setup(mesh, 1, params, dirichlet)
+    sysm = build_system(mesh, 1, params, dirichlet)
     rng = np.random.default_rng(3)
     vals = {f: rng.standard_normal(sysm.space.sizes[f]) for f in sysm.space.fields}
     vals["z"] = rng.standard_normal(sysm.space.sizes["d"])
@@ -343,8 +346,8 @@ def _row_pins(mat, slices):
 @pytest.mark.parametrize("name", ["cart4", "mesh80"])
 @pytest.mark.parametrize("J", [("E",), ACVE], ids=["E", "ACVE"])
 def test_operators_pinned(mesh80, name, J):
-    faces, space = pin_setup(name, mesh80, J)
-    sysm = build_system(space, pin_params(J), faces)
+    sysm = pin_system(name, mesh80, J)
+    space = sysm.space
     key = f"{name}/{''.join(J)}"
     got = {f"{key}/G0": _row_pins(build_global(sysm, 0.0), field_slices(space.sizes))}
     for sid, kw in PIN_SCHEMES.items():
@@ -371,9 +374,8 @@ TRAJECTORY_PINS = json.loads(Path(__file__).with_name("trajectory_pins.json").re
 @pytest.mark.parametrize("name", ["cart4", "mesh80"])
 @pytest.mark.parametrize("J", [("E",), ACVE], ids=["E", "ACVE"])
 def test_trajectory_pinned(mesh80, name, J):
-    faces, space = pin_setup(name, mesh80, J)
-    sysm = build_system(space, pin_params(J), faces)
-    sizes = stepping.layout(space)
+    sysm = pin_system(name, mesh80, J)
+    sizes = stepping.layout(sysm.space)
     rng = np.random.default_rng(0)
     values = {f: rng.standard_normal(n) for f, n in sizes.items() if f != "a"}
     probe = {f: rng.standard_normal(n) for f, n in sizes.items()}
@@ -403,8 +405,7 @@ A1_NNZ = {"E": 147308, "ACVE": 286646}
 
 @pytest.mark.parametrize("J", [("E",), ACVE], ids=["E", "ACVE"])
 def test_stepping_matrices_bytes_pinned(mesh80, J):
-    faces, space = pin_setup("mesh80", mesh80, J)
-    sysm = build_system(space, pin_params(J), faces)
+    sysm = pin_system("mesh80", mesh80, J)
     mats = stepping.build_stepping_matrices(sysm, stepping.SchemeParams(**PIN_SCHEMES["dt0.01"]))
     probe = np.random.default_rng(0).standard_normal(mats["A2"].shape[1])
     assert sha256_hex(mats["A2"] @ probe) == A2_PROBE_SHA256["".join(J)]
@@ -449,11 +450,9 @@ def _csr_sha256(mat) -> str:
 def test_operator_bytes_pinned(mesh80, key):
     if key == "demo":
         cfg = json.loads((Path(__file__).parents[1] / "configs" / "demo.json").read_text())
-        sysm = setup(mesh80, 2, resolve_params(cfg), DEMO_DIRICHLET)
+        sysm = build_system(mesh80, 2, resolve_params(cfg), DEMO_DIRICHLET)
     else:
-        J = ACVE if key == "ACVE" else ("E",)
-        faces, space = pin_setup("mesh80", mesh80, J)
-        sysm = build_system(space, pin_params(J), faces)
+        sysm = pin_system("mesh80", mesh80, ACVE if key == "ACVE" else ("E",))
     mats = stepping.build_stepping_matrices(sysm, stepping.SchemeParams(**PIN_SCHEMES["dt0.01"]))
     got = {"A1": _csr_sha256(mats["A1"]), "A2": _csr_sha256(mats["A2"]),
            "G0": _csr_sha256(build_global(sysm, 0.0))}
@@ -466,7 +465,7 @@ def test_theta_scheme_first_order_against_trapezoid(theta):
     # for theta > 1/2 the scheme is first order, so its gap to the
     # second-order theta = 1/2 march halves with dt; a coupling block left
     # out of the blended velocity makes it converge to another solution
-    sysm = setup(cartesian_two_domain(2), 1, PhysicalParams.unit(), DEMO_DIRICHLET)
+    sysm = build_system(cartesian_two_domain(2), 1, PhysicalParams.unit(), DEMO_DIRICHLET)
     T = 0.2
 
     def final(th, dt):

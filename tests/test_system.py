@@ -1,4 +1,6 @@
+import itertools
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -6,20 +8,23 @@ import pytest
 
 from polympe import forms, system
 from polympe.cli import resolve_params
-from polympe.driver import setup, solve_steady
-from polympe.families import (DEMO_DIRICHLET, VERIFICATION_DIRICHLET, cartesian_two_domain,
-                               triangulated_two_domain)
-from polympe.mesh import build_faces
+from polympe.driver import solve_steady
+from polympe.families import DEMO_DIRICHLET, VERIFICATION_DIRICHLET, cartesian_two_domain
 from polympe.params import PhysicalParams
 from polympe.solvers import factorize
 from polympe.spaces import build_space
 from polympe.system import build_global, build_system, coupling_blocks, structural_checks
 
-from conftest import unit_square_mesh
+from conftest import ACVE, pin_mesh, unit_square_mesh
+
+
+@pytest.fixture(scope="module")
+def cart4_sys(cart4_setup, unit_params):
+    return build_system(cart4_setup[0], 2, unit_params, VERIFICATION_DIRICHLET)
 
 
 def test_layout_sizes_J_E(mesh80, unit_params):
-    sysm = setup(mesh80, 2, unit_params, VERIFICATION_DIRICHLET)
+    sysm = build_system(mesh80, 2, unit_params, VERIFICATION_DIRICHLET)
     s = sysm.space.sizes
     assert s["d"] == 2 * 40 * 6
     assert s["p:E"] == 40 * 6
@@ -29,11 +34,9 @@ def test_layout_sizes_J_E(mesh80, unit_params):
 
 
 def test_elastic_only_system_solvable():
-    mesh = unit_square_mesh("elastic")
-    faces = build_faces(mesh, {"nat": {"d", "p:E"}})
     params = PhysicalParams.unit()
-    space = build_space(mesh, 2)
-    sysm = build_system(space, params, faces)
+    sysm = build_system(unit_square_mesh("elastic"), 2, params, {"nat": {"d", "p:E"}})
+    space, faces = sysm.space, sysm.faces
     assert sysm.M_f.shape == (0, 0) and sysm.A_f.shape == (0, 0)
     assert sysm.J_el.shape == (space.sizes["p:E"], space.sizes["d"])
     assert sysm.J_el.nnz == 0  # no interface faces
@@ -53,12 +56,9 @@ def test_elastic_only_system_solvable():
 
 def test_four_compartments_layout():
     J = ("A", "C", "V", "E")
-    mesh = cartesian_two_domain(2)
-    faces = build_faces(mesh, {"el": {"d"} | {f"p:{j}" for j in J},
-                               "wall": {"u"}, "out": set()})
-    params = PhysicalParams.unit(compartments=J)
-    space = build_space(mesh, 1, compartments=J)
-    sysm = build_system(space, params, faces)
+    sysm = build_system(cartesian_two_domain(2), 1, PhysicalParams.unit(compartments=J),
+                        {"el": {"d"} | {f"p:{j}" for j in J}, "wall": {"u"}, "out": set()})
+    space = sysm.space
     assert set(sysm.A_j) == set(J)
     # one mass serves every storage and transfer block
     blocks = coupling_blocks(sysm, 1.0, 1.0, 1.0)
@@ -72,19 +72,14 @@ def test_four_compartments_layout():
     assert G.shape == (space.n_dofs, space.n_dofs)
 
 
-def test_params_and_space_must_share_the_compartments(cart4_setup):
-    _, faces, space = cart4_setup
-    with pytest.raises(ValueError, match="disagree on the compartment set"):
-        build_system(space, PhysicalParams.unit(("A", "C", "V", "E")), faces)
-
-
-def test_faces_and_space_must_share_the_mesh(unit_params):
-    # the two meshes share their topology and differ only in the jitter of
-    # their vertices, so the faces of one fit the space of the other
-    space = build_space(triangulated_two_domain(4, jitter=0.2, seed=0), 1)
-    faces = build_faces(triangulated_two_domain(4, jitter=0.2, seed=1), VERIFICATION_DIRICHLET)
-    with pytest.raises(ValueError, match="different meshes"):
-        build_system(space, unit_params, faces)
+@pytest.mark.parametrize("field", ["pE", "p:A", "p"])
+def test_unknown_dirichlet_field_is_rejected(unit_params, field):
+    # a Dirichlet field is d, u or p:<j> of the compartments of the params
+    # (here E); any other would be left out of the faces without a word
+    dirichlet = dict(VERIFICATION_DIRICHLET, el={"d", "p:E", field})
+    message = re.escape(f"dirichlet 'el' lists unknown field(s) ['{field}']")
+    with pytest.raises(ValueError, match=message):
+        build_system(cartesian_two_domain(2), 1, unit_params, dirichlet)
 
 
 def test_repeated_compartment_is_rejected():
@@ -95,10 +90,8 @@ def test_repeated_compartment_is_rejected():
         build_space(cartesian_two_domain(2), 1, ("E", "E"))
 
 
-def test_structural_checks_pass(cart4_setup, unit_params):
-    _, faces, space = cart4_setup
-    sysm = build_system(space, unit_params, faces)
-    rep = structural_checks(sysm)
+def test_structural_checks_pass(cart4_sys):
+    rep = structural_checks(cart4_sys)
     assert rep.passed, rep.summary()
     assert all(v < 1e-12 for v in rep.symmetry.values())
     assert all(v >= -1e-10 for v in rep.psd_min.values())
@@ -106,9 +99,8 @@ def test_structural_checks_pass(cart4_setup, unit_params):
     assert rep.interface_energy < 1e-12
 
 
-def test_psd_min_is_the_exact_smallest_eigenvalue(cart4_setup, unit_params):
-    _, faces, space = cart4_setup
-    sysm = build_system(space, unit_params, faces)
+def test_psd_min_is_the_exact_smallest_eigenvalue(cart4_sys):
+    sysm = cart4_sys
     rep = structural_checks(sysm)
     stiff = {"A_el": sysm.A_el, "A_E": sysm.A_j["E"], "A_f": sysm.A_f, "S": sysm.S}
     assert set(rep.psd_min) == set(stiff)
@@ -122,14 +114,45 @@ def test_structural_checks_pass_brain_preset_demo_mesh(mesh80):
     # mesh80 is the configs/demo.json mesh; the brain-preset Darcy stiffness
     # A_E is indefinite there until its penalty scales with k_j / mu_j
     cfg = json.loads((Path(__file__).parents[1] / "configs" / "demo.json").read_text())
-    sysm = setup(mesh80, 2, resolve_params(cfg), DEMO_DIRICHLET)
+    sysm = build_system(mesh80, 2, resolve_params(cfg), DEMO_DIRICHLET)
     rep = structural_checks(sysm)
     assert rep.passed, rep.summary()
 
 
-def test_structural_checks_flag_corrupted_sign(cart4_setup, unit_params, monkeypatch):
-    _, faces, space = cart4_setup
-    sysm = build_system(space, unit_params, faces)
+def physiological_params(J, rng):
+    """Coefficients drawn log-uniform over physiological ranges (SI units),
+    the Biot-Willis alphas uniform over [0.1, 0.9]."""
+    def draw(lo, hi):
+        return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+
+    return PhysicalParams(
+        compartments=J, rho_el=draw(5e2, 2e3), rho_f=draw(5e2, 2e3), mu_el=draw(1e2, 1e4),
+        lam=draw(1e2, 1e5), mu_f=draw(7e-4, 4e-3), mu_j={j: draw(1e-3, 1e-2) for j in J},
+        alpha_j={j: rng.uniform(0.1, 0.9) for j in J}, c_j={j: draw(1e-8, 1e-4) for j in J},
+        k_j={j: draw(1e-14, 1e-9) for j in J},
+        beta={j: {k: draw(1e-9, 1e-3) for k in J} for j in J},
+        beta_ext={j: draw(1e-9, 1e-3) for j in J})
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_structural_checks_pass_random_physiological_coefficients(mesh80):
+    # ROADMAP item 10: coercivity must hold for any physiological
+    # coefficients, not only for unit ones; one seeded draw per case, on
+    # cartesian_two_domain(4) and the 80-polygon mesh, at m = 1 and 2, for
+    # J = {E} and {A, C, V, E}
+    failed = []
+    cases = itertools.product(("cart4", "mesh80"), (1, 2), (("E",), ACVE))
+    for seed, (name, m, J) in enumerate(cases):
+        mesh, dirichlet = pin_mesh(name, mesh80, J)
+        params = physiological_params(J, np.random.default_rng(seed))
+        rep = structural_checks(build_system(mesh, m, params, dirichlet))
+        if not rep.passed:
+            failed.append((name, m, "".join(J), rep.summary()))
+    assert not failed, failed
+
+
+def test_structural_checks_flag_corrupted_sign(cart4_sys, monkeypatch):
+    sysm, space = cart4_sys, cart4_sys.space
     G = build_global(sysm, s=1.0).tolil()
     sl_e, sl_u = space.field_slice("p:E"), space.field_slice("u")
     G[sl_e, sl_u] = -G[sl_e, sl_u]
@@ -145,9 +168,8 @@ def test_structural_checks_flag_corrupted_sign(cart4_setup, unit_params, monkeyp
     assert not rep.passed
 
 
-def test_block_consistency(cart4_setup, unit_params):
-    _, faces, space = cart4_setup
-    sysm = build_system(space, unit_params, faces)
+def test_block_consistency(cart4_sys, unit_params):
+    sysm, space = cart4_sys, cart4_sys.space
     s = 3.7
     G = build_global(sysm, s=s)
     rng = np.random.default_rng(1)
@@ -173,19 +195,14 @@ def test_block_consistency(cart4_setup, unit_params):
 
 def test_no_interface_decouples():
     # single-domain meshes: interface blocks identically zero
-    mesh = unit_square_mesh("fluid")
-    faces = build_faces(mesh, {"nat": {"u"}})
-    params = PhysicalParams.unit()
-    space = build_space(mesh, 1)
-    sysm = build_system(space, params, faces)
+    sysm = build_system(unit_square_mesh("fluid"), 1, PhysicalParams.unit(), {"nat": {"u"}})
     assert sysm.J_el.nnz == 0 and sysm.J_f.nnz == 0
 
 
-def test_steady_zero_loads_zero_solution(cart4_setup, unit_params):
-    _, faces, space = cart4_setup
-    sysm = build_system(space, unit_params, faces)
-    loads = forms.assemble_loads(space, unit_params, faces, forms.ZeroData(), 0.0)
-    x = factorize(build_global(sysm)).solve(loads)
+def test_steady_zero_loads_zero_solution(cart4_sys, unit_params):
+    loads = forms.assemble_loads(cart4_sys.space, unit_params, cart4_sys.faces,
+                                 forms.ZeroData(), 0.0)
+    x = factorize(build_global(cart4_sys)).solve(loads)
     assert np.abs(x).max() < 1e-12
 
 
