@@ -15,9 +15,10 @@ two nearest centres in a k-d tree of the centres, keeps one margin per point
 from Hamerly's bounds (*Making k-means even faster*, SDM 2010) and queries
 again only the points whose nearest centre that margin leaves in doubt; a
 point whose two nearest centres are nearly tied takes its label from the
-dense distances, so no label changes (:func:`_lloyd`). The repair
-keeps each cluster's directed boundary edges (:class:`_Boundary`) and
-updates them on every move, so that checking an outline walks it and reads
+dense distances, so no label changes (:func:`_lloyd`). The repair keeps
+each cluster's outline, a dict from each directed boundary edge to the
+triangle inside and the element across, and edits it edge by edge on every
+move, so that checking an outline walks it (:func:`_loop`) and reads
 nothing else.
 
 Coarse element boundaries keep every fine vertex along straight runs, so
@@ -26,10 +27,10 @@ friendly) and the coarse interface is geometrically identical to the fine
 one.
 
 Everything read from the fine mesh's edges comes from its edge table
-(:class:`~polympe.mesh.EdgeTable`): the face adjacency of the fine
-elements (its interior rows), the element across each edge of each fine
-triangle (one lookup for all of them, from which every cluster outline is
-read), and the boundary labels the coarse mesh inherits.
+(:class:`~polympe.mesh.EdgeTable`): the element across each edge of each
+fine triangle (one lookup for all of them, :class:`_Outlines`), from which
+the face neighbours and every cluster outline are read, and the boundary
+labels the coarse mesh inherits.
 """
 
 from __future__ import annotations
@@ -154,23 +155,6 @@ def _components(members, adj):
     return comps
 
 
-def _adjacency(mesh: PolyMesh, ids) -> dict:
-    """Face neighbours of each element of ``ids`` among ``ids``, as a list,
-    read from the interior rows of the edge table."""
-    ids = np.asarray(ids)
-    inside = np.zeros(mesh.n_elements, dtype=bool)
-    inside[ids] = True
-    pairs = mesh.edges.elem[mesh.edges.interior]
-    pairs = pairs[inside[pairs].all(axis=1)]
-    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    order = np.argsort(src, kind="stable")
-    src = src[order]
-    dst = np.concatenate([pairs[:, 1], pairs[:, 0]])[order].tolist()
-    lo = np.searchsorted(src, ids, side="left").tolist()
-    hi = np.searchsorted(src, ids, side="right").tolist()
-    return {g: dst[a:b] for g, a, b in zip(ids.tolist(), lo, hi)}
-
-
 class _Outlines:
     """The directed edges ``a[k, i] -> b[k, i]`` of every fine triangle
     ``k`` and the element ``nb[k, i]`` across each (-1 on the mesh
@@ -178,7 +162,8 @@ class _Outlines:
 
     A cluster is the set of triangles that an owner array (:meth:`owners`)
     maps to its id; its outline is the triangles' edges whose neighbour has
-    another owner."""
+    another owner, as a dict ``{(a, b): (inside, across)}`` from each such
+    edge to its triangle and the element across."""
 
     def __init__(self, mesh: PolyMesh):
         if any(loops.shape[1] != 3 for _, loops in mesh.groups):
@@ -198,8 +183,8 @@ class _Outlines:
         return np.full(len(self.a) + 1, -1)
 
     def boundaries(self, elems, owner: np.ndarray) -> dict:
-        """The :class:`_Boundary` of each cluster that ``owner`` maps the
-        triangles ``elems`` to, all of whose triangles ``elems`` holds."""
+        """The outline of each cluster that ``owner`` maps the triangles
+        ``elems`` to, all of whose triangles ``elems`` holds."""
         e = np.fromiter(elems, dtype=int, count=len(elems))
         side = owner[e]
         rows, cols = np.nonzero(owner[self.nb[e]] != side[:, None])
@@ -208,60 +193,30 @@ class _Outlines:
         for cid, a, b, tri, twin in zip(side[rows].tolist(), self.a[inner, cols].tolist(),
                                         self.b[inner, cols].tolist(), inner.tolist(),
                                         self.nb[inner, cols].tolist()):
-            if cid not in out:
-                out[cid] = _Boundary()
-            out[cid].add(a, b, tri, twin)
+            out.setdefault(cid, {})[a, b] = (tri, twin)
         return out
 
 
-class _Boundary:
-    """The directed boundary edges of one cluster, by start vertex: the end
-    vertex (``nxt``), the triangle inside (``inner``) and the element across
-    (``across``, -1 for none). A second edge from one start vertex is a
-    pinch; it waits in ``pinched`` as (start, end, inside, across)."""
-
-    __slots__ = ("nxt", "inner", "across", "pinched")
-
-    def __init__(self):
-        self.nxt, self.inner, self.across = {}, {}, {}
-        self.pinched = []
-
-    def add(self, a: int, b: int, inner: int, across: int):
-        if a in self.nxt:
-            self.pinched.append((a, b, inner, across))
-        else:
-            self.nxt[a], self.inner[a], self.across[a] = b, inner, across
-
-    def remove(self, a: int, b: int):
-        if self.nxt[a] != b:
-            self.pinched.remove(next(e for e in self.pinched if e[:2] == (a, b)))
-            return
-        for i, edge in enumerate(self.pinched):
-            if edge[0] == a:
-                del self.pinched[i]
-                self.nxt[a], self.inner[a], self.across[a] = edge[1:]
-                return
-        del self.nxt[a], self.inner[a], self.across[a]
-
-    def loop(self) -> list:
-        """Oriented outer vertex loop from the least vertex, retaining every
-        fine vertex on the boundary. Raises for clusters whose boundary is
-        not a single simple loop (holes, pinched vertices, splits)."""
-        if self.pinched:
-            raise MeshError("cluster boundary is not a single loop")
-        nxt = self.nxt
-        if not nxt:
-            raise MeshError("empty cluster")
-        start = cur = min(nxt)
-        loop = []
-        for _ in range(len(nxt)):
-            loop.append(cur)
-            cur = nxt[cur]
-            if cur == start:
-                break
-        if cur != start or len(loop) != len(nxt):
-            raise MeshError("cluster boundary has multiple loops (hole or split)")
-        return loop
+def _loop(edges: dict) -> list:
+    """Oriented outer vertex loop of a cluster outline from the least vertex,
+    retaining every fine vertex on the boundary. Raises for outlines that are
+    not a single simple loop (holes, pinched vertices, splits)."""
+    nxt = dict(edges.keys())
+    if len(nxt) != len(edges):
+        # two edges leave one vertex: the outline is pinched there
+        raise MeshError("cluster boundary is not a single loop")
+    if not nxt:
+        raise MeshError("empty cluster")
+    start = cur = min(nxt)
+    loop = []
+    for _ in range(len(nxt)):
+        loop.append(cur)
+        cur = nxt[cur]
+        if cur == start:
+            break
+    if cur != start or len(loop) != len(nxt):
+        raise MeshError("cluster boundary has multiple loops (hole or split)")
+    return loop
 
 
 #: fan triangles at or below this fraction of the cluster area count as
@@ -274,22 +229,21 @@ class _Partition:
     incremental star-shapedness bookkeeping. Elements are indexed by their
     global fine-mesh ids.
 
-    ``boundary`` keeps the :class:`_Boundary` of the clusters whose outline
-    has been read: :meth:`move` updates the two it changes edge by edge, and
-    every other edit drops the ones it changes, to be read again. ``_violating``
-    maps the clusters last found not star-shaped to their moves."""
+    ``boundary`` keeps the outlines of the clusters whose outline has been
+    read: :meth:`move` edits the two it changes edge by edge, and every other
+    edit drops the ones it changes, to be read again. ``_violating`` maps the
+    clusters last found not star-shaped to their moves. ``adj[k]`` lists the
+    elements across the edges of triangle ``k`` (:attr:`_Outlines.nb`);
+    elements of the other subdomain belong to no cluster (owner -1)."""
 
-    def __init__(self, mesh: PolyMesh, outlines: _Outlines, ids: np.ndarray, rng):
+    def __init__(self, mesh: PolyMesh, outlines: _Outlines, rng):
         self.mesh = mesh
         self.outlines = outlines
-        self.ids = ids.tolist()
         self.rng = rng
-        self.pts = mesh.centroids[ids]
-        self.local = {g: i for i, g in enumerate(self.ids)}
-        self.adj = _adjacency(mesh, ids)
+        self.adj = outlines.nb.tolist()
         self.clusters: dict[int, set] = {}
         self.owner = outlines.owners()
-        self.boundary: dict[int, _Boundary] = {}
+        self.boundary: dict[int, dict] = {}
         self._next = 0
         self._dirty: set[int] = set()
         self._violating: dict[int, list] = {}
@@ -315,21 +269,21 @@ class _Partition:
         src = int(self.owner[elem])
         old, new = self.boundary.get(src), self.boundary.get(dest)
         t = self.outlines
-        for a, b, nb in zip(t.a[elem].tolist(), t.b[elem].tolist(), t.nb[elem].tolist()):
-            # the edge a -> b of ``elem`` leaves the boundary of ``src`` and
+        for a, b, nb in zip(t.a[elem].tolist(), t.b[elem].tolist(), self.adj[elem]):
+            # the edge a -> b of ``elem`` leaves the outline of ``src`` and
             # joins that of ``dest``, unless ``nb`` is on the same side: then
             # the reverse edge b -> a of ``nb`` joins or leaves it instead
             side = self.owner[nb]
             if old is not None:
                 if side == src:
-                    old.add(b, a, nb, elem)
+                    old[b, a] = (nb, elem)
                 else:
-                    old.remove(a, b)
+                    del old[a, b]
             if new is not None:
                 if side == dest:
-                    new.remove(b, a)
+                    del new[b, a]
                 else:
-                    new.add(a, b, elem, nb)
+                    new[a, b] = (elem, nb)
         self.clusters[src].discard(elem)
         self.clusters[dest].add(elem)
         self.owner[elem] = dest
@@ -341,8 +295,8 @@ class _Partition:
             # source-side neighbour, though clusters are not always connected
             # here: a stale cached move can reach a cluster that no longer
             # touches the triangle, or leave a source already in pieces.
-            # Moved clusters are checked again, _Boundary.loop rejects an
-            # outline of several loops and validate_partition checks the result
+            # Moved clusters are checked again, _loop rejects an outline of
+            # several loops and validate_partition checks the result
             comps = _components(self.clusters[src], self.adj)
             if len(comps) > 1:
                 # keep the largest piece under the old id, split the rest off
@@ -358,7 +312,7 @@ class _Partition:
         for e in elems:
             for nb in self.adj[e]:
                 o = int(self.owner[nb])
-                if o != cid:
+                if o not in (cid, -1):  # -1: the mesh boundary or the other subdomain
                     touching[o] = touching.get(o, 0) + 1
         if not touching:
             raise MeshError("isolated cluster cannot be merged")
@@ -372,8 +326,7 @@ class _Partition:
     def split_largest(self):
         cid = max(self.clusters, key=lambda c: len(self.clusters[c]))
         elems = sorted(self.drop_cluster(cid))
-        loc = np.array([self.local[e] for e in elems])
-        sub = _lloyd(self.pts[loc], 2, self.rng, 30)
+        sub = _lloyd(self.mesh.centroids[elems], 2, self.rng, 30)
         for c in (0, 1):
             part = [elems[i] for i in np.nonzero(sub == c)[0]]
             for comp in _components(part, self.adj):
@@ -415,12 +368,11 @@ class _Partition:
             self.boundary.update(self.outlines.boundaries(elems, self.owner))
         bd = self.boundary[cid]
         try:
-            loop = bd.loop()
+            loop = _loop(bd)
         except MeshError:
             moves = []
-            members = list(elems)
-            for e, row in zip(members, self.outlines.nb[members].tolist()):
-                for twin in row:
+            for e in elems:
+                for twin in self.adj[e]:
                     moves.extend(edge_moves(e, twin))
             if not moves:
                 raise
@@ -428,8 +380,8 @@ class _Partition:
         area2 = _fan(self.mesh.vertices.take(loop, axis=0))[3]
         moves = []
         violations = (area2 <= _STAR_RTOL * area2.sum()).nonzero()[0].tolist()
-        for v in (loop[i] for i in violations):
-            moves.extend(edge_moves(bd.inner[v], bd.across[v]))
+        for i in violations:
+            moves.extend(edge_moves(*bd[loop[i], loop[(i + 1) % len(loop)]]))
         if violations and not moves:
             raise MeshError("star-shapedness violation without a movable edge")
         return moves
@@ -483,8 +435,8 @@ def _partition_domain(mesh: PolyMesh, outlines: _Outlines, ids: np.ndarray, k: i
     budget = MAX_REPAIR_ITERATIONS * max(k, 10)
     last_error = None
     for _ in range(ATTEMPTS):
-        part = _Partition(mesh, outlines, ids, rng)
-        labels = _lloyd(part.pts, k, rng, LLOYD_ITERATIONS)
+        part = _Partition(mesh, outlines, rng)
+        labels = _lloyd(mesh.centroids[ids], k, rng, LLOYD_ITERATIONS)
         by_label = ids[np.argsort(labels, kind="stable")]
         for members in np.split(by_label, np.cumsum(np.bincount(labels, minlength=k))[:-1]):
             for comp in _components(members.tolist(), part.adj):
@@ -515,7 +467,7 @@ def agglomerate(fine: PolyMesh, cfg: AgglomerationConfig, assignment=None) -> Po
     for cid, cl in enumerate(assignment):
         owner[cl] = cid
     bounds = outlines.boundaries([e for cl in assignment for e in cl], owner)
-    elements = [bounds.get(cid, _Boundary()).loop() for cid in range(len(assignment))]
+    elements = [_loop(bounds.get(cid, {})) for cid in range(len(assignment))]
     domains = [fine.element_domain[cl[0]] for cl in assignment]
     # coarse edges are fine edges; those on the fine boundary keep its labels
     t = fine.edges
@@ -541,13 +493,13 @@ class PartitionReport:
 
 def validate_partition(fine: PolyMesh, assignment) -> PartitionReport:
     """Check a fine-to-coarse assignment (list of fine-element-id clusters)
-    for coverage, domain purity, per-cluster connectivity, and area
-    conservation."""
+    of a triangle-only fine mesh for coverage, domain purity, per-cluster
+    connectivity, and area conservation."""
     all_ids = sorted(i for cl in assignment for i in cl)
     covers = all_ids == list(range(fine.n_elements))
     pure = all(len({fine.element_domain[i] for i in cl}) == 1 for cl in assignment)
 
-    adj = _adjacency(fine, np.arange(fine.n_elements))
+    adj = _Outlines(fine).nb.tolist()
     counts = [len(_components(list(cl), adj)) for cl in assignment]
     connected = all(c == 1 for c in counts)
 

@@ -50,7 +50,8 @@ def triangulated_two_domain(ny: int, nx_el: int | None = None, nx_f: int | None 
     of the local grid spacing (deterministic for a fixed seed); boundary and
     interface vertices stay exact, so the geometry and the interface line
     are preserved. ``ny``, ``nx_el`` and ``nx_f`` must be at least 1, and
-    ``jitter`` at least 0.
+    ``jitter`` in [0, 1/2): below half the spacing each vertex stays in its
+    own half cell, so no two vertices can meet.
     """
     nx_el = ny if nx_el is None else nx_el
     nx_f = ny if nx_f is None else nx_f
@@ -59,6 +60,8 @@ def triangulated_two_domain(ny: int, nx_el: int | None = None, nx_f: int | None 
             raise ValueError(f"{name} must be >= 1, got {n}")
     if not jitter >= 0.0:
         raise ValueError(f"jitter must be >= 0, got {jitter}")
+    if not jitter < 0.5:
+        raise ValueError(f"jitter must be < 0.5, got {jitter}")
 
     # integer grid keys j * ncol + c over the columns of both grids; column
     # nx_el is the interface, shared by the two subdomains

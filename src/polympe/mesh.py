@@ -104,7 +104,7 @@ class PolyMesh:
     element_domain : per-element tag, ``"elastic"`` or ``"fluid"``.
     boundary_labels : map from boundary edge (vertex pair, any order) to a
         label string. Must cover every boundary edge before faces can be
-        built.
+        built; a key that is not a boundary edge raises :class:`MeshError`.
 
     Construction validates orientation, star-shapedness with respect to the
     element centroid (required by the fan sub-triangulation used for
@@ -155,6 +155,10 @@ class PolyMesh:
         self._validate_and_derive()
         self._build_edges(flat, starts, counts)
         self.vertices.setflags(write=False)
+        outer = self.boundary_edges()
+        stray = next((key for key in self.boundary_labels if key not in outer), None)
+        if stray is not None:
+            raise MeshError(f"boundary label on {stray}, which is not a boundary edge")
 
     # -- derived geometry ------------------------------------------------
 

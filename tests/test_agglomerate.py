@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
-from polympe.agglomerate import (AgglomerationConfig, _Boundary, _lloyd, _Outlines, _reseed,
+from polympe.agglomerate import (AgglomerationConfig, _lloyd, _loop, _Outlines, _reseed,
                                  agglomerate, partition_assignment, validate_partition)
 from polympe.families import triangulated_two_domain
 from polympe.mesh import ELASTIC, FLUID, MeshError, PolyMesh
@@ -276,11 +276,6 @@ def test_move_skips_components_only_where_the_source_stays_connected(monkeypatch
     assert shortcuts
 
 
-def boundary_edges(bd) -> set:
-    """The edges of a _Boundary as (start, end, inside, across)."""
-    return {(a, bd.nxt[a], bd.inner[a], bd.across[a]) for a in bd.nxt} | set(bd.pinched)
-
-
 @pytest.mark.parametrize("mesh, seed", [("20", 0), ("80", 1), ("brain", 3)])
 def test_kept_boundaries_match_a_fresh_read(monkeypatch, mesh, seed):
     # every outline the repair checks, kept up to date move by move, has the
@@ -291,7 +286,7 @@ def test_kept_boundaries_match_a_fresh_read(monkeypatch, mesh, seed):
     def violation_moves(part, cid):
         if cid in part.boundary:
             fresh = part.outlines.boundaries(part.clusters[cid], part.owner)[cid]
-            assert boundary_edges(part.boundary[cid]) == boundary_edges(fresh)
+            assert part.boundary[cid] == fresh
             kept.append(cid)
         return real(part, cid)
 
@@ -435,16 +430,17 @@ def outline_or_error(mesh: PolyMesh, table: _Outlines, elems):
     checks the triangle inside and the element across each loop edge."""
     owner = table.owners()
     owner[list(elems)] = 0
-    bd = table.boundaries(elems, owner).get(0, _Boundary())
+    bd = table.boundaries(elems, owner).get(0, {})
     try:
-        loop = bd.loop()
+        loop = _loop(bd)
     except MeshError as exc:
         return str(exc)
     t = mesh.edges
     for a, b in zip(loop, loop[1:] + loop[:1]):
         sides = t.elem[t.find(a, b)].tolist()
-        assert bd.inner[a] in elems
-        assert sides == sorted([bd.inner[a], bd.across[a]], key=lambda e: (e < 0, e))
+        inside, across = bd[a, b]
+        assert inside in elems
+        assert sides == sorted([inside, across], key=lambda e: (e < 0, e))
     return loop
 
 

@@ -7,8 +7,9 @@ import pytest
 
 from polympe import cli, norms
 from polympe.cli import main
+from polympe.families import cartesian_two_domain
 from polympe.manufactured import SOURCES
-from polympe.mesh import load_mesh
+from polympe.mesh import load_mesh, save_mesh
 from polympe.params import PhysicalParams
 from polympe.stepping import SchemeParams
 
@@ -775,6 +776,22 @@ def test_non_positive_mesh_size_is_input_error(tmp_path, capsys, mesh, name):
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"{name} must be" in err and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_mesh_file_with_a_label_on_an_interior_edge_is_input_error(tmp_path, capsys):
+    # (1, 6) is an interior edge of the cart2 mesh
+    path = tmp_path / "mesh.json"
+    save_mesh(cartesian_two_domain(2), path)
+    doc = json.loads(path.read_text())
+    doc["boundary"].append({"edge": [1, 6], "label": "el"})
+    path.write_text(json.dumps(doc))
+    cfg = write_config(tmp_path, dict(_ZERO_SOLVE, mesh={"path": str(path)}))
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "boundary label on (1, 6), which is not a boundary edge" in err
+    assert "Traceback" not in err
     assert not out.exists() or not any(out.iterdir())
 
 

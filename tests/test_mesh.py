@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +78,13 @@ def test_cartesian_4x4_split():
 def test_family_sizes_must_be_positive(build, name):
     with pytest.raises(ValueError, match=f"^{name} must be "):
         build()
+
+
+@pytest.mark.parametrize("jitter", [0.5, 1.7e308])
+def test_jitter_of_half_the_spacing_or_more_rejected(jitter):
+    # 1.7e308 once escaped as an OverflowError from the uniform draw
+    with pytest.raises(ValueError, match=re.escape(f"jitter must be < 0.5, got {jitter}")):
+        triangulated_two_domain(4, jitter=jitter)
 
 
 def test_non_ccw_rejected():
@@ -161,6 +169,16 @@ def test_unlabeled_boundary_edge():
     mesh.boundary_labels.pop((2, 3))
     with pytest.raises(MeshError, match="unlabeled"):
         build_faces(mesh, VERIFICATION_DIRICHLET)
+
+
+@pytest.mark.parametrize("key", [(6, 1), (0, 1_000_000)], ids=["interior", "no-edge"])
+def test_boundary_label_on_a_non_boundary_edge_rejected(key):
+    # (1, 6) is an interior edge of the cart2 mesh; (0, 1000000) is no edge
+    mesh = cartesian_two_domain(2)
+    labels = {**mesh.boundary_labels, key: "el"}
+    with pytest.raises(MeshError, match=rf"^boundary label on \({min(key)}, {max(key)}\), "
+                                        "which is not a boundary edge$"):
+        PolyMesh(mesh.vertices, mesh.elements, mesh.element_domain, labels)
 
 
 def test_harmonic_h_values():
