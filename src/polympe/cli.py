@@ -239,6 +239,8 @@ def cmd_convergence(cfg: Section):
     m_values = conv.ints("m_values", [1, 2, 3])
     n_steps = conv.integer("n_steps", 5) if scfg else None
     conv.close()
+    if scfg and n_steps < 1:
+        raise ConfigError(f"convergence n_steps must be >= 1, got {n_steps}")
     if len(specs) < (1 if spectral else 3):
         raise ConfigError("convergence meshes must be a mesh family with >= 3 refinements "
                           "(or a single mesh with 'spectral': true)")
@@ -270,10 +272,14 @@ def cmd_convergence(cfg: Section):
             kind = "spectral trend" if spectral else "rate"
             print(f"{kind} check failed at m={m}: {r:.4g}", file=sys.stderr)
         print(f"wrote {out / 'rates.csv'}")
+
+        def value(r):  # no rate is null: json would write NaN, which is not JSON
+            return r if math.isfinite(r) else None
         return 1 if failures else 0, {
             "spectral": spectral,
-            "observed_rates": {str(m): [r["rate_energy"] for r in per_m[m][1:]] for m in m_values},
-            "failures": [{"m": m, "value": r} for m, r in failures],
+            "observed_rates": {str(m): [value(r["rate_energy"]) for r in per_m[m][1:]]
+                               for m in m_values},
+            "failures": [{"m": m, "value": value(r)} for m, r in failures],
         }
 
     return run

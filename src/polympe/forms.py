@@ -83,9 +83,7 @@ def _csr(shape, *parts):
         for buf, x in zip(triplet, p):
             buf[a:b].reshape(s)[...] = x
     rows, cols, vals = triplet
-    m = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
-    m.sum_duplicates()
-    return m
+    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
 
 
 # -- volume terms -------------------------------------------------------------
@@ -201,6 +199,17 @@ def _pressure_jump(space, tab: FaceTable, ns: int, row_field: str, col_field: st
             space.dofs(col_field, e[:, :, None, None], np.arange(2)), vals[..., None, None] * Q)
 
 
+def _divergence(space, row: str, col: str, coeff, sided) -> sp.csr_matrix:
+    """-coeff int q div v + coeff int {q} [[v n]] over the face sets ``sided``, rows
+    on ``row`` and columns on the vector field ``col``: B_j at alpha_j, B_f at 1."""
+    tab = space.volume_table(space.field_domain(col))
+    e = np.arange(tab.n_elem)[:, None]
+    return _csr((space.sizes[row], space.sizes[col]),
+                (space.dofs(row, e), space.dofs(col, e, [0, 1]),
+                 -coeff * np.stack([tab.gram[0, 1], tab.gram[0, 2]], axis=1)),
+                *(_pressure_jump(space, t, ns, row, col, coeff) for t, ns in sided))
+
+
 def assemble_elastic(space: DGSpace, params: PhysicalParams, faces: FaceSet):
     """SIPG elasticity stiffness A_el and mass M_el (both on the ``d`` block)."""
     n = space.sizes["d"]
@@ -209,63 +218,47 @@ def assemble_elastic(space: DGSpace, params: PhysicalParams, faces: FaceSet):
              *(_sipg_vector(space, tab, ns, "d", mu, lam,
                             face_penalty(params, "d", tab.harmonic_h, space.m))
                for tab, ns in _sided(space, faces.sipg_faces("d"))))
-    return {"A": A, "M": _mass(space, "d", params.rho_el)}
+    return {"A_el": A, "M_el": _mass(space, "d", params.rho_el)}
 
 
 def assemble_pressure(space: DGSpace, params: PhysicalParams, faces: FaceSet):
-    """Darcy-type SIPG stiffness A_j and coupling B_j (rows on p:j, columns
-    on ``d``) of every compartment, and the mass M of the compartment
-    pressure space: ``{"A": {j: A_j}, "B": {j: B_j}, "M": M}``. The volume
-    blocks are shared by every compartment; the face terms follow each p:j's
-    Dirichlet faces."""
-    nd = space.sizes["d"]
+    """Darcy-type SIPG stiffness A_j and coupling B_j (rows on p:j, columns on
+    ``d``), each a dict keyed by compartment, and the mass M_comp of the
+    compartment pressure space. The stiffness volume blocks are shared by every
+    compartment; the face terms follow each p:j's Dirichlet faces."""
     tab = space.volume_table(space.field_domain("d"))
-    K, div = tab.gram[1, 1] + tab.gram[2, 2], np.stack([tab.gram[0, 1], tab.gram[0, 2]], axis=1)
+    K = tab.gram[1, 1] + tab.gram[2, 2]
     # every p:j has the layout of p:E
-    e = np.arange(tab.n_elem)[:, None]
-    n, d = space.sizes[f"p:{EXCHANGE}"], space.dofs(f"p:{EXCHANGE}", e[:, 0])
-    out = {"A": {}, "B": {}}
+    n, d = space.sizes[f"p:{EXCHANGE}"], space.dofs(f"p:{EXCHANGE}", np.arange(tab.n_elem))
+    out = {"A_j": {}, "B_j": {}}
     for j in params.compartments:
         field = f"p:{j}"
-        kappa, alpha = params.kappa(j), params.alpha_j[j]
+        kappa = params.kappa(j)
         sided = _sided(space, faces.sipg_faces(field))
-        sipg = (_sipg_scalar(space, t, ns, field, kappa,
-                             face_penalty(params, field, t.harmonic_h, space.m))
-                for t, ns in sided)
-        out["A"][j] = _csr((n, n), (d, d, kappa * K), *sipg)
-        # -int alpha p div w, + int alpha {p I} : [[w]]
-        out["B"][j] = _csr((n, nd), (d[:, None], space.dofs("d", e, [0, 1]), -alpha * div),
-                           *(_pressure_jump(space, t, ns, field, "d", alpha) for t, ns in sided))
-    out["M"] = _mass(space, f"p:{EXCHANGE}")
+        out["A_j"][j] = _csr((n, n), (d, d, kappa * K),
+                             *(_sipg_scalar(space, t, ns, field, kappa,
+                                            face_penalty(params, field, t.harmonic_h, space.m))
+                               for t, ns in sided))
+        out["B_j"][j] = _divergence(space, field, "d", params.alpha_j[j], sided)
+    out["M_comp"] = _mass(space, f"p:{EXCHANGE}")
     return out
 
 
 def assemble_fluid(space: DGSpace, params: PhysicalParams, faces: FaceSet):
-    """Stokes SIPG blocks: viscous A_f, mass M_f, divergence coupling B_f
-    (rows on ``p``, columns on ``u``), and pressure-jump stabilization S."""
+    """Stokes SIPG blocks, the tissue kernels at other coefficients: viscous A_f
+    (elasticity at mu_f, lambda = 0), mass M_f, divergence B_f (rows on ``p``;
+    B_j at alpha = 1), and pressure-jump stabilization S (SIPG, no diffusion)."""
     nu, npp = space.sizes["u"], space.sizes["p"]
     sided = _sided(space, faces.sipg_faces("u"))
     A = _csr((nu, nu), _elastic_volume(space, "u", params.mu_f, 0.0),
              *(_sipg_vector(space, t, ns, "u", params.mu_f, 0.0,
                             face_penalty(params, "u", t.harmonic_h, space.m))
                for t, ns in sided))
-    # the pressure block uses its own basis (same element, scalar)
-    tab = space.volume_table(space.field_domain("u"))
-    e = np.arange(tab.n_elem)[:, None]
-    B = _csr((npp, nu), (space.dofs("p", e), space.dofs("u", e, [0, 1]),
-                         -np.stack([tab.gram[0, 1], tab.gram[0, 2]], axis=1)),
-             *(_pressure_jump(space, t, ns, "p", "u", 1.0) for t, ns in sided))
-
-    parts = []
-    for tab, ns in _sided(space, faces.interior_f):
-        w, phi, _, _ = _trace(tab, ns)
-        sa, _, sb, _ = _side_weights(ns)
-        pen = face_penalty(params, "p", tab.harmonic_h, space.m)
-        e = tab.elem[:, :ns]
-        parts.append((space.dofs("p", e[:, :, None]), space.dofs("p", e[:, None, :]),
-                      (pen[:, None, None] * sa * sb)[..., None, None] * _face_mass(w, phi)))
-    return {"A": A, "M": _mass(space, "u", params.rho_f), "B": B,
-            "S": _csr((npp, npp), *parts)}
+    S = _csr((npp, npp), *(_sipg_scalar(space, t, ns, "p", 0.0,
+                                        face_penalty(params, "p", t.harmonic_h, space.m))
+                           for t, ns in _sided(space, faces.interior_f)))
+    return {"A_f": A, "M_f": _mass(space, "u", params.rho_f),
+            "B_f": _divergence(space, "p", "u", 1.0, sided), "S": S}
 
 
 def assemble_interface(space: DGSpace, params: PhysicalParams, faces: FaceSet):

@@ -11,12 +11,13 @@ import numpy as np
 
 def write_rate_table(rows: list, path) -> None:
     """The rows of :func:`polympe.driver.convergence_table` as CSV, in the
-    columns of the first row."""
+    columns of the first row; a row with no rate has an empty rate cell."""
     with open(path, "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=list(rows[0]))
         w.writeheader()
-        w.writerows({k: (f"{v:.16e}" if k != "rate_energy" else f"{v:.6f}")
-                     if isinstance(v, float) else v for k, v in row.items()} for row in rows)
+        w.writerows({k: ("" if np.isnan(v) else f"{v:.6f}") if k == "rate_energy"
+                     else f"{v:.16e}" if isinstance(v, float) else v for k, v in row.items()}
+                    for row in rows)
 
 
 def cell_means(space, state: dict) -> dict:

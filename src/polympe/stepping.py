@@ -76,7 +76,9 @@ def build_stepping_matrices(sys: SystemMatrices, sp_: SchemeParams):
     disp = -theta * gamma / (beta * dt)
     A1 = coupling_blocks(sys, 1.0 / dt, theta, disp)
     A1["d", "a"] = sys.M_el
-    A2 = coupling_blocks(sys, 1.0 / dt, -(1.0 - theta), disp, elastic=False)
+    # the momentum (d) row is implicit: A2 has none
+    A2 = {k: v for k, v in coupling_blocks(sys, 1.0 / dt, -(1.0 - theta), disp).items()
+          if k[0] != "d"}
     for j in sys.compartments:
         coupl = displacement_coupling(sys, j)
         A2[f"p:{j}", "z"] = (1.0 - theta * gamma / beta) * coupl

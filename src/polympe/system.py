@@ -77,17 +77,11 @@ def build_system(mesh: PolyMesh, m: int, params: PhysicalParams, dirichlet_map) 
     check_dirichlet(dirichlet_map, params.compartments)
     faces = build_faces(mesh, dirichlet_map)
     space = build_space(mesh, m, params.compartments)
-    elastic = forms.assemble_elastic(space, params, faces)
-    pressure = forms.assemble_pressure(space, params, faces)
-    fluid = forms.assemble_fluid(space, params, faces)
-    interface = forms.assemble_interface(space, params, faces)
-    return SystemMatrices(
-        space=space, params=params, faces=faces,
-        M_el=elastic["M"], A_el=elastic["A"],
-        M_comp=pressure["M"], A_j=pressure["A"], B_j=pressure["B"],
-        M_f=fluid["M"], A_f=fluid["A"], B_f=fluid["B"], S=fluid["S"],
-        J_el=interface["J_el"], J_f=interface["J_f"],
-    )
+    return SystemMatrices(space=space, params=params, faces=faces,
+                          **forms.assemble_elastic(space, params, faces),
+                          **forms.assemble_pressure(space, params, faces),
+                          **forms.assemble_fluid(space, params, faces),
+                          **forms.assemble_interface(space, params, faces))
 
 
 def displacement_coupling(sys: SystemMatrices, j: str) -> sp.csr_matrix:
@@ -98,16 +92,15 @@ def displacement_coupling(sys: SystemMatrices, j: str) -> sp.csr_matrix:
     return sys.B_j[j]
 
 
-def coupling_blocks(sys: SystemMatrices, mass, stiff, disp, elastic: bool = True) -> dict:
+def coupling_blocks(sys: SystemMatrices, mass, stiff, disp) -> dict:
     """The coupling pattern as ``{(row_field, col_field): block}`` (see the
-    module docstring); ``elastic=False`` leaves out the d row."""
+    module docstring)."""
     blocks = {}
     J, beta, M = sys.compartments, sys.params.beta, sys.M_comp
     for j in J:
         r = f"p:{j}"
         coupl = displacement_coupling(sys, j)
-        if elastic:
-            blocks["d", r] = coupl.T
+        blocks["d", r] = coupl.T
         blocks[r, "d"] = disp * coupl
         blocks.update({(r, f"p:{k}"): stiff * (-beta[k][j] * M) for k in J if k != j})
         T_jj = sum(beta[k][j] for k in J if k != j) + sys.params.beta_ext[j]
@@ -115,8 +108,7 @@ def coupling_blocks(sys: SystemMatrices, mass, stiff, disp, elastic: bool = True
         if j == EXCHANGE:
             blocks[r, "u"] = stiff * -sys.J_f
             blocks["u", r] = stiff * sys.J_f.T
-    if elastic:
-        blocks["d", "d"] = sys.A_el
+    blocks["d", "d"] = sys.A_el
     blocks["u", "u"] = mass * sys.M_f + stiff * sys.A_f
     blocks["u", "p"] = stiff * sys.B_f.T
     blocks["p", "u"] = stiff * -sys.B_f
@@ -205,35 +197,34 @@ def structural_checks(sys: SystemMatrices) -> StructuralReport:
             ev = np.linalg.eigvalsh(mat.toarray()) if mat.shape[0] else np.zeros(1)
             rep.psd_min[name] = float(ev[0] / (np.abs(ev).max() or 1.0))
 
-    G1 = build_global(sys, s=1.0)
-    G0 = build_global(sys, s=0.0)
-    Gt = (G1 - G0).tocsr()
+    # every checked block but (p:E, d), which is -s (B_E + J_el), is free of s
+    G = build_global(sys, s=1.0)
     sl = sys.space.field_slice
 
-    def blk(G, rname, cname):
+    def blk(rname, cname):
         return G[sl(rname), :][:, sl(cname)].tocsr()
 
     for j in sys.compartments:
-        placed = blk(G0, "d", f"p:{j}")
+        placed = blk("d", f"p:{j}")
         ref = sys.B_j[j].T.tocsr()
         if j == EXCHANGE:
             ref = ref + sys.J_el.T
         rep.pairing[f"B_{j}^T"] = _rel_diff(placed, ref)
 
     pe = f"p:{EXCHANGE}"
-    rep.pairing["J_f^T"] = _rel_diff(blk(G1, "u", pe), sys.J_f.T.tocsr())
-    rep.pairing["J_f"] = _rel_diff(blk(G1, pe, "u"), (-sys.J_f).tocsr())
+    rep.pairing["J_f^T"] = _rel_diff(blk("u", pe), sys.J_f.T.tocsr())
+    rep.pairing["J_f"] = _rel_diff(blk(pe, "u"), (-sys.J_f).tocsr())
 
     # energy rate of the interface coupling on random compatible states:
     # the two placements must cancel exactly
     v = rng.standard_normal(sys.space.sizes["d"])
     pE = rng.standard_normal(sys.space.sizes[pe])
     u = rng.standard_normal(sys.space.sizes["u"])
-    jelT_placed = blk(G0, "d", pe) - sys.B_j[EXCHANGE].T.tocsr()
-    mjel_placed = blk(Gt, pe, "d") + sys.B_j[EXCHANGE]
+    jelT_placed = blk("d", pe) - sys.B_j[EXCHANGE].T.tocsr()
+    mjel_placed = blk(pe, "d") + sys.B_j[EXCHANGE]
     r1 = float(v @ (jelT_placed @ pE)) + float(pE @ (mjel_placed @ v))
-    r2 = float(u @ (blk(G1, "u", pe) @ pE)) + float(pE @ (blk(G1, pe, "u") @ u))
-    scale = max(abs(float(v @ (jelT_placed @ pE))), abs(float(u @ (blk(G1, "u", pe) @ pE))), 1e-300)
+    r2 = float(u @ (blk("u", pe) @ pE)) + float(pE @ (blk(pe, "u") @ u))
+    scale = max(abs(float(v @ (jelT_placed @ pE))), abs(float(u @ (blk("u", pe) @ pE))), 1e-300)
     rep.interface_energy = max(abs(r1), abs(r2)) / scale
 
     return rep

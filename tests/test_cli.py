@@ -588,8 +588,9 @@ RATE_TABLE_COLUMNS = ["m", "h", "n_elements_el", "n_elements_f", "err_energy",
 #: sha256 of the rates.csv of the sweep below, recorded when the columns
 #: were a fixed list in the writer, and again when the manufactured cases
 #: became closed forms: each error moved by at most 3.6e-14 of itself
-#: (err_p; err_energy 1.7e-15) and the rates not at all
-RATES_CSV_SHA256 = "ad3b4a43abf7551e56550b87e736274f6fdc7f86b699d1bd906043dd398a1b46"
+#: (err_p; err_energy 1.7e-15) and the rates not at all; and again when a
+#: row with no rate got an empty cell (the first row's "nan" went)
+RATES_CSV_SHA256 = "0c9ec040a41b06c6ff5958873250d76467049157fc442a1438a60d6db3593565"
 
 
 def test_convergence_command_and_determinism(tmp_path):
@@ -628,6 +629,42 @@ def test_convergence_needs_three_meshes(tmp_path):
         "convergence": {"m_values": [1], "meshes": [{"family": "cartesian", "ny": 2}]},
     })
     assert main(["convergence", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize("n_steps", [0, -1])
+def test_unsteady_sweep_without_steps_is_input_error(tmp_path, capsys, monkeypatch, n_steps):
+    # a sweep that takes no step would measure the initial projection alone;
+    # it is refused before any mesh is built
+    def no_mesh(spec):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(cli, "resolve_mesh", no_mesh)
+    doc = dict(_with(_SWEEP, "convergence", n_steps=n_steps), case="unsteady")
+    out = tmp_path / "x"
+    assert main(["convergence", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"convergence n_steps must be >= 1, got {n_steps}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_no_rate_is_an_empty_cell_and_null(tmp_path, monkeypatch):
+    # the coarsest mesh of a sweep has no rate
+    out = tmp_path / "c"
+    assert main(["convergence", "--config", write_config(tmp_path, _SWEEP),
+                 "--out", str(out)]) == 0
+    with open(out / "rates.csv") as fh:
+        assert next(csv.DictReader(fh))["rate_energy"] == ""
+
+    # with every pair saturated no mesh has a rate, and the rate check fails
+    def no_constant(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    monkeypatch.setattr(norms, "SATURATION_FLOOR", float("inf"))
+    assert main(["convergence", "--config", write_config(tmp_path, _SWEEP),
+                 "--out", str(out)]) == 1
+    manifest = json.loads((out / "manifest.json").read_text(), parse_constant=no_constant)
+    assert manifest["observed_rates"] == {"1": [None, None]}
+    assert manifest["failures"] == [{"m": 1, "value": None}]
 
 
 #: a fixed-mesh sweep over m = 1..3 on the 20-polygon agglomerate

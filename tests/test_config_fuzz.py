@@ -83,15 +83,11 @@ EDITS = [(name, path, value) for name in sorted(SHIPPED) for path in _paths(smal
 
 
 def _numbers(path: Path):
-    """The numbers written to ``path``, a CSV table or a JSON document. The
-    rate columns are left out: the coarsest mesh of a sweep has no rate, and
-    the table writes it as nan."""
+    """The numbers written to ``path``, a CSV table or a JSON document."""
     if path.suffix == ".csv":
         with open(path, newline="") as fh:
             for row in csv.DictReader(fh):
-                for key, cell in row.items():
-                    if key.startswith("rate_"):
-                        continue
+                for cell in row.values():
                     try:
                         yield float(cell)
                     except ValueError:  # a name, such as the domain

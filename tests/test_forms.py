@@ -82,7 +82,7 @@ def test_elastic_energy_of_linear_field():
     params = PhysicalParams.unit()
     out = forms.assemble_elastic(space, params, faces)
     d = interp(space, "d", lambda p: np.stack([p[:, 0], p[:, 1]], axis=1))
-    assert d @ (out["A"] @ d) == pytest.approx(8.0, rel=1e-12)
+    assert d @ (out["A_el"] @ d) == pytest.approx(8.0, rel=1e-12)
 
 
 def test_elastic_mass():
@@ -91,13 +91,13 @@ def test_elastic_mass():
     params.rho_el = 1000.0
     out = forms.assemble_elastic(space, params, faces)
     one = interp(space, "d", lambda p: np.stack([np.ones(len(p)), np.zeros(len(p))], axis=1))
-    assert one @ (out["M"] @ one) == pytest.approx(1000.0, rel=1e-12)
+    assert one @ (out["M_el"] @ one) == pytest.approx(1000.0, rel=1e-12)
 
 
 def test_elastic_symmetry_and_psd(cart4_setup, unit_params):
     _, faces, space = cart4_setup
     out = forms.assemble_elastic(space, unit_params, faces)
-    A = out["A"]
+    A = out["A_el"]
     assert abs(A - A.T).max() < 1e-12 * abs(A).max()
     rng = np.random.default_rng(0)
     for _ in range(50):
@@ -111,14 +111,14 @@ def test_pressure_stiffness_linear():
     _, faces, space = natural_setup("elastic")
     out = forms.assemble_pressure(space, PhysicalParams.unit(), faces)
     p = interp(space, "p:E", lambda q: q[:, 0])
-    assert p @ (out["A"]["E"] @ p) == pytest.approx(1.0, rel=1e-12)
+    assert p @ (out["A_j"]["E"] @ p) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_pressure_mass_is_the_compartment_l2_product():
     _, faces, space = natural_setup("elastic")
     out = forms.assemble_pressure(space, PhysicalParams.unit(), faces)
     one = interp(space, "p:E", lambda q: np.ones(len(q)))
-    assert one @ (out["M"] @ one) == pytest.approx(1.0, rel=1e-12)
+    assert one @ (out["M_comp"] @ one) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_pressure_external_coupling():
@@ -148,14 +148,14 @@ def test_fluid_divergence_coupling():
     out = forms.assemble_fluid(space, PhysicalParams.unit(), faces)
     q = interp(space, "p", lambda p: np.ones(len(p)))
     v = interp(space, "u", lambda p: np.stack([p[:, 0], np.zeros(len(p))], axis=1))
-    assert q @ (out["B"] @ v) == pytest.approx(-1.0, rel=1e-12)
+    assert q @ (out["B_f"] @ v) == pytest.approx(-1.0, rel=1e-12)
 
 
 def test_fluid_shear_energy():
     _, faces, space = natural_setup("fluid")
     out = forms.assemble_fluid(space, PhysicalParams.unit(), faces)
     u = interp(space, "u", lambda p: np.stack([p[:, 1], np.zeros(len(p))], axis=1))
-    assert u @ (out["A"] @ u) == pytest.approx(1.0, rel=1e-12)
+    assert u @ (out["A_f"] @ u) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_stabilization_annihilates_continuous_pressure(cart4_setup, unit_params):
@@ -341,7 +341,7 @@ def test_sipg_blocks_remain_coercive_at_high_degree(mesh80, unit_params):
     space = build_space(mesh80, 3)
     fl = forms.assemble_fluid(space, unit_params, faces)
     el = forms.assemble_elastic(space, unit_params, faces)
-    for A in (fl["A"], el["A"]):
+    for A in (fl["A_f"], el["A_el"]):
         lo = eigsh(A, k=1, which="SA", return_eigenvectors=False, tol=1e-6)[0]
         assert lo > 1.0
 

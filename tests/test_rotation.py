@@ -1,6 +1,7 @@
 """Metamorphic checks: a problem rotated with its data, or with its
 elements renumbered, has the same errors; renumbered, it also has the
-permuted operator and the permuted cell means.
+permuted operator and the permuted cell means. Two compartments that swap
+labels, with their coefficients and sources, swap their pressures.
 
 Every mesh family has its interface at x = 0 and its outlet at x = 1, so
 every interface and outlet normal is +-e_x there, and a fault in the
@@ -13,12 +14,15 @@ element of an interface face is always its elastic one. With the element
 order reversed the fluid elements come first, and only the orientation of
 interface faces from their elastic side keeps the errors the same."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from polympe import driver, forms, outputs, stepping
 from polympe.families import VERIFICATION_DIRICHLET, cartesian_two_domain, triangulated_two_domain
 from polympe.mesh import PolyMesh
+from polympe.params import PhysicalParams
 from polympe.solvers import factorize
 from polympe.system import build_global, build_system, split
 
@@ -108,3 +112,65 @@ def test_renumbering_permutes_the_operator_and_the_cell_means(mesh80, unsteady, 
     assert diff <= 1e-12 * abs(A1).max()
     for field, vals in means.items():
         assert abs(means_new[field] - vals[::-1]).max() <= 1e-9 * abs(vals).max(), field
+
+
+#: the compartments of the relabelling check, and the two labels it swaps
+COMPARTMENTS = ("A", "C", "V", "E")
+SWAP = {"A": "C", "C": "A"}
+
+
+class Sources(forms.ZeroData):
+    """A constant source ``g[j]`` in each compartment ``j``; no other data."""
+
+    def __init__(self, g):
+        self.g = g
+
+    def exact(self, key, pts, t=0.0):
+        v = super().exact(key, pts, t)
+        name, _, j = key.partition(":")
+        return v + self.g[j] if name == "g" else v
+
+
+def swapped(params, g):
+    """``params`` and the sources ``g`` with the labels of :data:`SWAP`
+    exchanged: every per-compartment coefficient, both indices of beta."""
+    def s(j):
+        return SWAP.get(j, j)
+
+    J = params.compartments
+    per = {f: {j: getattr(params, f)[s(j)] for j in J}
+           for f in ("mu_j", "alpha_j", "c_j", "k_j", "beta_ext")}
+    beta = {j: {k: params.beta[s(j)][s(k)] for k in J} for j in J}
+    return dataclasses.replace(params, beta=beta, **per), {j: g[s(j)] for j in J}
+
+
+def solves(mesh, m, params, g):
+    """The steady state and the five states of four steps of dt = 0.05 from
+    rest, under the sources ``g``, every pressure Dirichlet."""
+    dirichlet = dict(VERIFICATION_DIRICHLET, el={"d"} | {f"p:{j}" for j in COMPARTMENTS})
+    sys = build_system(mesh, m, params, dirichlet)
+    data = Sources(g)
+    loads = forms.assemble_loads(sys.space, params, sys.faces, data, 0.0)
+    steady = split(factorize(build_global(sys)).solve(loads), sys.space.sizes)
+    states, _ = stepping.simulate(sys, stepping.SchemeParams(dt=0.05), data, 4)
+    return [steady] + states
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("name", ["cart4", "poly80"])
+def test_relabelling_two_compartments_swaps_their_pressures(mesh80, name, m):
+    mesh = cartesian_two_domain(4) if name == "cart4" else mesh80
+    rng = np.random.default_rng(7)
+    J = COMPARTMENTS
+    draw = {f: {j: rng.uniform(0.5, 2.0) for j in J} for f in ("mu_j", "c_j", "k_j", "beta_ext")}
+    params = dataclasses.replace(
+        PhysicalParams.unit(J), alpha_j={j: rng.uniform(0.2, 0.8) for j in J},
+        beta={j: {k: rng.uniform(0.5, 2.0) for k in J} for j in J}, **draw)
+    g = {j: rng.uniform(0.5, 2.0) for j in J}
+    ref = solves(mesh, m, params, g)
+    new = solves(mesh, m, *swapped(params, g))
+    for i, (a, b) in enumerate(zip(ref, new)):
+        for field, vals in a.items():
+            j = field.partition(":")[2]
+            other = b[f"p:{SWAP[j]}"] if j in SWAP else b[field]
+            assert abs(other - vals).max() <= 1e-9 * abs(vals).max(), (i, field)
