@@ -239,6 +239,8 @@ def cmd_convergence(cfg: Section):
     m_values = conv.ints("m_values", [1, 2, 3])
     n_steps = conv.integer("n_steps", 5) if scfg else None
     conv.close()
+    if min(m_values) < 1:
+        raise ConfigError(f"convergence m_values must be >= 1, got {m_values}")
     if scfg and n_steps < 1:
         raise ConfigError(f"convergence n_steps must be >= 1, got {n_steps}")
     if len(specs) < (1 if spectral else 3):
@@ -289,6 +291,8 @@ def cmd_solve(cfg: Section):
     case_id = _read_case(cfg, "demo")
     spec = _read_spec(cfg.section("mesh", {"family": "cartesian", "ny": 4}))
     m = cfg.integer("degree", 2)
+    if m < 1:
+        raise ConfigError(f"degree must be >= 1, got {m}")
     if case_id in ("steady", "unsteady"):
         # the manufactured cases bring their own parameters
         data = steady_case() if case_id == "steady" else unsteady_case()
@@ -337,6 +341,8 @@ def cmd_verify(cfg: Section):
         raise ConfigError(f"verify n_points must be >= 1, got {n_points}")
     vcfg.close()
     m, params = cfg.integer("degree", 2), _read_params(cfg)
+    if m < 1:
+        raise ConfigError(f"degree must be >= 1, got {m}")
     spec = _read_spec(cfg.section("mesh", {"family": "cartesian", "ny": 4}))
     dirichlet = _read_dirichlet(cfg, VERIFICATION_DIRICHLET, params.compartments)
     cfg.close()

@@ -115,9 +115,9 @@ def _sided(space, fidxs) -> list:
     """Face tables of the interior faces of ``fidxs`` (both sides) and of its
     boundary faces (the plus side alone), as (table, sides) pairs; face lists
     put interior faces first, so the order of ``fidxs`` is kept."""
-    tab = space.face_table(fidxs)
-    return [(tab.take(np.flatnonzero(sel)), ns)
-            for sel, ns in ((~tab.boundary, 2), (tab.boundary, 1)) if sel.any()]
+    idx = np.asarray(fidxs, dtype=int)
+    bd = space.face_table.boundary[idx]
+    return [(space.face_table.take(idx[sel]), ns) for sel, ns in ((~bd, 2), (bd, 1)) if sel.any()]
 
 
 def _side_weights(ns: int):
@@ -270,7 +270,7 @@ def assemble_interface(space: DGSpace, params: PhysicalParams, faces: FaceSet):
     shape_el = (space.sizes[field], space.sizes["d"])
     shape_f = (space.sizes[field], space.sizes["u"])
     # interface faces are oriented from the elastic (plus) side
-    tab = space.face_table(faces.interface)
+    tab = space.face_table.take(faces.interface)
     w, phi, _, _ = _trace(tab, 2)
     P = _face_mass(w, phi)[:, 0, :, None]  # (F, side, 1, n_loc, n_loc)
     n = tab.normal[:, :, None, None]
@@ -289,12 +289,6 @@ class ZeroData:
         name, _, suffix = key.partition(",")
         shape = (2,) * ((name in ("f_el", "f_f", "d", "u")) + (suffix == "grad"))
         return np.zeros(np.shape(t) + (len(pts),) + shape)
-
-
-def _face_data(tab: FaceTable, data, key: str, t: float) -> np.ndarray:
-    """The datum ``key`` of ``data`` at the face points, shaped (F, nq, ...)."""
-    v = np.asarray(data.exact(key, tab.points.reshape(-1, 2), t), dtype=float)
-    return v.reshape(tab.weights.shape + v.shape[1:])
 
 
 def _face_loads(a, v) -> np.ndarray:
@@ -331,11 +325,13 @@ def assemble_loads(space: DGSpace, params: PhysicalParams, faces: FaceSet, data,
     traces ``d``, ``d,t`` (its time derivative), ``u`` and ``p:<j>``;
     vector keys give (n, 2) values, scalar ones (n,).
 
-    Each datum is evaluated once. A term whose datum is zero at every one
-    of its points is skipped (a source row, the outlet stress, each
-    Dirichlet lifting, and the ``p:<j>`` and ``d,t`` parts of the pressure
-    lifting on their own): it would only add signed zeros, so the vector is
-    the same bit for bit. NaN and inf count as nonzero.
+    Each datum is evaluated once, a face datum at the points of
+    ``space.face_table``. A term whose datum is zero at every one of its
+    points is skipped (a source row, the outlet stress, each Dirichlet
+    lifting, and the ``p:<j>`` and ``d,t`` parts of the pressure lifting on
+    their own): it would only add signed zeros, so the vector is the same
+    bit for bit. NaN and inf count as nonzero. A face set takes its rows of
+    the face table only where its data is nonzero.
 
     Face terms are added face by face, then by component and term, so an
     element with several data faces sums them in face order."""
@@ -358,32 +354,37 @@ def assemble_loads(space: DGSpace, params: PhysicalParams, faces: FaceSet, data,
         e = tab.elem[:, 0].reshape((-1,) + (1,) * (vals.ndim - 2))
         np.add.at(F[sl(field)], np.broadcast_to(space.dofs(field, e, comps), vals.shape), vals)
 
-    c = np.arange(2)
+    ft, c = space.face_table, np.arange(2)
+
+    def at(fidxs, key):
+        # the datum key at the points of the faces fidxs, (F, nq, ...)
+        pts = ft.points[fidxs]
+        v = np.asarray(data.exact(key, pts.reshape(-1, 2), t), dtype=float)
+        return v.reshape(pts.shape[:-1] + v.shape[1:])
+
     # outlet: int -pbar n_f . v
-    if len(fidxs := faces.outlet()):
-        tab = space.face_table(fidxs)
-        pbar = _face_data(tab, data, "p_out", t)
-        if pbar.any():
-            add(tab, "u", _face_loads(tab.basis[:, 0, 0],
-                                      (tab.weights * -pbar)[:, None] * tab.normal[:, :, None]), c)
+    if len(fidxs := faces.outlet()) and (pbar := at(fidxs, "p_out")).any():
+        tab = ft.take(fidxs)
+        add(tab, "u", _face_loads(tab.basis[:, 0, 0],
+                                  (tab.weights * -pbar)[:, None] * tab.normal[:, :, None]), c)
 
     # Dirichlet lifting for the displacement
-    if len(fidxs := faces.dirichlet("d")):
-        tab = space.face_table(fidxs)
-        g = _face_data(tab, data, "d", t)
-        if g.any():
-            lift, _ = _vector_lift(tab, g, params.mu_el, params.lam,
-                                   face_penalty(params, "d", tab.harmonic_h, space.m))
-            add(tab, "d", lift, c[:, None])
+    if len(fidxs := faces.dirichlet("d")) and (g := at(fidxs, "d")).any():
+        tab = ft.take(fidxs)
+        lift, _ = _vector_lift(tab, g, params.mu_el, params.lam,
+                               face_penalty(params, "d", tab.harmonic_h, space.m))
+        add(tab, "d", lift, c[:, None])
 
     # Dirichlet lifting for the compartment pressures, plus the mass-coupling
     # lifting carrying the time derivative of the displacement datum
     for j in params.compartments:
         if not len(fidxs := faces.dirichlet(f"p:{j}")):
             continue
-        tab = space.face_table(fidxs)
+        g, gd = at(fidxs, f"p:{j}"), at(fidxs, "d,t")
+        if not (g.any() or gd.any()):
+            continue
+        tab = ft.take(fidxs)
         w, n = tab.weights, tab.normal
-        g, gd = _face_data(tab, data, f"p:{j}", t), _face_data(tab, data, "d,t", t)
         phi, gx, gy = np.moveaxis(tab.basis[:, 0], 1, 0)
         terms = []
         if g.any():
@@ -395,17 +396,14 @@ def assemble_loads(space: DGSpace, params: PhysicalParams, faces: FaceSet, data,
         if gd.any():
             gdn = (gd @ n[:, :, None])[..., 0]
             terms.append(-params.alpha_j[j] * _face_loads(phi, (w * gdn)[:, None]))
-        if terms:
-            add(tab, f"p:{j}", np.concatenate(terms, axis=1))
+        add(tab, f"p:{j}", np.concatenate(terms, axis=1))
 
     # Dirichlet lifting for the fluid velocity, plus the divergence-row lifting
-    if len(fidxs := faces.dirichlet("u")):
-        tab = space.face_table(fidxs)
-        g = _face_data(tab, data, "u", t)
-        if g.any():
-            lift, gn = _vector_lift(tab, g, params.mu_f, 0.0,
-                                    face_penalty(params, "u", tab.harmonic_h, space.m))
-            add(tab, "u", lift, c[:, None])
-            add(tab, "p", -_face_loads(tab.basis[:, 0, 0], (tab.weights * gn)[:, None])[:, 0])
+    if len(fidxs := faces.dirichlet("u")) and (g := at(fidxs, "u")).any():
+        tab = ft.take(fidxs)
+        lift, gn = _vector_lift(tab, g, params.mu_f, 0.0,
+                                face_penalty(params, "u", tab.harmonic_h, space.m))
+        add(tab, "u", lift, c[:, None])
+        add(tab, "p", -_face_loads(tab.basis[:, 0, 0], (tab.weights * gn)[:, None])[:, 0])
 
     return F

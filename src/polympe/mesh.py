@@ -14,8 +14,8 @@ sets, the quality report and the agglomeration adjacency are all read from
 that table. :func:`build_faces` resolves a Dirichlet map on it into one
 :class:`FaceSet`, the boundary labels and index sets of that map.
 
-Meshes and face sets are immutable after construction and safe to share
-between concurrent assembly workers.
+Meshes, face sets and the DG spaces built on them are immutable after
+construction and safe to share between concurrent assembly workers.
 """
 
 from __future__ import annotations
@@ -104,7 +104,8 @@ class PolyMesh:
     element_domain : per-element tag, ``"elastic"`` or ``"fluid"``.
     boundary_labels : map from boundary edge (vertex pair, any order) to a
         label string. Must cover every boundary edge before faces can be
-        built; a key that is not a boundary edge raises :class:`MeshError`.
+        built; a key that is not a boundary edge, or an edge given in both
+        orders, raises :class:`MeshError`.
 
     Construction validates orientation, star-shapedness with respect to the
     element centroid (required by the fan sub-triangulation used for
@@ -132,10 +133,7 @@ class PolyMesh:
         if not known.all():
             raise MeshError(f"unknown domain tag {self.element_domain[int(np.argmin(known))]!r}")
         self._fluid = self._domain == FLUID
-        self.boundary_labels = {
-            (min(int(a), int(b)), max(int(a), int(b))): lab
-            for (a, b), lab in (boundary_labels or {}).items()
-        }
+        self.boundary_labels = _edge_labels((boundary_labels or {}).items())
 
         counts = np.fromiter(map(len, elements), dtype=int, count=len(elements))
         flat = (np.concatenate(elements) if elements else np.zeros(0)).astype(int)
@@ -291,6 +289,18 @@ def harmonic_h(h_plus, h_minus=None):
     return 2.0 * h_plus * h_minus / (h_plus + h_minus)
 
 
+def _edge_labels(pairs) -> dict:
+    """The labels of ``(edge, label)`` pairs keyed by sorted vertex pair; an
+    edge given twice, in either vertex order, raises :class:`MeshError`."""
+    out = {}
+    for (a, b), lab in pairs:
+        key = (min(int(a), int(b)), max(int(a), int(b)))
+        if key in out:
+            raise MeshError(f"boundary edge {key} is labelled twice, {out[key]!r} and {lab!r}")
+        out[key] = lab
+    return out
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -437,7 +447,7 @@ def load_mesh(path) -> PolyMesh:
         vertices = doc["vertices"]
         elements = [e["v"] for e in doc["elements"]]
         domains = [e["domain"] for e in doc["elements"]]
-        labels = {tuple(b["edge"]): b["label"] for b in doc.get("boundary", [])}
+        labels = _edge_labels((b["edge"], b["label"]) for b in doc.get("boundary", []))
     except (KeyError, TypeError) as exc:
         raise MeshError(f"malformed mesh document {path}: missing {exc}") from exc
     return PolyMesh(vertices, elements, domains, labels)

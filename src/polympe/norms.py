@@ -95,7 +95,7 @@ def _jump_sq(space, fidxs, field, vecs, params, exact, t) -> np.ndarray:
     them."""
     if not len(fidxs):
         return np.zeros(len(vecs))
-    tab = space.face_table(fidxs)
+    tab = space.face_table.take(fidxs)
     # (S, F, nq, ncomp)
     j = np.ascontiguousarray(_states_first(tab.jump(_stacked(space, field, vecs)), 2, len(vecs)))
     if tab.boundary.any():

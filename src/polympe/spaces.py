@@ -14,7 +14,8 @@ A :class:`VolumeTable` owns every contraction against its basis. Each
 vertex-count group of the mesh evaluates its volume seeds once and its face
 traces with one :meth:`DGSpace.tabulate` call, on the oriented faces of the
 mesh's :class:`~polympe.mesh.EdgeTable`, when the space is built. There are
-no per-element or per-face objects or accessors.
+no per-element or per-face objects or accessors, and no caches: a space,
+like its mesh, is read-only once built.
 """
 
 from __future__ import annotations
@@ -205,9 +206,9 @@ class FaceTable:
     face, so that :func:`polympe.forms.face_penalty` gives per-face
     penalties.
 
-    The tables :meth:`DGSpace.face_table` hands out may be shared between
-    callers, so their arrays are read-only. :meth:`jump` is one batched product over both
-    sides."""
+    ``DGSpace.face_table`` is the table of every edge of its mesh, and a
+    reader takes the rows it uses with :meth:`take`; every array is
+    read-only. :meth:`jump` is one batched product over both sides."""
 
     points: np.ndarray  # (F, nq, 2)
     weights: np.ndarray  # (F, nq)
@@ -247,8 +248,9 @@ class DGSpace:
     The basis of mesh element ``k`` is the Legendre seeds on its bounding box
     (``center[k]``, ``half[k]``) recombined by ``coeff[k]``, the inverse
     Cholesky factor of their Gram matrix; ``local[k]`` is its subdomain index.
-    Every face of the mesh is tabulated when the space is built; a face
-    table is a selection of its rows.
+    Every face of the mesh is tabulated when the space is built, in
+    ``face_table`` (rows in edge-table order); a reader takes the rows of
+    its faces. A space is read-only once built.
     """
 
     def __init__(self, mesh: PolyMesh, m: int, compartments=("E",)):
@@ -293,8 +295,7 @@ class DGSpace:
             tabs[i] = tabs[i] @ self.coeff[elems].swapaxes(1, 2)
         self._tables = {domain: self._volume_table(ids, rules, tabs)
                         for domain, ids in ((ELASTIC, self.el_ids), (FLUID, self.f_ids))}
-        self._faces = self._tabulate_faces()
-        self._face_tables = {}
+        self.face_table = self._tabulate_faces()
 
     # -- layout ----------------------------------------------------------
 
@@ -379,28 +380,10 @@ class DGSpace:
         """Stacked volume tabulation of the ``domain`` elements."""
         return self._tables[domain]
 
-    def face_table(self, fidxs) -> FaceTable:
-        """Stacked face tabulation of the faces ``fidxs``, rows of the mesh's
-        edge table.
-
-        The table of an index set asked for a second time (the loads at
-        every step, the norms at every state) is kept, read-only, and
-        returned on every later call. A set asked for once, as assembly asks
-        for each of its sets, is not kept, so it holds no memory once its
-        reader is done."""
-        idx = np.asarray(fidxs, dtype=int)
-        key = idx.tobytes()
-        tab = self._face_tables.get(key)
-        if tab is None:
-            tab = self._faces.take(idx)
-            # a set seen once maps to None until its second request
-            self._face_tables[key] = tab if key in self._face_tables else None
-        return tab
-
     def _tabulate_faces(self) -> FaceTable:
-        """The face table of every edge of the mesh, in edge-table order. An
-        n-gon owns exactly n (face, side) pairs, so each vertex-count group
-        tabulates its basis once, on the quadrature points of all its faces."""
+        """The read-only face table of every edge of the mesh, in edge-table
+        order. An n-gon owns exactly n (face, side) pairs, so each vertex-count
+        group tabulates its basis once, on the quadrature points of all its faces."""
         edges = self.mesh.edges
         nf = len(edges.code)
         rule = face_quadrature(self.mesh.vertices[edges.ab], self.face_order)
@@ -421,10 +404,9 @@ class DGSpace:
             f, s = face[own], side[own]
             tr = self.tabulate(elems, rule.points[f].reshape(len(elems), n * nq, 2))
             basis[f, s] = tr.reshape(3, len(elems), n, nq, self.n_loc).transpose(1, 2, 0, 3, 4)
-        return FaceTable(
-            points=rule.points, weights=rule.weights, normal=edges.normal,
-            harmonic_h=edges.harmonic_h, boundary=~inner,
-            elem=self.local[np.stack([plus, np.where(inner, minus, plus)], axis=1)], basis=basis)
+        return FaceTable(*map(_readonly, (
+            rule.points, rule.weights, edges.normal, edges.harmonic_h, ~inner,
+            self.local[np.stack([plus, np.where(inner, minus, plus)], axis=1)], basis)))
 
 
 def build_space(mesh: PolyMesh, m: int, compartments=("E",)) -> DGSpace:

@@ -832,6 +832,48 @@ def test_mesh_file_with_a_label_on_an_interior_edge_is_input_error(tmp_path, cap
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_mesh_file_with_an_edge_labelled_twice_is_input_error(tmp_path, capsys):
+    # the outlet edge listed again, reversed, as a wall: no run may silently
+    # take either label
+    path = tmp_path / "mesh.json"
+    save_mesh(cartesian_two_domain(2), path)
+    doc = json.loads(path.read_text())
+    a, b = next(entry["edge"] for entry in doc["boundary"] if entry["label"] == "out")
+    doc["boundary"].append({"edge": [b, a], "label": "wall"})
+    path.write_text(json.dumps(doc))
+    cfg = write_config(tmp_path, dict(_ZERO_SOLVE, mesh={"path": str(path)}))
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"boundary edge ({a}, {b}) is labelled twice, 'out' and 'wall'" in err
+    assert "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("bad", [0, -1])
+@pytest.mark.parametrize("command, doc, key", [
+    ("solve", dict(_ZERO_SOLVE), "degree"),
+    ("verify", dict(_VERIFY), "degree"),
+    ("convergence", _with(_SWEEP, "convergence"), "convergence m_values"),
+], ids=["solve", "verify", "convergence"])
+def test_degree_below_one_is_input_error(tmp_path, capsys, monkeypatch, command, doc, key, bad):
+    if command == "convergence":
+        doc["convergence"]["m_values"] = [1, bad]
+    else:
+        doc["degree"] = bad
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "o"
+
+    def no_mesh(spec):
+        raise AssertionError("a degree below 1 must be reported before a mesh is built")
+
+    monkeypatch.setattr(cli, "resolve_mesh", no_mesh)
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{key} must be >= 1" in err and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_tol_flag_is_gone(tmp_path):
     # the rate window is norms.RATE_WINDOW alone
     cfg = write_config(tmp_path, _SWEEP)

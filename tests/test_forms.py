@@ -9,10 +9,10 @@ from scipy.linalg import block_diag
 
 from polympe import forms, system
 from polympe.cli import DemoData, resolve_params
-from polympe.families import DEMO_DIRICHLET, VERIFICATION_DIRICHLET
+from polympe.families import DEMO_DIRICHLET, VERIFICATION_DIRICHLET, cartesian_two_domain
 from polympe.mesh import build_faces, harmonic_h
 from polympe.params import PhysicalParams
-from polympe.spaces import build_space, l2_project
+from polympe.spaces import FaceTable, build_space, l2_project
 from polympe.system import build_system, coupling_blocks
 
 from conftest import (ACVE, OnePointData, pin_params, pin_setup, pin_system, sha256_hex,
@@ -521,3 +521,22 @@ def test_datum_nonzero_at_one_point_reaches_loads(mesh80, key, field):
     reached = {f for f in space.fields if loads[space.field_slice(f)].any()}
     assert field in reached
     assert reached <= {field, "p"} if key == "u" else reached == {field}
+
+
+def test_loads_take_face_rows_only_where_their_data_is_nonzero(monkeypatch, unsteady):
+    taken = []
+    take = FaceTable.take
+    monkeypatch.setattr(FaceTable, "take",
+                        lambda tab, fidxs: taken.append(list(fidxs)) or take(tab, fidxs))
+    mesh = cartesian_two_domain(4)
+    space = build_space(mesh, 2)
+    # the demo data is a volume source alone
+    faces, params = build_faces(mesh, DEMO_DIRICHLET), resolve_params(DEMO_CONFIG)
+    for t in (0.0, 0.25, 0.37):
+        forms.assemble_loads(space, params, faces, DemoData(), t)
+    assert taken == []
+    # the unsteady case has a nonzero outlet stress and nonzero d, p:E and
+    # u traces: one table each, in that order
+    faces = build_faces(mesh, VERIFICATION_DIRICHLET)
+    forms.assemble_loads(space, unsteady.params, faces, unsteady, 0.37)
+    assert taken == [list(faces.outlet())] + [list(faces.dirichlet(f)) for f in ("d", "p:E", "u")]

@@ -181,6 +181,28 @@ def test_boundary_label_on_a_non_boundary_edge_rejected(key):
         PolyMesh(mesh.vertices, mesh.elements, mesh.element_domain, labels)
 
 
+@pytest.mark.parametrize("label", ["wall", "out"])
+@pytest.mark.parametrize("edge", [[2, 3], [3, 2]], ids=["same-order", "reversed"])
+def test_load_rejects_an_edge_labelled_twice(tmp_path, edge, label):
+    # (2, 3) is the outlet of the two-square mesh; a second entry must not
+    # silently relabel it, nor pass unremarked under the same label
+    path = tmp_path / "mesh.json"
+    save_mesh(two_square_mesh(), path)
+    doc = json.loads(path.read_text())
+    doc["boundary"].append({"edge": edge, "label": label})
+    with pytest.raises(MeshError, match=rf"^boundary edge \(2, 3\) is labelled twice, "
+                                        rf"'out' and '{label}'$"):
+        load_mesh(write_mesh_file(tmp_path, doc))
+
+
+def test_mesh_rejects_an_edge_labelled_in_both_orders():
+    mesh = two_square_mesh()
+    labels = {**mesh.boundary_labels, (3, 2): "wall"}
+    with pytest.raises(MeshError, match=r"^boundary edge \(2, 3\) is labelled twice, "
+                                        r"'out' and 'wall'$"):
+        PolyMesh(mesh.vertices, mesh.elements, mesh.element_domain, labels)
+
+
 def test_harmonic_h_values():
     assert harmonic_h(0.1, 0.1) == pytest.approx(0.1)
     assert harmonic_h(0.1, 0.2) == pytest.approx(2.0 / 15.0)

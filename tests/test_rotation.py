@@ -1,5 +1,5 @@
-"""Metamorphic checks: a problem rotated with its data, or with its
-elements renumbered, has the same errors; renumbered, it also has the
+"""Metamorphic checks: a problem rotated or mirrored with its data, or with
+its elements renumbered, has the same errors; renumbered, it also has the
 permuted operator and the permuted cell means. Two compartments that swap
 labels, with their coefficients and sources, swap their pressures.
 
@@ -8,6 +8,9 @@ every interface and outlet normal is +-e_x there, and a fault in the
 y-component of such a normal shows in no other test. The DG space P_m, the
 fan quadrature, the element diameters and the face normals all rotate with
 the mesh, so the rotated solves must reproduce each error to round-off.
+The mirror y -> 1 - y keeps each family's domains, interface, outlet and
+boundary labels, and reverses the orientation that no rotation changes, so
+each element loop is reversed to stay counterclockwise.
 
 Every mesh family also numbers its elastic elements first, so the first
 element of an interface face is always its elastic one. With the element
@@ -60,6 +63,41 @@ def test_errors_are_rotation_invariant(mesh80, steady, unsteady, name, m):
     assert len(ref) == 10 and min(ref.values()) > 0.0
     for phi in ANGLES:
         assert errors(mesh, m, phi, steady, unsteady) == pytest.approx(ref, rel=1e-9), phi
+
+
+#: the reflection y -> -y
+MIRROR = np.diag([1.0, -1.0])
+
+
+def mirrored(mesh):
+    """``mesh`` mirrored by y -> 1 - y, every loop reversed so that it stays
+    counterclockwise, with the same domains and boundary labels (top and
+    bottom carry the same ones)."""
+    return PolyMesh(mesh.vertices @ MIRROR + [0.0, 1.0], [e[::-1] for e in mesh.elements],
+                    mesh.element_domain, mesh.boundary_labels)
+
+
+class MirroredCase(RotatedCase):
+    """The data of a manufactured ``case`` mirrored with its mesh: read at
+    the mirrored points (x, 1 - y), with RotatedCase's rule for R = S =
+    diag(1, -1)."""
+
+    def __init__(self, case):
+        self.case, self.params, self.R = case, case.params, MIRROR
+
+    def exact(self, key, pts, t=0.0):
+        # RotatedCase reads at S p, and S (x, y - 1) = (x, 1 - y)
+        return super().exact(key, np.asarray(pts) - [0.0, 1.0], t)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("name", sorted(MESHES))
+def test_errors_are_mirror_invariant(mesh80, steady, unsteady, name, m):
+    # rotation by 0 leaves the mirrored mesh and data as they are
+    mesh = MESHES[name](mesh80)
+    ref = errors(mesh, m, 0.0, steady, unsteady)
+    got = errors(mirrored(mesh), m, 0.0, MirroredCase(steady), MirroredCase(unsteady))
+    assert got == pytest.approx(ref, rel=1e-9)
 
 
 def renumbered(mesh):

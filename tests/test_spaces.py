@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, cholesky, solve_triangular
 
+from polympe import forms, norms
 from polympe.families import VERIFICATION_DIRICHLET, cartesian_two_domain
 from polympe.mesh import PolyMesh, build_faces
 from polympe.spaces import (_inverse_cholesky, build_space, face_quadrature, l2_project,
@@ -249,7 +250,7 @@ def _table_pins(faces, space):
             out[f"{domain}/{name}"] = _probe(getattr(tab, name))
         out[f"{domain}/groups"] = _probe(np.concatenate(
             [np.concatenate([elems, [rows.start, rows.stop, n]]) for elems, rows, n in tab.groups]))
-    ftab = space.face_table(np.arange(len(faces)))
+    ftab = space.face_table
     for name, arr in vars(ftab).items():
         out[f"faces/{name}"] = _probe(arr)
     return out
@@ -290,7 +291,7 @@ def test_table_evaluators_match_their_definitions(mesh80, name, m):
         coeffs = space.coeffs(field, rng.standard_normal(space.sizes[field]))
         tab = space.volume_table(space.field_domain(field))
         # the face set each field's norm measures its jumps on
-        ftab = space.face_table(faces.sipg_faces("u" if field == "p" else field))
+        ftab = space.face_table.take(faces.sipg_faces("u" if field == "p" else field))
         for got, want in ((tab.values(coeffs), reference_values(tab, coeffs)),
                           (tab.grads(coeffs), reference_grads(tab, coeffs)),
                           (ftab.jump(coeffs), reference_jump(ftab, coeffs))):
@@ -298,17 +299,24 @@ def test_table_evaluators_match_their_definitions(mesh80, name, m):
             assert np.abs(got - want).max(initial=0.0) <= 1e-14 * np.abs(want).max(initial=0.0), field
 
 
-def test_face_table_is_kept_from_its_second_request_and_read_only():
+def test_a_space_is_read_only_once_built(unsteady):
+    # loads at two times and a two-state energy norm leave every attribute
+    # as it was: a space keeps no cache
     mesh = cartesian_two_domain(2)
     faces, space = build_faces(mesh, VERIFICATION_DIRICHLET), build_space(mesh, 1)
-    first = space.face_table(faces.interior_el)
-    tab = space.face_table(list(faces.interior_el))
-    assert tab is not first
-    assert space.face_table(faces.interior_el.copy()) is tab
-    assert space.face_table(faces.interior_f) is not tab
-    for arr in (*vars(first).values(), *vars(tab).values()):
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0] = arr[0]
+    before = dict(vars(space))
+    keys = {k: list(v) for k, v in before.items() if isinstance(v, dict)}
+    for t in (0.1, 0.2):
+        forms.assemble_loads(space, unsteady.params, faces, unsteady, t)
+    state = {f: np.ones(n) for f, n in space.sizes.items()}
+    norms.energy_norm([state, state], [0.0, 0.1], space, faces, unsteady.params, unsteady)
+    assert vars(space).keys() == before.keys()
+    assert all(vars(space)[k] is v for k, v in before.items())
+    assert {k: list(v) for k, v in vars(space).items() if isinstance(v, dict)} == keys
+    for tab in (space.face_table, space.face_table.take(faces.interior_el)):
+        for arr in vars(tab).values():
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]
 
 
 def test_inverse_cholesky_matches_scipy_and_names_a_bad_element():
