@@ -6,11 +6,12 @@ exit code and the command's manifest fields; :func:`main` writes the manifest.
 A command closes the top level before it reads a section with a required
 key, so that a misspelt section name is reported as an unknown key.
 
-Exit codes: 0 on success, 1 when an acceptance-style check fails (rate out
-of window, oracle residual too large, invalid partition), 2 on input errors
-(missing files, malformed config, unknown keys, values of the wrong type,
-invalid meshes or parameters), 3 on numerical failure (singular matrix,
-steady residual too large, a time step whose state is not finite).
+Exit codes: 0 on success; 1 when an acceptance-style check fails (rate out
+of window, oracle residual too large, invalid partition); 2 on an
+:class:`~polympe.params.InputError` (malformed config or mesh, unknown key,
+wrong type, value out of bounds or not among the choices) or an ``OSError``
+(missing file); 3 on a :class:`~polympe.solvers.NumericalError` (singular
+matrix, steady residual too large, non-finite state in a time step).
 """
 
 from __future__ import annotations
@@ -31,14 +32,14 @@ from .families import DEMO_DIRICHLET, VERIFICATION_DIRICHLET, cartesian_two_doma
 from .forms import ZeroData
 from .manufactured import (CONTROL_FLOOR, ORACLE_T, ORACLE_TOL, SOURCES, residual_oracle,
                            steady_case, unsteady_case)
-from .mesh import MeshError, load_mesh, quality_report, save_mesh
-from .params import PhysicalParams, check_dirichlet
+from .mesh import load_mesh, quality_report, save_mesh
+from .params import InputError, PhysicalParams, check_dirichlet
 from .solvers import NumericalError
 from .system import EXCHANGE, build_system, structural_checks
 
 
-class ConfigError(Exception):
-    pass
+class ConfigError(InputError):
+    """A config value breaks the rule its reader states."""
 
 
 def _finite(v) -> bool:
@@ -54,11 +55,11 @@ def _finite(v) -> bool:
 
 class Section:
     """One JSON object of a config. Each getter returns the value of ``key``
-    once its JSON kind is checked, or ``default`` if the key is absent (a key
-    without default is required, and a None default admits ``null``); it
-    records the value in :attr:`resolved` and names ``<section> <key>`` (as
-    ``path`` formats it) in its errors. :meth:`close` rejects every key that
-    no getter read."""
+    once its JSON kind (and a bound ``least`` or choices ``among``) is
+    checked, or ``default`` if the key is absent (a key without default is
+    required, and a None default admits ``null``); it records the value in
+    :attr:`resolved` and names ``<section> <key>`` (as ``path`` formats it)
+    in its errors. :meth:`close` rejects every key that no getter read."""
 
     def __init__(self, name: str, doc, path: str = "{} {}"):
         if not isinstance(doc, dict):
@@ -68,18 +69,23 @@ class Section:
     def path(self, key) -> str:
         return self._path.format(self.name, key) if self.name else key
 
-    def _get(self, key, default, kind: str, ok):
+    def _get(self, key, default, kind: str, ok, least=None, among=None):
         val = self.doc.get(key, default)
         if val is MISSING:
             raise ConfigError(f"{self.path(key)} is required")
         if key in self.doc and not (ok(val) or (val is None and default is None)):
             raise ConfigError(f"{self.path(key)} must be {kind}, got {val!r}")
+        if least is not None and val is not None and np.min(val) < least:
+            raise ConfigError(f"{self.path(key)} must be >= {least}, got {val}")
+        if among is not None and val not in among:
+            raise ConfigError(f"unknown {self.path(key)} {val!r}; expected "
+                              f"{', '.join(among[:-1])} or {among[-1]}")
         self.resolved[key] = val
         return val
 
-    def integer(self, key, default=MISSING):
+    def integer(self, key, default=MISSING, least=None):
         return self._get(key, default, "an integer",
-                         lambda v: isinstance(v, int) and not isinstance(v, bool))
+                         lambda v: isinstance(v, int) and not isinstance(v, bool), least)
 
     def real(self, key, default=MISSING) -> float:
         return float(self._get(key, default, "a finite number", _finite))
@@ -87,14 +93,15 @@ class Section:
     def flag(self, key, default=MISSING) -> bool:
         return self._get(key, default, "true or false", lambda v: isinstance(v, bool))
 
-    def string(self, key, default=MISSING) -> str:
-        return self._get(key, default, "a string", lambda v: isinstance(v, str))
+    def string(self, key, default=MISSING, among=None) -> str:
+        return self._get(key, default, "a string", lambda v: isinstance(v, str), among=among)
 
-    def ints(self, key, default=MISSING, n=None) -> list:
+    def ints(self, key, default=MISSING, n=None, least=None) -> list:
         """A list of exactly ``n`` integers (of at least one, without ``n``)."""
         return self._get(key, default, f"a list of {n or 'one or more'} integers",
                          lambda v: isinstance(v, list) and (len(v) == n if n else len(v) > 0)
-                         and all(isinstance(i, int) and not isinstance(i, bool) for i in v))
+                         and all(isinstance(i, int) and not isinstance(i, bool) for i in v),
+                         least)
 
     def names(self, key, default=MISSING) -> list:
         return self._get(key, default, "a list of names",
@@ -124,19 +131,17 @@ def _read_spec(sec: Section, family: bool = True) -> dict:
     (without ``family``, those of :func:`_fine_mesh`); returns it resolved."""
     if "path" in sec.doc:
         sec.string("path")
-    elif not family or sec.string("family") == "agglomerated":
+    elif not family or sec.string("family", among=("agglomerated", "cartesian")) == "agglomerated":
         if family:
             sec.ints("targets", [40, 40], 2)
         sec.integer("fine_ny", 24)
         sec.integer("fine_nx_el", None)
         sec.integer("fine_nx_f", None)
         sec.real("jitter", 0.25)
-        sec.integer("seed", 0)
-    elif sec.resolved["family"] == "cartesian":
+        sec.integer("seed", 0, least=0)
+    else:
         sec.integer("ny")
         sec.integer("nx", None)
-    else:
-        raise ConfigError(f"unknown {sec.path('family')} {sec.resolved['family']!r}")
     sec.close()
     return sec.resolved
 
@@ -172,12 +177,10 @@ def _read_params(cfg: Section) -> PhysicalParams:
     """The ``compartments`` and ``params`` of ``cfg``: a preset and its edits."""
     compartments = cfg.names("compartments", ["E"])
     sec = cfg.section("params", {})
-    preset = sec.string("preset", "unit")
-    if preset not in ("unit", "brain"):
-        raise ConfigError(f"unknown params preset {preset!r}")
+    preset = sec.string("preset", "unit", among=("unit", "brain"))
     try:
         params = getattr(PhysicalParams, preset)(compartments)
-    except ValueError as exc:  # only the compartments can fail a preset
+    except InputError as exc:  # only the compartments can fail a preset
         raise ConfigError(str(exc)) from exc
     _merge(sec, vars(params))
     params.validate()
@@ -195,15 +198,6 @@ def _read_scheme(sec: Section) -> stepping.SchemeParams:
                                       for f in fields(stepping.SchemeParams)})
     sec.close()
     return scheme
-
-
-def _read_case(cfg: Section, default: str, cases=("steady", "unsteady", "zero", "demo")) -> str:
-    """The ``case`` key, one of ``cases``."""
-    case_id = cfg.string("case", default)
-    if case_id not in cases:
-        raise ConfigError(f"unknown case {case_id!r}; expected {', '.join(cases[:-1])} "
-                          f"or {cases[-1]}")
-    return case_id
 
 
 def _read_dirichlet(cfg: Section, default: dict, compartments) -> dict:
@@ -230,19 +224,15 @@ class DemoData(ZeroData):
 
 
 def cmd_convergence(cfg: Section):
-    case_id = _read_case(cfg, "steady", ("steady", "unsteady"))
+    case_id = cfg.string("case", "steady", among=("steady", "unsteady"))
     conv = cfg.section("convergence", {})
     scfg = cfg.section("scheme", {"dt": 1e-3}) if case_id == "unsteady" else None
     cfg.close()
     specs = [_read_spec(s) for s in conv.sections("meshes")]
     spectral = conv.flag("spectral", False)
-    m_values = conv.ints("m_values", [1, 2, 3])
-    n_steps = conv.integer("n_steps", 5) if scfg else None
+    m_values = conv.ints("m_values", [1, 2, 3], least=1)
+    n_steps = conv.integer("n_steps", 5, least=1) if scfg else None
     conv.close()
-    if min(m_values) < 1:
-        raise ConfigError(f"convergence m_values must be >= 1, got {m_values}")
-    if scfg and n_steps < 1:
-        raise ConfigError(f"convergence n_steps must be >= 1, got {n_steps}")
     if len(specs) < (1 if spectral else 3):
         raise ConfigError("convergence meshes must be a mesh family with >= 3 refinements "
                           "(or a single mesh with 'spectral': true)")
@@ -288,11 +278,9 @@ def cmd_convergence(cfg: Section):
 
 
 def cmd_solve(cfg: Section):
-    case_id = _read_case(cfg, "demo")
+    case_id = cfg.string("case", "demo", among=("steady", "unsteady", "zero", "demo"))
     spec = _read_spec(cfg.section("mesh", {"family": "cartesian", "ny": 4}))
-    m = cfg.integer("degree", 2)
-    if m < 1:
-        raise ConfigError(f"degree must be >= 1, got {m}")
+    m = cfg.integer("degree", 2, least=1)
     if case_id in ("steady", "unsteady"):
         # the manufactured cases bring their own parameters
         data = steady_case() if case_id == "steady" else unsteady_case()
@@ -302,12 +290,10 @@ def cmd_solve(cfg: Section):
         data = DemoData(cfg.real("demo_amplitude", 2e-3)) if case_id == "demo" else ZeroData()
     dirichlet = _read_dirichlet(cfg, default, params.compartments)
     if case_id != "steady":
-        scfg, stride = cfg.section("scheme", {}), cfg.integer("snapshot_stride", 1)
+        scfg, stride = cfg.section("scheme", {}), cfg.integer("snapshot_stride", 1, least=1)
+        n_steps = scfg.integer("n_steps", 100, least=0)
     cfg.close()
-    if case_id != "steady":
-        n_steps = scfg.integer("n_steps", 100)
-        scheme = _read_scheme(scfg)
-        stepping.check_step_counts(n_steps, stride)
+    scheme = _read_scheme(scfg) if case_id != "steady" else None
 
     def run(out: Path):
         mesh = resolve_mesh(spec)
@@ -336,13 +322,9 @@ def cmd_solve(cfg: Section):
 
 def cmd_verify(cfg: Section):
     vcfg = cfg.section("verify", {})
-    n_points = vcfg.integer("n_points", 100)
-    if n_points < 1:
-        raise ConfigError(f"verify n_points must be >= 1, got {n_points}")
+    n_points = vcfg.integer("n_points", 100, least=1)
     vcfg.close()
-    m, params = cfg.integer("degree", 2), _read_params(cfg)
-    if m < 1:
-        raise ConfigError(f"degree must be >= 1, got {m}")
+    m, params = cfg.integer("degree", 2, least=1), _read_params(cfg)
     spec = _read_spec(cfg.section("mesh", {"family": "cartesian", "ny": 4}))
     dirichlet = _read_dirichlet(cfg, VERIFICATION_DIRICHLET, params.compartments)
     cfg.close()
@@ -381,7 +363,8 @@ def cmd_agglomerate(cfg: Section):
     acfg = cfg.section("agglomeration", {})
     cfg.close()
     fine_spec = _read_spec(acfg.section("fine"), family=False)
-    agcfg = AgglomerationConfig(*acfg.ints("targets", [40, 40], 2), seed=acfg.integer("seed", 0))
+    agcfg = AgglomerationConfig(*acfg.ints("targets", [40, 40], 2),
+                                seed=acfg.integer("seed", 0, least=0))
     output = acfg.string("output", "coarse_mesh.json")
     acfg.close()
 
@@ -418,8 +401,10 @@ def main(argv=None) -> int:
 
     t0 = time.perf_counter()
     try:
-        # a missing file is an OSError, malformed JSON a ValueError
-        cfg = Section("", json.loads(Path(args.config).read_text()))
+        try:  # a missing file is an OSError
+            cfg = Section("", json.loads(Path(args.config).read_text()))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # not JSON, or not text
+            raise ConfigError(f"cannot parse {args.config}: {exc}") from exc
         out_dir = cfg.string("output_dir", "out")  # read even when --out overrides it
         out = Path(args.out or out_dir)
         run = COMMANDS[args.command](cfg)
@@ -429,7 +414,7 @@ def main(argv=None) -> int:
             "command": args.command, "version": __version__,
             "elapsed_s": time.perf_counter() - t0, "resolved_config": cfg.resolved, **extra})
         return code
-    except (ConfigError, MeshError, ValueError, OSError, KeyError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .mesh import ELASTIC, FLUID, PolyMesh
+from .params import InputError
 
 #: Dirichlet maps used by the verification cases (manufactured traces on all
 #: walls, natural outlet) and by the synthetic demo (clamped tissue, no-slip
@@ -24,10 +25,10 @@ DEMO_DIRICHLET = {"el": {"d"}, "wall": {"u"}, "out": set()}
 def cartesian_two_domain(ny: int, nx: int | None = None) -> PolyMesh:
     """Uniform quadrilateral grid split at x = 0; ``nx`` defaults to ``2 ny``."""
     if ny < 1:
-        raise ValueError("ny must be >= 1")
+        raise InputError("ny must be >= 1")
     nx = 2 * ny if nx is None else nx
     if nx < 2 or nx % 2:
-        raise ValueError(f"nx must be even and >= 2, so the grid is aligned with x = 0; got {nx}")
+        raise InputError(f"nx must be even and >= 2, so the grid is aligned with x = 0; got {nx}")
     xs = np.linspace(-1.0, 1.0, nx + 1)
     ys = np.linspace(0.0, 1.0, ny + 1)
     vid = lambda i, j: j * (nx + 1) + i
@@ -57,11 +58,11 @@ def triangulated_two_domain(ny: int, nx_el: int | None = None, nx_f: int | None 
     nx_f = ny if nx_f is None else nx_f
     for name, n in (("ny", ny), ("nx_el", nx_el), ("nx_f", nx_f)):
         if n < 1:
-            raise ValueError(f"{name} must be >= 1, got {n}")
+            raise InputError(f"{name} must be >= 1, got {n}")
     if not jitter >= 0.0:
-        raise ValueError(f"jitter must be >= 0, got {jitter}")
+        raise InputError(f"jitter must be >= 0, got {jitter}")
     if not jitter < 0.5:
-        raise ValueError(f"jitter must be < 0.5, got {jitter}")
+        raise InputError(f"jitter must be < 0.5, got {jitter}")
 
     # integer grid keys j * ncol + c over the columns of both grids; column
     # nx_el is the interface, shared by the two subdomains

@@ -17,10 +17,10 @@ Volume terms scale the Gram products ``gram`` of a
 this module reads no volume basis. Face terms take one batched product of the
 stacked face tabulations per face set (interior faces with both sides,
 boundary faces with the plus side) and per term.
-Each block is built from one COO triplet list whose entries follow the
-element, face, side and component order of the sums that define the form,
-and face loads are accumulated in face order: duplicate entries and face
-contributions then round in that order, however the products are batched.
+Each block is one COO triplet list in the element, face, side and component
+order of the sums of the form, and face loads add in face order, however the
+products are batched; scipy sums duplicates after an unstable sort of each
+row, in an order fixed by that list and the scipy build (see the pins).
 """
 
 from __future__ import annotations
@@ -66,9 +66,9 @@ def face_penalty(params: PhysicalParams, field: str, h, m: int):
 def _csr(shape, *parts):
     """CSR matrix of dense blocks. Each part is a triplet of row indices
     (..., r), column indices (..., c) and values (..., r, c) that broadcast
-    together; duplicates are summed. scipy sums them in an order set by the
-    entry order, so the parts list the blocks in the order of the sums over
-    elements, faces, sides and components that define each form.
+    together; duplicates are summed after scipy's unstable sort of each row,
+    in an order fixed by the entry order and the scipy build, so the parts
+    list the blocks in the order of the sums that define each form.
 
     Each part is broadcast once, into its slice of one triplet buffer; the
     indices are int32 while the shape allows, as scipy would cast them."""

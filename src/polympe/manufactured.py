@@ -25,7 +25,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .params import EXCHANGE, PhysicalParams
+from .params import EXCHANGE, InputError, PhysicalParams
 
 _MARGIN = 0.02
 
@@ -277,12 +277,12 @@ def residual_oracle(case: ManufacturedCase, n_points: int = 100, t: float = 0.0)
     heights (at least one), all of one fixed draw; ``n_points`` >= 1.
     """
     if n_points < 1:
-        raise ValueError(f"n_points must be >= 1, got {n_points}")
+        raise InputError(f"n_points must be >= 1, got {n_points}")
     import mpmath as mp
 
     prm = case.params
     if tuple(prm.compartments) != ("E",):
-        raise ValueError("the residual oracle covers the single-compartment cases")
+        raise InputError("the residual oracle covers the single-compartment cases")
 
     rng = np.random.default_rng(0)
     n_el = n_f = n_points

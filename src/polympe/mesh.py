@@ -14,17 +14,19 @@ sets, the quality report and the agglomeration adjacency are all read from
 that table. :func:`build_faces` resolves a Dirichlet map on it into one
 :class:`FaceSet`, the boundary labels and index sets of that map.
 
-Meshes, face sets and the DG spaces built on them are immutable after
-construction and safe to share between concurrent assembly workers.
+Meshes, face sets and the DG spaces built on them are read-only once built.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
+
+from .params import InputError
 
 ELASTIC = "elastic"
 FLUID = "fluid"
@@ -34,7 +36,7 @@ FLUID = "fluid"
 _FAN_AREA_RTOL = 1e-12
 
 
-class MeshError(Exception):
+class MeshError(InputError):
     """Invalid mesh topology or geometry."""
 
 
@@ -107,17 +109,18 @@ class PolyMesh:
         built; a key that is not a boundary edge, or an edge given in both
         orders, raises :class:`MeshError`.
 
-    Construction validates orientation, star-shapedness with respect to the
-    element centroid (required by the fan sub-triangulation used for
-    quadrature) and conformity (each edge shared by at most two elements,
-    traversed in opposite directions). Overlaps and gaps between elements
-    that share no edge are not detected. An invalid mesh raises
-    :class:`MeshError` for its lowest-indexed offending element, or its
-    first offending edge in element order.
+    Construction validates integer vertex indices, orientation,
+    star-shapedness with respect to the element centroid (required by the
+    fan sub-triangulation used for quadrature) and conformity (each edge
+    shared by at most two elements, traversed in opposite directions).
+    Overlaps and gaps between elements that share no edge are not detected.
+    An invalid mesh raises :class:`MeshError` for its lowest-indexed
+    offending element, or its first offending edge in element order.
 
     ``groups`` holds ``(elements (G,), loops (G, n))`` per vertex count
     ``n``, ascending; ``elements[k]`` is element ``k``'s loop; ``edges`` is
-    the :class:`EdgeTable`.
+    the :class:`EdgeTable`. Every array is read-only, ``element_domain`` a
+    tuple and ``boundary_labels`` a read-only mapping.
     """
 
     def __init__(self, vertices, elements, element_domain, boundary_labels=None):
@@ -125,7 +128,7 @@ class PolyMesh:
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must be an (N, 2) array")
         elements = list(elements)
-        self.element_domain = list(element_domain)
+        self.element_domain = tuple(element_domain)
         if len(elements) != len(self.element_domain):
             raise MeshError("element_domain length does not match elements")
         self._domain = np.array(self.element_domain, dtype=object)
@@ -133,13 +136,18 @@ class PolyMesh:
         if not known.all():
             raise MeshError(f"unknown domain tag {self.element_domain[int(np.argmin(known))]!r}")
         self._fluid = self._domain == FLUID
-        self.boundary_labels = _edge_labels((boundary_labels or {}).items())
+        self.boundary_labels = MappingProxyType(_edge_labels((boundary_labels or {}).items()))
 
         counts = np.fromiter(map(len, elements), dtype=int, count=len(elements))
-        flat = (np.concatenate(elements) if elements else np.zeros(0)).astype(int)
-        flat.setflags(write=False)
+        flat = np.concatenate(elements) if elements else np.zeros(0, dtype=int)
+        if flat.dtype.kind not in "iu":  # an entry that is not an integer, or an empty loop
+            for k, e in enumerate(map(np.asarray, elements)):
+                if e.size and e.dtype.kind not in "iu":
+                    raise MeshError(f"element {k} has a vertex index that is not an integer: "
+                                    f"{e.tolist()}")
+        flat = _readonly(flat.astype(int))
         starts = np.cumsum(counts) - counts
-        self.elements = [flat[s:s + c] for s, c in zip(starts.tolist(), counts.tolist())]
+        self.elements = tuple(flat[s:s + c] for s, c in zip(starts.tolist(), counts.tolist()))
         order = np.argsort(counts, kind="stable")
         sizes, first = np.unique(counts[order], return_index=True)
         groups = []
@@ -152,7 +160,8 @@ class PolyMesh:
 
         self._validate_and_derive()
         self._build_edges(flat, starts, counts)
-        self.vertices.setflags(write=False)
+        for a in (self.vertices, self.areas, self.centroids, self.diameters, self.bboxes):
+            _readonly(a)
         outer = self.boundary_edges()
         stray = next((key for key in self.boundary_labels if key not in outer), None)
         if stray is not None:
@@ -291,9 +300,11 @@ def harmonic_h(h_plus, h_minus=None):
 
 def _edge_labels(pairs) -> dict:
     """The labels of ``(edge, label)`` pairs keyed by sorted vertex pair; an
-    edge given twice, in either vertex order, raises :class:`MeshError`."""
+    edge given twice (in either vertex order) or not by integers raises :class:`MeshError`."""
     out = {}
     for (a, b), lab in pairs:
+        if not all(isinstance(i, (int, np.integer)) for i in (a, b)):
+            raise MeshError(f"boundary edge ({a}, {b}) has a vertex index that is not an integer")
         key = (min(int(a), int(b)), max(int(a), int(b)))
         if key in out:
             raise MeshError(f"boundary edge {key} is labelled twice, {out[key]!r} and {lab!r}")
@@ -441,16 +452,19 @@ def load_mesh(path) -> PolyMesh:
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not text
             raise MeshError(f"cannot parse {path}: {exc}") from exc
     try:
-        vertices = doc["vertices"]
-        elements = [e["v"] for e in doc["elements"]]
-        domains = [e["domain"] for e in doc["elements"]]
-        labels = _edge_labels((b["edge"], b["label"]) for b in doc.get("boundary", []))
-    except (KeyError, TypeError) as exc:
+        elements = doc["elements"]
+        return PolyMesh(doc["vertices"], [e["v"] for e in elements],
+                        [e["domain"] for e in elements],
+                        _edge_labels((b["edge"], b["label"]) for b in doc.get("boundary", [])))
+    except MeshError:
+        raise
+    except KeyError as exc:
         raise MeshError(f"malformed mesh document {path}: missing {exc}") from exc
-    return PolyMesh(vertices, elements, domains, labels)
+    except (TypeError, ValueError) as exc:  # entries of the wrong shape or kind
+        raise MeshError(f"malformed mesh document {path}: {exc}") from exc
 
 
 def save_mesh(mesh: PolyMesh, path) -> None:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .forms import ZeroData, face_penalty
 from .mesh import FaceSet
-from .params import PhysicalParams
+from .params import InputError, PhysicalParams
 from .spaces import DGSpace
 
 
@@ -237,9 +237,9 @@ def convergence_rates(errors, hs):
     meshes; ``None`` marks saturated pairs."""
     errors, hs = list(errors), list(hs)
     if len(errors) < 2:
-        raise ValueError("need at least two entries")
+        raise InputError("need at least two entries")
     if any(h2 >= h1 for h1, h2 in zip(hs, hs[1:])):
-        raise ValueError("mesh sizes must be strictly decreasing")
+        raise InputError("mesh sizes must be strictly decreasing")
     rates = []
     for e1, e2, h1, h2 in zip(errors, errors[1:], hs, hs[1:]):
         if e1 <= SATURATION_FLOOR or e2 <= SATURATION_FLOOR:

@@ -9,13 +9,17 @@ from dataclasses import dataclass, field
 EXCHANGE = "E"
 
 
+class InputError(ValueError):
+    """A caller-supplied value breaks a documented rule (the CLI's exit 2)."""
+
+
 def check_dirichlet(dirichlet_map, compartments) -> None:
-    """Raise :class:`ValueError` unless each field of the label -> fields map
+    """Raise :class:`InputError` unless each field of the label -> fields map
     ``dirichlet_map`` is ``d``, ``u`` or ``p:<j>`` of one of ``compartments``."""
     known = {"d", "u", *(f"p:{j}" for j in compartments)}
     for lab, fs in dirichlet_map.items():
         if unknown := sorted(set(fs) - known):
-            raise ValueError(f"dirichlet {lab!r} lists unknown field(s) {unknown}; "
+            raise InputError(f"dirichlet {lab!r} lists unknown field(s) {unknown}; "
                              f"expected some of {sorted(known)}")
 
 
@@ -53,9 +57,9 @@ class PhysicalParams:
 
     def validate(self):
         if len(set(self.compartments)) != len(self.compartments):
-            raise ValueError(f"compartments must be distinct, got {list(self.compartments)}")
+            raise InputError(f"compartments must be distinct, got {list(self.compartments)}")
         if EXCHANGE not in self.compartments:
-            raise ValueError(f"compartments must include the exchange compartment {EXCHANGE!r}, "
+            raise InputError(f"compartments must include the exchange compartment {EXCHANGE!r}, "
                              f"got {list(self.compartments)}")
         strictly_positive = {"rho_el": self.rho_el, "rho_f": self.rho_f, "mu_el": self.mu_el,
                              "lam": self.lam, "mu_f": self.mu_f}
@@ -65,17 +69,17 @@ class PhysicalParams:
             strictly_positive[f"k_{j}"] = self.k_j[j]
         for name, v in strictly_positive.items():
             if not 0.0 < v < math.inf:
-                raise ValueError(f"parameter {name} must be finite and strictly positive, "
+                raise InputError(f"parameter {name} must be finite and strictly positive, "
                                  f"got {v}")
         for j in self.compartments:
             if not 0.0 <= self.alpha_j[j] < 1.0:
-                raise ValueError(f"alpha_{j} must lie in [0, 1), got {self.alpha_j[j]}")
+                raise InputError(f"alpha_{j} must lie in [0, 1), got {self.alpha_j[j]}")
             if not 0.0 <= self.beta_ext[j] < math.inf:
-                raise ValueError(f"beta_ext_{j} must be finite and nonnegative, "
+                raise InputError(f"beta_ext_{j} must be finite and nonnegative, "
                                  f"got {self.beta_ext[j]}")
             for k in self.compartments:
                 if not 0.0 <= self.beta[j][k] < math.inf:
-                    raise ValueError(f"beta[{j}][{k}] must be finite and nonnegative, "
+                    raise InputError(f"beta[{j}][{k}] must be finite and nonnegative, "
                                      f"got {self.beta[j][k]}")
 
     def kappa(self, j: str) -> float:

@@ -17,7 +17,7 @@ class SingularMatrixError(NumericalError):
 
 
 class Factorization:
-    """Immutable LU factorization; concurrent solves are safe."""
+    """Immutable LU factorization."""
 
     def __init__(self, lu, n):
         self._lu = lu

@@ -26,10 +26,11 @@ from types import MappingProxyType
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
-from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .mesh import ELASTIC, FLUID, PolyMesh, _fan, _readonly
+from .params import InputError
+from .solvers import NumericalError
 
 
 @dataclass(frozen=True)
@@ -115,12 +116,12 @@ def _inverse_cholesky(gram: np.ndarray) -> np.ndarray:
     """The inverse lower Cholesky factor of each matrix of the stack ``gram``
     (G, n, n): one LAPACK ``potrf`` and ``trtrs`` per matrix, the calls
     scipy's ``cholesky`` and ``solve_triangular`` make, without their
-    per-matrix wrappers. A matrix that is not finite raises ``ValueError``,
-    one that is not positive definite ``LinAlgError``, naming its index in
-    the stack."""
+    per-matrix wrappers. A matrix that is not finite or not positive
+    definite raises :class:`~polympe.solvers.NumericalError` naming its
+    index in the stack."""
     finite = np.isfinite(gram).all(axis=(1, 2))
     if not finite.all():
-        raise ValueError(f"the Gram matrix of element {int(np.argmin(finite))} is not finite")
+        raise NumericalError(f"the Gram matrix of element {int(np.argmin(finite))} is not finite")
     out = np.empty_like(gram)
     eye = np.eye(gram.shape[-1])
     for k, g in enumerate(gram):
@@ -128,7 +129,7 @@ def _inverse_cholesky(gram: np.ndarray) -> np.ndarray:
         if info == 0:
             out[k], info = dtrtrs(c, eye, lower=1)
         if info != 0:
-            raise LinAlgError(f"the Gram matrix of element {k} is not positive definite")
+            raise NumericalError(f"the Gram matrix of element {k} is not positive definite")
     return out
 
 
@@ -255,12 +256,12 @@ class DGSpace:
 
     def __init__(self, mesh: PolyMesh, m: int, compartments=("E",)):
         if m < 1:
-            raise ValueError("polynomial degree m must be >= 1")
+            raise InputError("polynomial degree m must be >= 1")
         self.mesh = mesh
         self.m = int(m)
         self.compartments = tuple(compartments)
         if len(set(self.compartments)) != len(self.compartments):
-            raise ValueError(f"compartments must be distinct, got {list(self.compartments)}")
+            raise InputError(f"compartments must be distinct, got {list(self.compartments)}")
         self.n_loc = (m + 1) * (m + 2) // 2
         self.vol_order = 2 * m + 2
         self.face_order = 2 * m + 3
@@ -280,9 +281,6 @@ class DGSpace:
 
         lo, hi = mesh.bboxes[:, 0], mesh.bboxes[:, 1]
         self.half = 0.5 * (hi - lo)
-        flat = (self.half <= 0.0).any(axis=1)
-        if flat.any():
-            raise ValueError(f"degenerate bounding box of element {int(np.argmax(flat))}")
         self.center = 0.5 * (hi + lo)
         rules = [volume_quadrature(mesh.vertices[loops], self.vol_order)
                  for _, loops in mesh.groups]

@@ -30,6 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import forms
+from .params import InputError
 from .solvers import NumericalError, factorize
 from .spaces import DGSpace
 from .system import (EXCHANGE, SystemMatrices, coupling_blocks, displacement_coupling, place,
@@ -45,17 +46,17 @@ class SchemeParams:
 
     def __post_init__(self):
         if not 0.0 < self.dt < math.inf:
-            raise ValueError(f"dt must be finite and positive, got {self.dt}")
+            raise InputError(f"dt must be finite and positive, got {self.dt}")
         if not 0.0 < self.beta <= 0.5:
-            raise ValueError("beta must lie in (0, 1/2]")
+            raise InputError("beta must lie in (0, 1/2]")
         if not all(c > 0.0 and math.isfinite(1.0 / c)
                    for c in (self.beta * self.dt, self.beta * self.dt * self.dt)):
-            raise ValueError(f"the Newmark coefficients 1 / (beta dt) and 1 / (beta dt^2) must be "
+            raise InputError(f"the Newmark coefficients 1 / (beta dt) and 1 / (beta dt^2) must be "
                              f"finite, got beta = {self.beta}, dt = {self.dt}")
         if not 0.5 <= self.gamma <= 1.0:
-            raise ValueError("gamma must lie in [1/2, 1]")
+            raise InputError("gamma must lie in [1/2, 1]")
         if not 0.5 <= self.theta <= 1.0:
-            raise ValueError("theta must lie in [1/2, 1]")
+            raise InputError("theta must lie in [1/2, 1]")
 
 
 def layout(space: DGSpace) -> dict:
@@ -116,7 +117,7 @@ def initial_state(sys: SystemMatrices, loads: np.ndarray, values=None) -> dict:
     space, values, sizes = sys.space, values or {}, layout(sys.space)
     bad = sorted(f for f in values if f not in sizes or f == "a")
     if bad:
-        raise ValueError(f"initial values for {bad}: only the fields of {list(sizes)} but 'a'")
+        raise InputError(f"initial values for {bad}: only the fields of {list(sizes)} but 'a'")
     st = {f: values.get(f, np.zeros(n)) for f, n in sizes.items()}
     r = loads[space.field_slice("d")] - sys.A_el @ st["d"]
     for j in sys.compartments:
@@ -124,13 +125,6 @@ def initial_state(sys: SystemMatrices, loads: np.ndarray, values=None) -> dict:
     r -= sys.J_el.T @ st[f"p:{EXCHANGE}"]
     st["a"] = factorize(sys.M_el).solve(r)
     return st
-
-
-def check_step_counts(n_steps: int, stride: int) -> None:
-    """Raise :class:`ValueError` unless ``n_steps >= 0`` and ``stride >= 1``."""
-    if n_steps < 0 or stride < 1:
-        raise ValueError(f"need n_steps >= 0 and stride >= 1, got n_steps = {n_steps}, "
-                         f"stride = {stride}")
 
 
 def simulate(sys: SystemMatrices, sp_: SchemeParams, data, n_steps: int, values=None,
@@ -147,10 +141,12 @@ def simulate(sys: SystemMatrices, sp_: SchemeParams, data, n_steps: int, values=
     divergence-free, and without this consistent initialization the
     trapezoidal blend would carry an undamped constraint oscillation.
 
-    Raises :class:`ValueError` unless ``n_steps >= 0`` and ``stride >= 1``
-    (:func:`check_step_counts`), and :class:`~polympe.solvers.NumericalError`
-    at the first step whose state is not finite."""
-    check_step_counts(n_steps, stride)
+    Raises :class:`~polympe.params.InputError` unless ``n_steps >= 0`` and
+    ``stride >= 1``, and :class:`~polympe.solvers.NumericalError` at the
+    first step whose state is not finite."""
+    if n_steps < 0 or stride < 1:
+        raise InputError(f"need n_steps >= 0 and stride >= 1, got n_steps = {n_steps}, "
+                         f"stride = {stride}")
     loads_n = forms.assemble_loads(sys.space, sys.params, sys.faces, data, 0.0)
     state0 = initial_state(sys, loads_n, values)
     mats = build_stepping_matrices(sys, sp_)

@@ -5,12 +5,13 @@ from pathlib import Path
 
 import pytest
 
-from polympe import cli, norms
+from polympe import cli, norms, stepping
 from polympe.cli import main
 from polympe.families import cartesian_two_domain
 from polympe.manufactured import SOURCES
 from polympe.mesh import load_mesh, save_mesh
-from polympe.params import PhysicalParams
+from polympe.params import InputError, PhysicalParams
+from polympe.solvers import NumericalError
 from polympe.stepping import SchemeParams
 
 from conftest import read_config, sha256_hex
@@ -510,9 +511,12 @@ def test_manifest_fields(tmp_path, command, doc, keys):
     assert manifest["resolved_config"] == read_config(command, doc)
 
 
-@pytest.mark.parametrize("doc", [{"snapshot_stride": 0, "scheme": {"dt": 0.01, "n_steps": 2}},
-                                 {"scheme": {"dt": 0.01, "n_steps": -4}}])
-def test_bad_step_counts_are_input_errors(tmp_path, capsys, monkeypatch, doc):
+@pytest.mark.parametrize("doc, message", [
+    ({"snapshot_stride": 0, "scheme": {"dt": 0.01, "n_steps": 2}},
+     "snapshot_stride must be >= 1, got 0"),
+    ({"scheme": {"dt": 0.01, "n_steps": -4}}, "scheme n_steps must be >= 0, got -4"),
+], ids=["doc0", "doc1"])
+def test_bad_step_counts_are_input_errors(tmp_path, capsys, monkeypatch, doc, message):
     cfg = write_config(tmp_path, dict({"case": "zero", "mesh": {"family": "cartesian", "ny": 2},
                                        "degree": 1}, **doc))
     out = tmp_path / "o"
@@ -523,7 +527,7 @@ def test_bad_step_counts_are_input_errors(tmp_path, capsys, monkeypatch, doc):
     monkeypatch.setattr(cli, "resolve_mesh", no_mesh)
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "n_steps >= 0 and stride >= 1" in err and "Traceback" not in err
+    assert message in err and "Traceback" not in err
     assert not list(out.glob("snapshot_*")) and not (out / "manifest.json").exists()
 
 
@@ -871,6 +875,82 @@ def test_degree_below_one_is_input_error(tmp_path, capsys, monkeypatch, command,
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"{key} must be >= 1" in err and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("solve", _with(_ZERO_SOLVE, "mesh", family="agglomerated", seed=-1),
+     "mesh seed must be >= 0, got -1"),
+    ("convergence", dict(_SWEEP, convergence={"meshes": [dict(_AGGLOMERATED, seed=-1)] * 3}),
+     "convergence meshes[0] seed must be >= 0, got -1"),
+    ("agglomerate", {"agglomeration": {"fine": {"fine_ny": 4, "seed": -2}, "targets": [2, 2]}},
+     "agglomeration fine seed must be >= 0, got -2"),
+    ("agglomerate", {"agglomeration": {"fine": {"fine_ny": 4}, "targets": [2, 2], "seed": -1}},
+     "agglomeration seed must be >= 0, got -1"),
+], ids=["solve-mesh", "convergence-mesh", "agglomerate-fine", "agglomerate"])
+def test_negative_seed_is_input_error(tmp_path, capsys, command, doc, message):
+    # named by its key before any mesh is drawn, not by the random generator
+    out = tmp_path / "o"
+    assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_with(_ZERO_SOLVE, None, case="stedy"),
+     "unknown case 'stedy'; expected steady, unsteady, zero or demo"),
+    (_with(_ZERO_SOLVE, "mesh", family="hexagonal"),
+     "unknown mesh family 'hexagonal'; expected agglomerated or cartesian"),
+    (_with(_ZERO_SOLVE, None, params={"preset": "liver"}),
+     "unknown params preset 'liver'; expected unit or brain"),
+], ids=["case", "family", "preset"])
+def test_a_choice_error_lists_the_choices(tmp_path, capsys, doc, message):
+    out = tmp_path / "o"
+    assert main(["solve", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("error, code", [
+    (InputError("bad input"), 2), (NumericalError("no solution"), 3),
+    (ValueError("a fault of the program"), None), (KeyError("f_el"), None),
+], ids=["InputError", "NumericalError", "ValueError", "KeyError"])
+def test_exit_codes_follow_the_error_type(tmp_path, capsys, monkeypatch, error, code):
+    # exit 2 names an input error alone: a builtin ValueError or KeyError
+    # raised inside the march is a fault of the program, not of the config
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(stepping, "simulate", failing)
+    argv = ["solve", "--config", write_config(tmp_path, _ZERO_SOLVE), "--out", str(tmp_path / "o")]
+    if code is None:
+        with pytest.raises(type(error)):
+            main(argv)
+    else:
+        assert main(argv) == code
+        assert "Traceback" not in capsys.readouterr().err
+
+
+def test_a_config_that_is_not_text_is_input_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b"\xff\xfe{")
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"cannot parse {path}" in capsys.readouterr().err
+
+
+def test_mesh_file_with_a_vertex_index_that_is_not_an_integer_is_input_error(tmp_path, capsys):
+    path = tmp_path / "mesh.json"
+    save_mesh(cartesian_two_domain(1), path)
+    doc = json.loads(path.read_text())
+    doc["elements"][0]["v"] = [0.3, 1.3, 4.3, 3.3]
+    path.write_text(json.dumps(doc))
+    cfg = write_config(tmp_path, dict(_ZERO_SOLVE, mesh={"path": str(path)}))
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "element 0 has a vertex index that is not an integer" in err
+    assert "Traceback" not in err
     assert not out.exists() or not any(out.iterdir())
 
 

@@ -125,11 +125,10 @@ def test_the_small_configs_run():
             assert code in (0, 1), name
 
 
-@settings(derandomize=True, max_examples=400, deadline=None, database=None)
-@given(edit=st.sampled_from(EDITS))
-@example(edit=("demo", ("scheme", "dt"), 1e-300))
-@example(edit=("demo", ("mesh", "jitter"), 1.7e308))
-def test_single_key_edits_of_shipped_configs(edit):
+def check(edit):
+    """Run one of :data:`EDITS` and assert what every edit must give: a
+    documented exit code, no traceback, nothing written on exit 2 and finite
+    numbers on exit 0. Returns the exit code and stderr."""
     name, path, value = edit
     doc = small(name)
     _set(doc, path, value)
@@ -143,3 +142,13 @@ def test_single_key_edits_of_shipped_configs(edit):
         if code == 0:
             for path in out.iterdir():
                 assert all(math.isfinite(v) for v in _numbers(path)), path.name
+    return code, err
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(edit=st.sampled_from(EDITS))
+@example(edit=("demo", ("scheme", "dt"), 1e-300))
+@example(edit=("demo", ("mesh", "jitter"), 1.7e308))
+def test_single_key_edits_of_shipped_configs(edit):
+    # tests/config_fuzz_sweep.py runs every edit
+    check(edit)

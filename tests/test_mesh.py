@@ -166,8 +166,9 @@ def test_dirichlet_label_on_no_edge():
 
 def test_unlabeled_boundary_edge():
     mesh = two_square_mesh()
-    mesh.boundary_labels.pop((2, 3))
-    with pytest.raises(MeshError, match="unlabeled"):
+    labels = {key: lab for key, lab in mesh.boundary_labels.items() if key != (2, 3)}
+    mesh = PolyMesh(mesh.vertices, mesh.elements, mesh.element_domain, labels)
+    with pytest.raises(MeshError, match=r"unlabeled boundary edge \(2, 3\)"):
         build_faces(mesh, VERIFICATION_DIRICHLET)
 
 
@@ -201,6 +202,49 @@ def test_mesh_rejects_an_edge_labelled_in_both_orders():
     with pytest.raises(MeshError, match=r"^boundary edge \(2, 3\) is labelled twice, "
                                         r"'out' and 'wall'$"):
         PolyMesh(mesh.vertices, mesh.elements, mesh.element_domain, labels)
+
+
+@pytest.mark.parametrize("entry, value, message", [
+    ("elements", [0.3, 1.3, 4.3, 3.3], "element 0 has a vertex index that is not an integer"),
+    ("elements", ["0", "1", "4", "3"], "element 0 has a vertex index that is not an integer"),
+    ("boundary", [0.4, 1.4], r"boundary edge \(0.4, 1.4\) has a vertex index that is not an"),
+], ids=["element-float", "element-string", "edge-float"])
+def test_load_rejects_a_vertex_index_that_is_not_an_integer(tmp_path, entry, value, message):
+    # truncating would load the element as the loop [0, 1, 4, 3] and the
+    # edge as (0, 1), the first ones of the cart1 mesh
+    path = tmp_path / "mesh.json"
+    save_mesh(cartesian_two_domain(1), path)
+    doc = json.loads(path.read_text())
+    doc[entry][0]["v" if entry == "elements" else "edge"] = value
+    with pytest.raises(MeshError, match=message):
+        load_mesh(write_mesh_file(tmp_path, doc))
+
+
+def test_mesh_rejects_a_vertex_index_that_is_not_an_integer():
+    mesh = two_square_mesh()
+    elements = [mesh.elements[0], mesh.elements[1] + 0.5]
+    with pytest.raises(MeshError, match=r"^element 1 has a vertex index that is not an integer: "
+                                        r"\[1.5, 2.5, 3.5, 4.5\]$"):
+        PolyMesh(mesh.vertices, elements, mesh.element_domain, mesh.boundary_labels)
+    with pytest.raises(MeshError, match=r"^boundary edge \(2.0, 3\) has a vertex index"):
+        PolyMesh(mesh.vertices, mesh.elements, mesh.element_domain, {(2.0, 3): "out"})
+    # an empty loop is a short element, not a non-integer one
+    with pytest.raises(MeshError, match="element 1 has fewer than 3 vertices"):
+        PolyMesh(mesh.vertices, [mesh.elements[0], []], mesh.element_domain, {})
+
+
+def test_a_mesh_is_read_only_once_built():
+    # the spaces and the writers read the geometry long after the mesh is
+    # built, so no write may change it under them
+    mesh = cartesian_two_domain(2)
+    for name in ("vertices", "areas", "centroids", "diameters", "bboxes"):
+        arr = getattr(mesh, name)
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
+    assert isinstance(mesh.element_domain, tuple)
+    with pytest.raises(TypeError):
+        mesh.boundary_labels[(0, 1)] = "wall"
+    assert mesh.boundary_labels[(0, 1)] == "el"
 
 
 def test_harmonic_h_values():

@@ -3,11 +3,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError, cholesky, solve_triangular
+from scipy.linalg import cholesky, solve_triangular
 
 from polympe import forms, norms
 from polympe.families import VERIFICATION_DIRICHLET, cartesian_two_domain
 from polympe.mesh import PolyMesh, build_faces
+from polympe.solvers import NumericalError
 from polympe.spaces import (_inverse_cholesky, build_space, face_quadrature, l2_project,
                             volume_quadrature)
 
@@ -221,13 +222,6 @@ def test_vector_projection_shape(cart4_setup):
     assert np.allclose(vals, [[-0.4, -0.2]], atol=1e-11)
 
 
-def test_degenerate_bounding_box_rejected():
-    mesh = unit_square_mesh()
-    mesh.bboxes[0, 1, 0] = mesh.bboxes[0, 0, 0]  # no width in x
-    with pytest.raises(ValueError, match="degenerate"):
-        build_space(mesh, 2)
-
-
 # space_pins.json holds the probes of _table_pins computed with one basis
 # object per element; record them again only when the tables are meant to
 # change.
@@ -330,8 +324,8 @@ def test_inverse_cholesky_matches_scipy_and_names_a_bad_element():
     assert _inverse_cholesky(np.zeros((0, 3, 3))).shape == (0, 3, 3)
     gram[3, 2, 2] = 0.0
     gram[3, 2, :2] = gram[3, :2, 2] = 0.0
-    with pytest.raises(LinAlgError, match="element 3 "):
+    with pytest.raises(NumericalError, match="element 3 is not positive definite"):
         _inverse_cholesky(gram)
     gram[1, 0, 1] = np.nan  # LAPACK would pass a NaN through
-    with pytest.raises(ValueError, match="element 1 "):
+    with pytest.raises(NumericalError, match="element 1 is not finite"):
         _inverse_cholesky(gram)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import re
 from pathlib import Path
@@ -15,7 +16,8 @@ from polympe.solvers import NumericalError
 from polympe.spaces import field_slices, l2_project
 from polympe.system import build_global, build_system
 
-from conftest import ACVE, OnePointData, pin_system, sha256_hex
+from conftest import ACVE, OnePointData, pin_mesh, pin_system, sha256_hex
+from test_system import physiological_params
 
 
 @pytest.fixture(scope="module")
@@ -315,6 +317,48 @@ def test_dissipativity_four_compartments():
     E = [stepping.discrete_energy(sysm, s) for s in states]
     for a, b in zip(E, E[1:]):
         assert b <= a * (1 + 1e-10)
+
+
+def _decay(sysm, n_steps=200):
+    """The discrete energy at each step of a march of ``n_steps`` steps of
+    dt = 0.01 with zero loads, from a seeded random state."""
+    rng = np.random.default_rng(0)
+    values = {f: rng.standard_normal(n) for f, n in stepping.layout(sysm.space).items() if f != "a"}
+    states, _ = stepping.simulate(sysm, stepping.SchemeParams(dt=0.01), forms.ZeroData(), n_steps,
+                                  values)
+    return np.array([stepping.discrete_energy(sysm, st) for st in states])
+
+
+def _assert_never_rises(energy, case):
+    # a rise of round-off size is allowed; a growing mode rises by far more
+    rise = np.diff(energy).max() / energy[0]
+    assert rise <= 1e-12, f"{case}: a step raises the energy by {rise:.3g} E0"
+
+
+@pytest.mark.parametrize("name, m", [("cart4", 1), ("mesh80", 2)])
+def test_free_decay_never_raises_the_energy(mesh80, unit_params, name, m):
+    # ROADMAP item 20: with no loads the scheme is dissipative, so no step
+    # may raise the discrete energy, whatever the state
+    mesh, dirichlet = pin_mesh(name, mesh80, ("E",))
+    _assert_never_rises(_decay(build_system(mesh, m, unit_params, dirichlet)), name)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_free_decay_never_raises_the_energy_physiological(mesh80):
+    # the demo's brain preset, then item 10's physiological draws with a
+    # symmetric beta (the energy estimate assumes one); at the brain preset
+    # the p:E penalty is not coercive until it scales with k_j / mu_j
+    cfg = json.loads((Path(__file__).parents[1] / "configs" / "demo.json").read_text())
+    _assert_never_rises(_decay(build_system(mesh80, 2, resolve_params(cfg), DEMO_DIRICHLET)),
+                        "brain preset")
+    cases = itertools.product(("cart4", "mesh80"), (1, 2), (("E",), ACVE))
+    for seed, (name, m, J) in enumerate(cases):
+        mesh, dirichlet = pin_mesh(name, mesh80, J)
+        params = physiological_params(J, np.random.default_rng(seed))
+        params.beta = {j: {k: params.beta[min(j, k)][max(j, k)] for k in J} for j in J}
+        params.validate()
+        _assert_never_rises(_decay(build_system(mesh, m, params, dirichlet), 100),
+                            f"draw {seed}: {name}, m = {m}, J = {''.join(J)}")
 
 
 # -- pinned values of the operators ----------------------------------------
