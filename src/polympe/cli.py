@@ -30,16 +30,12 @@ from . import __version__, driver, norms, outputs, stepping
 from .agglomerate import AgglomerationConfig, agglomerate, partition_assignment, validate_partition
 from .families import DEMO_DIRICHLET, VERIFICATION_DIRICHLET, cartesian_two_domain, triangulated_two_domain
 from .forms import ZeroData
-from .manufactured import (CONTROL_FLOOR, ORACLE_T, ORACLE_TOL, SOURCES, residual_oracle,
-                           steady_case, unsteady_case)
+from .manufactured import (CONTROL_FLOOR, CONTROL_POINTS, ORACLE_T, ORACLE_TOL, SOURCES,
+                           residual_oracle, steady_case, unsteady_case)
 from .mesh import load_mesh, quality_report, save_mesh
 from .params import InputError, PhysicalParams, check_dirichlet
 from .solvers import NumericalError
 from .system import EXCHANGE, build_system, structural_checks
-
-
-class ConfigError(InputError):
-    """A config value breaks the rule its reader states."""
 
 
 def _finite(v) -> bool:
@@ -63,7 +59,7 @@ class Section:
 
     def __init__(self, name: str, doc, path: str = "{} {}"):
         if not isinstance(doc, dict):
-            raise ConfigError(f"{name or 'the config'} must be a JSON object, got {doc!r}")
+            raise InputError(f"{name or 'the config'} must be a JSON object, got {doc!r}")
         self.name, self.doc, self._path, self.resolved = name, doc, path, {}
 
     def path(self, key) -> str:
@@ -72,14 +68,14 @@ class Section:
     def _get(self, key, default, kind: str, ok, least=None, among=None):
         val = self.doc.get(key, default)
         if val is MISSING:
-            raise ConfigError(f"{self.path(key)} is required")
+            raise InputError(f"{self.path(key)} is required")
         if key in self.doc and not (ok(val) or (val is None and default is None)):
-            raise ConfigError(f"{self.path(key)} must be {kind}, got {val!r}")
+            raise InputError(f"{self.path(key)} must be {kind}, got {val!r}")
         if least is not None and val is not None and np.min(val) < least:
-            raise ConfigError(f"{self.path(key)} must be >= {least}, got {val}")
+            raise InputError(f"{self.path(key)} must be >= {least}, got {val}")
         if among is not None and val not in among:
-            raise ConfigError(f"unknown {self.path(key)} {val!r}; expected "
-                              f"{', '.join(among[:-1])} or {among[-1]}")
+            raise InputError(f"unknown {self.path(key)} {val!r}; expected "
+                             f"{', '.join(among[:-1])} or {among[-1]}")
         self.resolved[key] = val
         return val
 
@@ -122,8 +118,8 @@ class Section:
     def close(self) -> None:
         unknown = sorted(set(self.doc) - set(self.resolved))
         if unknown:
-            raise ConfigError(f"unknown {self.name or 'top-level'} key(s) {unknown}; "
-                              f"expected some of {sorted(self.resolved)}")
+            raise InputError(f"unknown {self.name or 'top-level'} key(s) {unknown}; "
+                             f"expected some of {sorted(self.resolved)}")
 
 
 def _read_spec(sec: Section, family: bool = True) -> dict:
@@ -178,10 +174,7 @@ def _read_params(cfg: Section) -> PhysicalParams:
     compartments = cfg.names("compartments", ["E"])
     sec = cfg.section("params", {})
     preset = sec.string("preset", "unit", among=("unit", "brain"))
-    try:
-        params = getattr(PhysicalParams, preset)(compartments)
-    except InputError as exc:  # only the compartments can fail a preset
-        raise ConfigError(str(exc)) from exc
+    params = getattr(PhysicalParams, preset)(compartments)
     _merge(sec, vars(params))
     params.validate()
     return params
@@ -234,8 +227,8 @@ def cmd_convergence(cfg: Section):
     n_steps = conv.integer("n_steps", 5, least=1) if scfg else None
     conv.close()
     if len(specs) < (1 if spectral else 3):
-        raise ConfigError("convergence meshes must be a mesh family with >= 3 refinements "
-                          "(or a single mesh with 'spectral': true)")
+        raise InputError("convergence meshes must be a mesh family with >= 3 refinements "
+                         "(or a single mesh with 'spectral': true)")
     scheme = _read_scheme(scfg) if scfg else None
 
     def run(out: Path):
@@ -342,7 +335,7 @@ def cmd_verify(cfg: Section):
             report_lines.append(rep.summary())
             ok &= rep.max_residual < ORACLE_TOL
             for source in SOURCES:
-                bad = residual_oracle(case.corrupted(source), n_points=10, t=t)
+                bad = residual_oracle(case.corrupted(source), n_points=CONTROL_POINTS, t=t)
                 report_lines.append(f"[{case.name}] negative control {source} residual "
                                     f"{bad.max_residual:.3e}")
                 ok &= bad.max_residual > CONTROL_FLOOR
@@ -404,7 +397,7 @@ def main(argv=None) -> int:
         try:  # a missing file is an OSError
             cfg = Section("", json.loads(Path(args.config).read_text()))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # not JSON, or not text
-            raise ConfigError(f"cannot parse {args.config}: {exc}") from exc
+            raise InputError(f"cannot parse {args.config}: {exc}") from exc
         out_dir = cfg.string("output_dir", "out")  # read even when --out overrides it
         out = Path(args.out or out_dir)
         run = COMMANDS[args.command](cfg)

@@ -70,6 +70,8 @@ def convergence_table(case_id: str, meshes: list, m_values, scheme=None, n_steps
     """Error rows plus observed energy rates ``rate_energy`` (NaN on the
     coarsest mesh of each degree and on saturated pairs) for a mesh
     sequence; ``case_id`` is ``"steady"`` or ``"unsteady"``."""
+    # meshes that do not refine (by error_row's h) are rejected before any solve
+    norms.check_refining([float(mesh.diameters.max()) for mesh in meshes])
     case = steady_case() if case_id == "steady" else unsteady_case()
 
     def solve(mesh, m):

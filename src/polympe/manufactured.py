@@ -140,8 +140,9 @@ def _scaled(factor: str, profile):
 #: :func:`residual_oracle` sign-flip each in turn
 SOURCES = ("f_el", "g:E", "f_f", "p_out")
 #: the oracle's bounds: a case passes with every residual below ORACLE_TOL, a
-#: negative control with one above CONTROL_FLOOR; the unsteady case at t = ORACLE_T
-ORACLE_TOL, CONTROL_FLOOR, ORACLE_T = 1e-4, 1e-1, 0.37
+#: negative control (at CONTROL_POINTS points in ``polympe verify``) with one
+#: above CONTROL_FLOOR; the unsteady case at t = ORACLE_T
+ORACLE_TOL, CONTROL_FLOOR, ORACLE_T, CONTROL_POINTS = 1e-4, 1e-1, 0.37, 10
 
 #: key -> (components at (x, y) given the time factors and alpha, shape of one
 #: value). Every field has its value, ``,t`` and ``,grad`` keys; the sources
@@ -197,7 +198,7 @@ class ManufacturedCase:
         pts = np.asarray(pts, dtype=float)
         lead = np.shape(t)
         if len(lead) > 1:
-            raise ValueError(f"t must be a scalar or a 1-D array, got shape {lead}")
+            raise InputError(f"t must be a scalar or a 1-D array, got shape {lead}")
         if lead:
             # time factors (S, 1) against profiles (n,)
             t = np.asarray(t, dtype=float)[:, None]

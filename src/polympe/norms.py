@@ -193,9 +193,9 @@ def energy_norm(states: list, times: list, space: DGSpace, faces: FaceSet,
     ``final`` is :func:`broken_norms` of the final state.
     """
     if not states:
-        raise ValueError("empty trajectory")
+        raise InputError("empty trajectory")
     if len(times) != len(states):
-        raise ValueError(f"{len(states)} states need as many times, got {len(times)}")
+        raise InputError(f"{len(states)} states need as many times, got {len(times)}")
     times = list(times)
     ts = np.asarray(times, dtype=float)
 
@@ -232,14 +232,19 @@ SATURATION_FLOOR = 1e-13
 RATE_WINDOW = (0.2, 0.3)
 
 
+def check_refining(hs) -> None:
+    """Raise :class:`InputError` unless the mesh sizes ``hs`` strictly decrease."""
+    if any(h2 >= h1 for h1, h2 in zip(hs, hs[1:])):
+        raise InputError("mesh sizes must be strictly decreasing")
+
+
 def convergence_rates(errors, hs):
     """Observed rates log(e_i/e_{i+1}) / log(h_i/h_{i+1}) between consecutive
     meshes; ``None`` marks saturated pairs."""
     errors, hs = list(errors), list(hs)
     if len(errors) < 2:
         raise InputError("need at least two entries")
-    if any(h2 >= h1 for h1, h2 in zip(hs, hs[1:])):
-        raise InputError("mesh sizes must be strictly decreasing")
+    check_refining(hs)
     rates = []
     for e1, e2, h1, h2 in zip(errors, errors[1:], hs, hs[1:]):
         if e1 <= SATURATION_FLOOR or e2 <= SATURATION_FLOOR:

@@ -6,14 +6,12 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from .params import InputError
+
 
 class NumericalError(Exception):
     """A solve failed numerically: a singular matrix, or a residual too large
     to trust the solution."""
-
-
-class SingularMatrixError(NumericalError):
-    """Matrix is structurally or numerically singular."""
 
 
 class Factorization:
@@ -26,7 +24,7 @@ class Factorization:
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b)
         if b.shape[0] != self.n:
-            raise ValueError(f"rhs has length {b.shape[0]}, expected {self.n}")
+            raise InputError(f"rhs has length {b.shape[0]}, expected {self.n}")
         return self._lu.solve(b)
 
 
@@ -34,9 +32,9 @@ def factorize(A) -> Factorization:
     """LU with partial pivoting and COLAMD column ordering."""
     A = sp.csc_matrix(A)
     if A.shape[0] != A.shape[1]:
-        raise ValueError(f"matrix is not square: {A.shape}")
+        raise InputError(f"matrix is not square: {A.shape}")
     try:
         lu = splu(A)
     except RuntimeError as exc:  # SuperLU reports the failing pivot
-        raise SingularMatrixError(str(exc)) from exc
+        raise NumericalError(str(exc)) from exc
     return Factorization(lu, A.shape[0])

@@ -69,7 +69,7 @@ def volume_quadrature(element_vertices, order: int) -> QuadratureRule:
     its (n, 2) vertex loop or by each of a (G, n, 2) stack of them (points
     (..., n * nr, 2) and weights (..., n * nr), ``nr`` per fan triangle)."""
     if order < 1:
-        raise ValueError("order must be >= 1")
+        raise InputError("order must be >= 1")
     pts = np.asarray(element_vertices, dtype=float)
     xr, yr, wr = _triangle_rule(order)
     # one block of rule points per fan triangle (c, v_i, v_{i+1})

@@ -86,3 +86,11 @@ def test_direct_calls_accept_the_benchmark_arguments(bench):
     demo["mesh"].update(targets=[160, 160], fine_ny=48, seed=1)
     demo["scheme"]["n_steps"] = bench["workloads"].PulsatileMarch.n_steps
     assert read_config("solve", demo)["scheme"]["n_steps"] == 300
+
+
+def test_benchmark_json_is_the_spec(bench):
+    # BENCHMARK.json is generated from perfbench/spec.py, as run.py --all
+    # writes it: an edit of one without the other would benchmark a table
+    # that the spec does not describe
+    written = json.dumps(bench["spec"].benchmark_json(), indent=2) + "\n"
+    assert (BENCH.parent / "BENCHMARK.json").read_text() == written

@@ -479,7 +479,7 @@ def test_compartments_need_the_exchange_compartment(tmp_path, capsys, compartmen
     ({"compartments": ["E", "E"]}, "compartments must be distinct"),
 ])
 def test_bad_per_compartment_value_is_config_error(doc, match):
-    with pytest.raises(cli.ConfigError, match=match):
+    with pytest.raises(InputError, match=match):
         cli.resolve_params(doc)
 
 
@@ -649,6 +649,30 @@ def test_unsteady_sweep_without_steps_is_input_error(tmp_path, capsys, monkeypat
     err = capsys.readouterr().err
     assert f"convergence n_steps must be >= 1, got {n_steps}" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_meshes_that_do_not_refine_are_rejected_before_any_solve(tmp_path, capsys,
+                                                                 monkeypatch):
+    # the middle mesh is the coarsest: the sizes are known once the meshes
+    # are built, so no solve runs
+    from polympe import driver
+
+    solves = []
+    real = driver.solve_unsteady
+
+    def counted(*args, **kwargs):
+        solves.append(args[2].n_elements)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(driver, "solve_unsteady", counted)
+    meshes = [{"family": "cartesian", "ny": n} for n in (4, 2, 8)]
+    doc = {"case": "unsteady", "scheme": {"dt": 0.01},
+           "convergence": {"m_values": [1], "n_steps": 1, "meshes": meshes}}
+    out = tmp_path / "x"
+    assert main(["convergence", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "mesh sizes must be strictly decreasing" in err and "Traceback" not in err
+    assert solves == [] and not list(out.glob("*"))
 
 
 def test_no_rate_is_an_empty_cell_and_null(tmp_path, monkeypatch):

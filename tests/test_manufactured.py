@@ -9,6 +9,7 @@ import sympy as sym
 
 import polympe
 from polympe.manufactured import SOURCES, residual_oracle
+from polympe.params import InputError
 
 from symbolic import T, steady_reference, unsteady_factors, unsteady_reference
 
@@ -173,6 +174,11 @@ def test_exact_at_many_times_matches_scalar_calls(steady, unsteady, which):
         assert np.array_equal(case.exact(key, pts, list(times)), got), key
     with pytest.raises(ValueError):
         case.exact("p", pts, times[None])
+
+
+def test_times_of_two_dimensions_are_input_error(unsteady):
+    with pytest.raises(InputError, match=r"t must be a scalar or a 1-D array, got shape \(1, 2\)"):
+        unsteady.exact("p", np.zeros((3, 2)), np.zeros((1, 2)))
 
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from polympe import forms, norms
 from polympe.mesh import build_faces
-from polympe.params import PhysicalParams
+from polympe.params import InputError, PhysicalParams
 from polympe.spaces import build_space, l2_project
 from polympe.system import build_system
 
@@ -198,6 +198,15 @@ def test_energy_norm_requires_states(cart4_setup, unit_params):
         norms.energy_norm([st, st], [0.0], space, faces, unit_params)
 
 
+def test_a_bad_trajectory_is_input_error(cart4_setup, unit_params):
+    _, faces, space = cart4_setup
+    with pytest.raises(InputError, match="empty trajectory"):
+        norms.energy_norm([], [], space, faces, unit_params)
+    st = zero_state(space)
+    with pytest.raises(InputError, match="2 states need as many times, got 1"):
+        norms.energy_norm([st, st], [0.0], space, faces, unit_params)
+
+
 def test_convergence_rates_power_law():
     rates = norms.convergence_rates([1.0, 0.25], [1.0, 0.5])
     assert rates == [pytest.approx(2.0)]
@@ -213,3 +222,10 @@ def test_convergence_rates_validation():
         norms.convergence_rates([1.0], [1.0])
     with pytest.raises(ValueError):
         norms.convergence_rates([1.0, 0.5], [0.5, 1.0])
+
+
+@pytest.mark.parametrize("hs", [[1.0, 1.0], [0.5, 1.0], [1.0, 0.25, 0.5]])
+def test_mesh_sizes_that_do_not_decrease_are_input_error(hs):
+    with pytest.raises(InputError, match="mesh sizes must be strictly decreasing"):
+        norms.check_refining(hs)
+    norms.check_refining(sorted(set(hs), reverse=True))

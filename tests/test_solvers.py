@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from polympe.solvers import SingularMatrixError, factorize
+from polympe.params import InputError
+from polympe.solvers import NumericalError, factorize
 
 
 def test_identity():
@@ -28,7 +29,7 @@ def test_complex_matrix_solves_complex_rhs():
 
 def test_singular_reported():
     A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(NumericalError, match="singular"):
         factorize(A)
 
 
@@ -41,6 +42,17 @@ def test_dimension_mismatch():
     f = factorize(sp.identity(4, format="csc"))
     with pytest.raises(ValueError):
         f.solve(np.ones(5))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: factorize(sp.csr_matrix((3, 4))), "matrix is not square: (3, 4)"),
+    (lambda: factorize(sp.identity(4, format="csc")).solve(np.ones(5)),
+     "rhs has length 5, expected 4"),
+], ids=["non-square", "rhs-length"])
+def test_a_caller_shape_error_is_input_error(call, message):
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_solve_multiply_roundtrip():

@@ -8,6 +8,7 @@ from scipy.linalg import cholesky, solve_triangular
 from polympe import forms, norms
 from polympe.families import VERIFICATION_DIRICHLET, cartesian_two_domain
 from polympe.mesh import PolyMesh, build_faces
+from polympe.params import InputError
 from polympe.solvers import NumericalError
 from polympe.spaces import (_inverse_cholesky, build_space, face_quadrature, l2_project,
                             volume_quadrature)
@@ -74,6 +75,11 @@ def test_volume_quadrature_exactness_random_polynomials():
 
 def test_volume_quadrature_order_validation():
     with pytest.raises(ValueError):
+        volume_quadrature([[0, 0], [1, 0], [0, 1]], 0)
+
+
+def test_volume_quadrature_order_is_input_error():
+    with pytest.raises(InputError, match="order must be >= 1"):
         volume_quadrature([[0, 0], [1, 0], [0, 1]], 0)
 
 
